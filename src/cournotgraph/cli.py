@@ -9,11 +9,13 @@ or scenario problems, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import stability
 from .dynamics import IntegrationBlowUp, integrate
 from .network import to_affine, variable_names
 from .reports import (pd_series_csv, render_equilibrium,
@@ -68,8 +70,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     scenario = _load(args.scenario)
-    system, _, r = _dynamical(scenario, "equilibrium")
-    sys.stdout.write(render_equilibrium(analyze(system, r)))
+    system, _, _ = _dynamical(scenario, "equilibrium")
+    sys.stdout.write(render_equilibrium(stability.equilibrium(system),
+                                        system.variable_order))
     return EXIT_OK
 
 
@@ -110,6 +113,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: a number, and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"'{text}' is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cournotgraph",
@@ -124,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate flow dynamics to CSV")
     scenario_arg(p)
-    p.add_argument("--t-end", type=float, default=200.0, dest="t_end")
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--t-end", type=_finite_float, default=200.0, dest="t_end")
+    p.add_argument("--dt", type=_finite_float, default=0.01)
     p.add_argument("--method", choices=("rk4", "euler"), default="rk4")
     p.add_argument("--thin", type=int, default=10,
                    help="keep every k-th step (default 10)")
@@ -150,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_arg(p)
     p.add_argument("--param", required=True,
                    choices=("r1", "r2", "r3", "r4", "r5"))
-    p.add_argument("--from", required=True, type=float, dest="start")
-    p.add_argument("--to", required=True, type=float, dest="stop")
+    p.add_argument("--from", required=True, type=_finite_float, dest="start")
+    p.add_argument("--to", required=True, type=_finite_float, dest="stop")
     p.add_argument("--points", required=True, type=int)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_sweep)

@@ -13,7 +13,9 @@ profit, dq_ij/dt = b_j dPi_j/dq_ij, which expands to
 
 and is therefore affine in q (see :func:`cournotgraph.network.to_affine`
 for the assembled matrix form; the two routes must agree and are tested
-against each other).
+against each other). Here the supplies are summed straight from the
+edges, s = F^T q and c = M^T q with F and M the edge-firm and
+edge-market incidence matrices, and nothing is cached between calls.
 
 Flows may go negative during integration: the dynamics have no
 constraint mechanism, and clamping would silently change them. Negative
@@ -22,84 +24,71 @@ excursions are flagged by the long-run classifier instead of prevented.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .network import NetworkSpec, canonical_edge_order
+# canonical_edge_order is re-exported for callers that import it from here.
+from .network import NetworkSpec, canonical_edge_order, edge_index  # noqa: F401
 
 
-@lru_cache(maxsize=None)
-def _index_maps(spec: NetworkSpec):
-    """Canonical order plus per-firm and per-market coordinate lists."""
-    order = canonical_edge_order(spec)
-    position = {edge: k for k, edge in enumerate(order)}
-    by_firm = tuple(tuple(k for k, (_, jj) in enumerate(order) if jj == j)
-                    for j in range(1, spec.firm_count + 1))
-    by_market = tuple(tuple(k for k, (ii, _) in enumerate(order) if ii == i)
-                      for i in range(1, spec.market_count + 1))
-    return order, position, by_firm, by_market
-
-
-def _conform(spec: NetworkSpec, q) -> np.ndarray:
+def _supplies(spec: NetworkSpec, q):
+    """(order, market, firm, q, s, c): the canonical edge order with its
+    0-based market and firm index arrays, the checked flow vector, the
+    firm outputs s = F^T q and the market supplies c = M^T q."""
+    order, market, firm = edge_index(spec)
     qv = np.asarray(q, dtype=float)
-    n = len(_index_maps(spec)[0])
-    if qv.shape != (n,):
-        raise ValueError(f"flow vector must have length {n}, got shape {qv.shape}")
+    if qv.shape != (len(order),):
+        raise ValueError(
+            f"flow vector must have length {len(order)}, got shape {qv.shape}")
     if not np.all(np.isfinite(qv)):
         raise ValueError("flow vector contains non-finite entries")
-    return qv
+    s = np.bincount(firm, weights=qv, minlength=spec.firm_count)
+    c = np.bincount(market, weights=qv, minlength=spec.market_count)
+    return order, market, firm, qv, s, c
 
 
 def firm_supply(spec: NetworkSpec, q, j: int) -> float:
     """Total output s_j of firm j: sum of q over all of its edges."""
     if not 1 <= j <= spec.firm_count:
         raise ValueError(f"unknown firm index {j}")
-    qv = _conform(spec, q)
-    return float(sum(qv[k] for k in _index_maps(spec)[2][j - 1]))
+    return float(_supplies(spec, q)[4][j - 1])
 
 
 def market_supply(spec: NetworkSpec, q, i: int) -> float:
     """Total supply c_i into market i: sum of q over all edges into it."""
     if not 1 <= i <= spec.market_count:
         raise ValueError(f"unknown market index {i}")
-    qv = _conform(spec, q)
-    return float(sum(qv[k] for k in _index_maps(spec)[3][i - 1]))
+    return float(_supplies(spec, q)[5][i - 1])
 
 
 def profit(spec: NetworkSpec, q, j: int) -> float:
     """Firm j's profit at flow state q."""
     if not 1 <= j <= spec.firm_count:
         raise ValueError(f"unknown firm index {j}")
-    qv = _conform(spec, q)
-    order, _, by_firm, by_market = _index_maps(spec)
-    s_j = float(sum(qv[k] for k in by_firm[j - 1]))
-    total = -spec.gamma[j - 1] * s_j * s_j / 2.0
-    for k in by_firm[j - 1]:
-        i = order[k][0]
-        c_i = float(sum(qv[p] for p in by_market[i - 1]))
-        total += spec.alpha[i - 1] * qv[k] - spec.beta[i - 1] * qv[k] * c_i
-    return float(total)
+    _, market, firm, qv, s, c = _supplies(spec, q)
+    own = firm == j - 1
+    markets, q_j = market[own], qv[own]
+    sales = (np.array(spec.alpha)[markets] * q_j
+             - np.array(spec.beta)[markets] * q_j * c[markets])
+    s_j = float(s[j - 1])
+    return -spec.gamma[j - 1] * s_j * s_j / 2.0 + float(np.sum(sales))
 
 
 def marginal_profit(spec: NetworkSpec, q, i: int, j: int) -> float:
     """dPi_j/dq_ij = alpha_i - gamma_j s_j - beta_i q_ij - beta_i c_i."""
-    order, position, by_firm, by_market = _index_maps(spec)
-    if (i, j) not in position:
+    order, _, _, qv, s, c = _supplies(spec, q)
+    if (i, j) not in order:
         raise ValueError(f"({i},{j}) is not an edge of the network")
-    qv = _conform(spec, q)
-    q_ij = qv[position[(i, j)]]
-    s_j = float(sum(qv[k] for k in by_firm[j - 1]))
-    c_i = float(sum(qv[k] for k in by_market[i - 1]))
-    return float(spec.alpha[i - 1] - spec.gamma[j - 1] * s_j
-                 - spec.beta[i - 1] * q_ij - spec.beta[i - 1] * c_i)
+    q_ij = qv[order.index((i, j))]
+    return float(spec.alpha[i - 1] - spec.gamma[j - 1] * s[j - 1]
+                 - spec.beta[i - 1] * q_ij - spec.beta[i - 1] * c[i - 1])
 
 
 def vector_field(spec: NetworkSpec, q) -> np.ndarray:
     """Right-hand side of the flow dynamics, component (i, j) being
     b_j times firm j's marginal profit on that edge. Components follow
     the canonical edge order."""
-    qv = _conform(spec, q)
-    order = _index_maps(spec)[0]
-    return np.array([spec.speed[j - 1] * marginal_profit(spec, qv, i, j)
-                     for i, j in order])
+    _, market, firm, qv, s, c = _supplies(spec, q)
+    beta = np.array(spec.beta)[market]
+    return np.array(spec.speed)[firm] * (
+        np.array(spec.alpha)[market] - np.array(spec.gamma)[firm] * s[firm]
+        - beta * qv - beta * c[market])

@@ -163,6 +163,15 @@ def two_firms_two_markets(alpha1: float, alpha2: float,
                        gamma=(gamma1, gamma2))
 
 
+def edge_index(spec: NetworkSpec) -> tuple[tuple[Edge, ...], np.ndarray, np.ndarray]:
+    """The canonical edge order and, per edge, its 0-based market and
+    firm indices: the nonzero columns of the edge-market and edge-firm
+    incidence matrices M and F."""
+    order = canonical_edge_order(spec)
+    pairs = np.array(order, dtype=np.intp).reshape(len(order), 2) - 1
+    return order, pairs[:, 0], pairs[:, 1]
+
+
 def to_affine(spec: NetworkSpec) -> AffineSystem:
     """Assemble the flow dynamics into dq/dt = c - A q.
 
@@ -171,23 +180,24 @@ def to_affine(spec: NetworkSpec) -> AffineSystem:
     b_j gamma_j (shared production cost) and every other edge into
     market i contributes b_j beta_i (shared demand slope). An edge can
     share a firm or a market with (i, j) but never both.
+
+    In matrix form A = D_b (F Gamma F^T + M B M^T + diag beta_i(e)) with
+    F, M the edge-firm and edge-market incidence matrices. One n x n
+    buffer is filled in place from the per-edge index arrays; every
+    entry is the same floating-point product as in the row-by-row
+    definition above, so the matrix equals a per-entry loop bit for bit.
     """
     problems = validate(spec)
     if problems:
         raise ValueError("invalid network spec: " + "; ".join(problems))
-    order = canonical_edge_order(spec)
-    n = len(order)
-    c = np.zeros(n)
-    a = np.zeros((n, n))
-    for row, (i, j) in enumerate(order):
-        b = spec.speed[j - 1]
-        c[row] = b * spec.alpha[i - 1]
-        a[row, row] = b * (spec.gamma[j - 1] + 2.0 * spec.beta[i - 1])
-        for col, (l, k) in enumerate(order):
-            if col == row:
-                continue
-            if k == j:
-                a[row, col] = b * spec.gamma[j - 1]
-            elif l == i:
-                a[row, col] = b * spec.beta[i - 1]
+    order, market, firm = edge_index(spec)
+    b = np.array(spec.speed)[firm]
+    beta = np.array(spec.beta)[market]
+    gamma = np.array(spec.gamma)[firm]
+    a = np.zeros((len(order), len(order)))
+    np.copyto(a, gamma[:, None], where=firm[:, None] == firm[None, :])
+    np.copyto(a, beta[:, None], where=market[:, None] == market[None, :])
+    np.fill_diagonal(a, gamma + 2.0 * beta)
+    a *= b[:, None]
+    c = b * np.array(spec.alpha)[market]
     return AffineSystem(constant=c, matrix=a, variable_order=order)

@@ -72,9 +72,15 @@ def render_stability_report(report: StabilityReport) -> str:
     if len(coeffs) == 3:
         lines.append("  Routh-Hurwitz checks:")
         lines.extend(_check_lines(*coeffs))
-    else:
+    elif not report.coeffs_from_eigenvalues:
         lines.append("  Routh-Hurwitz checks: n/a (system is not cubic; "
                      "verdict rests on the eigenvalue margin)")
+    else:
+        route = ("coefficients are the elementary symmetric functions of "
+                 "the eigenvalues" if coeffs else
+                 "coefficients from the eigenvalues are not finite, none printed")
+        lines.append(f"  Routh-Hurwitz checks: n/a (system is not cubic; "
+                     f"{route}; verdict rests on the eigenvalue margin)")
     lines.append(f"eigenvalue margin (max Re): {fmt(report.eigen_margin)}")
     lines.append(f"verdict: {report.verdict.value}")
     if report.closed_form is not None:
@@ -89,10 +95,10 @@ def render_stability_report(report: StabilityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_equilibrium(report: StabilityReport) -> str:
-    names = variable_names(report.variable_order)
+def render_equilibrium(values, order) -> str:
+    """One ``name = value`` line per variable of the edge order."""
     return "".join(f"{name} = {fmt(v)}\n"
-                   for name, v in zip(names, report.equilibrium))
+                   for name, v in zip(variable_names(order), values))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .network import NetworkSpec, canonical_edge_order, validate
 from .pdgame import (PayoffMatrix, PlayerGraph, PopulationState,
@@ -73,6 +74,13 @@ class PDScenario:
     side_payment: float | None = None
 
     def build_graph(self) -> PlayerGraph:
+        """The scenario's player graph. It is built on the first call and
+        kept on this object, so parse-time validation and the run share
+        one build; equality still compares the fields only."""
+        return self._player_graph
+
+    @cached_property
+    def _player_graph(self) -> PlayerGraph:
         kind = self.graph[0]
         if kind == "complete":
             return complete_graph(self.graph[1])
@@ -247,6 +255,8 @@ def _build_pd(entries) -> PDScenario:
 
     init_value, init_line = entries["init"]
     tokens = init_value.split()
+    if not tokens:
+        raise ScenarioError("init: value is empty", init_line)
     if tokens[0] in ("all_c", "all_d", "single_defector") and len(tokens) == 1:
         init = (tokens[0],)
     elif tokens[0] == "random" and len(tokens) == 3:

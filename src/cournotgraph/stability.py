@@ -1,17 +1,22 @@
 """Equilibrium and stability analysis for affine flow dynamics.
 
 For dq/dt = c - A q the unique equilibrium solves A q = c and the
-Jacobian is J = -A. Stability is decided along two independent routes:
+Jacobian is J = -A. ``analyze`` computes the eigenvalues of J once;
+their maximum real part is the "margin", which decides the verdict,
+since strict inequalities mean nothing at the boundary in floating
+point. The characteristic coefficients (a1..an of
+det(lambda I - J) = lambda^n + a1 lambda^(n-1) + ... + an) come from
+one of two routes:
 
-* Routh-Hurwitz inequalities on the characteristic polynomial of J
-  (a1 > 0, a3 > 0, a1 a2 > a3 for cubic systems), with the coefficients
-  computed from the matrix by Faddeev-LeVerrier;
-* the maximum real part over the eigenvalues of J (the "margin"),
-  computed by LAPACK directly from the matrix.
-
-The two must agree away from the marginal band |margin| <= MARGIN_EPS;
-the margin is what reports use for the verdict, since strict
-inequalities mean nothing at the boundary in floating point.
+* for n <= 3, from the matrix by Faddeev-LeVerrier (``char_poly``),
+  independent of the eigenvalues; for cubic systems the Routh-Hurwitz
+  inequalities (a1 > 0, a3 > 0, a1 a2 > a3) then decide stability a
+  second way, and the two must agree away from the marginal band
+  |margin| <= MARGIN_EPS;
+* for n > 3, as the elementary symmetric functions of the eigenvalues
+  (``np.poly``). Faddeev-LeVerrier loses all accuracy on network
+  systems past about 20 flow variables, so it decides nothing there;
+  coefficients that are not finite are dropped rather than reported.
 
 The module also implements the rescaled three-variable normal form of
 the two-firm, two-market network,
@@ -41,6 +46,7 @@ import numpy as np
 from .network import AffineSystem, Edge
 
 MARGIN_EPS = 1e-9       # band around 0 where the verdict is MARGINAL
+CHAR_POLY_MAX_N = 3     # largest system whose coefficients char_poly gives
 _COND_LIMIT = 1e12      # condition-number guard for the equilibrium solve
 _SYMMETRY_TOL = 1e-12   # |r1 - r2| tolerance for the symmetric closed forms
 
@@ -89,6 +95,9 @@ class StabilityReport:
     eigen_margin: float
     verdict: Stability
     variable_order: tuple[Edge, ...]
+    # True when char_coeffs are the elementary symmetric functions of the
+    # eigenvalues (n > CHAR_POLY_MAX_N); then they are empty if not finite.
+    coeffs_from_eigenvalues: bool = False
 
 
 def equilibrium(sys: AffineSystem) -> np.ndarray:
@@ -110,7 +119,8 @@ def equilibrium(sys: AffineSystem) -> np.ndarray:
 def char_poly(sys: AffineSystem) -> tuple[float, ...]:
     """Coefficients (a1, ..., an) of det(lambda I - J) = lambda^n
     + a1 lambda^(n-1) + ... + an for the Jacobian J = -A, by the
-    Faddeev-LeVerrier recursion."""
+    Faddeev-LeVerrier recursion. It costs O(n^4) and its rounding grows
+    with n, so ``analyze`` uses it only up to CHAR_POLY_MAX_N."""
     j = -sys.matrix
     n = j.shape[0]
     coeffs: list[float] = []
@@ -207,8 +217,16 @@ def analyze(sys: AffineSystem,
     (cubic systems only), eigenvalue margin and the verdict; for
     canonical systems pass r to include the closed-form coefficients."""
     eq = equilibrium(sys)
-    coeffs = char_poly(sys)
-    margin = eigen_margin(sys)
+    eigvals = np.linalg.eigvals(-sys.matrix)
+    margin = float(np.max(eigvals.real))
+    from_eigenvalues = sys.dimension > CHAR_POLY_MAX_N
+    if from_eigenvalues:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = tuple(float(v) for v in np.poly(eigvals).real[1:])
+        if not all(np.isfinite(coeffs)):
+            coeffs = ()
+    else:
+        coeffs = char_poly(sys)
     hurwitz = routh_hurwitz_cubic(*coeffs) if len(coeffs) == 3 else None
     if margin < -MARGIN_EPS:
         verdict = Stability.STABLE
@@ -220,4 +238,5 @@ def analyze(sys: AffineSystem,
                            hurwitz_pass=hurwitz,
                            closed_form=closed_form_coeffs(r) if r is not None else None,
                            eigen_margin=margin, verdict=verdict,
-                           variable_order=sys.variable_order)
+                           variable_order=sys.variable_order,
+                           coeffs_from_eigenvalues=from_eigenvalues)

@@ -35,6 +35,30 @@ def random_network_spec(rng: np.random.Generator,
         speed=tuple(rng.uniform(0.5, 2.0, k2)))
 
 
+def to_affine_by_loop(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(c, A) of the flow dynamics, entry by entry: row (i, j) holds
+    b_j (gamma_j + 2 beta_i) on the diagonal, b_j gamma_j for every
+    other edge of firm j and b_j beta_i for every other edge into
+    market i. Same products as the library, organised as a double loop
+    over edges instead of incidence index arrays."""
+    order = tuple(sorted(set(spec.edges)))
+    n = len(order)
+    c = np.zeros(n)
+    a = np.zeros((n, n))
+    for row, (i, j) in enumerate(order):
+        b = spec.speed[j - 1]
+        c[row] = b * spec.alpha[i - 1]
+        a[row, row] = b * (spec.gamma[j - 1] + 2.0 * spec.beta[i - 1])
+        for col, (l, k) in enumerate(order):
+            if col == row:
+                continue
+            if k == j:
+                a[row, col] = b * spec.gamma[j - 1]
+            elif l == i:
+                a[row, col] = b * spec.beta[i - 1]
+    return c, a
+
+
 def random_canonical(rng: np.random.Generator,
                      symmetric: bool = False) -> CanonicalParams:
     """r1, r2, r3 in (0, 2]; r4, r5 in [-1, 1]."""

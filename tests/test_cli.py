@@ -219,3 +219,54 @@ class TestCommands:
         run("simulate", "--scenario", STABLE, "--t-end", 5, "--out", a)
         run("simulate", "--scenario", STABLE, "--t-end", 5, "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCommandRoutes:
+    @pytest.fixture
+    def no_analyze(self, monkeypatch):
+        from cournotgraph import cli, reports, stability
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("equilibrium must not run the stability analysis")
+        for module in (cli, reports, stability):
+            monkeypatch.setattr(module, "analyze", forbidden)
+
+    def test_equilibrium_never_calls_analyze(self, no_analyze, capsys):
+        assert run("equilibrium", "--scenario", STABLE) == 0
+        assert capsys.readouterr().out.startswith("q11 = 1.136363636363636")
+        assert run("equilibrium", "--scenario", NETWORK) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith("q11 = ")
+
+    def test_equilibrium_singular_still_exits_3(self, no_analyze, tmp_path, capsys):
+        bad = tmp_path / "singular.scenario"
+        bad.write_text("[canonical]\nr = 1, 1, 1, 0.5, 0.5\nq0 = 0,0,0\n")
+        assert run("equilibrium", "--scenario", bad) == 3
+        assert "no unique equilibrium" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--t-end", "--dt"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e400"])
+    def test_non_finite_time_flags_exit_2(self, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--scenario", STABLE, "--out", tmp_path / "x.csv",
+                f"{flag}={value}")
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_pd_builds_the_player_graph_once(self, monkeypatch, tmp_path, capsys):
+        from cournotgraph import scenario
+        builds = []
+        for name in ("complete_graph", "cycle_graph", "torus_graph", "player_graph"):
+            original = getattr(scenario, name)
+
+            def counted(*args, _original=original, **kwargs):
+                builds.append(_original)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(scenario, name, counted)
+        complete = tmp_path / "complete.scenario"
+        complete.write_text(PD.read_text().replace("graph = edges 0-1, 0-2",
+                                                   "graph = complete 30"))
+        for path in (PD, complete):
+            builds.clear()
+            assert run("pd", "--scenario", path, "--out", tmp_path / "pd.csv") == 0
+            assert len(builds) == 1

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -142,3 +145,12 @@ class TestVectorField:
                     assert scaled[k] == 2.0 * base[k]
                 else:
                     assert scaled[k] == base[k]
+
+    def test_keeps_no_spec_alive(self):
+        spec = NetworkSpec(2, 2, ((1, 1), (2, 1), (2, 2)), alpha=(1.0, 1.25),
+                           beta=(0.2, 0.3), gamma=(0.1, 0.4))
+        vector_field(spec, np.ones(3))
+        ref = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert ref() is None

@@ -6,7 +6,7 @@ import pytest
 from cournotgraph import (NetworkSpec, canonical_edge_order, to_affine,
                           two_firms_two_markets, validate, variable_names,
                           vector_field)
-from helpers import random_network_spec, two_firm_rhs_literal
+from helpers import random_network_spec, to_affine_by_loop, two_firm_rhs_literal
 
 
 def two_firm_spec():
@@ -194,3 +194,26 @@ class TestToAffine:
         p = np.asarray(perm)
         assert np.allclose(b.constant[p], a.constant, rtol=1e-15)
         assert np.allclose(b.matrix[np.ix_(p, p)], a.matrix, rtol=1e-15)
+
+
+class TestIncidenceAssembly:
+    def test_bit_identical_to_per_entry_loop(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            spec = random_network_spec(rng, max_markets=6, max_firms=6)
+            c, a = to_affine_by_loop(spec)
+            sys = to_affine(spec)
+            assert np.array_equal(sys.constant, c)
+            assert np.array_equal(sys.matrix, a)
+
+    def test_speed_times_symmetric_positive_definite(self):
+        # A = D_b S with S = F Gamma F^T + M B M^T + diag beta_i(e):
+        # S is symmetric positive definite for every valid spec.
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            spec = random_network_spec(rng, max_markets=6, max_firms=6)
+            sys = to_affine(spec)
+            b = np.array([spec.speed[j - 1] for _, j in sys.variable_order])
+            s = sys.matrix / b[:, None]
+            assert np.allclose(s, s.T, rtol=1e-15, atol=0.0)
+            np.linalg.cholesky(s)

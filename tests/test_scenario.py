@@ -164,6 +164,11 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match="side_payment must be nonnegative"):
             parse_scenario(text)
 
+    def test_empty_init_rejected(self):
+        text = PD_TEXT.replace("init = random 0.5 42", "init =")
+        with pytest.raises(ScenarioError, match="init: value is empty"):
+            parse_scenario(text)
+
     def test_negative_steps(self):
         text = PD_TEXT.replace("steps = 10", "steps = -1")
         with pytest.raises(ScenarioError, match="steps must be nonnegative"):

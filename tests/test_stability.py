@@ -12,7 +12,8 @@ from cournotgraph import (AffineSystem, CanonicalParams,
                           routh_hurwitz_cubic, symmetric_conditions,
                           symmetric_equilibrium, to_affine,
                           two_firms_two_markets)
-from helpers import charpoly_by_determinant, random_canonical
+from helpers import (charpoly_by_determinant, random_canonical,
+                     random_network_spec)
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
 UNSTABLE = CanonicalParams(0.01, 0.1, 1.1, -0.3, 0.4)
@@ -292,3 +293,44 @@ class TestAnalyze:
         r = dataclasses.replace(STABLE, r3=0.1)
         report = analyze(canonical_affine(r), r)
         assert report.verdict is Stability.UNSTABLE
+
+
+class TestCoefficientRoutes:
+    def test_small_systems_keep_faddeev_leverrier(self):
+        rng = np.random.default_rng(50)
+        for n in (1, 2, 3):
+            for _ in range(20):
+                sys = AffineSystem(constant=np.ones(n),
+                                   matrix=rng.uniform(-2.0, 2.0, (n, n)) + 3 * np.eye(n))
+                assert analyze(sys).char_coeffs == char_poly(sys)
+
+    def test_network_coefficients_are_eigenvalue_symmetric_functions(self):
+        # det(lambda I + A) = prod (lambda + mu) over the eigenvalues mu of
+        # A = D_b S, taken here from the symmetric D_b^1/2 S D_b^1/2.
+        rng = np.random.default_rng(51)
+        checked = 0
+        for _ in range(60):
+            spec = random_network_spec(rng, max_markets=7, max_firms=8)
+            sys = to_affine(spec)
+            if sys.dimension <= 3:
+                continue
+            checked += 1
+            coeffs = np.array(analyze(sys).char_coeffs)
+            assert len(coeffs) == sys.dimension
+            assert np.all(np.isfinite(coeffs)) and np.all(coeffs > 0.0)
+            root_b = np.sqrt([spec.speed[j - 1] for _, j in sys.variable_order])
+            s = sys.matrix / (root_b * root_b)[:, None]
+            mu = np.linalg.eigvalsh(root_b[:, None] * (s + s.T) / 2.0 * root_b)
+            assert np.allclose(coeffs, np.poly(-mu)[1:], rtol=1e-9, atol=0.0)
+        assert checked > 40
+
+    def test_overflowing_coefficients_are_not_reported(self):
+        from cournotgraph.reports import render_stability_report
+        sys = AffineSystem(constant=np.ones(400),
+                           matrix=np.diag(np.full(400, 1e3)))
+        report = analyze(sys)
+        assert report.char_coeffs == ()
+        assert report.verdict is Stability.STABLE
+        text = render_stability_report(report)
+        assert "not finite, none printed" in text
+        assert "  a1 = " not in text
