@@ -26,6 +26,7 @@ Field = Callable[[np.ndarray], np.ndarray]
 
 STATE_LIMIT = 1e9           # abort threshold on max |q|
 DIVERGENCE_FACTOR = 10.0    # "left a 10x ball" distance criterion
+MAX_STORED_VALUES = 10_000_000  # (steps + 1) x dimension: 80 MB of states
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +97,8 @@ def integrate(field: Field, q0, t_end: float, dt: float,
 
     Thinning is an output-time concern; the whole trajectory stays in
     memory, which is fine at desk scale (a few 1e5 steps of a small
-    system).
+    system). Runs that would store more than ``MAX_STORED_VALUES``
+    numbers are rejected before anything is allocated.
     """
     if method not in _STEPPERS:
         raise ValueError(f"unknown method '{method}' (expected rk4 or euler)")
@@ -105,6 +107,13 @@ def integrate(field: Field, q0, t_end: float, dt: float,
     if dt > t_end:
         raise ValueError("dt must not exceed t_end")
     stepper = _STEPPERS[method]
+    q = np.asarray(q0, dtype=float).copy()
+    # t_end / dt + 2 bounds the stored rows; testing it as a float also
+    # keeps a step count too large for int() from reaching it.
+    if (t_end / dt + 2) * q.size > MAX_STORED_VALUES:
+        raise ValueError(
+            f"t_end / dt = {t_end / dt:.6g} steps of {q.size} variables exceed "
+            f"the limit of {MAX_STORED_VALUES} stored values")
 
     n_whole = int(math.floor(t_end / dt + 1e-9))
     landing = n_whole * dt
@@ -115,7 +124,6 @@ def integrate(field: Field, q0, t_end: float, dt: float,
     times[: n_whole + 1] = dt * np.arange(n_whole + 1)
     times[-1] = t_end
 
-    q = np.asarray(q0, dtype=float).copy()
     states = np.empty((n_steps + 1, len(q)))
     states[0] = q
     for k in range(n_steps):
@@ -126,7 +134,7 @@ def integrate(field: Field, q0, t_end: float, dt: float,
             partial = Trajectory(times[: k + 1].copy(), states[: k + 1].copy(),
                                  method, dt)
             raise IntegrationBlowUp(
-                f"state blew up at t={times[k + 1]!r} (max |q| = {peak!r}); "
+                f"state blew up at t={float(times[k + 1])!r} (max |q| = {peak!r}); "
                 f"last finite state {states[k].tolist()!r}",
                 partial, float(times[k + 1]))
         states[k + 1] = q

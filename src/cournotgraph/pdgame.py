@@ -18,15 +18,26 @@ dominant; on the complete graph any mixed population collapses to
 all-defect in one step, because a defector always outscores every
 cooperator there.
 
+Scores are compared exactly. A player with n_C cooperating and n_D
+defecting neighbors scores R*n_C + S*n_D as a cooperator and
+T*n_C + U*n_D as a defector. Every double is a dyadic rational, so in
+units of the payoffs' common binary denominator these totals are
+integers, and ties are ties whatever order a float sum would take.
+
 Randomness enters only through the explicit seed of
 :func:`random_population`; the dynamics themselves are deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 C = "C"
 D = "D"
@@ -104,6 +115,20 @@ class PlayerGraph:
             adjacency[a].append(b)
             adjacency[b].append(a)
         return tuple(tuple(sorted(ns)) for ns in adjacency)
+
+    @cached_property
+    def closed_neighborhoods(self) -> np.ndarray:
+        """Index table with one row per player: the player itself, its
+        neighbors in ascending order, then ``player_count`` as padding up
+        to the largest degree."""
+        n = self.player_count
+        degree = np.fromiter(map(len, self.neighbors), np.intp, n)
+        table = np.full((n, degree.max(initial=0) + 1), n, dtype=np.intp)
+        table[:, 0] = np.arange(n)
+        table[:, 1:][np.arange(table.shape[1] - 1) < degree[:, None]] = \
+            np.fromiter(itertools.chain.from_iterable(self.neighbors), np.intp,
+                        degree.sum())
+        return table
 
 
 def player_graph(player_count: int, edges) -> PlayerGraph:
@@ -198,32 +223,42 @@ def random_population(graph: PlayerGraph, fraction: float,
                      for _ in range(graph.player_count)))
 
 
+def _integer_scores(state: PopulationState,
+                    m: PayoffMatrix) -> tuple[np.ndarray, int]:
+    """(totals, scale): each player's exact total payoff in units of
+    1/scale, where scale is the lcm of the payoffs' denominators. The
+    totals are int64 when they cannot overflow it, Python ints otherwise."""
+    exact = [Fraction(v) for v in (m.R, m.S, m.T, m.U)]
+    scale = math.lcm(*(f.denominator for f in exact))
+    R, S, T, U = (int(f * scale) for f in exact)
+    table = state.graph.closed_neighborhoods
+    bound = max(map(abs, (R, S, T, U))) * table.shape[1]
+    dtype = np.int64 if bound < 2 ** 62 else object
+    coop = np.array(state.strategies, dtype="U1") == C
+    neighbors = table[:, 1:]
+    n_c = np.append(coop, False)[neighbors].sum(axis=1).astype(dtype)
+    n_d = np.append(~coop, False)[neighbors].sum(axis=1).astype(dtype)
+    return np.where(coop, R * n_c + S * n_d, T * n_c + U * n_d), scale
+
+
 def scores(state: PopulationState, m: PayoffMatrix) -> list[float]:
-    """Each player's total stage payoff against all of its neighbors."""
-    table = {(C, C): m.R, (C, D): m.S, (D, C): m.T, (D, D): m.U}
-    strategies = state.strategies
-    return [sum(table[(strategies[p], strategies[q])]
-                for q in state.graph.neighbors[p])
-            for p in range(state.graph.player_count)]
+    """Each player's total stage payoff against all of its neighbors,
+    correctly rounded from the exact total."""
+    totals, scale = _integer_scores(state, m)
+    return (totals.astype(object) / scale).tolist()
 
 
 def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
     """One synchronous update: adopt the strategy of the best scorer in
     the closed neighborhood; ties keep the current strategy, then go to
-    the lowest player index (neighbors are scanned in ascending order,
-    so only a strictly better score replaces the running best)."""
-    totals = scores(state, m)
-    strategies = state.strategies
-    updated: list[Strategy] = []
-    for p in range(state.graph.player_count):
-        best_score = totals[p]
-        best_strategy = strategies[p]
-        for q in state.graph.neighbors[p]:
-            if totals[q] > best_score:
-                best_score = totals[q]
-                best_strategy = strategies[q]
-        updated.append(best_strategy)
-    return PopulationState(state.graph, tuple(updated))
+    the lowest player index. The first maximum of each closed-neighborhood
+    row [self, neighbors ascending] is exactly that player."""
+    totals, _ = _integer_scores(state, m)
+    table = state.graph.closed_neighborhoods
+    candidates = np.append(totals, totals.min() - 1)[table]
+    winners = table[np.arange(len(table)), candidates.argmax(axis=1)]
+    strategies = np.array(state.strategies, dtype="U1")[winners]
+    return PopulationState(state.graph, strategies.tolist())
 
 
 def run_spatial(state: PopulationState, m: PayoffMatrix,

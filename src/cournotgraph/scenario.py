@@ -28,7 +28,9 @@ files are bit-exact to specify and trivial to parse anywhere.
 
 ``parse_scenario`` rejects unknown keys, duplicate keys and invariant
 violations with the offending line or field named;
-``render_scenario`` writes the normalized form back out.
+``render_scenario`` writes the normalized form back out. A ``[pd]``
+graph with more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES``
+edges is rejected before it is built.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ from .pdgame import (PayoffMatrix, PlayerGraph, PopulationState,
                      player_graph, random_population, single_defector,
                      torus_graph)
 from .stability import CanonicalParams
+
+
+# Graph building costs Python objects per player and per edge, so the
+# sizes a [pd] scenario may ask for are bounded (complete 1414 and
+# torus 707 707 still fit).
+MAX_PLAYERS = 1_000_000
+MAX_PLAYER_EDGES = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -253,6 +262,15 @@ def _build_pd(entries) -> PDScenario:
                             f"(expected complete, cycle, torus or edges)",
                             graph_line)
 
+    players, edges = _graph_size(graph)
+    if edges > MAX_PLAYER_EDGES:
+        raise ScenarioError(f"graph: '{graph_value}' has up to {edges} edges, "
+                            f"more than the limit of {MAX_PLAYER_EDGES}",
+                            graph_line)
+    if players > MAX_PLAYERS:
+        raise ScenarioError(f"graph: '{graph_value}' has {players} players, "
+                            f"more than the limit of {MAX_PLAYERS}", graph_line)
+
     init_value, init_line = entries["init"]
     tokens = init_value.split()
     if not tokens:
@@ -285,6 +303,22 @@ def _build_pd(entries) -> PDScenario:
     except ValueError as exc:
         raise ScenarioError(f"graph: {exc}", graph_line) from None
     return scenario
+
+
+def _graph_size(graph: tuple) -> tuple[int, int]:
+    """(players, edges at most) of a parsed graph form, without building it.
+    Negative sizes count as 0; the builders reject them."""
+    kind = graph[0]
+    if kind == "complete":
+        n = max(graph[1], 0)
+        return n, n * (n - 1) // 2
+    if kind == "cycle":
+        return graph[1], graph[1]
+    if kind == "torus":
+        players = max(graph[1], 0) * max(graph[2], 0)
+        return players, 2 * players
+    pairs = graph[1]
+    return max(max(pair) for pair in pairs) + 1, len(pairs)
 
 
 def _fmt(x: float) -> str:

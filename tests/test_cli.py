@@ -134,6 +134,26 @@ class TestCommands:
         assert out.exists()
         assert len(out.read_text().splitlines()) >= 2
 
+    def test_size_limits_exit_2_before_allocating(self, monkeypatch, tmp_path,
+                                                 capsys):
+        from cournotgraph import scenario
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("allocation reached")
+        for name in ("complete_graph", "player_graph"):
+            monkeypatch.setattr(scenario, name, unreachable)
+        monkeypatch.setattr(np, "empty", unreachable)
+        huge = tmp_path / "huge.scenario"
+        huge.write_text(PD.read_text().replace("graph = edges 0-1, 0-2",
+                                               "graph = complete 100000"))
+        assert run("pd", "--scenario", huge, "--out", tmp_path / "pd.csv") == 2
+        assert "more than the limit of 1000000" in capsys.readouterr().err
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--scenario", STABLE, "--t-end", 1e6,
+                   "--dt", 1e-6, "--out", out) == 2
+        assert "limit of 10000000 stored values" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "pd.csv").exists()
+
     def test_equilibrium_output(self, capsys):
         assert run("equilibrium", "--scenario", STABLE) == 0
         out = capsys.readouterr().out

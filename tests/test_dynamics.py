@@ -8,6 +8,7 @@ import pytest
 from cournotgraph import (CanonicalParams, IntegrationBlowUp, Outcome,
                           Trajectory, canonical_affine, classify, equilibrium,
                           integrate, step_euler, step_rk4)
+from cournotgraph.dynamics import MAX_STORED_VALUES
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
 UNSTABLE = CanonicalParams(0.01, 0.1, 1.1, -0.3, 0.4)
@@ -89,6 +90,23 @@ class TestIntegrate:
         assert len(partial.times) >= 1
         assert np.all(np.isfinite(partial.states))
         assert info.value.time > 0.0
+        assert str(info.value).startswith(
+            f"state blew up at t={info.value.time!r} (max |q| = ")
+
+    def test_stored_values_bounded_before_allocating(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("np.empty reached")
+        monkeypatch.setattr(np, "empty", unreachable)
+        limit = f"limit of {MAX_STORED_VALUES} stored values"
+        with pytest.raises(ValueError, match=limit):
+            integrate(decay, np.zeros(3), 1e6, 1e-6)
+        with pytest.raises(ValueError, match=limit):   # t_end / dt overflows
+            integrate(decay, np.zeros(1), 1e10, 1e-300)
+        # 960 variables x 201 rows and 3 x 100 001 stay below the limit.
+        with pytest.raises(AssertionError, match="np.empty reached"):
+            integrate(decay, np.zeros(960), 2.0, 0.01)
+        with pytest.raises(AssertionError, match="np.empty reached"):
+            integrate(decay, np.zeros(3), 1000.0, 0.01)
 
     def test_nan_field_detected(self):
         bad = lambda q: np.array([float("nan")])

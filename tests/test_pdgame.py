@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,15 +95,16 @@ class TestSidePayments:
 
 def brute_force_step(state: PopulationState, m: PayoffMatrix) -> tuple[str, ...]:
     """Re-derivation of one synchronous update from the adjacency set,
-    structured differently from the library (pairwise accumulation)."""
+    structured differently from the library (pairwise accumulation of
+    exact rational totals, so summation order cannot decide a tie)."""
     n = state.graph.player_count
     adjacency = {tuple(sorted(e)) for e in state.graph.edges}
-    totals = [0.0] * n
+    totals = [Fraction(0)] * n
     for a in range(n):
         for b in range(n):
             if a != b and (min(a, b), max(a, b)) in adjacency:
-                totals[a] += payoffs(m, state.strategies[a],
-                                     state.strategies[b])[0]
+                totals[a] += Fraction(payoffs(m, state.strategies[a],
+                                              state.strategies[b])[0])
     updated = []
     for p in range(n):
         closed = [p] + [q for q in range(n)
@@ -144,6 +146,14 @@ class TestImitationDynamics:
                                           seed=int(rng.integers(1 << 30)))
                 assert imitation_step(state, m).strategies == \
                     brute_force_step(state, m)
+        # Float sums in neighbor order split ties here that exact totals keep.
+        torus = torus_graph(5, 5)
+        state = random_population(torus, 0.6, seed=1)
+        m = PayoffMatrix(R=0.2, S=0.05, T=0.3, U=0.1)
+        assert imitation_step(state, m).strategies == brute_force_step(state, m)
+        # Payoffs 500 binades apart overflow int64 once scaled to integers.
+        m = PayoffMatrix(R=1e200, S=-1e-200, T=2e200, U=1e-300)
+        assert imitation_step(state, m).strategies == brute_force_step(state, m)
 
     def test_well_mixed_mixed_states_collapse_to_defection(self):
         # Exhaustive over all initial states on complete graphs up to 12
@@ -185,6 +195,22 @@ class TestImitationDynamics:
         assert imitation_step(state, m).strategies[0] == C
         swapped = PopulationState(graph, (C, D, C))
         assert imitation_step(swapped, m).strategies[0] == D
+
+    def test_exact_totals_decide_what_floats_tie(self):
+        # Player 0 (D; D, D, C, C neighbors) and player 1 (C; four C
+        # neighbors) both score 0.8 in floats, from counts and from sums
+        # in neighbor order, but 4 x 0.2 exceeds 2 x 0.3 + 2 x 0.1 exactly.
+        # Player 4 sees both and must copy player 1, not the lower index.
+        graph = player_graph(9, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4),
+                                 (1, 6), (1, 7), (1, 8)])
+        state = PopulationState(graph, (D, C, D, D, C, C, C, C, C))
+        m = PayoffMatrix(R=0.2, S=0.05, T=0.3, U=0.1)
+        assert 0.3 * 2 + 0.1 * 2 == 0.2 * 4 == 0.1 + 0.1 + 0.3 + 0.3
+        assert 4 * Fraction(0.2) > 2 * Fraction(0.3) + 2 * Fraction(0.1)
+        assert scores(state, m)[:2] == [0.8, 0.8]
+        stepped = imitation_step(state, m).strategies
+        assert stepped == brute_force_step(state, m)
+        assert stepped == (D, C, D, D, C, D, C, C, C)
 
 
 class TestRunSpatial:

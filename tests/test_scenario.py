@@ -174,6 +174,28 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match="steps must be nonnegative"):
             parse_scenario(text)
 
+    def test_graph_size_limits_checked_before_building(self, monkeypatch):
+        from cournotgraph import scenario
+        built = []
+        for name in ("complete_graph", "cycle_graph", "torus_graph",
+                     "player_graph"):
+            monkeypatch.setattr(scenario, name,
+                                lambda *args, _name=name: built.append(_name))
+        edges, players = scenario.MAX_PLAYER_EDGES, scenario.MAX_PLAYERS
+        for graph, limit in (("complete 1415", edges), ("cycle 1000001", edges),
+                             ("torus 1000 1000", edges),
+                             ("edges 0-1000000", players)):
+            text = PD_TEXT.replace("graph = torus 4 4", f"graph = {graph}")
+            with pytest.raises(ScenarioError, match=f"more than the limit of {limit}"):
+                parse_scenario(text)
+        assert built == []
+        # The largest forms at or under the limits reach their builders.
+        for graph in ("complete 1414", "cycle 1000000", "torus 707 707",
+                      "edges 0-999999"):
+            parse_scenario(PD_TEXT.replace("graph = torus 4 4", f"graph = {graph}"))
+        assert built == ["complete_graph", "cycle_graph", "torus_graph",
+                         "player_graph"]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["canonical_stable", "canonical_unstable",
