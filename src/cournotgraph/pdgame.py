@@ -31,10 +31,8 @@ Randomness enters only through the explicit seed of
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -117,18 +115,19 @@ class PlayerGraph:
         return tuple(tuple(sorted(ns)) for ns in adjacency)
 
     @cached_property
-    def closed_neighborhoods(self) -> np.ndarray:
-        """Index table with one row per player: the player itself, its
-        neighbors in ascending order, then ``player_count`` as padding up
-        to the largest degree."""
+    def closed_neighborhoods(self) -> tuple[np.ndarray, np.ndarray]:
+        """(members, starts): every player's closed neighborhood -- the
+        player itself, then its neighbors in ascending order -- laid end
+        to end in ``members``, with player p's run beginning at
+        ``starts[p]``. Its size is player_count + 2 * len(edges)."""
         n = self.player_count
-        degree = np.fromiter(map(len, self.neighbors), np.intp, n)
-        table = np.full((n, degree.max(initial=0) + 1), n, dtype=np.intp)
-        table[:, 0] = np.arange(n)
-        table[:, 1:][np.arange(table.shape[1] - 1) < degree[:, None]] = \
-            np.fromiter(itertools.chain.from_iterable(self.neighbors), np.intp,
-                        degree.sum())
-        return table
+        members = np.fromiter(
+            itertools.chain.from_iterable(
+                (p, *ns) for p, ns in enumerate(self.neighbors)),
+            np.intp, n + 2 * len(self.edges))
+        starts = np.zeros(n, np.intp)
+        np.cumsum([len(ns) + 1 for ns in self.neighbors[:-1]], out=starts[1:])
+        return members, starts
 
 
 def player_graph(player_count: int, edges) -> PlayerGraph:
@@ -226,18 +225,19 @@ def random_population(graph: PlayerGraph, fraction: float,
 def _integer_scores(state: PopulationState,
                     m: PayoffMatrix) -> tuple[np.ndarray, int]:
     """(totals, scale): each player's exact total payoff in units of
-    1/scale, where scale is the lcm of the payoffs' denominators. The
+    1/scale, where scale is the payoffs' common binary denominator. The
     totals are int64 when they cannot overflow it, Python ints otherwise."""
-    exact = [Fraction(v) for v in (m.R, m.S, m.T, m.U)]
-    scale = math.lcm(*(f.denominator for f in exact))
-    R, S, T, U = (int(f * scale) for f in exact)
-    table = state.graph.closed_neighborhoods
-    bound = max(map(abs, (R, S, T, U))) * table.shape[1]
+    ratios = [v.as_integer_ratio() for v in (m.R, m.S, m.T, m.U)]
+    scale = max(den for _, den in ratios)  # powers of two: this is the lcm
+    R, S, T, U = (num * (scale // den) for num, den in ratios)
+    members, starts = state.graph.closed_neighborhoods
+    degree = np.diff(starts, append=members.size) - 1
+    bound = max(map(abs, (R, S, T, U))) * (int(degree.max()) + 1)
     dtype = np.int64 if bound < 2 ** 62 else object
     coop = np.array(state.strategies, dtype="U1") == C
-    neighbors = table[:, 1:]
-    n_c = np.append(coop, False)[neighbors].sum(axis=1).astype(dtype)
-    n_d = np.append(~coop, False)[neighbors].sum(axis=1).astype(dtype)
+    n_c = np.add.reduceat(coop[members], starts, dtype=np.intp) - coop
+    n_d = (degree - n_c).astype(dtype)
+    n_c = n_c.astype(dtype)
     return np.where(coop, R * n_c + S * n_d, T * n_c + U * n_d), scale
 
 
@@ -252,11 +252,16 @@ def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
     """One synchronous update: adopt the strategy of the best scorer in
     the closed neighborhood; ties keep the current strategy, then go to
     the lowest player index. The first maximum of each closed-neighborhood
-    row [self, neighbors ascending] is exactly that player."""
+    run [self, neighbors ascending] is exactly that player."""
     totals, _ = _integer_scores(state, m)
-    table = state.graph.closed_neighborhoods
-    candidates = np.append(totals, totals.min() - 1)[table]
-    winners = table[np.arange(len(table)), candidates.argmax(axis=1)]
+    members, starts = state.graph.closed_neighborhoods
+    candidates = totals[members]
+    best = np.maximum.reduceat(candidates, starts)
+    sizes = np.diff(starts, append=members.size)
+    at_best = np.flatnonzero(candidates == np.repeat(best, sizes))
+    # Every run holds its maximum, so the first match at or after a run's
+    # start lies inside that run.
+    winners = members[at_best[np.searchsorted(at_best, starts)]]
     strategies = np.array(state.strategies, dtype="U1")[winners]
     return PopulationState(state.graph, strategies.tolist())
 

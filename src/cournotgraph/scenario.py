@@ -97,9 +97,22 @@ class PDScenario:
             return cycle_graph(self.graph[1])
         if kind == "torus":
             return torus_graph(self.graph[1], self.graph[2])
+        return player_graph(self.graph_size()[0], self.graph[1])
+
+    def graph_size(self) -> tuple[int, int]:
+        """(players, edges at most) of the graph form, without building
+        it. Negative sizes count as 0; the builders reject them."""
+        kind = self.graph[0]
+        if kind == "complete":
+            n = max(self.graph[1], 0)
+            return n, n * (n - 1) // 2
+        if kind == "cycle":
+            return self.graph[1], self.graph[1]
+        if kind == "torus":
+            players = max(self.graph[1], 0) * max(self.graph[2], 0)
+            return players, 2 * players
         pairs = self.graph[1]
-        count = max(max(a, b) for a, b in pairs) + 1
-        return player_graph(count, pairs)
+        return max(max(pair) for pair in pairs) + 1, len(pairs)
 
     def build_population(self, graph: PlayerGraph) -> PopulationState:
         kind = self.init[0]
@@ -262,15 +275,6 @@ def _build_pd(entries) -> PDScenario:
                             f"(expected complete, cycle, torus or edges)",
                             graph_line)
 
-    players, edges = _graph_size(graph)
-    if edges > MAX_PLAYER_EDGES:
-        raise ScenarioError(f"graph: '{graph_value}' has up to {edges} edges, "
-                            f"more than the limit of {MAX_PLAYER_EDGES}",
-                            graph_line)
-    if players > MAX_PLAYERS:
-        raise ScenarioError(f"graph: '{graph_value}' has {players} players, "
-                            f"more than the limit of {MAX_PLAYERS}", graph_line)
-
     init_value, init_line = entries["init"]
     tokens = init_value.split()
     if not tokens:
@@ -298,27 +302,19 @@ def _build_pd(entries) -> PDScenario:
 
     scenario = PDScenario(payoff=payoff, graph=graph, init=init, steps=steps,
                           side_payment=side_payment)
+    players, edges = scenario.graph_size()
+    if edges > MAX_PLAYER_EDGES:
+        raise ScenarioError(f"graph: '{graph_value}' has up to {edges} edges, "
+                            f"more than the limit of {MAX_PLAYER_EDGES}",
+                            graph_line)
+    if players > MAX_PLAYERS:
+        raise ScenarioError(f"graph: '{graph_value}' has {players} players, "
+                            f"more than the limit of {MAX_PLAYERS}", graph_line)
     try:
         scenario.build_graph()  # surfaces range/duplicate/self-loop problems
     except ValueError as exc:
         raise ScenarioError(f"graph: {exc}", graph_line) from None
     return scenario
-
-
-def _graph_size(graph: tuple) -> tuple[int, int]:
-    """(players, edges at most) of a parsed graph form, without building it.
-    Negative sizes count as 0; the builders reject them."""
-    kind = graph[0]
-    if kind == "complete":
-        n = max(graph[1], 0)
-        return n, n * (n - 1) // 2
-    if kind == "cycle":
-        return graph[1], graph[1]
-    if kind == "torus":
-        players = max(graph[1], 0) * max(graph[2], 0)
-        return players, 2 * players
-    pairs = graph[1]
-    return max(max(pair) for pair in pairs) + 1, len(pairs)
 
 
 def _fmt(x: float) -> str:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -138,7 +139,9 @@ class TestImitationDynamics:
         rng = np.random.default_rng(37)
         graphs = [complete_graph(6), cycle_graph(8), torus_graph(4, 4),
                   player_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
-                                   (1, 3)])]
+                                   (1, 3)]),
+                  # A star around player 3 plus one isolated player.
+                  player_graph(9, [(3, k) for k in (0, 1, 2, 4, 5, 6, 8)])]
         for graph in graphs:
             for trial in range(25):
                 m = random_dilemma(rng)
@@ -211,6 +214,32 @@ class TestImitationDynamics:
         stepped = imitation_step(state, m).strategies
         assert stepped == brute_force_step(state, m)
         assert stepped == (D, C, D, D, C, D, C, C, C)
+
+    def test_star_neighborhoods_take_players_plus_twice_edges(self):
+        # One player of high degree must not size every player's entry:
+        # the closed neighborhoods hold players + 2 * edges indices, and a
+        # step allocates a small multiple of that, not players x degree
+        # (which would be 3001 x 3001 x 8 bytes = 72 MB here).
+        n = 3001
+        graph = player_graph(n, [(0, k) for k in range(1, n)])
+        graph.neighbors
+        state = random_population(graph, 0.5, seed=3)
+        tracemalloc.start()
+        try:
+            imitation_step(state, CLASSIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        members, starts = graph.closed_neighborhoods
+        assert members.size == n + 2 * (n - 1)
+        assert members[:4].tolist() == [0, 1, 2, 3]
+        assert members[n:n + 4].tolist() == [1, 0, 2, 0]
+        assert starts[:3].tolist() == [0, n, n + 2]
+        assert peak < 100 * members.size
+        # The center scores 5 per cooperating leaf, more than any leaf, so
+        # as a defector it converts every leaf.
+        center_d = PopulationState(graph, (D,) + state.strategies[1:])
+        assert imitation_step(center_d, CLASSIC).strategies == (D,) * n
 
 
 class TestRunSpatial:
