@@ -53,8 +53,7 @@ def cmd_simulate(args) -> int:
     system, q0, _ = _dynamical(scenario, "simulate")
     names = variable_names(system.variable_order)
     try:
-        trajectory = integrate(system.field_at, q0, args.t_end, args.dt,
-                               args.method)
+        trajectory = integrate(system, q0, args.t_end, args.dt, args.method)
     except IntegrationBlowUp as exc:
         Path(args.out).write_text(
             write_trajectory(exc.trajectory, names, args.thin), encoding="utf-8")

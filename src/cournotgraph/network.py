@@ -53,6 +53,19 @@ class NetworkSpec:
         object.__setattr__(self, "speed", _as_float_tuple(speed))
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float array of ``values``. A float array that owns
+    its buffer and is already read-only is taken as it is (its maker
+    handed it over); anything else, such as a writeable array or a view
+    of one that a caller may still change, is copied."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    copy = np.array(values, dtype=float)
+    copy.setflags(write=False)
+    return copy
+
+
 @dataclass(frozen=True, eq=False)
 class AffineSystem:
     """Linear flow dynamics dq/dt = constant - matrix @ q.
@@ -67,15 +80,13 @@ class AffineSystem:
     variable_order: tuple[Edge, ...] = field(default=())
 
     def __post_init__(self):
-        c = np.array(self.constant, dtype=float)
-        a = np.array(self.matrix, dtype=float)
+        c = _frozen(self.constant)
+        a = _frozen(self.matrix)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         if c.shape != (a.shape[0],):
             raise ValueError(
                 f"constant has length {c.shape}, matrix is {a.shape[0]}x{a.shape[0]}")
-        c.setflags(write=False)
-        a.setflags(write=False)
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "variable_order", tuple(self.variable_order))
@@ -200,4 +211,6 @@ def to_affine(spec: NetworkSpec) -> AffineSystem:
     np.fill_diagonal(a, gamma + 2.0 * beta)
     a *= b[:, None]
     c = b * np.array(spec.alpha)[market]
+    a.setflags(write=False)  # hand the buffer over instead of copying it
+    c.setflags(write=False)
     return AffineSystem(constant=c, matrix=a, variable_order=order)

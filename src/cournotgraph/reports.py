@@ -7,7 +7,6 @@ so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,10 +17,11 @@ from .network import variable_names
 from .pdgame import PayoffMatrix, apply_side_payment, dominant_strategy, \
     min_side_payment
 from .scenario import CanonicalScenario
-from .stability import (NoUniqueEquilibriumError, StabilityReport, analyze,
-                        canonical_affine)
+from .stability import StabilityReport, canonical_margins, verdict_of
 
 SWEEP_PARAMS = ("r1", "r2", "r3", "r4", "r5")
+MAX_SWEEP_POINTS = 1_000_000  # grid points of one sweep, checked before any work
+_BLOCK_VALUES = 1 << 14       # values per block of rendered trajectory rows
 
 
 def fmt(x: float) -> str:
@@ -30,19 +30,26 @@ def fmt(x: float) -> str:
 
 def write_trajectory(trajectory: Trajectory, names, thin: int = 1) -> str:
     """CSV with header ``t,<name1>,...``, keeping every ``thin``-th step;
-    the final step is always included."""
+    the final step is always included.
+
+    Rows are rendered a block of about ``_BLOCK_VALUES`` values at a
+    time: ``tolist`` turns a block into Python floats, whose ``repr`` is
+    ``fmt``'s, and only the block's text is kept.
+    """
     if thin < 1:
         raise ValueError("thin must be at least 1")
     count = len(trajectory.times)
-    kept = list(range(0, count, thin))
+    kept = np.arange(0, count, thin)
     if kept[-1] != count - 1:
-        kept.append(count - 1)
-    lines = ["t," + ",".join(names)]
-    for k in kept:
-        row = [fmt(trajectory.times[k])]
-        row.extend(fmt(v) for v in trajectory.states[k])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        kept = np.append(kept, count - 1)
+    rows = max(1, _BLOCK_VALUES // (trajectory.states.shape[1] + 1))
+    blocks = ["t," + ",".join(names)]
+    for lo in range(0, len(kept), rows):
+        index = kept[lo:lo + rows]
+        table = np.column_stack((trajectory.times[index],
+                                 trajectory.states[index])).tolist()
+        blocks.append("\n".join(",".join(map(repr, row)) for row in table))
+    return "\n".join(blocks) + "\n"
 
 
 def pd_series_csv(fractions) -> str:
@@ -112,28 +119,32 @@ def sweep(scenario: CanonicalScenario, param: str, start: float, stop: float,
           points: int) -> list[SweepPoint]:
     """Analyze the canonical system on a uniform grid over one r parameter.
 
-    Per-point failures (no unique equilibrium at a singular grid value)
-    are recorded as verdict ERROR and the sweep continues. Grid points
-    are independent; they are evaluated in grid order.
+    The grid is evaluated as one stack of 3 x 3 systems
+    (``stability.canonical_margins``), with the guards, margins and
+    verdict band of ``analyze``. Points with no unique equilibrium (a singular
+    grid value) are recorded as verdict ERROR.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(f"param must be one of {', '.join(SWEEP_PARAMS)}")
     if points < 2:
         raise ValueError("points must be at least 2")
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"points must be at most {MAX_SWEEP_POINTS}")
     if not start < stop:
         raise ValueError("sweep start must be strictly less than stop")
-    results: list[SweepPoint] = []
-    for k in range(points):
-        value = start + k * (stop - start) / (points - 1)
-        r = dataclasses.replace(scenario.r, **{param: value})
-        system = canonical_affine(r)
-        try:
-            report = analyze(system, r)
-            results.append(SweepPoint(value, report.verdict.value,
-                                      report.eigen_margin))
-        except (NoUniqueEquilibriumError, np.linalg.LinAlgError):
-            results.append(SweepPoint(value, "ERROR", math.nan))
-    return results
+    # The same float operations, point by point, as
+    # start + k * (stop - start) / (points - 1) in Python floats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = start + np.arange(points) * (stop - start) / (points - 1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"{param} must be finite, got {values[~finite][0]}")
+    r = np.tile(scenario.r.as_tuple(), (points, 1))
+    r[:, SWEEP_PARAMS.index(param)] = values
+    margins = canonical_margins(r)
+    return [SweepPoint(value, "ERROR" if math.isnan(margin)
+                       else verdict_of(margin).value, margin)
+            for value, margin in zip(values.tolist(), margins.tolist())]
 
 
 def sweep_csv(points: list[SweepPoint]) -> str:

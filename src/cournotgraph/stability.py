@@ -33,7 +33,8 @@ coefficients as explicit formulas in r; its a3 cross terms
 regime r1 == r2 and ``char_poly`` stays authoritative for verdicts. In
 that symmetric regime the equilibrium and its existence/stability
 conditions also have closed forms (``symmetric_equilibrium``,
-``symmetric_conditions``).
+``symmetric_conditions``). ``canonical_margins`` gives the margin of
+many parameter points at once, for verdict maps.
 """
 
 from __future__ import annotations
@@ -100,17 +101,42 @@ class StabilityReport:
     coeffs_from_eigenvalues: bool = False
 
 
+def _ill_conditioned(cond):
+    """Where A q = c is not solved at all: the condition number of A is
+    not finite or passes _COND_LIMIT. Elementwise over a stack."""
+    return ~np.isfinite(cond) | (cond > _COND_LIMIT)
+
+
+def _residual(a: np.ndarray, c: np.ndarray, q: np.ndarray):
+    """max |c - A q| of each system of a stack (or of one system)."""
+    return np.max(np.abs(c - (a @ q[..., None])[..., 0]), axis=-1)
+
+
+def _residual_too_large(residual, c: np.ndarray):
+    """Where a solve is rejected: its residual passes 1e-10 max |c|."""
+    return residual > 1e-10 * np.max(np.abs(c), axis=-1)
+
+
+def verdict_of(margin: float) -> Stability:
+    """STABLE below -MARGIN_EPS, UNSTABLE above MARGIN_EPS, else MARGINAL."""
+    if margin < -MARGIN_EPS:
+        return Stability.STABLE
+    if margin > MARGIN_EPS:
+        return Stability.UNSTABLE
+    return Stability.MARGINAL
+
+
 def equilibrium(sys: AffineSystem) -> np.ndarray:
     """Solve A q = c with a condition-number guard and residual check."""
     a, c = sys.matrix, sys.constant
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    if _ill_conditioned(cond):
         raise NoUniqueEquilibriumError(
             f"no unique equilibrium: matrix condition number {cond:.3g} "
             f"exceeds {_COND_LIMIT:.0e}")
     q = np.linalg.solve(a, c)
-    residual = float(np.max(np.abs(c - a @ q)))
-    if residual > 1e-10 * float(np.max(np.abs(c))):
+    residual = _residual(a, c, q)
+    if _residual_too_large(residual, c):
         raise NoUniqueEquilibriumError(
             f"no unique equilibrium: solve residual {residual:.3g} too large")
     return q
@@ -159,13 +185,49 @@ def canonical_field(r: CanonicalParams, q) -> tuple[float, float, float]:
             1.0 - r.r3 * q21 - r.r4 * q11 - r.r5 * q22)
 
 
+def _canonical_system(r) -> tuple[np.ndarray, np.ndarray]:
+    """(c, A) of the rescaled system in coordinates (q11, q22, q21) for
+    r1..r5 along the last axis of ``r``: c = (1, 1, 1) and A of shape
+    (..., 3, 3),
+
+        A = [[r1, 0,  1 ],
+             [0,  r2, 1 ],
+             [r4, r5, r3]].
+    """
+    r = np.asarray(r, dtype=float)
+    a = np.zeros(r.shape[:-1] + (3, 3))
+    a[..., 0, 2] = a[..., 1, 2] = 1.0
+    for k, (i, j) in enumerate(((0, 0), (1, 1), (2, 2), (2, 0), (2, 1))):
+        a[..., i, j] = r[..., k]
+    return np.ones(3), a
+
+
 def canonical_affine(r: CanonicalParams) -> AffineSystem:
     """The rescaled system as c - A q in coordinates (q11, q22, q21)."""
-    a = np.array([[r.r1, 0.0, 1.0],
-                  [0.0, r.r2, 1.0],
-                  [r.r4, r.r5, r.r3]])
-    return AffineSystem(constant=np.ones(3), matrix=a,
-                        variable_order=CANONICAL_ORDER)
+    c, a = _canonical_system(r.as_tuple())
+    return AffineSystem(constant=c, matrix=a, variable_order=CANONICAL_ORDER)
+
+
+def canonical_margins(r) -> np.ndarray:
+    """Eigenvalue margin of the rescaled system at each row r1..r5 of
+    ``r`` (shape (P, 5)), or NaN where ``equilibrium`` would find no
+    unique equilibrium.
+
+    The same guards, solve and eigenvalues as ``equilibrium`` and
+    ``analyze``, each done for the whole (P, 3, 3) stack by one batched
+    LAPACK call, so every margin equals the one ``analyze`` reports bit
+    for bit. Only systems that pass the condition guard are solved, so a
+    singular one never reaches the solver.
+    """
+    constant, matrices = _canonical_system(r)
+    ok = ~_ill_conditioned(np.linalg.cond(matrices))
+    a = matrices[ok]
+    c = np.broadcast_to(constant, a.shape[:-1])
+    q = np.linalg.solve(a, c[..., None])[..., 0]
+    ok[ok] = ~_residual_too_large(_residual(a, c, q), c)
+    margins = np.full(len(matrices), np.nan)
+    margins[ok] = np.max(np.linalg.eigvals(-matrices[ok]).real, axis=-1)
+    return margins
 
 
 def closed_form_coeffs(r: CanonicalParams) -> tuple[float, float, float]:
@@ -228,15 +290,9 @@ def analyze(sys: AffineSystem,
     else:
         coeffs = char_poly(sys)
     hurwitz = routh_hurwitz_cubic(*coeffs) if len(coeffs) == 3 else None
-    if margin < -MARGIN_EPS:
-        verdict = Stability.STABLE
-    elif margin > MARGIN_EPS:
-        verdict = Stability.UNSTABLE
-    else:
-        verdict = Stability.MARGINAL
     return StabilityReport(equilibrium=eq, char_coeffs=coeffs,
                            hurwitz_pass=hurwitz,
                            closed_form=closed_form_coeffs(r) if r is not None else None,
-                           eigen_margin=margin, verdict=verdict,
+                           eigen_margin=margin, verdict=verdict_of(margin),
                            variable_order=sys.variable_order,
                            coeffs_from_eigenvalues=from_eigenvalues)

@@ -8,9 +8,14 @@ not tautology.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 
-from cournotgraph import CanonicalParams, NetworkSpec
+from cournotgraph import (CanonicalParams, NetworkSpec,
+                          NoUniqueEquilibriumError, analyze, canonical_affine)
+from cournotgraph.reports import SweepPoint
 
 
 def random_network_spec(rng: np.random.Generator,
@@ -97,3 +102,35 @@ def central_difference(f, x: np.ndarray, k: int, h: float) -> float:
     up[k] += h
     down[k] -= h
     return (f(up) - f(down)) / (2.0 * h)
+
+
+def sweep_by_analyze(scenario, param: str, start: float, stop: float,
+                     points: int):
+    """The verdict map point by point: one full ``analyze`` per grid
+    value, ERROR where it finds no unique equilibrium."""
+    results = []
+    for k in range(points):
+        value = start + k * (stop - start) / (points - 1)
+        r = dataclasses.replace(scenario.r, **{param: value})
+        try:
+            report = analyze(canonical_affine(r), r)
+            results.append(SweepPoint(value, report.verdict.value,
+                                      report.eigen_margin))
+        except (NoUniqueEquilibriumError, np.linalg.LinAlgError):
+            results.append(SweepPoint(value, "ERROR", math.nan))
+    return results
+
+
+def trajectory_csv_by_value(trajectory, names, thin: int = 1) -> str:
+    """Trajectory CSV one value at a time: ``repr(float(x))`` per value,
+    one joined string per kept row, the final row always kept."""
+    count = len(trajectory.times)
+    kept = list(range(0, count, thin))
+    if kept[-1] != count - 1:
+        kept.append(count - 1)
+    lines = ["t," + ",".join(names)]
+    for k in kept:
+        row = [repr(float(trajectory.times[k]))]
+        row.extend(repr(float(v)) for v in trajectory.states[k])
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

@@ -178,15 +178,18 @@ def test_criterion_07_rk4_is_fourth_order():
         # criterion-2 run: at the full horizon the flow has contracted
         # onto the fixed point and discretization error sits below the
         # double-precision floor, leaving nothing to measure.
+        # Both routes: the field's four stages and the system's
+        # one-matrix step.
         system = canonical_affine(STABLE)
-        reference = integrate(system.field_at, Q0, 10.0, 1e-4).states[-1]
-        errors = {}
-        for dt in (0.04, 0.02, 0.01):
-            end = integrate(system.field_at, Q0, 10.0, dt).states[-1]
-            errors[dt] = float(np.linalg.norm(end - reference))
-        for coarse, fine in ((0.04, 0.02), (0.02, 0.01)):
-            ratio = errors[coarse] / errors[fine]
-            assert 16.0 * 0.75 < ratio < 16.0 * 1.25
+        for route in (system.field_at, system):
+            reference = integrate(route, Q0, 10.0, 1e-4).states[-1]
+            errors = {}
+            for dt in (0.04, 0.02, 0.01):
+                end = integrate(route, Q0, 10.0, dt).states[-1]
+                errors[dt] = float(np.linalg.norm(end - reference))
+            for coarse, fine in ((0.04, 0.02), (0.02, 0.01)):
+                ratio = errors[coarse] / errors[fine]
+                assert 16.0 * 0.75 < ratio < 16.0 * 1.25
 
 
 def test_criterion_08_dilemma_dominance_and_side_payments():

@@ -10,6 +10,7 @@ from cournotgraph.cli import main
 from cournotgraph.reports import (pd_series_csv, sweep, sweep_csv,
                                   write_trajectory)
 from cournotgraph.scenario import parse_scenario
+from helpers import sweep_by_analyze, trajectory_csv_by_value
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 STABLE = SCENARIO_DIR / "canonical_stable.scenario"
@@ -108,6 +109,72 @@ class TestWriters:
             report = analyze(canonical_affine(r), r)
             assert p.verdict == report.verdict.value
             assert p.eigen_margin == report.eigen_margin
+        # Dense grids over every parameter, the r4 one across det A = 0
+        # at r4 = 0.14: the same bytes as one analyze per point.
+        verdicts = set()
+        for param, start, stop, count in (("r1", -2.0, 2.0, 2000),
+                                          ("r2", 0.01, 3.0, 2001),
+                                          ("r3", 0.1, 1.5, 2000),
+                                          ("r4", 0.13, 0.15, 2001),
+                                          ("r5", -1.0, 1.0, 2000)):
+            want = sweep_csv(sweep_by_analyze(scenario, param, start, stop, count))
+            got = sweep_csv(sweep(scenario, param, start, stop, count))
+            assert got == want, param
+            verdicts.update(line.split(",")[1] for line in want.splitlines()[1:])
+        assert verdicts == {"STABLE", "UNSTABLE", "ERROR"}
+
+    def test_sweep_points_bounded_before_any_work(self, monkeypatch):
+        from cournotgraph.reports import MAX_SWEEP_POINTS
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("np.arange reached")
+        monkeypatch.setattr(np, "arange", unreachable)
+        scenario = parse_scenario(STABLE.read_text(encoding="utf-8"))
+        with pytest.raises(ValueError, match=f"at most {MAX_SWEEP_POINTS}"):
+            sweep(scenario, "r3", 0.0, 1.0, MAX_SWEEP_POINTS + 1)
+        with pytest.raises(AssertionError, match="np.arange reached"):
+            sweep(scenario, "r3", 0.0, 1.0, MAX_SWEEP_POINTS)
+
+    def test_sweep_with_non_finite_grid_values_is_rejected(self):
+        scenario = parse_scenario(STABLE.read_text(encoding="utf-8"))
+        # stop - start overflows, so the first grid value is 0 * inf
+        with pytest.raises(ValueError, match="r3 must be finite, got nan"):
+            sweep(scenario, "r3", -1e308, 1e308, 5)
+        with pytest.raises(ValueError, match="r3 must be finite, got inf"):
+            sweep(scenario, "r3", -1e300, 1.7e308, 3)
+
+    @pytest.mark.parametrize("rows,width,thin", [(20001, 3, 1), (20001, 3, 3),
+                                                 (2001, 3, 10), (1002, 3, 10),
+                                                 (7, 1, 3), (3, 70000, 1)])
+    def test_trajectory_csv_matches_per_value_rendering(self, rows, width, thin):
+        # Thinning with and without a final row off the stride, and rows
+        # wider than one rendering block.
+        rng = np.random.default_rng(rows + width)
+        states = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
+            -300, 300, (rows, width))
+        states[0, 0] = -0.0
+        traj = Trajectory(times=np.arange(rows) * 0.01, states=states,
+                          method="rk4", step=0.01)
+        names = tuple(f"q{k}" for k in range(width))
+        assert write_trajectory(traj, names, thin) == \
+            trajectory_csv_by_value(traj, names, thin)
+
+    def test_trajectory_csv_peak_memory_below_per_value_rendering(self):
+        import tracemalloc
+        rng = np.random.default_rng(5)
+        traj = Trajectory(times=np.arange(20001) * 0.01,
+                          states=rng.standard_normal((20001, 3)),
+                          method="euler", step=0.01)
+        names = ("q11", "q22", "q21")
+        peaks = []
+        for render in (trajectory_csv_by_value, write_trajectory):
+            tracemalloc.start()
+            try:
+                render(traj, names, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0]
 
 
 class TestCommands:
@@ -248,14 +315,53 @@ class TestCommandRoutes:
 
         def forbidden(*args, **kwargs):
             raise AssertionError("equilibrium must not run the stability analysis")
-        for module in (cli, reports, stability):
+        for module in (cli, stability):
             monkeypatch.setattr(module, "analyze", forbidden)
+        # reports no longer imports analyze; patch it there all the same
+        monkeypatch.setattr(reports, "analyze", forbidden, raising=False)
 
     def test_equilibrium_never_calls_analyze(self, no_analyze, capsys):
         assert run("equilibrium", "--scenario", STABLE) == 0
         assert capsys.readouterr().out.startswith("q11 = 1.136363636363636")
         assert run("equilibrium", "--scenario", NETWORK) == 0
         assert capsys.readouterr().out.splitlines()[0].startswith("q11 = ")
+
+    def test_simulate_and_sweep_take_the_array_routes(self, monkeypatch,
+                                                       tmp_path, capsys):
+        from cournotgraph import AffineSystem, stability
+        calls = []
+        for owner, name in ((AffineSystem, "field_at"), (stability, "analyze"),
+                            (stability, "equilibrium")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        assert run("simulate", "--scenario", STABLE, "--out",
+                   tmp_path / "t.csv") == 0
+        assert run("sweep", "--scenario", STABLE, "--param", "r4", "--from",
+                   0.13, "--to", 0.15, "--points", 201, "--out",
+                   tmp_path / "s.csv") == 0
+        assert ",ERROR,nan" in (tmp_path / "s.csv").read_text()
+        assert calls == []
+
+    def test_simulate_blowup_prefix_matches_field_route(self, tmp_path, capsys):
+        from cournotgraph import IntegrationBlowUp, canonical_affine, integrate
+        scenario = parse_scenario(STABLE.read_text(encoding="utf-8"))
+        out = tmp_path / "partial.csv"
+        assert run("simulate", "--scenario", STABLE, "--dt", 3, "--t-end", 40,
+                   "--thin", 1, "--out", out) == 3
+        assert "error: state blew up at t=27.0 (max |q| = " in capsys.readouterr().err
+        system = canonical_affine(scenario.r)
+        with pytest.raises(IntegrationBlowUp) as info:
+            integrate(system.field_at, scenario.q0, 40.0, 3.0)
+        want = info.value.trajectory
+        got = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(got[:, 0], want.times)
+        scale = np.maximum(1.0, np.max(np.abs(want.states), axis=1))
+        gap = np.max(np.abs(got[:, 1:] - want.states), axis=1) / scale
+        assert float(np.max(gap)) <= 1e-12
 
     def test_equilibrium_singular_still_exits_3(self, no_analyze, tmp_path, capsys):
         bad = tmp_path / "singular.scenario"

@@ -175,3 +175,107 @@ class TestClassify:
                            tol=1e-12, blew_up=False)
         assert verdict.negative_excursion
         assert verdict.max_abs_state == 0.5
+
+
+def _routes(system, q0, t_end, dt, method):
+    """(affine route, field route) runs of the same system."""
+    return (integrate(system, q0, t_end, dt, method),
+            integrate(system.field_at, q0, t_end, dt, method))
+
+
+def _rk4_gap(affine, generic) -> float:
+    """Largest state difference, relative to max(1, |q|) per row."""
+    scale = np.maximum(1.0, np.max(np.abs(generic.states), axis=1))
+    return float(np.max(np.max(np.abs(affine.states - generic.states), axis=1)
+                        / scale))
+
+
+# Fixed before the affine route was written: its rk4 steps round
+# differently from the four field evaluations, at about 1e-14.
+RK4_TOLERANCE = 1e-12
+
+
+class TestAffineRoute:
+    CASES = ((STABLE, Q0, 200.0, 0.01), (UNSTABLE, Q0, 200.0, 0.01),
+             (STABLE, Q0, 13.37, 0.05), (UNSTABLE, Q0, 20.0, 0.03))
+
+    def _systems(self):
+        from cournotgraph import to_affine
+        from helpers import random_network_spec
+        for r, q0, t_end, dt in self.CASES:
+            yield canonical_affine(r), q0, t_end, dt
+        rng = np.random.default_rng(6)
+        spec = random_network_spec(rng, max_markets=3, max_firms=4)
+        system = to_affine(spec)
+        yield system, rng.uniform(0.0, 0.5, system.dimension), 30.0, 0.01
+        yield system, np.zeros(system.dimension), 2.5, 0.07
+
+    def test_euler_bytes_equal_field_route(self):
+        for system, q0, t_end, dt in self._systems():
+            affine, generic = _routes(system, q0, t_end, dt, "euler")
+            assert np.array_equal(affine.times, generic.times)
+            assert affine.states.tobytes() == generic.states.tobytes()
+
+    def test_rk4_within_tolerance_of_field_route(self):
+        for system, q0, t_end, dt in self._systems():
+            affine, generic = _routes(system, q0, t_end, dt, "rk4")
+            assert np.array_equal(affine.times, generic.times)
+            assert affine.times[-1] == t_end
+            assert _rk4_gap(affine, generic) <= RK4_TOLERANCE
+
+    def test_blowup_matches_field_route(self):
+        caught = {}
+        for r, t_end, dt, method in ((STABLE, 40.0, 3.0, "rk4"),
+                                     (UNSTABLE, 20000.0, 1.0, "euler")):
+            system = canonical_affine(r)
+            for route in (system, system.field_at):
+                with pytest.raises(IntegrationBlowUp) as info:
+                    integrate(route, Q0, t_end, dt, method)
+                caught.setdefault(method, []).append(info.value)
+        affine, generic = caught["rk4"]
+        assert affine.time == generic.time == 27.0
+        assert str(affine).startswith("state blew up at t=27.0 (max |q| = ")
+        assert np.array_equal(affine.trajectory.times, generic.trajectory.times)
+        assert np.all(np.isfinite(affine.trajectory.states))
+        assert _rk4_gap(affine.trajectory, generic.trajectory) <= RK4_TOLERANCE
+        affine, generic = caught["euler"]
+        assert str(affine) == str(generic)
+        assert affine.trajectory.states.tobytes() == \
+            generic.trajectory.states.tobytes()
+
+    def test_blowup_inside_a_block_stops_at_first_bad_state(self):
+        # Growth by 1e3 per step: past STATE_LIMIT at step 4, then
+        # overflow to inf and NaN before the block ends. No warning may
+        # leak, and the first bad state is the one reported.
+        from cournotgraph import AffineSystem
+        system = AffineSystem(constant=np.zeros(2), matrix=-999.0 * np.eye(2))
+        with pytest.raises(IntegrationBlowUp) as info:
+            integrate(system, np.ones(2), 500.0, 1.0, "euler")
+        assert info.value.time == 4.0
+        assert info.value.trajectory.states[-1].tolist() == [1e9, 1e9]
+        assert "max |q| = 1000000000000.0" in str(info.value)
+
+    def test_singular_matrix_still_simulates(self):
+        from cournotgraph import AffineSystem
+        system = AffineSystem(constant=np.array([1.0, -2.0]),
+                              matrix=np.zeros((2, 2)))
+        traj = integrate(system, np.zeros(2), 10.0, 0.01)
+        assert np.allclose(traj.states[-1], [10.0, -20.0], rtol=1e-12)
+
+    def test_route_follows_size_rule(self, monkeypatch):
+        from cournotgraph import AffineSystem
+        calls = []
+        field_at = AffineSystem.field_at
+
+        def counted(self, q):
+            calls.append(1)
+            return field_at(self, q)
+        monkeypatch.setattr(AffineSystem, "field_at", counted)
+        system = AffineSystem(constant=np.ones(30), matrix=np.eye(30))
+        integrate(system, np.zeros(30), 2.0, 0.01)       # 200 > 4 * 30 steps
+        assert calls == []
+        integrate(system, np.zeros(30), 1.2, 0.01)       # 120 steps: field route
+        assert len(calls) == 4 * 120
+        del calls[:]
+        integrate(system, np.zeros(30), 1.2, 0.01, "euler")  # nothing to form
+        assert calls == []

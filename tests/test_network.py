@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cournotgraph import (NetworkSpec, canonical_edge_order, to_affine,
-                          two_firms_two_markets, validate, variable_names,
-                          vector_field)
+from cournotgraph import (AffineSystem, NetworkSpec, canonical_edge_order,
+                          to_affine, two_firms_two_markets, validate,
+                          variable_names, vector_field)
 from helpers import random_network_spec, to_affine_by_loop, two_firm_rhs_literal
 
 
@@ -217,3 +217,41 @@ class TestIncidenceAssembly:
             s = sys.matrix / b[:, None]
             assert np.allclose(s, s.T, rtol=1e-15, atol=0.0)
             np.linalg.cholesky(s)
+
+
+class TestAffineSystemStorage:
+    def test_writeable_inputs_copied_handed_over_ones_kept(self):
+        held = np.eye(3)
+        sys = AffineSystem(constant=np.ones(3), matrix=held)
+        assert not np.shares_memory(sys.matrix, held)
+        held[0, 0] = 5.0
+        assert sys.matrix[0, 0] == 1.0
+        frozen = np.eye(3)
+        frozen.setflags(write=False)
+        assert np.shares_memory(AffineSystem(np.ones(3), frozen).matrix, frozen)
+        # a read-only view whose base its caller can still write is copied
+        view = held.view()
+        view.setflags(write=False)
+        assert not np.shares_memory(AffineSystem(np.ones(3), view).matrix, held)
+        for kept in (sys, AffineSystem([1.0, 1.0], [[1, 0], [0, 1]])):
+            assert not kept.matrix.flags.writeable
+            assert not kept.constant.flags.writeable
+            assert kept.matrix.dtype == np.float64
+
+    def test_to_affine_fills_one_matrix_buffer(self):
+        import tracemalloc
+        spec = NetworkSpec(15, 20, tuple((i, j) for i in range(1, 16)
+                                         for j in range(1, 21)),
+                           alpha=(1.0,) * 15, beta=(0.5,) * 15,
+                           gamma=(0.3,) * 20)
+        matrix_bytes = 300 * 300 * 8
+        to_affine(spec)
+        tracemalloc.start()
+        try:
+            sys = to_affine(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sys.matrix.shape == (300, 300)
+        # the matrix plus boolean masks, without a second n x n copy
+        assert peak < 1.5 * matrix_bytes
