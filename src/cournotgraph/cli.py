@@ -90,7 +90,7 @@ def cmd_pd(args) -> int:
     population = scenario.build_population(graph)
     fractions = run_spatial(population, scenario.payoff, scenario.steps)
     Path(args.out).write_text(pd_series_csv(fractions), encoding="utf-8")
-    sys.stdout.write(f"players: {graph.player_count}, edges: {len(graph.edges)}, "
+    sys.stdout.write(f"players: {graph.player_count}, edges: {len(graph.ends)}, "
                      f"steps: {scenario.steps}\n")
     sys.stdout.write(f"initial cooperation fraction: {fractions[0]!r}\n")
     sys.stdout.write(f"final cooperation fraction: {fractions[-1]!r}\n")

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .network import AffineSystem
+from .network import AffineSystem, _frozen
 
 Field = Callable[[np.ndarray], np.ndarray]
 
@@ -49,7 +49,8 @@ _BLOCK_VALUES = 1 << 16     # state values per blow-up check of the affine route
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States recorded at times 0, dt, 2*dt, ..., t_end."""
+    """States recorded at times 0, dt, 2*dt, ..., t_end. The arrays are
+    kept read-only; a caller's writeable array is copied, not frozen."""
 
     times: np.ndarray
     states: np.ndarray
@@ -57,12 +58,10 @@ class Trajectory:
     step: float
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
+        t = _frozen(self.times)
+        s = _frozen(self.states)
         if len(t) != len(s) or len(t) < 1:
             raise ValueError("times and states must have equal length >= 1")
-        t.setflags(write=False)
-        s.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
 
@@ -230,9 +229,13 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
         bad = _march_affine(system, method, states, segments)
     else:
         bad = _march(system.field_at, method, states, segments)
+    # Handed over read-only, so the Trajectory keeps them uncopied; the
+    # prefix views of a blow-up are copied.
+    times.setflags(write=False)
+    states.setflags(write=False)
     if bad is not None:
         peak = float(np.max(np.abs(states[bad])))
-        partial = Trajectory(times[:bad].copy(), states[:bad].copy(), method, dt)
+        partial = Trajectory(times[:bad], states[:bad], method, dt)
         raise IntegrationBlowUp(
             f"state blew up at t={float(times[bad])!r} (max |q| = {peak!r}); "
             f"last finite state {states[bad - 1].tolist()!r}",

@@ -24,13 +24,24 @@ T*n_C + U*n_D as a defector. Every double is a dyadic rational, so in
 units of the payoffs' common binary denominator these totals are
 integers, and ties are ties whatever order a float sum would take.
 
+Graphs and populations are arrays, from graph to series. A
+:class:`PlayerGraph` holds its edges as one (edges, 2) int32 array of
+(lower, higher) ends in ascending order: ``complete_graph``,
+``cycle_graph`` and ``torus_graph`` build it by index arithmetic, and
+``player_graph`` validates given pairs on arrays. Its closed
+neighborhoods are two flat int32 arrays built from the edge array. A
+:class:`PopulationState` holds one read-only bool array, True where the
+player cooperates, and an imitation step indexes it directly. The tuple
+views ``PlayerGraph.edges``, ``PlayerGraph.neighbors`` and
+``PopulationState.strategies`` are derived on first use, for tests and
+callers; building a graph and running the dynamics never make them.
+
 Randomness enters only through the explicit seed of
 :func:`random_population`; the dynamics themselves are deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,65 +110,114 @@ def min_side_payment(m: PayoffMatrix) -> float:
     return max(m.T - m.R, m.U - m.S)
 
 
-@dataclass(frozen=True)
+def _sealed(values: np.ndarray) -> np.ndarray:
+    """``values``, marked read-only: its maker hands it over."""
+    values.setflags(write=False)
+    return values
+
+
+@dataclass(frozen=True, eq=False)
 class PlayerGraph:
-    """Simple undirected graph over players 0..player_count-1."""
+    """Simple undirected graph over players 0..player_count-1.
+
+    ``ends`` is a read-only (edges, 2) int32 array with one row (lower,
+    higher) per edge, rows in ascending order. The builders below make
+    it; a PlayerGraph constructed directly is not checked."""
 
     player_count: int
-    edges: tuple[tuple[int, int], ...]
+    ends: np.ndarray
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The rows of ``ends`` as tuples."""
+        return tuple(map(tuple, self.ends.tolist()))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adjacency: list[list[int]] = [[] for _ in range(self.player_count)]
-        for a, b in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        return tuple(tuple(sorted(ns)) for ns in adjacency)
+        """Each player's neighbors in ascending order."""
+        members, starts = self.closed_neighborhoods
+        flat = members.tolist()
+        bounds = [*starts.tolist(), len(flat)]
+        return tuple(tuple(flat[a + 1:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def closed_neighborhoods(self) -> tuple[np.ndarray, np.ndarray]:
         """(members, starts): every player's closed neighborhood -- the
         player itself, then its neighbors in ascending order -- laid end
-        to end in ``members``, with player p's run beginning at
-        ``starts[p]``. Its size is player_count + 2 * len(edges)."""
-        n = self.player_count
-        members = np.fromiter(
-            itertools.chain.from_iterable(
-                (p, *ns) for p, ns in enumerate(self.neighbors)),
-            np.intp, n + 2 * len(self.edges))
-        starts = np.zeros(n, np.intp)
-        np.cumsum([len(ns) + 1 for ns in self.neighbors[:-1]], out=starts[1:])
+        to end in the int32 array ``members``, with player p's run
+        beginning at ``starts[p]``. Its size is player_count + 2 * edges."""
+        players = np.arange(self.player_count, dtype=np.int32)
+        low, high = self.ends.T
+        owner = np.concatenate((players, high, low))
+        # Sorting stably by owner keeps each run in the order laid out
+        # here: the player, then its lower neighbors (rows ending at it,
+        # ascending by their lower end), then its higher neighbors (rows
+        # starting at it, ascending by their higher end).
+        order = np.argsort(owner, kind="stable")
+        members = np.concatenate((players, low, high))[order]
+        starts = np.zeros(self.player_count, np.int32)
+        np.cumsum(np.bincount(owner, minlength=self.player_count)[:-1],
+                  out=starts[1:])
         return members, starts
 
 
+def _keys(player_count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each pair as the one number lower * player_count + higher."""
+    return np.minimum(a, b) * player_count + np.maximum(a, b)
+
+
+def _graph(player_count: int, keys: np.ndarray) -> PlayerGraph:
+    """The graph whose edges are the ascending, distinct ``keys``."""
+    ends = np.stack(np.divmod(keys, player_count), axis=1).astype(np.int32)
+    return PlayerGraph(player_count, _sealed(ends))
+
+
 def player_graph(player_count: int, edges) -> PlayerGraph:
-    """Build a validated PlayerGraph; rejects self-loops and duplicates."""
+    """Build a validated PlayerGraph from (a, b) pairs. The first pair in
+    input order that is a self-loop, has an end out of range or repeats
+    an earlier pair (either way round) is reported, in that order of
+    checks."""
     if player_count < 1:
         raise ValueError("player_count must be at least 1")
-    normalized: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for a, b in edges:
-        a, b = int(a), int(b)
-        if a == b:
-            raise ValueError(f"self-loop {a}-{b} not allowed")
-        if not (0 <= a < player_count and 0 <= b < player_count):
-            raise ValueError(f"edge {a}-{b} out of range for {player_count} players")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key[0]}-{key[1]}")
-        seen.add(key)
-        normalized.append(key)
-    return PlayerGraph(player_count, tuple(sorted(normalized)))
+    ends = np.asarray(edges)
+    if ends.size == 0:
+        ends = ends.reshape(0, 2)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError(f"edges must be (a, b) pairs, got shape {ends.shape}")
+    a, b = ends.T
+    keys = _keys(player_count, a, b)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # A stable sort puts the first of equal keys in input order first,
+    # so every later copy is marked. Keys of out-of-range pairs may
+    # collide with others, but such a pair is itself an earlier or
+    # higher-ranked fault than the copy it marks.
+    repeat = np.zeros(keys.size, bool)
+    repeat[order[1:]] = keys[1:] == keys[:-1]
+    bad = ((a == b) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= player_count)
+           | repeat)
+    if bad.any():
+        x, y = (int(v) for v in ends[bad.argmax()])
+        if x == y:
+            raise ValueError(f"self-loop {x}-{y} not allowed")
+        if not (0 <= x < player_count and 0 <= y < player_count):
+            raise ValueError(f"edge {x}-{y} out of range for {player_count} players")
+        raise ValueError(f"duplicate edge {min(x, y)}-{max(x, y)}")
+    return _graph(player_count, keys)
 
 
 def complete_graph(n: int) -> PlayerGraph:
-    return player_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    if n < 1:
+        raise ValueError("player_count must be at least 1")
+    low, high = np.triu_indices(n, 1)
+    return _graph(n, low * n + high)
 
 
 def cycle_graph(n: int) -> PlayerGraph:
     if n < 3:
         raise ValueError("cycle needs at least 3 players")
-    return player_graph(n, [(k, (k + 1) % n) for k in range(n)])
+    k = np.arange(n)
+    return _graph(n, np.sort(_keys(n, k, (k + 1) % n)))
 
 
 def torus_graph(width: int, height: int) -> PlayerGraph:
@@ -165,61 +225,88 @@ def torus_graph(width: int, height: int) -> PlayerGraph:
     Wrap duplicates at width or height <= 2 collapse to single edges."""
     if width < 1 or height < 1:
         raise ValueError("torus dimensions must be at least 1")
-    edges: set[tuple[int, int]] = set()
-    for row in range(height):
-        for col in range(width):
-            p = row * width + col
-            for q in (row * width + (col + 1) % width,
-                      ((row + 1) % height) * width + col):
-                if q != p:
-                    edges.add((min(p, q), max(p, q)))
-    return player_graph(width * height, sorted(edges))
+    p = np.arange(width * height).reshape(height, width)
+    a = np.concatenate((p, p), axis=None)
+    b = np.concatenate((np.roll(p, -1, axis=1), np.roll(p, -1, axis=0)),
+                       axis=None)
+    keep = a != b
+    # Sort and drop repeats: np.unique takes some 50 times as long here
+    # (numpy 2.4, 500 x 500).
+    keys = np.sort(_keys(p.size, a[keep], b[keep]))
+    return _graph(p.size, keys[np.diff(keys, prepend=-1) != 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationState:
-    """Strategy assignment over a player graph."""
+    """Strategy assignment over a player graph: ``cooperates[p]`` is True
+    where player p plays C. It is kept as a read-only bool array: one
+    that owns its buffer and is already read-only is taken as it is,
+    anything else is copied."""
 
     graph: PlayerGraph
-    strategies: tuple[Strategy, ...]
+    cooperates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "strategies", tuple(self.strategies))
-        if len(self.strategies) != self.graph.player_count:
+        coop = self.cooperates
+        if not (isinstance(coop, np.ndarray) and coop.flags.owndata
+                and not coop.flags.writeable):
+            coop = _sealed(np.array(coop))
+        if coop.dtype != bool:
+            raise ValueError(f"cooperates must be a bool array, got {coop.dtype}")
+        if coop.shape != (self.graph.player_count,):
             raise ValueError(
                 f"expected {self.graph.player_count} strategies, "
-                f"got {len(self.strategies)}")
-        bad = {s for s in self.strategies if s not in (C, D)}
+                f"got {coop.size}")
+        object.__setattr__(self, "cooperates", coop)
+
+    @classmethod
+    def from_strategies(cls, graph: PlayerGraph, strategies) -> PopulationState:
+        """The state of a sequence of 'C' and 'D', one per player."""
+        strategies = tuple(strategies)
+        bad = set(strategies) - {C, D}
         if bad:
             raise ValueError(f"strategies must be 'C' or 'D', got {sorted(bad)}")
+        return cls(graph, [s == C for s in strategies])
+
+    @cached_property
+    def strategies(self) -> tuple[Strategy, ...]:
+        """'C' or 'D' per player, derived from ``cooperates``."""
+        return tuple(np.where(self.cooperates, C, D).tolist())
 
     def cooperation_fraction(self) -> float:
-        return self.strategies.count(C) / self.graph.player_count
+        return int(np.count_nonzero(self.cooperates)) / self.graph.player_count
 
 
 def all_cooperate(graph: PlayerGraph) -> PopulationState:
-    return PopulationState(graph, (C,) * graph.player_count)
+    return PopulationState(graph, np.ones(graph.player_count, bool))
 
 
 def all_defect(graph: PlayerGraph) -> PopulationState:
-    return PopulationState(graph, (D,) * graph.player_count)
+    return PopulationState(graph, np.zeros(graph.player_count, bool))
 
 
 def single_defector(graph: PlayerGraph) -> PopulationState:
     """All cooperators except player 0."""
-    return PopulationState(graph, (D,) + (C,) * (graph.player_count - 1))
+    coop = np.ones(graph.player_count, bool)
+    coop[0] = False
+    return PopulationState(graph, coop)
 
 
 def random_population(graph: PlayerGraph, fraction: float,
                       seed: int) -> PopulationState:
     """Each player cooperates independently with probability ``fraction``;
-    fully determined by the seed."""
+    fully determined by the seed. Player p cooperates when the p-th
+    ``random.Random(seed).random()`` is below ``fraction``."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction!r}")
-    rng = random.Random(seed)
-    return PopulationState(
-        graph, tuple(C if rng.random() < fraction else D
-                     for _ in range(graph.player_count)))
+    # random() makes each double from two successive 32-bit outputs a, b
+    # as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, exactly; getrandbits hands
+    # out the same outputs as one number, first output lowest.
+    n = graph.player_count
+    bits = random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little")
+    words = np.frombuffer(bits, "<u4")
+    draws = ((words[0::2] >> 5) * 2.0 ** 26 + (words[1::2] >> 6)) / 2.0 ** 53
+    return PopulationState(graph, draws < fraction)
 
 
 def _integer_scores(state: PopulationState,
@@ -234,7 +321,7 @@ def _integer_scores(state: PopulationState,
     degree = np.diff(starts, append=members.size) - 1
     bound = max(map(abs, (R, S, T, U))) * (int(degree.max()) + 1)
     dtype = np.int64 if bound < 2 ** 62 else object
-    coop = np.array(state.strategies, dtype="U1") == C
+    coop = state.cooperates
     n_c = np.add.reduceat(coop[members], starts, dtype=np.intp) - coop
     n_d = (degree - n_c).astype(dtype)
     n_c = n_c.astype(dtype)
@@ -262,8 +349,7 @@ def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
     # Every run holds its maximum, so the first match at or after a run's
     # start lies inside that run.
     winners = members[at_best[np.searchsorted(at_best, starts)]]
-    strategies = np.array(state.strategies, dtype="U1")[winners]
-    return PopulationState(state.graph, strategies.tolist())
+    return PopulationState(state.graph, _sealed(state.cooperates[winners]))
 
 
 def run_spatial(state: PopulationState, m: PayoffMatrix,

@@ -47,9 +47,10 @@ from .pdgame import (PayoffMatrix, PlayerGraph, PopulationState,
 from .stability import CanonicalParams
 
 
-# Graph building costs Python objects per player and per edge, so the
-# sizes a [pd] scenario may ask for are bounded (complete 1414 and
-# torus 707 707 still fit).
+# A [pd] graph is held in arrays of a few int32 per player and per
+# edge, and the sizes a scenario may ask for are bounded so that text
+# cannot ask for unbounded memory (complete 1414 and torus 707 707
+# still fit).
 MAX_PLAYERS = 1_000_000
 MAX_PLAYER_EDGES = 1_000_000
 

@@ -9,12 +9,15 @@ not tautology.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import random
 
 import numpy as np
 
 from cournotgraph import (CanonicalParams, NetworkSpec,
                           NoUniqueEquilibriumError, analyze, canonical_affine)
+from cournotgraph.pdgame import C, D
 from cournotgraph.reports import SweepPoint
 
 
@@ -134,3 +137,69 @@ def trajectory_csv_by_value(trajectory, names, thin: int = 1) -> str:
         row.extend(repr(float(v)) for v in trajectory.states[k])
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def player_graph_by_loop(player_count: int, edges) -> tuple[tuple[int, int], ...]:
+    """The sorted (lower, higher) edges of a player graph, validated pair
+    by pair with a set of the pairs seen so far; raises the library's
+    ValueError messages for the first offending pair."""
+    if player_count < 1:
+        raise ValueError("player_count must be at least 1")
+    normalized: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for a, b in edges:
+        a, b = int(a), int(b)
+        if a == b:
+            raise ValueError(f"self-loop {a}-{b} not allowed")
+        if not (0 <= a < player_count and 0 <= b < player_count):
+            raise ValueError(f"edge {a}-{b} out of range for {player_count} players")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key[0]}-{key[1]}")
+        seen.add(key)
+        normalized.append(key)
+    return tuple(sorted(normalized))
+
+
+def complete_edges_by_loop(n: int) -> tuple[tuple[int, int], ...]:
+    return player_graph_by_loop(n, [(a, b) for a in range(n)
+                                    for b in range(a + 1, n)])
+
+
+def cycle_edges_by_loop(n: int) -> tuple[tuple[int, int], ...]:
+    return player_graph_by_loop(n, [(k, (k + 1) % n) for k in range(n)])
+
+
+def torus_edges_by_loop(width: int, height: int) -> tuple[tuple[int, int], ...]:
+    """Right and down neighbor of every cell, wrapped, collected in a set
+    so the wrap duplicates of width or height <= 2 count once."""
+    edges: set[tuple[int, int]] = set()
+    for row in range(height):
+        for col in range(width):
+            p = row * width + col
+            for q in (row * width + (col + 1) % width,
+                      ((row + 1) % height) * width + col):
+                if q != p:
+                    edges.add((min(p, q), max(p, q)))
+    return player_graph_by_loop(width * height, sorted(edges))
+
+
+def closed_neighborhoods_by_loop(player_count: int, edges):
+    """(members, starts) from per-player adjacency lists: each player,
+    then its sorted neighbors, run after run."""
+    adjacency: list[list[int]] = [[] for _ in range(player_count)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    runs = [[p, *sorted(ns)] for p, ns in enumerate(adjacency)]
+    members = list(itertools.chain.from_iterable(runs))
+    starts = list(itertools.accumulate((len(r) for r in runs[:-1]), initial=0))
+    return members, starts
+
+
+def random_strategies_by_loop(player_count: int, fraction: float,
+                              seed: int) -> tuple[str, ...]:
+    """One ``random.Random(seed).random()`` draw per player, in order."""
+    rng = random.Random(seed)
+    return tuple(C if rng.random() < fraction else D
+                 for _ in range(player_count))

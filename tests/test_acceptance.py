@@ -229,7 +229,7 @@ def test_criterion_09_lattice_cooperation_survives():
         for bits in itertools.product((C, D), repeat=6):
             if C not in bits or D not in bits:
                 continue
-            state = PopulationState(k6, bits)
+            state = PopulationState.from_strategies(k6, bits)
             for _ in range(6):
                 state = imitation_step(state, m)
                 if C not in state.strategies:

@@ -396,3 +396,35 @@ class TestCommandRoutes:
             builds.clear()
             assert run("pd", "--scenario", path, "--out", tmp_path / "pd.csv") == 0
             assert len(builds) == 1
+
+    def test_pd_makes_no_per_player_or_per_edge_objects(self, monkeypatch,
+                                                        tmp_path, capsys):
+        # The tuple views are only for tests and callers: with them made
+        # to raise, pd must still run and write the same bytes.
+        from cournotgraph import pdgame
+
+        def forbidden(self):
+            raise AssertionError("pd built a per-player or per-edge view")
+        text = PD.read_text()
+        scenarios = []
+        for graph in ("torus 30 20", "complete 60"):
+            path = tmp_path / f"{graph.split()[0]}.scenario"
+            path.write_text(text.replace("graph = edges 0-1, 0-2",
+                                         f"graph = {graph}")
+                                .replace("init = single_defector",
+                                         "init = random 0.5 8"))
+            scenarios.append(path)
+        outputs = []
+        for patched in (False, True):
+            if patched:
+                for cls, name in ((pdgame.PlayerGraph, "neighbors"),
+                                  (pdgame.PlayerGraph, "edges"),
+                                  (pdgame.PopulationState, "strategies")):
+                    monkeypatch.setattr(cls, name, property(forbidden))
+            for path in scenarios:
+                out = path.with_suffix(f".{patched}.csv")
+                assert run("pd", "--scenario", path, "--out", out) == 0
+                outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[:2] == outputs[2:]
+        assert "players: 600, edges: 1200" in outputs[0][0]
+        assert "players: 60, edges: 1770" in outputs[1][0]

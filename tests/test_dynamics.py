@@ -123,10 +123,37 @@ class TestIntegrate:
         assert 12.0 < errors[0.04] / errors[0.02] < 20.0
 
     def test_euler_and_rk4_agree_at_small_dt(self):
+        # The affine route, which simulate takes; the field route's order
+        # of accuracy is acceptance criterion 7's.
         sys = canonical_affine(STABLE)
-        end_euler = integrate(sys.field_at, Q0, 30.0, 1e-4, "euler").states[-1]
-        end_rk4 = integrate(sys.field_at, Q0, 30.0, 1e-4, "rk4").states[-1]
+        end_euler = integrate(sys, Q0, 30.0, 1e-4, "euler").states[-1]
+        end_rk4 = integrate(sys, Q0, 30.0, 1e-4, "rk4").states[-1]
         assert float(np.linalg.norm(end_euler - end_rk4)) < 1e-6
+
+    def test_trajectory_copies_a_writeable_array_and_keeps_a_frozen_one(self):
+        times, states = np.array([0.0, 1.0]), np.zeros((2, 1))
+        traj = Trajectory(times, states, "rk4", 1.0)
+        times[1] = 2.0
+        states[0] = 1.0
+        assert traj.times.tolist() == [0.0, 1.0]
+        assert traj.states.tolist() == [[0.0], [0.0]]
+        assert not traj.states.flags.writeable
+        assert Trajectory(traj.times, traj.states, "rk4", 1.0).states \
+            is traj.states
+
+    def test_integrate_hands_its_states_over_uncopied(self, monkeypatch):
+        from cournotgraph import dynamics
+        handed = []
+
+        class Recording(Trajectory):
+            def __post_init__(self):
+                handed.append(self.states)
+                super().__post_init__()
+        monkeypatch.setattr(dynamics, "Trajectory", Recording)
+        for system in (canonical_affine(STABLE), decay):
+            traj = integrate(system, Q0, 1.0, 0.1)
+            assert np.shares_memory(handed.pop(), traj.states)
+            assert not traj.states.flags.writeable
 
 
 class TestClassify:

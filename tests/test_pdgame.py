@@ -13,7 +13,11 @@ from cournotgraph import (PayoffMatrix, PopulationState, all_cooperate,
                           min_side_payment, payoffs, player_graph,
                           random_population, run_spatial, scores,
                           single_defector, torus_graph)
+from cournotgraph import pdgame
 from cournotgraph.pdgame import C, D
+from helpers import (closed_neighborhoods_by_loop, complete_edges_by_loop,
+                     cycle_edges_by_loop, player_graph_by_loop,
+                     random_strategies_by_loop, torus_edges_by_loop)
 
 CLASSIC = PayoffMatrix(R=3, S=0, T=5, U=1)
 
@@ -131,7 +135,7 @@ class TestImitationDynamics:
     def test_triangle_lone_cooperator_converts(self):
         # C scores 0 against two defectors; each D scores 5 + 1 = 6.
         graph = complete_graph(3)
-        state = PopulationState(graph, (C, D, D))
+        state = PopulationState.from_strategies(graph, (C, D, D))
         assert scores(state, CLASSIC) == [0.0, 6.0, 6.0]
         assert imitation_step(state, CLASSIC).strategies == (D, D, D)
 
@@ -170,7 +174,7 @@ class TestImitationDynamics:
             for bits in itertools.product((C, D), repeat=n):
                 if C not in bits or D not in bits:
                     continue
-                state = PopulationState(graph, bits)
+                state = PopulationState.from_strategies(graph, bits)
                 for _ in range(n):
                     stepped = imitation_step(state, m)
                     if n <= 6:
@@ -183,7 +187,7 @@ class TestImitationDynamics:
     def test_tie_break_keeps_current_strategy(self):
         # S == T makes every score tie, so nobody moves.
         graph = cycle_graph(4)
-        state = PopulationState(graph, (C, D, C, D))
+        state = PopulationState.from_strategies(graph, (C, D, C, D))
         m = PayoffMatrix(R=3, S=2, T=2, U=1)
         assert scores(state, m) == [4.0, 4.0, 4.0, 4.0]
         assert imitation_step(state, m).strategies == (C, D, C, D)
@@ -193,10 +197,10 @@ class TestImitationDynamics:
         # copies the lower-indexed leaf.
         graph = player_graph(3, [(0, 1), (0, 2)])
         m = PayoffMatrix(R=4, S=-1, T=4, U=1)
-        state = PopulationState(graph, (C, C, D))
+        state = PopulationState.from_strategies(graph, (C, C, D))
         assert scores(state, m) == [3.0, 4.0, 4.0]
         assert imitation_step(state, m).strategies[0] == C
-        swapped = PopulationState(graph, (C, D, C))
+        swapped = PopulationState.from_strategies(graph, (C, D, C))
         assert imitation_step(swapped, m).strategies[0] == D
 
     def test_exact_totals_decide_what_floats_tie(self):
@@ -206,7 +210,7 @@ class TestImitationDynamics:
         # Player 4 sees both and must copy player 1, not the lower index.
         graph = player_graph(9, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4),
                                  (1, 6), (1, 7), (1, 8)])
-        state = PopulationState(graph, (D, C, D, D, C, C, C, C, C))
+        state = PopulationState.from_strategies(graph, (D, C, D, D, C, C, C, C, C))
         m = PayoffMatrix(R=0.2, S=0.05, T=0.3, U=0.1)
         assert 0.3 * 2 + 0.1 * 2 == 0.2 * 4 == 0.1 + 0.1 + 0.3 + 0.3
         assert 4 * Fraction(0.2) > 2 * Fraction(0.3) + 2 * Fraction(0.1)
@@ -214,6 +218,21 @@ class TestImitationDynamics:
         stepped = imitation_step(state, m).strategies
         assert stepped == brute_force_step(state, m)
         assert stepped == (D, C, D, D, C, D, C, C, C)
+
+    def test_scores_are_correctly_rounded_exact_totals(self):
+        rng = np.random.default_rng(41)
+        graph = torus_graph(6, 5)
+        for _ in range(20):
+            m = random_dilemma(rng)
+            state = random_population(graph, 0.5, seed=int(rng.integers(1 << 30)))
+            exact = [0] * graph.player_count
+            for a, b in graph.edges:
+                pa, pb = payoffs(m, state.strategies[a], state.strategies[b])
+                exact[a] += Fraction(pa)
+                exact[b] += Fraction(pb)
+            got = scores(state, m)
+            assert all(type(x) is float for x in got)
+            assert got == [float(x) for x in exact]
 
     def test_star_neighborhoods_take_players_plus_twice_edges(self):
         # One player of high degree must not size every player's entry:
@@ -238,14 +257,15 @@ class TestImitationDynamics:
         assert peak < 100 * members.size
         # The center scores 5 per cooperating leaf, more than any leaf, so
         # as a defector it converts every leaf.
-        center_d = PopulationState(graph, (D,) + state.strategies[1:])
+        center_d = PopulationState.from_strategies(graph, (D,) + state.strategies[1:])
         assert imitation_step(center_d, CLASSIC).strategies == (D,) * n
 
 
 class TestRunSpatial:
     def test_zero_steps_returns_initial_fraction(self):
         graph = complete_graph(4)
-        series = run_spatial(PopulationState(graph, (C, C, D, C)), CLASSIC, 0)
+        state = PopulationState.from_strategies(graph, (C, C, D, C))
+        series = run_spatial(state, CLASSIC, 0)
         assert series == [0.75]
 
     def test_all_defect_stays_at_zero(self):
@@ -270,7 +290,121 @@ class TestRunSpatial:
         assert series[-1] > 0.0
 
 
+    def test_each_step_calls_the_module_imitation_step(self, monkeypatch):
+        calls = []
+        step = pdgame.imitation_step
+
+        def counted(state, m):
+            calls.append(state.graph.player_count)
+            return step(state, m)
+        monkeypatch.setattr(pdgame, "imitation_step", counted)
+        graph = torus_graph(6, 6)
+        series = run_spatial(random_population(graph, 0.5, seed=4), CLASSIC, 9)
+        assert calls == [36] * 9
+        assert len(series) == 10
+        assert all(type(x) is float for x in series)
+
+
+def random_edge_list(rng, n: int) -> list[tuple[int, int]]:
+    """Distinct pairs over n players in random order and orientation,
+    with self-loops, out-of-range ends, and exact and reversed copies of
+    earlier pairs injected at random positions."""
+    pairs = [(a, b) if rng.random() < 0.5 else (b, a)
+             for a, b in itertools.combinations(range(n), 2)
+             if rng.random() < 0.5]
+    rng.shuffle(pairs)
+    for _ in range(int(rng.integers(0, 3))):
+        k = int(rng.integers(0, len(pairs) + 1))
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            p = int(rng.integers(-1, n + 1))
+            pair = (p, p)
+        elif kind == 1:
+            # Keys of 2 ** 62 wrap in int64; -10 ** 23 needs Python ints.
+            far = (-3, -1, n, n + 2, 10 ** 12, 2 ** 62, -10 ** 23)
+            pair = (int(rng.integers(0, n)), far[int(rng.integers(len(far)))])
+            pair = pair if rng.random() < 0.5 else pair[::-1]
+        elif not pairs[:k]:
+            continue
+        else:
+            a, b = pairs[int(rng.integers(0, k))]
+            pair = (a, b) if kind == 2 else (b, a)
+        pairs.insert(k, pair)
+    return pairs
+
+
 class TestGraphBuilders:
+    def test_player_graph_matches_loop_oracle(self):
+        # Same edge order, or the same ValueError text for the same first
+        # offending pair in input order.
+        rng = np.random.default_rng(43)
+        errors = set()
+        for _ in range(600):
+            n = int(rng.integers(1, 9))
+            pairs = random_edge_list(rng, n)
+            try:
+                want = player_graph_by_loop(n, pairs)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    player_graph(n, pairs)
+                assert str(got.value) == str(exc)
+                errors.add(str(exc).split()[0])
+                continue
+            graph = player_graph(n, pairs)
+            assert graph.edges == want
+            members, starts = graph.closed_neighborhoods
+            assert (members.tolist(), starts.tolist()) == \
+                closed_neighborhoods_by_loop(n, want)
+        assert errors == {"self-loop", "edge", "duplicate"}
+
+    def test_builders_match_loop_oracles(self):
+        cases = [(complete_graph(n), complete_edges_by_loop(n))
+                 for n in (*range(1, 9), 40)]
+        cases += [(cycle_graph(n), cycle_edges_by_loop(n))
+                  for n in (*range(3, 9), 41)]
+        cases += [(torus_graph(w, h), torus_edges_by_loop(w, h))
+                  for w in range(1, 6) for h in range(1, 6)]
+        cases += [(torus_graph(7, 3), torus_edges_by_loop(7, 3)),
+                  (torus_graph(12, 10), torus_edges_by_loop(12, 10))]
+        for graph, want in cases:
+            assert graph.edges == want
+            assert graph.ends.dtype == np.int32
+            assert not graph.ends.flags.writeable
+            members, starts = graph.closed_neighborhoods
+            assert members.dtype == starts.dtype == np.int32
+            flat, runs = closed_neighborhoods_by_loop(graph.player_count, want)
+            assert (members.tolist(), starts.tolist()) == (flat, runs)
+            assert graph.neighbors == tuple(
+                tuple(flat[a + 1:b]) for a, b in zip(runs, [*runs[1:], len(flat)]))
+
+    def test_random_population_draws_as_random_module(self):
+        for seed in (0, 1, 7, 2 ** 40 + 3, -5):
+            for n in (1, 5, 1000):
+                graph = player_graph(n, [])
+                for fraction in (0.0, 0.3, 0.5, 1.0):
+                    assert random_population(graph, fraction, seed).strategies \
+                        == random_strategies_by_loop(n, fraction, seed)
+
+    def test_state_is_a_read_only_bool_array(self):
+        graph = cycle_graph(4)
+        mine = np.array([True, False, True, True])
+        state = PopulationState(graph, mine)
+        mine[0] = False
+        assert mine.flags.writeable
+        assert state.cooperates.tolist() == [True, False, True, True]
+        assert not state.cooperates.flags.writeable
+        assert state.strategies == (C, D, C, C)
+        assert type(state.cooperation_fraction()) is float
+        stepped = imitation_step(state, CLASSIC)
+        assert not stepped.cooperates.flags.writeable
+        # A read-only array that owns its buffer is handed over, not copied.
+        assert PopulationState(graph, stepped.cooperates).cooperates \
+            is stepped.cooperates
+        with pytest.raises(ValueError, match="bool array"):
+            PopulationState(graph, np.array([1, 0, 1, 1]))
+        with pytest.raises(ValueError, match="'C' or 'D'"):
+            PopulationState.from_strategies(graph, (C, D, "X", C))
+
     def test_complete(self):
         g = complete_graph(4)
         assert len(g.edges) == 6
@@ -313,4 +447,4 @@ class TestGraphBuilders:
 
     def test_population_length_checked(self):
         with pytest.raises(ValueError, match="expected 4 strategies"):
-            PopulationState(cycle_graph(4), (C, C))
+            PopulationState.from_strategies(cycle_graph(4), (C, C))
