@@ -2,8 +2,9 @@
 
 Subcommands: simulate, equilibrium, stability, pd, sweep. Data goes to
 ``--out`` files (or stdout for reports); progress notes go to stderr so
-data streams stay byte-reproducible. Exit codes: 0 success, 2 bad usage
-or scenario problems, 3 numerical failures.
+data streams stay byte-reproducible. Exit codes: 0 success, 2 bad usage,
+scenario problems or an output file that cannot be written, 3 numerical
+failures.
 """
 
 from __future__ import annotations
@@ -31,6 +32,17 @@ EXIT_SCENARIO = 2
 EXIT_NUMERICAL = 3
 
 
+class OutputError(Exception):
+    """An ``--out`` file could not be written."""
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write output file: {exc}") from None
+
+
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -55,13 +67,11 @@ def cmd_simulate(args) -> int:
     try:
         trajectory = integrate(system, q0, args.t_end, args.dt, args.method)
     except IntegrationBlowUp as exc:
-        Path(args.out).write_text(
-            write_trajectory(exc.trajectory, names, args.thin), encoding="utf-8")
+        _write(args.out, write_trajectory(exc.trajectory, names, args.thin))
         print(f"error: {exc}", file=sys.stderr)
         print(f"wrote partial trajectory to {args.out}", file=sys.stderr)
         return EXIT_NUMERICAL
-    Path(args.out).write_text(write_trajectory(trajectory, names, args.thin),
-                              encoding="utf-8")
+    _write(args.out, write_trajectory(trajectory, names, args.thin))
     print(f"simulate: {len(trajectory.times) - 1} {args.method} steps "
           f"to t={args.t_end}, wrote {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -89,7 +99,7 @@ def cmd_pd(args) -> int:
     graph = scenario.build_graph()
     population = scenario.build_population(graph)
     fractions = run_spatial(population, scenario.payoff, scenario.steps)
-    Path(args.out).write_text(pd_series_csv(fractions), encoding="utf-8")
+    _write(args.out, pd_series_csv(fractions))
     sys.stdout.write(f"players: {graph.player_count}, edges: {len(graph.ends)}, "
                      f"steps: {scenario.steps}\n")
     sys.stdout.write(f"initial cooperation fraction: {fractions[0]!r}\n")
@@ -106,7 +116,7 @@ def cmd_sweep(args) -> int:
     if not isinstance(scenario, CanonicalScenario):
         raise ScenarioError("sweep requires a [canonical] scenario")
     points = sweep(scenario, args.param, args.start, args.stop, args.points)
-    Path(args.out).write_text(sweep_csv(points), encoding="utf-8")
+    _write(args.out, sweep_csv(points))
     print(f"sweep: {args.param} over [{args.start}, {args.stop}] "
           f"({args.points} points), wrote {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -175,7 +185,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     except (NoUniqueEquilibriumError, IntegrationBlowUp,

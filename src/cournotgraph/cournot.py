@@ -11,11 +11,13 @@ profit, dq_ij/dt = b_j dPi_j/dq_ij, which expands to
 
     dq_ij/dt = b_j [ alpha_i - gamma_j s_j - beta_i q_ij - beta_i c_i ]
 
-and is therefore affine in q (see :func:`cournotgraph.network.to_affine`
-for the assembled matrix form; the two routes must agree and are tested
-against each other). Here the supplies are summed straight from the
-edges, s = F^T q and c = M^T q with F and M the edge-firm and
-edge-market incidence matrices, and nothing is cached between calls.
+and is therefore affine in q. :func:`vector_field` is the field of the
+system :func:`cournotgraph.network.to_affine` assembles, computed from
+its incidence structure, so the package has one formula for it; the
+tests check it against a per-entry dense matrix. The profit functions
+sum the supplies straight from the edges, s = F^T q and c = M^T q with
+F and M the edge-firm and edge-market incidence matrices. Nothing is
+cached between calls.
 
 Flows may go negative during integration: the dynamics have no
 constraint mechanism, and clamping would silently change them. Negative
@@ -27,7 +29,19 @@ from __future__ import annotations
 import numpy as np
 
 # canonical_edge_order is re-exported for callers that import it from here.
-from .network import NetworkSpec, canonical_edge_order, edge_index  # noqa: F401
+from .network import (NetworkSpec, canonical_edge_order,  # noqa: F401
+                      edge_index, to_affine)
+
+
+def _flows(q, n: int) -> np.ndarray:
+    """q as a float vector, checked to have n finite entries."""
+    qv = np.asarray(q, dtype=float)
+    if qv.shape != (n,):
+        raise ValueError(
+            f"flow vector must have length {n}, got shape {qv.shape}")
+    if not np.all(np.isfinite(qv)):
+        raise ValueError("flow vector contains non-finite entries")
+    return qv
 
 
 def _supplies(spec: NetworkSpec, q):
@@ -35,12 +49,7 @@ def _supplies(spec: NetworkSpec, q):
     0-based market and firm index arrays, the checked flow vector, the
     firm outputs s = F^T q and the market supplies c = M^T q."""
     order, market, firm = edge_index(spec)
-    qv = np.asarray(q, dtype=float)
-    if qv.shape != (len(order),):
-        raise ValueError(
-            f"flow vector must have length {len(order)}, got shape {qv.shape}")
-    if not np.all(np.isfinite(qv)):
-        raise ValueError("flow vector contains non-finite entries")
+    qv = _flows(q, len(order))
     s = np.bincount(firm, weights=qv, minlength=spec.firm_count)
     c = np.bincount(market, weights=qv, minlength=spec.market_count)
     return order, market, firm, qv, s, c
@@ -85,10 +94,8 @@ def marginal_profit(spec: NetworkSpec, q, i: int, j: int) -> float:
 
 def vector_field(spec: NetworkSpec, q) -> np.ndarray:
     """Right-hand side of the flow dynamics, component (i, j) being
-    b_j times firm j's marginal profit on that edge. Components follow
-    the canonical edge order."""
-    _, market, firm, qv, s, c = _supplies(spec, q)
-    beta = np.array(spec.beta)[market]
-    return np.array(spec.speed)[firm] * (
-        np.array(spec.alpha)[market] - np.array(spec.gamma)[firm] * s[firm]
-        - beta * qv - beta * c[market])
+    b_j times firm j's marginal profit on that edge: the ``field_at`` of
+    ``to_affine(spec)``, bit for bit. Components follow the canonical
+    edge order."""
+    system = to_affine(spec)
+    return system.field_at(_flows(q, system.dimension))

@@ -17,10 +17,18 @@ Z = -h A, for rk4 (the four stages of classical Runge-Kutta collapse
 into this one matrix). Phi_h is formed once per distinct step length,
 so a step costs two matrix-vector products instead of four field
 evaluations, and no equilibrium is needed, so a singular A simulates
-too. Euler steps are the same floating-point operations either way;
-rk4 steps round differently, at about 1e-14 relative. A system too
-large for forming Phi_h to pay (see ``_affine_pays``) is stepped
-through its ``field_at`` like any other field.
+too. Euler steps are the same floating-point operations as stepping
+c - A q; rk4 steps round differently, at about 1e-14 relative.
+
+This route is taken only where it pays (see ``_affine_pays``). A run
+too short for forming Phi_h to pay, and every network of more than
+``_DENSE_STEP_MAX`` = 300 edges, is stepped through the system's
+``field_at`` like any other field. A network's field is matrix-free,
+O(n + k) per evaluation (see :mod:`cournotgraph.network`), so one of
+its rk4 steps costs about the same at any size (49 us at 6 edges, 84 us
+at 960 on a 2-core x86-64 host), while a Phi_h step grows as n^2
+(54 us at 241 edges, 637 us at 960); the two meet near 300 edges. Past
+that, simulating a network never builds an n x n array.
 
 ``classify`` compares the end of a run against a candidate equilibrium:
 converged (field essentially zero there, no net drift away), diverged
@@ -108,18 +116,39 @@ def step_rk4(field: Field, q, dt: float) -> np.ndarray:
 _STEPPERS = {"rk4": step_rk4, "euler": step_euler}
 
 
-def _affine_pays(dimension: int, steps: int, method: str) -> bool:
+# Largest network (structured system) stepped through Phi_h. Measured
+# per rk4 step on a 2-core x86-64 host (Python 3.11, numpy 2.4), Phi_h
+# step against matrix-free field step: 5.6 vs 49 us at n = 6, 54 vs 71
+# at n = 241, 238 vs 84 at n = 500, 637 vs 84 at n = 960. A Phi_h step
+# is two dense matrix-vector products, so it grows as n^2 (about 1e-3 us
+# per entry); a field step is four O(n + k) evaluations that cost
+# mostly per-call overhead, so it is nearly flat. The two meet near
+# n = 300 (48 vs 66 us at n = 300, 140 vs 57 at n = 400), and so do
+# Euler's one product against one evaluation (15 vs 19 us at n = 300,
+# 32 vs 22 at n = 400).
+_DENSE_STEP_MAX = 300
+
+
+def _affine_pays(system: AffineSystem, steps: int, method: str) -> bool:
     """Whether stepping through Phi_h is cheaper than through the field.
 
-    Euler's Phi_h is the scalar h: nothing to form and one matrix-vector
-    product per step either way. For rk4, forming Phi_h by Horner's rule
-    takes two n x n products (4 n^3 flops), and each step then saves two
-    of its four matrix-vector products (4 n^2 flops), so Phi_h pays for
-    itself after n steps. Requiring more than 4 n steps leaves room for
-    the constant factors that flop counts miss, and keeps Phi_h's n^2
-    values under a quarter of the stored states.
+    A network system (one with an incidence ``structure``) has an
+    O(n + k) field, so past ``_DENSE_STEP_MAX`` variables a dense step
+    costs more than a field step, and its n x n matrix is never built.
+    Below that, and for a dense system, compare the two as matrix work.
+    Euler's Phi_h is the scalar h: nothing to form and one
+    matrix-vector product per step either way. For rk4, forming
+    Phi_h by Horner's rule takes two n x n products (4 n^3 flops), and
+    each step then saves two of its four matrix-vector products
+    (4 n^2 flops), so Phi_h pays for itself after n steps. Requiring
+    more than 4 n steps leaves room for the constant factors that flop
+    counts miss, and keeps Phi_h's n^2 values under a quarter of the
+    stored states.
     """
-    return method == "euler" or 4 * dimension < steps
+    n = system.dimension
+    if system.structure is not None and n > _DENSE_STEP_MAX:
+        return False
+    return method == "euler" or 4 * n < steps
 
 
 def _propagator(a: np.ndarray, h: float, method: str):
@@ -225,7 +254,7 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
     states[0] = q
     if not isinstance(system, AffineSystem):
         bad = _march(system, method, states, segments)
-    elif _affine_pays(system.dimension, n_steps, method):
+    elif _affine_pays(system, n_steps, method):
         bad = _march_affine(system, method, states, segments)
     else:
         bad = _march(system.field_at, method, states, segments)

@@ -7,19 +7,39 @@ firm j has a production-cost curvature gamma_j and an adjustment speed
 b_j. All four parameter families are strictly positive.
 
 The gradient-adjustment dynamics over the edge flows (see
-:mod:`cournotgraph.cournot`) are affine in q, so the whole system can
-be assembled once into dq/dt = c - A q. ``to_affine`` builds (c, A)
-explicitly in the canonical edge order, which every other module and
-file format shares as its coordinate system.
+:mod:`cournotgraph.cournot`) are affine in q, dq/dt = c - A q, and for
+a network A factors through the graph's incidence structure:
+
+    A = D_b (diag beta_i(e) + F Gamma F^T + M B M^T),
+
+with F and M the n x k edge-firm and edge-market incidence matrices
+(n edges, k firms and markets). ``to_affine`` keeps exactly that: the
+per-edge market and firm indices and parameters, in an
+:class:`EdgeIncidence`. Its field c - A q costs O(n + k) -- the firm
+outputs F^T q and market supplies M^T q by two ``np.bincount``s, then
+gathers -- so simulating a network never needs the n x n matrix. The
+dense matrix, which only the equilibrium solve, the eigenvalues and the
+small-system propagator of :mod:`cournotgraph.dynamics` use, is filled
+on first access and then kept; networks past ``MAX_DENSE_VALUES``
+entries are refused before it is allocated. Every coordinate follows
+the canonical edge order, which every other module and file format
+shares as its coordinate system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 Edge = tuple[int, int]  # (market index, firm index), 1-based
+
+# A network's dense matrix holds n x n float64 values, 8 bytes each, and
+# the equilibrium solve and the eigenvalues work on a few copies of it.
+# Past this many values (more than 3162 edges) it is refused before it
+# is allocated; nothing else needs it (see EdgeIncidence).
+MAX_DENSE_VALUES = 10_000_000
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -67,37 +87,107 @@ def _frozen(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class EdgeIncidence:
+    """A network's matrix A = D_b (diag beta_i(e) + F Gamma F^T + M B M^T),
+    held as its per-edge structure: the 0-based ``market`` and ``firm``
+    of each edge, the edge's speed b_j(e) and slope beta_i(e), and the
+    per-firm gamma and per-market beta. Read-only arrays."""
+
+    market: np.ndarray
+    firm: np.ndarray
+    speed: np.ndarray
+    beta: np.ndarray
+    firm_gamma: np.ndarray
+    market_beta: np.ndarray
+
+    def apply(self, q: np.ndarray) -> np.ndarray:
+        """A q in O(n + k): firm outputs s = F^T q and market supplies
+        c = M^T q by ``np.bincount``, then row (i, j) is
+        b_j (gamma_j s_j + beta_i c_i + beta_i q_ij)."""
+        s = np.bincount(self.firm, q, len(self.firm_gamma))
+        c = np.bincount(self.market, q, len(self.market_beta))
+        return self.speed * ((self.firm_gamma * s)[self.firm]
+                             + (self.market_beta * c)[self.market]
+                             + self.beta * q)
+
+    def dense(self) -> np.ndarray:
+        """A as a read-only n x n array. Row (i, j): b_j (gamma_j +
+        2 beta_i) on the diagonal, b_j gamma_j for every other edge of
+        firm j and b_j beta_i for every other edge into market i (an
+        edge can share a firm or a market with (i, j), never both). One
+        buffer is filled in place, each entry the same floating-point
+        product as that per-entry definition, so it equals a per-entry
+        loop bit for bit. Refused past ``MAX_DENSE_VALUES`` entries,
+        before anything is allocated."""
+        n = len(self.speed)
+        if n * n > MAX_DENSE_VALUES:
+            raise ValueError(
+                f"a network of {n} edges needs a dense {n}x{n} matrix, more "
+                f"than the limit of {MAX_DENSE_VALUES} values "
+                f"({MAX_DENSE_VALUES * 8 // 10**6} MB at 8 bytes each)")
+        market, firm = self.market, self.firm
+        gamma = self.firm_gamma[firm]
+        a = np.zeros((n, n))
+        np.copyto(a, gamma[:, None], where=firm[:, None] == firm[None, :])
+        np.copyto(a, self.beta[:, None], where=market[:, None] == market[None, :])
+        np.fill_diagonal(a, gamma + 2.0 * self.beta)
+        a *= self.speed[:, None]
+        a.setflags(write=False)
+        return a
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class AffineSystem:
     """Linear flow dynamics dq/dt = constant - matrix @ q.
 
-    ``variable_order`` records which (market, firm) edge each coordinate
-    belongs to; for systems assembled from a :class:`NetworkSpec` it is
-    the canonical edge order.
+    Made from a dense ``matrix``, or, for a network, from its
+    :class:`EdgeIncidence` ``structure``: then ``field_at`` runs on the
+    structure and ``matrix`` is filled on first access. ``variable_order``
+    records which (market, firm) edge each coordinate belongs to; for
+    systems assembled from a :class:`NetworkSpec` it is the canonical
+    edge order.
     """
 
     constant: np.ndarray
-    matrix: np.ndarray
-    variable_order: tuple[Edge, ...] = field(default=())
+    variable_order: tuple[Edge, ...]
+    structure: EdgeIncidence | None
 
-    def __post_init__(self):
-        c = _frozen(self.constant)
-        a = _frozen(self.matrix)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        if c.shape != (a.shape[0],):
+    def __init__(self, constant, matrix=None, variable_order=(), *,
+                 structure: EdgeIncidence | None = None):
+        c = _frozen(constant)
+        if (matrix is None) == (structure is None):
+            raise ValueError("an affine system takes a matrix or a structure, "
+                             "exactly one of them")
+        if matrix is not None:
+            a = _frozen(matrix)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise ValueError(f"matrix must be square, got shape {a.shape}")
+            size = a.shape[0]
+            object.__setattr__(self, "matrix", a)  # in place of the lazy fill
+        else:
+            size = len(structure.speed)
+        if c.shape != (size,):
             raise ValueError(
-                f"constant has length {c.shape}, matrix is {a.shape[0]}x{a.shape[0]}")
+                f"constant has length {c.shape}, matrix is {size}x{size}")
         object.__setattr__(self, "constant", c)
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "variable_order", tuple(self.variable_order))
+        object.__setattr__(self, "variable_order", tuple(variable_order))
+        object.__setattr__(self, "structure", structure)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """A, read-only; for a network, filled by the structure once."""
+        return self.structure.dense()
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.constant)
 
     def field_at(self, q) -> np.ndarray:
         """Right-hand side c - A q at state q."""
-        return self.constant - self.matrix @ np.asarray(q, dtype=float)
+        q = np.asarray(q, dtype=float)
+        if self.structure is None:
+            return self.constant - self.matrix @ q
+        return self.constant - self.structure.apply(q)
 
 
 def validate(spec: NetworkSpec) -> list[str]:
@@ -180,37 +270,29 @@ def edge_index(spec: NetworkSpec) -> tuple[tuple[Edge, ...], np.ndarray, np.ndar
     incidence matrices M and F."""
     order = canonical_edge_order(spec)
     pairs = np.array(order, dtype=np.intp).reshape(len(order), 2) - 1
-    return order, pairs[:, 0], pairs[:, 1]
+    market, firm = pairs.T.copy()  # contiguous, for np.bincount
+    return order, market, firm
 
 
 def to_affine(spec: NetworkSpec) -> AffineSystem:
     """Assemble the flow dynamics into dq/dt = c - A q.
 
-    Row (i, j): the constant is b_j alpha_i; the diagonal carries
-    b_j (gamma_j + 2 beta_i); every other edge of firm j contributes
-    b_j gamma_j (shared production cost) and every other edge into
-    market i contributes b_j beta_i (shared demand slope). An edge can
-    share a firm or a market with (i, j) but never both.
-
-    In matrix form A = D_b (F Gamma F^T + M B M^T + diag beta_i(e)) with
-    F, M the edge-firm and edge-market incidence matrices. One n x n
-    buffer is filled in place from the per-edge index arrays; every
-    entry is the same floating-point product as in the row-by-row
-    definition above, so the matrix equals a per-entry loop bit for bit.
+    Row (i, j): the constant is b_j alpha_i, and A is kept as its
+    incidence structure (see :class:`EdgeIncidence`), so assembly is
+    O(n + k) and the n x n matrix is filled only if it is asked for.
     """
     problems = validate(spec)
     if problems:
         raise ValueError("invalid network spec: " + "; ".join(problems))
     order, market, firm = edge_index(spec)
+    market_beta = np.array(spec.beta)
     b = np.array(spec.speed)[firm]
-    beta = np.array(spec.beta)[market]
-    gamma = np.array(spec.gamma)[firm]
-    a = np.zeros((len(order), len(order)))
-    np.copyto(a, gamma[:, None], where=firm[:, None] == firm[None, :])
-    np.copyto(a, beta[:, None], where=market[:, None] == market[None, :])
-    np.fill_diagonal(a, gamma + 2.0 * beta)
-    a *= b[:, None]
+    structure = EdgeIncidence(market=market, firm=firm, speed=b,
+                              beta=market_beta[market],
+                              firm_gamma=np.array(spec.gamma),
+                              market_beta=market_beta)
+    for values in vars(structure).values():
+        values.setflags(write=False)
     c = b * np.array(spec.alpha)[market]
-    a.setflags(write=False)  # hand the buffer over instead of copying it
-    c.setflags(write=False)
-    return AffineSystem(constant=c, matrix=a, variable_order=order)
+    c.setflags(write=False)  # hand the buffer over instead of copying it
+    return AffineSystem(constant=c, variable_order=order, structure=structure)

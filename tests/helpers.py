@@ -27,6 +27,13 @@ def random_network_spec(rng: np.random.Generator,
     """Random valid spec: every firm and market covered, no duplicates."""
     k1 = int(rng.integers(1, max_markets + 1))
     k2 = int(rng.integers(1, max_firms + 1))
+    return network_spec_of_shape(rng, k1, k2)
+
+
+def network_spec_of_shape(rng: np.random.Generator, k1: int,
+                          k2: int) -> NetworkSpec:
+    """Random valid spec on k1 markets and k2 firms: each possible edge
+    drawn with probability 0.6, then every firm and market covered."""
     edges = {(i, j) for i in range(1, k1 + 1) for j in range(1, k2 + 1)
              if rng.random() < 0.6}
     for i in range(1, k1 + 1):
@@ -65,6 +72,14 @@ def to_affine_by_loop(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
             elif l == i:
                 a[row, col] = b * spec.beta[i - 1]
     return c, a
+
+
+def dense_field(system):
+    """The field c - A q of an affine system as one dense matrix-vector
+    product on ``system.matrix``: the oracle for the matrix-free field of
+    network systems."""
+    c, a = system.constant, system.matrix
+    return lambda q: c - a @ np.asarray(q, dtype=float)
 
 
 def random_canonical(rng: np.random.Generator,

@@ -428,3 +428,127 @@ class TestCommandRoutes:
         assert outputs[:2] == outputs[2:]
         assert "players: 600, edges: 1200" in outputs[0][0]
         assert "players: 60, edges: 1770" in outputs[1][0]
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--scenario", STABLE),
+        ("simulate", "--scenario", STABLE, "--dt", 3, "--t-end", 40),
+        ("sweep", "--scenario", STABLE, "--param", "r3", "--from", 0.1,
+         "--to", 1.5, "--points", 5),
+        ("pd", "--scenario", PD),
+    ], ids=["simulate", "simulate-blowup", "sweep", "pd"])
+    def test_unwritable_out_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file: ")
+        assert str(out) in err
+
+
+def _network_scenario(path, markets: int, firms: int, seed: int,
+                      complete: bool = False):
+    """Write a random [network] scenario; return its parsed form."""
+    from cournotgraph import NetworkScenario, NetworkSpec, render_scenario
+    from helpers import network_spec_of_shape
+    rng = np.random.default_rng(seed)
+    spec = network_spec_of_shape(rng, markets, firms)
+    if complete:
+        spec = NetworkSpec(markets, firms,
+                           tuple((i, j) for i in range(1, markets + 1)
+                                 for j in range(1, firms + 1)),
+                           spec.alpha, spec.beta, spec.gamma, spec.speed)
+    q0 = tuple(rng.uniform(0.0, 0.2, len(set(spec.edges))))
+    path.write_text(render_scenario(NetworkScenario(spec, q0)),
+                    encoding="utf-8")
+    return parse_scenario(path.read_text(encoding="utf-8"))
+
+
+class TestNetworkRoutes:
+    """Networks past 300 edges simulate on the incidence structure;
+    only stability and equilibrium fill the dense matrix."""
+
+    def test_simulate_never_fills_the_dense_matrix(self, monkeypatch,
+                                                   tmp_path, capsys):
+        from cournotgraph.network import EdgeIncidence
+        path = tmp_path / "net.scenario"
+        _network_scenario(path, 20, 30, seed=3)
+        fill = EdgeIncidence.dense
+
+        def forbidden(self):
+            raise AssertionError("dense matrix filled")
+        monkeypatch.setattr(EdgeIncidence, "dense", forbidden)
+        for method in ("rk4", "euler"):
+            assert run("simulate", "--scenario", path, "--t-end", 1,
+                       "--method", method, "--out", tmp_path / "t.csv") == 0
+        calls = []
+
+        def counted(self):
+            calls.append(1)
+            return fill(self)
+        monkeypatch.setattr(EdgeIncidence, "dense", counted)
+        assert run("stability", "--scenario", path) == 0
+        assert run("equilibrium", "--scenario", path) == 0
+        assert calls == [1, 1]
+
+    def test_blowup_contract_on_the_matrix_free_route(self, tmp_path, capsys):
+        from cournotgraph import IntegrationBlowUp, integrate, to_affine
+        from helpers import dense_field
+        path = tmp_path / "net.scenario"
+        scenario = _network_scenario(path, 25, 35, seed=5)
+        out = tmp_path / "partial.csv"
+        assert run("simulate", "--scenario", path, "--dt", 0.5, "--t-end", 50,
+                   "--thin", 1, "--out", out) == 3
+        system = to_affine(scenario.spec)
+        assert system.dimension >= 500
+        with pytest.raises(IntegrationBlowUp) as info:
+            integrate(dense_field(system), scenario.q0, 50.0, 0.5)
+        assert (f"error: state blew up at t={info.value.time!r} "
+                in capsys.readouterr().err)
+        got = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        want = info.value.trajectory
+        assert np.array_equal(got[:, 0], want.times)
+        assert np.all(np.isfinite(got))
+        scale = np.maximum(1.0, np.max(np.abs(want.states), axis=1))
+        gap = np.max(np.abs(got[:, 1:] - want.states), axis=1) / scale
+        assert float(np.max(gap)) <= 1e-12
+
+    def test_dense_size_bound_spares_simulate(self, tmp_path, capsys):
+        path = tmp_path / "big.scenario"
+        _network_scenario(path, 40, 80, seed=7, complete=True)  # 3200 edges
+        assert run("simulate", "--scenario", path, "--t-end", 0.05,
+                   "--out", tmp_path / "t.csv") == 0
+        capsys.readouterr()
+        for command in ("stability", "equilibrium"):
+            assert run(command, "--scenario", path) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: a network of 3200 edges needs a dense 3200x3200 "
+                "matrix, more than the limit of 10000000 values (80 MB at "
+                "8 bytes each)\n")
+
+    @pytest.mark.parametrize("name", ["canonical_stable", "canonical_unstable",
+                                      "two_firm_network"])
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_small_systems_keep_the_dense_bytes(self, name, method, tmp_path):
+        # Below the size rule every system steps Phi_h on its dense
+        # matrix, so its CSV equals a run of the dense system itself.
+        from cournotgraph import (AffineSystem, NetworkScenario,
+                                  canonical_affine, integrate, variable_names)
+        from helpers import to_affine_by_loop
+        path = SCENARIO_DIR / f"{name}.scenario"
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        if isinstance(scenario, NetworkScenario):
+            c, a = to_affine_by_loop(scenario.spec)
+            order = tuple(sorted(set(scenario.spec.edges)))
+            system = AffineSystem(c, a, order)
+        else:
+            system = canonical_affine(scenario.r)
+        want = write_trajectory(integrate(system, scenario.q0, 200.0, 0.01,
+                                          method),
+                                variable_names(system.variable_order), 10)
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--scenario", path, "--method", method,
+                   "--out", out) == 0
+        assert out.read_text(encoding="utf-8") == want

@@ -7,8 +7,9 @@ import pytest
 
 from cournotgraph import (CanonicalParams, IntegrationBlowUp, Outcome,
                           Trajectory, canonical_affine, classify, equilibrium,
-                          integrate, step_euler, step_rk4)
+                          integrate, step_euler, step_rk4, to_affine)
 from cournotgraph.dynamics import MAX_STORED_VALUES
+from helpers import dense_field, network_spec_of_shape
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
 UNSTABLE = CanonicalParams(0.01, 0.1, 1.1, -0.3, 0.4)
@@ -205,9 +206,10 @@ class TestClassify:
 
 
 def _routes(system, q0, t_end, dt, method):
-    """(affine route, field route) runs of the same system."""
+    """(affine route, field route) runs of the same system; the field
+    route steps c - A q on the same dense matrix (``dense_field``)."""
     return (integrate(system, q0, t_end, dt, method),
-            integrate(system.field_at, q0, t_end, dt, method))
+            integrate(dense_field(system), q0, t_end, dt, method))
 
 
 def _rk4_gap(affine, generic) -> float:
@@ -227,7 +229,6 @@ class TestAffineRoute:
              (STABLE, Q0, 13.37, 0.05), (UNSTABLE, Q0, 20.0, 0.03))
 
     def _systems(self):
-        from cournotgraph import to_affine
         from helpers import random_network_spec
         for r, q0, t_end, dt in self.CASES:
             yield canonical_affine(r), q0, t_end, dt
@@ -306,3 +307,48 @@ class TestAffineRoute:
         del calls[:]
         integrate(system, np.zeros(30), 1.2, 0.01, "euler")  # nothing to form
         assert calls == []
+
+    def test_networks_past_300_edges_step_the_matrix_free_field(self,
+                                                                monkeypatch):
+        from cournotgraph import AffineSystem
+        from cournotgraph.network import EdgeIncidence
+        calls = []
+        for owner, name in ((AffineSystem, "field_at"),
+                            (EdgeIncidence, "dense")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(owner, name, counted)
+        rng = np.random.default_rng(8)
+        small = to_affine(network_spec_of_shape(rng, 3, 4))
+        assert small.dimension <= 300
+        integrate(small, np.zeros(small.dimension), 2.0, 0.01)
+        integrate(small, np.zeros(small.dimension), 2.0, 0.01, "euler")
+        assert calls == ["dense"]  # Phi_h, on the matrix filled once
+        large = to_affine(network_spec_of_shape(rng, 20, 30))
+        assert large.dimension > 300
+        for method, evaluations in (("rk4", 4), ("euler", 1)):
+            del calls[:]
+            integrate(large, np.zeros(large.dimension), 20.0, 0.01, method)
+            assert calls == ["field_at"] * (evaluations * 2000)
+        assert "matrix" not in vars(large)
+
+
+class TestMatrixFreeRoute:
+    """Networks past 300 edges step their matrix-free field; the dense
+    field c - A q is the oracle."""
+
+    def test_trajectory_within_1e12_of_dense_field_route(self):
+        rng = np.random.default_rng(31)
+        spec = network_spec_of_shape(rng, 25, 35)
+        system = to_affine(spec)
+        assert system.dimension >= 500
+        q0 = rng.uniform(0.0, 0.2, system.dimension)
+        for method, t_end, dt in (("rk4", 3.0, 0.01), ("euler", 1.0, 0.002),
+                                  ("rk4", 1.234, 0.02)):
+            got = integrate(system, q0, t_end, dt, method)
+            want = integrate(dense_field(system), q0, t_end, dt, method)
+            assert np.array_equal(got.times, want.times)
+            assert _rk4_gap(got, want) <= 1e-12

@@ -6,7 +6,8 @@ import pytest
 from cournotgraph import (AffineSystem, NetworkSpec, canonical_edge_order,
                           to_affine, two_firms_two_markets, validate,
                           variable_names, vector_field)
-from helpers import random_network_spec, to_affine_by_loop, two_firm_rhs_literal
+from helpers import (network_spec_of_shape, random_network_spec,
+                     to_affine_by_loop, two_firm_rhs_literal)
 
 
 def two_firm_spec():
@@ -158,9 +159,7 @@ class TestToAffine:
             spec = random_network_spec(rng)
             sys = to_affine(spec)
             q = rng.uniform(-1.0, 2.0, sys.dimension)
-            direct = vector_field(spec, q)
-            scale = max(1.0, float(np.max(np.abs(direct))))
-            assert np.max(np.abs(sys.field_at(q) - direct)) < 1e-12 * scale
+            assert vector_field(spec, q).tobytes() == sys.field_at(q).tobytes()
 
     def test_diagonal_strictly_positive(self):
         rng = np.random.default_rng(13)
@@ -245,13 +244,66 @@ class TestAffineSystemStorage:
                            alpha=(1.0,) * 15, beta=(0.5,) * 15,
                            gamma=(0.3,) * 20)
         matrix_bytes = 300 * 300 * 8
-        to_affine(spec)
+        to_affine(spec).matrix
         tracemalloc.start()
         try:
             sys = to_affine(spec)
+            assert sys.matrix.shape == (300, 300)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sys.matrix.shape == (300, 300)
         # the matrix plus boolean masks, without a second n x n copy
         assert peak < 1.5 * matrix_bytes
+
+
+class TestMatrixFreeOperator:
+    """to_affine keeps a network's incidence structure; its field is
+    matrix-free and its dense matrix is filled on first access."""
+
+    def test_field_matches_loop_oracle(self):
+        rng = np.random.default_rng(47)
+        specs = [random_network_spec(rng, max_markets=6, max_firms=6)
+                 for _ in range(200)]
+        specs += [network_spec_of_shape(rng, 12, 17) for _ in range(5)]
+        for spec in specs:
+            c, a = to_affine_by_loop(spec)
+            q = rng.uniform(-1.0, 2.0, len(c))
+            want = c - a @ q
+            scale = np.abs(a) @ np.abs(q) + np.abs(c)
+            got = to_affine(spec).field_at(q)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_matrix_filled_once_on_first_access(self):
+        rng = np.random.default_rng(59)
+        spec = random_network_spec(rng, max_markets=6, max_firms=6)
+        sys = to_affine(spec)
+        sys.field_at(np.ones(sys.dimension))
+        assert "matrix" not in vars(sys)
+        first = sys.matrix
+        assert sys.matrix is first
+        assert not first.flags.writeable
+
+    def test_dense_size_bound_checked_before_the_fill(self, monkeypatch):
+        from cournotgraph import network
+        sys = to_affine(two_firm_spec())
+        monkeypatch.setattr(network, "MAX_DENSE_VALUES", 8)
+        monkeypatch.setattr(np, "zeros", None)  # nothing may be allocated
+        with pytest.raises(ValueError, match=r"a network of 3 edges needs a "
+                           r"dense 3x3 matrix, more than the limit of 8 values"):
+            sys.matrix
+        monkeypatch.undo()
+        assert np.array_equal(sys.field_at(np.zeros(3)), sys.constant)
+
+    def test_structure_arrays_are_read_only(self):
+        sys = to_affine(two_firm_spec())
+        for values in vars(sys.structure).values():
+            assert not values.flags.writeable
+
+    def test_takes_a_matrix_or_a_structure(self):
+        sys = to_affine(two_firm_spec())
+        with pytest.raises(ValueError, match="exactly one"):
+            AffineSystem(np.ones(3))
+        with pytest.raises(ValueError, match="exactly one"):
+            AffineSystem(np.ones(3), np.eye(3), structure=sys.structure)
+        with pytest.raises(ValueError, match="constant has length"):
+            AffineSystem(np.ones(4), structure=sys.structure)
