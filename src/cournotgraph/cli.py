@@ -133,6 +133,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --thin: an integer, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"'{text}' is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cournotgraph",
@@ -150,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=_finite_float, default=200.0, dest="t_end")
     p.add_argument("--dt", type=_finite_float, default=0.01)
     p.add_argument("--method", choices=("rk4", "euler"), default="rk4")
-    p.add_argument("--thin", type=int, default=10,
+    p.add_argument("--thin", type=_positive_int, default=10,
                    help="keep every k-th step (default 10)")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_simulate)

@@ -7,8 +7,9 @@ state. If a state goes non-finite or its magnitude passes
 carries the finite prefix of the trajectory -- that is how divergence of
 unstable systems shows up in practice.
 
-``integrate`` takes a vector field or an :class:`AffineSystem`. For an
-affine system dq/dt = c - A q one step of length h is exactly
+``integrate`` takes a vector field or an :class:`AffineSystem`, and
+one marching loop (``_march``) steps either. For an affine system
+dq/dt = c - A q one step of length h is exactly
 
     q <- q + Phi_h (c - A q),
 
@@ -20,15 +21,12 @@ evaluations, and no equilibrium is needed, so a singular A simulates
 too. Euler steps are the same floating-point operations as stepping
 c - A q; rk4 steps round differently, at about 1e-14 relative.
 
-This route is taken only where it pays (see ``_affine_pays``). A run
-too short for forming Phi_h to pay, and every network of more than
-``_DENSE_STEP_MAX`` = 300 edges, is stepped through the system's
+Phi_h is used only where it pays (``_affine_pays``). A run too short
+for forming it to pay, and every network of more than
+``_DENSE_STEP_MAX`` = 300 edges, steps the method over the system's
 ``field_at`` like any other field. A network's field is matrix-free,
-O(n + k) per evaluation (see :mod:`cournotgraph.network`), so one of
-its rk4 steps costs about the same at any size (49 us at 6 edges, 84 us
-at 960 on a 2-core x86-64 host), while a Phi_h step grows as n^2
-(54 us at 241 edges, 637 us at 960); the two meet near 300 edges. Past
-that, simulating a network never builds an n x n array.
+O(n + k) per evaluation (see :mod:`cournotgraph.network`), so past 300
+edges simulating a network never builds an n x n array.
 
 ``classify`` compares the end of a run against a candidate equilibrium:
 converged (field essentially zero there, no net drift away), diverged
@@ -52,7 +50,8 @@ Field = Callable[[np.ndarray], np.ndarray]
 STATE_LIMIT = 1e9           # abort threshold on max |q|
 DIVERGENCE_FACTOR = 10.0    # "left a 10x ball" distance criterion
 MAX_STORED_VALUES = 10_000_000  # (steps + 1) x dimension: 80 MB of states
-_BLOCK_VALUES = 1 << 16     # state values per blow-up check of the affine route
+_BLOCK_ROWS = 256           # most steps per blow-up check
+_BLOCK_VALUES = 1 << 16     # about the most state values per blow-up check
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,54 +162,50 @@ def _propagator(a: np.ndarray, h: float, method: str):
 
 def _first_bad(rows: np.ndarray) -> int | None:
     """Index of the first row that is not finite or passes STATE_LIMIT."""
-    peaks = np.max(np.abs(rows), axis=1)
-    bad = np.flatnonzero(~(peaks <= STATE_LIMIT))  # NaN fails <= as well
-    return int(bad[0]) if bad.size else None
+    bad = np.flatnonzero(~(np.abs(rows) <= STATE_LIMIT))  # NaN fails <= too
+    return int(bad[0]) // rows.shape[1] if bad.size else None
 
 
-def _march_affine(system: AffineSystem, method: str, states: np.ndarray,
-                  segments) -> int | None:
-    """Fill states[1:] with q <- q + Phi_h (c - A q), one (h, count)
-    segment of equal steps after another; return the index of the first
-    bad state (see ``_first_bad``), or None.
+def _march(system: Field | AffineSystem, method: str, states: np.ndarray,
+           segments) -> int | None:
+    """Fill states[1:], one (h, count) segment of equal steps after
+    another; return the index of the first bad state (see
+    ``_first_bad``), or None. A step is q <- q + Phi_h (c - A q) for an
+    AffineSystem, else the method's stepper over the field ``system``.
 
-    States are checked once per block of about ``_BLOCK_VALUES`` values,
-    so a run that blows up steps at most one block past its first bad
-    state; the overflow and NaN arithmetic of those steps is expected
-    and silenced.
+    States are checked once per block of at most ``_BLOCK_ROWS`` steps
+    and about ``_BLOCK_VALUES`` values, so a run that blows up steps at
+    most one block past its first bad state; the overflow and NaN
+    arithmetic of those steps is silenced, and a field that fails there
+    with an ArithmeticError or ValueError still reports the blow-up.
     """
-    a, c = system.matrix, system.constant
-    apply = np.multiply if method == "euler" else np.matmul
-    rows = max(1, _BLOCK_VALUES // a.shape[0])
+    affine = isinstance(system, AffineSystem)
+    if affine:
+        a, c = system.matrix, system.constant
+        apply = np.multiply if method == "euler" else np.matmul
+    stepper = _STEPPERS[method]
+    rows = min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // states.shape[1]))
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for h, count in segments:
-            phi = _propagator(a, h, method)
+            phi = _propagator(a, h, method) if affine else None
             for lo in range(k, k + count, rows):
-                hi = min(lo + rows, k + count)
-                for q, nxt in zip(states[lo:hi], states[lo + 1:hi + 1]):
-                    np.add(q, apply(phi, c - a @ q), out=nxt)
+                hi, failure = min(lo + rows, k + count), None
+                if affine:
+                    for q, nxt in zip(states[lo:hi], states[lo + 1:hi + 1]):
+                        np.add(q, apply(phi, c - a @ q), out=nxt)
+                else:
+                    try:
+                        for j in range(lo, hi):
+                            states[j + 1] = stepper(system, states[j], h)
+                    except (ArithmeticError, ValueError) as exc:
+                        hi, failure = j, exc  # rows lo + 1 .. j were made
                 bad = _first_bad(states[lo + 1:hi + 1])
                 if bad is not None:
                     return lo + 1 + bad
+                if failure is not None:
+                    raise failure
             k += count
-    return None
-
-
-def _march(field: Field, method: str, states: np.ndarray,
-           segments) -> int | None:
-    """Fill states[1:] with the method's stepper over the field, checking
-    each state as it is made; same segments and result as
-    ``_march_affine``."""
-    stepper = _STEPPERS[method]
-    q, k = states[0], 0
-    for h, count in segments:
-        for _ in range(count):
-            q = stepper(field, q, h)
-            k += 1
-            states[k] = q
-            if not float(np.max(np.abs(q))) <= STATE_LIMIT:  # catches NaN
-                return k
     return None
 
 
@@ -252,12 +247,10 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
 
     states = np.empty((n_steps + 1, len(q)))
     states[0] = q
-    if not isinstance(system, AffineSystem):
-        bad = _march(system, method, states, segments)
-    elif _affine_pays(system, n_steps, method):
-        bad = _march_affine(system, method, states, segments)
-    else:
-        bad = _march(system.field_at, method, states, segments)
+    if (isinstance(system, AffineSystem)
+            and not _affine_pays(system, n_steps, method)):
+        system = system.field_at
+    bad = _march(system, method, states, segments)
     # Handed over read-only, so the Trajectory keeps them uncopied; the
     # prefix views of a blow-up are copied.
     times.setflags(write=False)

@@ -69,21 +69,31 @@ class NetworkSpec:
         object.__setattr__(self, "alpha", _as_float_tuple(self.alpha))
         object.__setattr__(self, "beta", _as_float_tuple(self.beta))
         object.__setattr__(self, "gamma", _as_float_tuple(self.gamma))
-        speed = self.speed if len(self.speed) else (1.0,) * int(self.firm_count)
+        speed = self.speed
+        # More firms than edges is invalid, and ``validate`` says so
+        # without the default tuple, which would grow with the count.
+        if not len(speed) and int(self.firm_count) <= len(self.edges):
+            speed = (1.0,) * int(self.firm_count)
         object.__setattr__(self, "speed", _as_float_tuple(speed))
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only float array of ``values``. A float array that owns
-    its buffer and is already read-only is taken as it is (its maker
-    handed it over); anything else, such as a writeable array or a view
-    of one that a caller may still change, is copied."""
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+def _frozen(values, dtype=np.float64) -> np.ndarray:
+    """A read-only ``dtype`` array of ``values``: the rule by which every
+    value type of the package holds its arrays. An array of that dtype
+    that owns its buffer and is already read-only is taken as it is (its
+    maker handed it over); anything else, such as a writeable array or a
+    view of one that a caller may still change, is copied."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
             and values.flags.owndata and not values.flags.writeable):
         return values
-    copy = np.array(values, dtype=float)
+    copy = np.array(values, dtype=dtype)
     copy.setflags(write=False)
     return copy
+
+
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +101,8 @@ class EdgeIncidence:
     """A network's matrix A = D_b (diag beta_i(e) + F Gamma F^T + M B M^T),
     held as its per-edge structure: the 0-based ``market`` and ``firm``
     of each edge, the edge's speed b_j(e) and slope beta_i(e), and the
-    per-firm gamma and per-market beta. Read-only arrays."""
+    per-firm gamma and per-market beta. Read-only arrays, held by the
+    rule of ``_frozen``; the float ones must be finite."""
 
     market: np.ndarray
     firm: np.ndarray
@@ -99,6 +110,15 @@ class EdgeIncidence:
     beta: np.ndarray
     firm_gamma: np.ndarray
     market_beta: np.ndarray
+
+    def __post_init__(self):
+        for name, values in vars(self).items():
+            if name in ("market", "firm"):
+                values = _frozen(values, np.intp)
+            else:
+                values = _frozen(values)
+                _require_finite(name, values)
+            object.__setattr__(self, name, values)
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         """A q in O(n + k): firm outputs s = F^T q and market supplies
@@ -142,7 +162,8 @@ class AffineSystem:
 
     Made from a dense ``matrix``, or, for a network, from its
     :class:`EdgeIncidence` ``structure``: then ``field_at`` runs on the
-    structure and ``matrix`` is filled on first access. ``variable_order``
+    structure and ``matrix`` is filled on first access. Both and the
+    constant must be finite. ``variable_order``
     records which (market, firm) edge each coordinate belongs to; for
     systems assembled from a :class:`NetworkSpec` it is the canonical
     edge order.
@@ -155,6 +176,7 @@ class AffineSystem:
     def __init__(self, constant, matrix=None, variable_order=(), *,
                  structure: EdgeIncidence | None = None):
         c = _frozen(constant)
+        _require_finite("constant", c)
         if (matrix is None) == (structure is None):
             raise ValueError("an affine system takes a matrix or a structure, "
                              "exactly one of them")
@@ -162,6 +184,7 @@ class AffineSystem:
             a = _frozen(matrix)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError(f"matrix must be square, got shape {a.shape}")
+            _require_finite("matrix", a)
             size = a.shape[0]
             object.__setattr__(self, "matrix", a)  # in place of the lazy fill
         else:
@@ -204,6 +227,15 @@ def validate(spec: NetworkSpec) -> list[str]:
         problems.append(f"firm_count must be a positive integer, got {spec.firm_count}")
     if problems:
         return problems
+    # Every market and firm needs an edge, so a count past the number of
+    # edges is said once, before any work that grows with the count.
+    n = len(spec.edges)
+    for kind, count, side in (("market", spec.market_count, 0),
+                              ("firm", spec.firm_count, 1)):
+        if count > n:
+            unused = min(set(range(1, n + 2)) - {e[side] for e in spec.edges})
+            return [f"{kind} {unused} appears in no edge: {count} {kind}s "
+                    f"need at least {count} edges, got {n}"]
 
     for name, values, count in (("alpha", spec.alpha, spec.market_count),
                                 ("beta", spec.beta, spec.market_count),
@@ -291,8 +323,5 @@ def to_affine(spec: NetworkSpec) -> AffineSystem:
                               beta=market_beta[market],
                               firm_gamma=np.array(spec.gamma),
                               market_beta=market_beta)
-    for values in vars(structure).values():
-        values.setflags(write=False)
-    c = b * np.array(spec.alpha)[market]
-    c.setflags(write=False)  # hand the buffer over instead of copying it
-    return AffineSystem(constant=c, variable_order=order, structure=structure)
+    return AffineSystem(constant=b * np.array(spec.alpha)[market],
+                        variable_order=order, structure=structure)

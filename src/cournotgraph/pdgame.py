@@ -48,6 +48,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .network import _frozen
+
 C = "C"
 D = "D"
 Strategy = str
@@ -110,22 +112,20 @@ def min_side_payment(m: PayoffMatrix) -> float:
     return max(m.T - m.R, m.U - m.S)
 
 
-def _sealed(values: np.ndarray) -> np.ndarray:
-    """``values``, marked read-only: its maker hands it over."""
-    values.setflags(write=False)
-    return values
-
-
 @dataclass(frozen=True, eq=False)
 class PlayerGraph:
     """Simple undirected graph over players 0..player_count-1.
 
     ``ends`` is a read-only (edges, 2) int32 array with one row (lower,
-    higher) per edge, rows in ascending order. The builders below make
-    it; a PlayerGraph constructed directly is not checked."""
+    higher) per edge, rows in ascending order, held by the rule of
+    ``network._frozen``. The builders below make it; the edges of a
+    PlayerGraph constructed directly are not checked."""
 
     player_count: int
     ends: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "ends", _frozen(self.ends, np.int32))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -145,7 +145,8 @@ class PlayerGraph:
         """(members, starts): every player's closed neighborhood -- the
         player itself, then its neighbors in ascending order -- laid end
         to end in the int32 array ``members``, with player p's run
-        beginning at ``starts[p]``. Its size is player_count + 2 * edges."""
+        beginning at ``starts[p]``. Its size is player_count + 2 * edges.
+        Both arrays are read-only."""
         players = np.arange(self.player_count, dtype=np.int32)
         low, high = self.ends.T
         owner = np.concatenate((players, high, low))
@@ -158,6 +159,8 @@ class PlayerGraph:
         starts = np.zeros(self.player_count, np.int32)
         np.cumsum(np.bincount(owner, minlength=self.player_count)[:-1],
                   out=starts[1:])
+        members.setflags(write=False)
+        starts.setflags(write=False)
         return members, starts
 
 
@@ -168,8 +171,8 @@ def _keys(player_count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _graph(player_count: int, keys: np.ndarray) -> PlayerGraph:
     """The graph whose edges are the ascending, distinct ``keys``."""
-    ends = np.stack(np.divmod(keys, player_count), axis=1).astype(np.int32)
-    return PlayerGraph(player_count, _sealed(ends))
+    ends = np.stack(np.divmod(keys, player_count), axis=1)
+    return PlayerGraph(player_count, ends)  # which makes the int32 copy
 
 
 def player_graph(player_count: int, edges) -> PlayerGraph:
@@ -239,25 +242,21 @@ def torus_graph(width: int, height: int) -> PlayerGraph:
 @dataclass(frozen=True, eq=False)
 class PopulationState:
     """Strategy assignment over a player graph: ``cooperates[p]`` is True
-    where player p plays C. It is kept as a read-only bool array: one
-    that owns its buffer and is already read-only is taken as it is,
-    anything else is copied."""
+    where player p plays C. It is kept as a read-only bool array, by the
+    rule of ``network._frozen``."""
 
     graph: PlayerGraph
     cooperates: np.ndarray
 
     def __post_init__(self):
-        coop = self.cooperates
-        if not (isinstance(coop, np.ndarray) and coop.flags.owndata
-                and not coop.flags.writeable):
-            coop = _sealed(np.array(coop))
+        coop = np.asarray(self.cooperates)
         if coop.dtype != bool:
             raise ValueError(f"cooperates must be a bool array, got {coop.dtype}")
         if coop.shape != (self.graph.player_count,):
             raise ValueError(
                 f"expected {self.graph.player_count} strategies, "
                 f"got {coop.size}")
-        object.__setattr__(self, "cooperates", coop)
+        object.__setattr__(self, "cooperates", _frozen(coop, bool))
 
     @classmethod
     def from_strategies(cls, graph: PlayerGraph, strategies) -> PopulationState:
@@ -349,7 +348,7 @@ def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
     # Every run holds its maximum, so the first match at or after a run's
     # start lies inside that run.
     winners = members[at_best[np.searchsorted(at_best, starts)]]
-    return PopulationState(state.graph, _sealed(state.cooperates[winners]))
+    return PopulationState(state.graph, state.cooperates[winners])
 
 
 def run_spatial(state: PopulationState, m: PayoffMatrix,

@@ -17,7 +17,8 @@ from .network import variable_names
 from .pdgame import PayoffMatrix, apply_side_payment, dominant_strategy, \
     min_side_payment
 from .scenario import CanonicalScenario
-from .stability import StabilityReport, canonical_margins, verdict_of
+from .stability import (StabilityReport, _hurwitz_checks, canonical_margins,
+                        verdict_of)
 
 SWEEP_PARAMS = ("r1", "r2", "r3", "r4", "r5")
 MAX_SWEEP_POINTS = 1_000_000  # grid points of one sweep, checked before any work
@@ -60,10 +61,8 @@ def pd_series_csv(fractions) -> str:
 
 
 def _check_lines(a1: float, a2: float, a3: float) -> list[str]:
-    marks = {True: "PASS", False: "FAIL"}
-    return [f"    a1 > 0       {marks[a1 > 0.0]}",
-            f"    a3 > 0       {marks[a3 > 0.0]}",
-            f"    a1*a2 > a3   {marks[a1 * a2 > a3]}"]
+    return [f"    {label:<13}{'PASS' if holds else 'FAIL'}"
+            for label, holds in _hurwitz_checks(a1, a2, a3)]
 
 
 def render_stability_report(report: StabilityReport) -> str:

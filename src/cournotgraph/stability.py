@@ -1,11 +1,13 @@
 """Equilibrium and stability analysis for affine flow dynamics.
 
 For dq/dt = c - A q the unique equilibrium solves A q = c and the
-Jacobian is J = -A. ``analyze`` computes the eigenvalues of J once;
-their maximum real part is the "margin", which decides the verdict,
-since strict inequalities mean nothing at the boundary in floating
-point. The characteristic coefficients (a1..an of
-det(lambda I - J) = lambda^n + a1 lambda^(n-1) + ... + an) come from
+Jacobian is J = -A. One kernel (``_solve``) runs the condition guard,
+the solve and the residual test on a stack of systems: ``equilibrium``
+on one, ``canonical_margins`` on a sweep's grid. ``analyze`` computes
+the eigenvalues of J once; their maximum real part is the "margin",
+which decides the verdict, since strict inequalities mean nothing at
+the boundary in floating point. The characteristic coefficients (a1..an
+of det(lambda I - J) = lambda^n + a1 lambda^(n-1) + ... + an) come from
 one of two routes:
 
 * for n <= 3, from the matrix by Faddeev-LeVerrier (``char_poly``),
@@ -33,8 +35,7 @@ coefficients as explicit formulas in r; its a3 cross terms
 regime r1 == r2 and ``char_poly`` stays authoritative for verdicts. In
 that symmetric regime the equilibrium and its existence/stability
 conditions also have closed forms (``symmetric_equilibrium``,
-``symmetric_conditions``). ``canonical_margins`` gives the margin of
-many parameter points at once, for verdict maps.
+``symmetric_conditions``).
 """
 
 from __future__ import annotations
@@ -96,25 +97,41 @@ class StabilityReport:
     eigen_margin: float
     verdict: Stability
     variable_order: tuple[Edge, ...]
-    # True when char_coeffs are the elementary symmetric functions of the
-    # eigenvalues (n > CHAR_POLY_MAX_N); then they are empty if not finite.
-    coeffs_from_eigenvalues: bool = False
+
+    @property
+    def coeffs_from_eigenvalues(self) -> bool:
+        """Whether char_coeffs come from the eigenvalues (see ``analyze``)."""
+        return len(self.equilibrium) > CHAR_POLY_MAX_N
 
 
-def _ill_conditioned(cond):
-    """Where A q = c is not solved at all: the condition number of A is
-    not finite or passes _COND_LIMIT. Elementwise over a stack."""
-    return ~np.isfinite(cond) | (cond > _COND_LIMIT)
+def _solve(a: np.ndarray, c: np.ndarray):
+    """Guarded solves of A q = c for a (P, n, n) stack ``a`` and (P, n)
+    constants ``c``: (q, ok, cond, residual), one entry per system. A
+    system whose condition number is not finite or passes _COND_LIMIT is
+    not solved (q and residual NaN); ``ok`` marks the solves whose
+    residual max |c - A q| is within 1e-10 max |c|."""
+    cond = np.linalg.cond(a)
+    solved = cond <= _COND_LIMIT  # inf and NaN fail as well
+    # The solvable systems are copied out only when some are not.
+    a_s, c_s = (a, c) if solved.all() else (a[solved], c[solved])
+    q = np.full(c.shape, np.nan)
+    q[solved] = np.linalg.solve(a_s, c_s[..., None])[..., 0]
+    residual = np.max(np.abs(c - (a @ q[..., None])[..., 0]), axis=-1)
+    ok = residual <= 1e-10 * np.max(np.abs(c), axis=-1)  # NaN fails
+    return q, ok, cond, residual
 
 
-def _residual(a: np.ndarray, c: np.ndarray, q: np.ndarray):
-    """max |c - A q| of each system of a stack (or of one system)."""
-    return np.max(np.abs(c - (a @ q[..., None])[..., 0]), axis=-1)
+def _spectrum(a: np.ndarray):
+    """(eigenvalues of J = -A, margin max Re of them), of one matrix or
+    of each matrix of a stack."""
+    eigvals = np.linalg.eigvals(-a)
+    return eigvals, np.max(eigvals.real, axis=-1)
 
 
-def _residual_too_large(residual, c: np.ndarray):
-    """Where a solve is rejected: its residual passes 1e-10 max |c|."""
-    return residual > 1e-10 * np.max(np.abs(c), axis=-1)
+def _hurwitz_checks(a1: float, a2: float, a3: float):
+    """The three Routh-Hurwitz inequalities of a cubic, labelled."""
+    return (("a1 > 0", a1 > 0.0), ("a3 > 0", a3 > 0.0),
+            ("a1*a2 > a3", a1 * a2 > a3))
 
 
 def verdict_of(margin: float) -> Stability:
@@ -128,18 +145,14 @@ def verdict_of(margin: float) -> Stability:
 
 def equilibrium(sys: AffineSystem) -> np.ndarray:
     """Solve A q = c with a condition-number guard and residual check."""
-    a, c = sys.matrix, sys.constant
-    cond = np.linalg.cond(a)
-    if _ill_conditioned(cond):
-        raise NoUniqueEquilibriumError(
-            f"no unique equilibrium: matrix condition number {cond:.3g} "
-            f"exceeds {_COND_LIMIT:.0e}")
-    q = np.linalg.solve(a, c)
-    residual = _residual(a, c, q)
-    if _residual_too_large(residual, c):
-        raise NoUniqueEquilibriumError(
-            f"no unique equilibrium: solve residual {residual:.3g} too large")
-    return q
+    q, ok, cond, residual = _solve(sys.matrix[None], sys.constant[None])
+    if not ok[0]:
+        reason = (f"solve residual {residual[0]:.3g} too large"
+                  if cond[0] <= _COND_LIMIT else
+                  f"matrix condition number {cond[0]:.3g} exceeds "
+                  f"{_COND_LIMIT:.0e}")
+        raise NoUniqueEquilibriumError(f"no unique equilibrium: {reason}")
+    return q[0]
 
 
 def char_poly(sys: AffineSystem) -> tuple[float, ...]:
@@ -163,7 +176,7 @@ def char_poly(sys: AffineSystem) -> tuple[float, ...]:
 def routh_hurwitz_cubic(a1: float, a2: float, a3: float) -> bool:
     """All roots of lambda^3 + a1 lambda^2 + a2 lambda + a3 lie strictly
     in the left half-plane iff a1 > 0, a3 > 0 and a1 a2 > a3."""
-    return a1 > 0.0 and a3 > 0.0 and a1 * a2 > a3
+    return all(holds for _, holds in _hurwitz_checks(a1, a2, a3))
 
 
 def eigen_margin(sys: AffineSystem) -> float:
@@ -173,8 +186,7 @@ def eigen_margin(sys: AffineSystem) -> float:
     ``char_poly``, so the Routh-Hurwitz route and this one stay
     independent of each other.
     """
-    eigvals = np.linalg.eigvals(-sys.matrix)
-    return float(np.max(eigvals.real))
+    return float(_spectrum(sys.matrix)[1])
 
 
 def canonical_field(r: CanonicalParams, q) -> tuple[float, float, float]:
@@ -213,20 +225,16 @@ def canonical_margins(r) -> np.ndarray:
     ``r`` (shape (P, 5)), or NaN where ``equilibrium`` would find no
     unique equilibrium.
 
-    The same guards, solve and eigenvalues as ``equilibrium`` and
-    ``analyze``, each done for the whole (P, 3, 3) stack by one batched
+    The same solve kernel as ``equilibrium`` and the same margin as
+    ``analyze``, each run on the whole (P, 3, 3) stack by one batched
     LAPACK call, so every margin equals the one ``analyze`` reports bit
-    for bit. Only systems that pass the condition guard are solved, so a
-    singular one never reaches the solver.
+    for bit.
     """
     constant, matrices = _canonical_system(r)
-    ok = ~_ill_conditioned(np.linalg.cond(matrices))
-    a = matrices[ok]
-    c = np.broadcast_to(constant, a.shape[:-1])
-    q = np.linalg.solve(a, c[..., None])[..., 0]
-    ok[ok] = ~_residual_too_large(_residual(a, c, q), c)
+    _, ok, _, _ = _solve(matrices,
+                         np.broadcast_to(constant, matrices.shape[:-1]))
     margins = np.full(len(matrices), np.nan)
-    margins[ok] = np.max(np.linalg.eigvals(-matrices[ok]).real, axis=-1)
+    margins[ok] = _spectrum(matrices[ok])[1]
     return margins
 
 
@@ -279,10 +287,8 @@ def analyze(sys: AffineSystem,
     (cubic systems only), eigenvalue margin and the verdict; for
     canonical systems pass r to include the closed-form coefficients."""
     eq = equilibrium(sys)
-    eigvals = np.linalg.eigvals(-sys.matrix)
-    margin = float(np.max(eigvals.real))
-    from_eigenvalues = sys.dimension > CHAR_POLY_MAX_N
-    if from_eigenvalues:
+    eigvals, margin = _spectrum(sys.matrix)
+    if sys.dimension > CHAR_POLY_MAX_N:
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = tuple(float(v) for v in np.poly(eigvals).real[1:])
         if not all(np.isfinite(coeffs)):
@@ -293,6 +299,6 @@ def analyze(sys: AffineSystem,
     return StabilityReport(equilibrium=eq, char_coeffs=coeffs,
                            hurwitz_pass=hurwitz,
                            closed_form=closed_form_coeffs(r) if r is not None else None,
-                           eigen_margin=margin, verdict=verdict_of(margin),
-                           variable_order=sys.variable_order,
-                           coeffs_from_eigenvalues=from_eigenvalues)
+                           eigen_margin=float(margin),
+                           verdict=verdict_of(margin),
+                           variable_order=sys.variable_order)

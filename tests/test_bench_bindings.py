@@ -1,0 +1,48 @@
+"""The benchmark's tracer (``bench/tracing.py``) wraps package functions
+by name. This runs it against the checkout, so a refactor that renames
+or deletes a wrapped name, or stops calling one, fails here and not only
+in a traced benchmark run. It runs in a subprocess because ``install``
+patches the package for the whole process."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TRACED_RUN = """
+import json, sys
+root, out = sys.argv[1:]
+sys.path[:0] = [root + "/src", root + "/bench"]
+import tracing
+tracer = tracing.Tracer()
+main = tracing.install(tracer)
+scenario = root + "/scenarios/canonical_stable.scenario"
+codes = [main(["stability", "--scenario", scenario]),
+         main(["simulate", "--scenario", scenario, "--t-end", "0.05",
+               "--dt", "0.01", "--out", out])]
+print(json.dumps({"codes": codes, "metrics": tracer.metrics(0)}))
+"""
+
+
+def test_traced_stability_and_simulate_reach_the_wrapped_layers(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT), str(tmp_path / "x.csv")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout.splitlines()[-1])
+    assert record["codes"] == [0, 0]
+    metrics = record["metrics"]
+    assert metrics["stability.analyze_calls"] == 1
+    for name in ("cli.self_s", "scenario.parse_s", "stability.analyze_s",
+                 "stability.equilibrium_s", "stability.char_poly_s",
+                 "reports.render_s", "dynamics.integrate_s",
+                 "reports.write_trajectory_s"):
+        assert metrics[name] > 0.0, name
+    # Five steps of three variables take the field route: four
+    # evaluations per rk4 step.
+    assert metrics["dynamics.steps"] == 5
+    assert metrics["dynamics.field_evals"] == 20

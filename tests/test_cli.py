@@ -379,6 +379,36 @@ class TestCommandRoutes:
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("dt, t_end", [(0.01, 1.0), (3.0, 40.0)])
+    @pytest.mark.parametrize("thin", ["0", "-2", "x"])
+    def test_bad_thin_exits_2_before_integrating(self, monkeypatch, dt, t_end,
+                                                 thin, tmp_path, capsys):
+        # Both a converging run and one that blows up stop at parsing.
+        from cournotgraph import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("integrate reached")
+        monkeypatch.setattr(cli, "integrate", unreachable)
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--scenario", STABLE, "--dt", dt, "--t-end", t_end,
+                "--thin", thin, "--out", out)
+        assert exc.value.code == 2
+        assert "argument --thin: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_market_count_is_one_short_message(self, tmp_path, capsys):
+        spec = tmp_path / "huge.scenario"
+        spec.write_text("[network]\nmarkets = 1000000\nfirms = 2\n"
+                        "edges = 1:1, 2:2\nalpha = 1, 1\nbeta = 1, 1\n"
+                        "gamma = 1, 1\nq0 = 0, 0\n")
+        for command in ("equilibrium", "stability"):
+            assert run(command, "--scenario", spec) == 2
+            err = capsys.readouterr().err
+            assert len(err.encode()) < 1024
+            assert "market 3 appears in no edge: 1000000 markets need at " \
+                "least 1000000 edges, got 2" in err
+
     def test_pd_builds_the_player_graph_once(self, monkeypatch, tmp_path, capsys):
         from cournotgraph import scenario
         builds = []

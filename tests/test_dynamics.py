@@ -109,6 +109,36 @@ class TestIntegrate:
         with pytest.raises(AssertionError, match="np.empty reached"):
             integrate(decay, np.zeros(3), 1000.0, 0.01)
 
+    def test_blowup_steps_at_most_one_block_past_the_first_bad_state(self):
+        # Doubling per euler step passes STATE_LIMIT at step 30; the run
+        # is checked a block of at most 256 steps at a time.
+        calls = []
+
+        def double(q):
+            calls.append(1)
+            return q
+        with pytest.raises(IntegrationBlowUp) as info:
+            integrate(double, np.array([1.0]), 1e5, 1.0, "euler")
+        assert 30 <= len(calls) <= 30 + 256
+        assert info.value.time == 30.0
+        assert info.value.trajectory.states[:, 0].tolist() == \
+            [2.0 ** k for k in range(30)]
+        assert str(info.value) == ("state blew up at t=30.0 (max |q| = "
+                                   "1073741824.0); last finite state "
+                                   "[536870912.0]")
+
+    def test_field_raising_past_the_first_bad_state_still_blows_up(self):
+        def fragile(q):
+            if not abs(q[0]) < 1e10:
+                raise OverflowError("field undefined here")
+            return q
+        with pytest.raises(IntegrationBlowUp) as info:
+            integrate(fragile, np.array([1.0]), 1e5, 1.0, "euler")
+        assert info.value.time == 30.0
+        # Before the first bad state the field's own error stands.
+        with pytest.raises(OverflowError, match="field undefined"):
+            integrate(fragile, np.array([2e10]), 10.0, 1.0, "euler")
+
     def test_nan_field_detected(self):
         bad = lambda q: np.array([float("nan")])
         with pytest.raises(IntegrationBlowUp):

@@ -66,6 +66,17 @@ class TestValidate:
                            gamma=(float("nan"),))
         assert any("gamma[1]" in p for p in validate(spec))
 
+    def test_count_past_the_edges_is_one_message(self):
+        spec = NetworkSpec(10 ** 6, 10 ** 9, ((1, 1), (2, 2)), alpha=(1, 1),
+                           beta=(1, 1), gamma=(1, 1))
+        assert spec.speed == ()  # no default tuple of 10**9 speeds
+        assert validate(spec) == ["market 3 appears in no edge: 1000000 "
+                                  "markets need at least 1000000 edges, got 2"]
+        spec = NetworkSpec(2, 5, ((1, 1), (2, 1)), alpha=(1, 1), beta=(1, 1),
+                           gamma=(1,) * 5)
+        assert validate(spec) == ["firm 2 appears in no edge: 5 firms need "
+                                  "at least 5 edges, got 2"]
+
 
 class TestCanonicalEdgeOrder:
     def test_two_firm_graph(self):
@@ -236,6 +247,38 @@ class TestAffineSystemStorage:
             assert not kept.matrix.flags.writeable
             assert not kept.constant.flags.writeable
             assert kept.matrix.dtype == np.float64
+
+    def test_non_finite_values_rejected(self):
+        import dataclasses
+        nan = float("nan")
+        with pytest.raises(ValueError, match="constant must be finite"):
+            AffineSystem(constant=[nan, 1.0], matrix=np.eye(2))
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            AffineSystem(constant=[0.0, 1.0],
+                         matrix=[[1.0, np.inf], [0.0, 1.0]])
+        structure = to_affine(two_firm_spec()).structure
+        for name in ("speed", "beta", "firm_gamma", "market_beta"):
+            values = getattr(structure, name).copy()
+            values[-1] = -np.inf
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                dataclasses.replace(structure, **{name: values})
+
+    def test_directly_built_structure_is_held_read_only(self):
+        from cournotgraph.network import EdgeIncidence
+        market, speed = np.array([0, 1]), np.ones(2)
+        structure = EdgeIncidence(market=market, firm=[0, 0], speed=speed,
+                                  beta=np.ones(2), firm_gamma=np.ones(1),
+                                  market_beta=np.ones(2))
+        market[0], speed[0] = 1, 5.0
+        assert structure.market.tolist() == [0, 1]
+        assert structure.speed.tolist() == [1.0, 1.0]
+        assert structure.firm.dtype == np.intp
+        for values in vars(structure).values():
+            assert not values.flags.writeable
+        # A read-only array that owns its buffer is handed over uncopied.
+        again = EdgeIncidence(**vars(structure))
+        assert all(getattr(again, name) is values
+                   for name, values in vars(structure).items())
 
     def test_to_affine_fills_one_matrix_buffer(self):
         import tracemalloc

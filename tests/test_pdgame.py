@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cournotgraph import (PayoffMatrix, PopulationState, all_cooperate,
-                          all_defect, apply_side_payment, complete_graph,
-                          cycle_graph, dominant_strategy, imitation_step,
-                          min_side_payment, payoffs, player_graph,
-                          random_population, run_spatial, scores,
-                          single_defector, torus_graph)
+from cournotgraph import (PayoffMatrix, PlayerGraph, PopulationState,
+                          all_cooperate, all_defect, apply_side_payment,
+                          complete_graph, cycle_graph, dominant_strategy,
+                          imitation_step, min_side_payment, payoffs,
+                          player_graph, random_population, run_spatial,
+                          scores, single_defector, torus_graph)
 from cournotgraph import pdgame
 from cournotgraph.pdgame import C, D
 from helpers import (closed_neighborhoods_by_loop, complete_edges_by_loop,
@@ -376,6 +376,20 @@ class TestGraphBuilders:
             assert (members.tolist(), starts.tolist()) == (flat, runs)
             assert graph.neighbors == tuple(
                 tuple(flat[a + 1:b]) for a, b in zip(runs, [*runs[1:], len(flat)]))
+
+    def test_graph_arrays_are_read_only(self):
+        graph = torus_graph(4, 4)
+        members, starts = graph.closed_neighborhoods
+        for values in (members, starts, graph.ends):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1
+        # Ends given directly are copied into a read-only int32 array.
+        ends = np.array([[0, 1], [1, 2]])
+        direct = PlayerGraph(3, ends)
+        ends[0, 0] = 2
+        assert direct.ends.tolist() == [[0, 1], [1, 2]]
+        assert direct.ends.dtype == np.int32
+        assert not direct.ends.flags.writeable
 
     def test_random_population_draws_as_random_module(self):
         for seed in (0, 1, 7, 2 ** 40 + 3, -5):

@@ -40,6 +40,12 @@ class TestEquilibrium:
         with pytest.raises(NoUniqueEquilibriumError, match="no unique equilibrium"):
             equilibrium(sys)
 
+    def test_non_finite_system_gets_no_verdict(self):
+        # Its NaN equilibrium once passed the residual test, as STABLE.
+        with pytest.raises(ValueError, match="constant must be finite"):
+            analyze(AffineSystem(constant=[float("nan"), 1.0],
+                                 matrix=np.eye(2)))
+
     def test_zero_constant_gives_origin(self):
         sys = AffineSystem(constant=np.zeros(3), matrix=np.eye(3))
         assert np.array_equal(equilibrium(sys), np.zeros(3))
