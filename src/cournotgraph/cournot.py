@@ -11,13 +11,14 @@ profit, dq_ij/dt = b_j dPi_j/dq_ij, which expands to
 
     dq_ij/dt = b_j [ alpha_i - gamma_j s_j - beta_i q_ij - beta_i c_i ]
 
-and is therefore affine in q. :func:`vector_field` is the field of the
-system :func:`cournotgraph.network.to_affine` assembles, computed from
-its incidence structure, so the package has one formula for it; the
-tests check it against a per-entry dense matrix. The profit functions
-sum the supplies straight from the edges, s = F^T q and c = M^T q with
-F and M the edge-firm and edge-market incidence matrices. Nothing is
-cached between calls.
+and is therefore affine in q. Every function here reads the system
+that :func:`cournotgraph.network.to_affine` assembles, so each rejects
+an invalid spec with its error and the spec's structure is derived only
+once. :func:`vector_field` is that system's field, so the package has
+one formula for it; the tests check it against a per-entry dense
+matrix. The profit functions take the supplies s = F^T q and c = M^T q
+(F and M the edge-firm and edge-market incidence matrices) from the
+same structure.
 
 Flows may go negative during integration: the dynamics have no
 constraint mechanism, and clamping would silently change them. Negative
@@ -30,7 +31,7 @@ import numpy as np
 
 # canonical_edge_order is re-exported for callers that import it from here.
 from .network import (NetworkSpec, canonical_edge_order,  # noqa: F401
-                      edge_index, to_affine)
+                      to_affine)
 
 
 def _flows(q, n: int) -> np.ndarray:
@@ -45,49 +46,45 @@ def _flows(q, n: int) -> np.ndarray:
 
 
 def _supplies(spec: NetworkSpec, q):
-    """(order, market, firm, q, s, c): the canonical edge order with its
-    0-based market and firm index arrays, the checked flow vector, the
-    firm outputs s = F^T q and the market supplies c = M^T q."""
-    order, market, firm = edge_index(spec)
-    qv = _flows(q, len(order))
-    s = np.bincount(firm, weights=qv, minlength=spec.firm_count)
-    c = np.bincount(market, weights=qv, minlength=spec.market_count)
-    return order, market, firm, qv, s, c
+    """(``to_affine(spec)``, checked q, its supplies s = F^T q, c = M^T q)."""
+    system = to_affine(spec)
+    qv = _flows(q, system.dimension)
+    return (system, qv) + system.structure.supplies(qv)
 
 
 def firm_supply(spec: NetworkSpec, q, j: int) -> float:
     """Total output s_j of firm j: sum of q over all of its edges."""
     if not 1 <= j <= spec.firm_count:
         raise ValueError(f"unknown firm index {j}")
-    return float(_supplies(spec, q)[4][j - 1])
+    return float(_supplies(spec, q)[2][j - 1])
 
 
 def market_supply(spec: NetworkSpec, q, i: int) -> float:
     """Total supply c_i into market i: sum of q over all edges into it."""
     if not 1 <= i <= spec.market_count:
         raise ValueError(f"unknown market index {i}")
-    return float(_supplies(spec, q)[5][i - 1])
+    return float(_supplies(spec, q)[3][i - 1])
 
 
 def profit(spec: NetworkSpec, q, j: int) -> float:
     """Firm j's profit at flow state q."""
     if not 1 <= j <= spec.firm_count:
         raise ValueError(f"unknown firm index {j}")
-    _, market, firm, qv, s, c = _supplies(spec, q)
-    own = firm == j - 1
-    markets, q_j = market[own], qv[own]
+    system, qv, s, c = _supplies(spec, q)
+    own = system.structure.firm == j - 1
+    markets, q_j = system.structure.market[own], qv[own]
     sales = (np.array(spec.alpha)[markets] * q_j
-             - np.array(spec.beta)[markets] * q_j * c[markets])
+             - system.structure.beta[own] * q_j * c[markets])
     s_j = float(s[j - 1])
     return -spec.gamma[j - 1] * s_j * s_j / 2.0 + float(np.sum(sales))
 
 
 def marginal_profit(spec: NetworkSpec, q, i: int, j: int) -> float:
     """dPi_j/dq_ij = alpha_i - gamma_j s_j - beta_i q_ij - beta_i c_i."""
-    order, _, _, qv, s, c = _supplies(spec, q)
-    if (i, j) not in order:
+    system, qv, s, c = _supplies(spec, q)
+    if (i, j) not in system.variable_order:
         raise ValueError(f"({i},{j}) is not an edge of the network")
-    q_ij = qv[order.index((i, j))]
+    q_ij = qv[system.variable_order.index((i, j))]
     return float(spec.alpha[i - 1] - spec.gamma[j - 1] * s[j - 1]
                  - spec.beta[i - 1] * q_ij - spec.beta[i - 1] * c[i - 1])
 

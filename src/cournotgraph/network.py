@@ -24,6 +24,12 @@ on first access and then kept; networks past ``MAX_DENSE_VALUES``
 entries are refused before it is allocated. Every coordinate follows
 the canonical edge order, which every other module and file format
 shares as its coordinate system.
+
+A spec's fields are frozen, so everything derived from them is derived
+once per spec object, on first use, and kept on it: the problem list
+that ``validate`` returns, the canonical order, and the O(n + k)
+structure and constant that every ``to_affine`` of the spec shares. No
+n x n array is kept on a spec; each system fills its own.
 """
 
 from __future__ import annotations
@@ -76,6 +82,71 @@ class NetworkSpec:
             speed = (1.0,) * int(self.firm_count)
         object.__setattr__(self, "speed", _as_float_tuple(speed))
 
+    @cached_property
+    def _problems(self) -> list[str]:
+        problems: list[str] = []
+        if not isinstance(self.market_count, int) or self.market_count < 1:
+            problems.append(f"market_count must be a positive integer, got {self.market_count}")
+        if not isinstance(self.firm_count, int) or self.firm_count < 1:
+            problems.append(f"firm_count must be a positive integer, got {self.firm_count}")
+        if problems:
+            return problems
+        # Every market and firm needs an edge, so a count past the number of
+        # edges is said once, before any work that grows with the count.
+        n = len(self.edges)
+        for kind, count, side in (("market", self.market_count, 0),
+                                  ("firm", self.firm_count, 1)):
+            if count > n:
+                unused = min(set(range(1, n + 2)) - {e[side] for e in self.edges})
+                return [f"{kind} {unused} appears in no edge: {count} {kind}s "
+                        f"need at least {count} edges, got {n}"]
+
+        for name, values, count in (("alpha", self.alpha, self.market_count),
+                                    ("beta", self.beta, self.market_count),
+                                    ("gamma", self.gamma, self.firm_count),
+                                    ("speed", self.speed, self.firm_count)):
+            if len(values) != count:
+                problems.append(f"{name} must have {count} entries, got {len(values)}")
+                continue
+            for k, v in enumerate(values, start=1):
+                if not (np.isfinite(v) and v > 0.0):
+                    problems.append(f"{name}[{k}] must be strictly positive, got {v}")
+
+        seen: set[Edge] = set()
+        for i, j in self.edges:
+            if not 1 <= i <= self.market_count:
+                problems.append(f"edge ({i},{j}) references unknown market {i}")
+            if not 1 <= j <= self.firm_count:
+                problems.append(f"edge ({i},{j}) references unknown firm {j}")
+            if (i, j) in seen:
+                problems.append(f"duplicate edge ({i},{j})")
+            seen.add((i, j))
+
+        markets_used = {i for i, _ in self.edges}
+        firms_used = {j for _, j in self.edges}
+        for i in range(1, self.market_count + 1):
+            if i not in markets_used:
+                problems.append(f"market {i} appears in no edge")
+        for j in range(1, self.firm_count + 1):
+            if j not in firms_used:
+                problems.append(f"firm {j} appears in no edge")
+        return problems
+
+    @cached_property
+    def _order(self) -> tuple[Edge, ...]:
+        return tuple(sorted(set(self.edges)))
+
+    @cached_property
+    def _incidence(self) -> tuple[EdgeIncidence, np.ndarray]:
+        """``to_affine``'s structure and constant; valid specs only."""
+        market, firm = np.array(self._order, dtype=np.intp).T - 1
+        market_beta, b = np.array(self.beta), np.array(self.speed)[firm]
+        structure = EdgeIncidence(market=market, firm=firm, speed=b,
+                                  beta=market_beta[market], market_beta=market_beta,
+                                  firm_gamma=np.array(self.gamma))
+        with np.errstate(over="ignore"):  # AffineSystem refuses an inf
+            return structure, _frozen(b * np.array(self.alpha)[market])
+
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
     """A read-only ``dtype`` array of ``values``: the rule by which every
@@ -120,12 +191,15 @@ class EdgeIncidence:
                 _require_finite(name, values)
             object.__setattr__(self, name, values)
 
+    def supplies(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Firm outputs s = F^T q and market supplies c = M^T q."""
+        return (np.bincount(self.firm, q, len(self.firm_gamma)),
+                np.bincount(self.market, q, len(self.market_beta)))
+
     def apply(self, q: np.ndarray) -> np.ndarray:
-        """A q in O(n + k): firm outputs s = F^T q and market supplies
-        c = M^T q by ``np.bincount``, then row (i, j) is
-        b_j (gamma_j s_j + beta_i c_i + beta_i q_ij)."""
-        s = np.bincount(self.firm, q, len(self.firm_gamma))
-        c = np.bincount(self.market, q, len(self.market_beta))
+        """A q in O(n + k): ``supplies`` s and c by ``np.bincount``, then
+        row (i, j) is b_j (gamma_j s_j + beta_i c_i + beta_i q_ij)."""
+        s, c = self.supplies(q)
         return self.speed * ((self.firm_gamma * s)[self.firm]
                              + (self.market_beta * c)[self.market]
                              + self.beta * q)
@@ -138,7 +212,8 @@ class EdgeIncidence:
         buffer is filled in place, each entry the same floating-point
         product as that per-entry definition, so it equals a per-entry
         loop bit for bit. Refused past ``MAX_DENSE_VALUES`` entries,
-        before anything is allocated."""
+        before anything is allocated, and, like a matrix an AffineSystem
+        is given, if an entry overflows."""
         n = len(self.speed)
         if n * n > MAX_DENSE_VALUES:
             raise ValueError(
@@ -150,8 +225,10 @@ class EdgeIncidence:
         a = np.zeros((n, n))
         np.copyto(a, gamma[:, None], where=firm[:, None] == firm[None, :])
         np.copyto(a, self.beta[:, None], where=market[:, None] == market[None, :])
-        np.fill_diagonal(a, gamma + 2.0 * self.beta)
-        a *= self.speed[:, None]
+        with np.errstate(over="ignore"):
+            np.fill_diagonal(a, gamma + 2.0 * self.beta)
+            a *= self.speed[:, None]
+        _require_finite("matrix", a)
         a.setflags(write=False)
         return a
 
@@ -218,60 +295,14 @@ def validate(spec: NetworkSpec) -> list[str]:
 
     An empty list means the spec is valid. Messages name the offending
     field and 1-based index so they can be surfaced to scenario authors
-    directly.
+    directly. The checks run once per spec object.
     """
-    problems: list[str] = []
-    if not isinstance(spec.market_count, int) or spec.market_count < 1:
-        problems.append(f"market_count must be a positive integer, got {spec.market_count}")
-    if not isinstance(spec.firm_count, int) or spec.firm_count < 1:
-        problems.append(f"firm_count must be a positive integer, got {spec.firm_count}")
-    if problems:
-        return problems
-    # Every market and firm needs an edge, so a count past the number of
-    # edges is said once, before any work that grows with the count.
-    n = len(spec.edges)
-    for kind, count, side in (("market", spec.market_count, 0),
-                              ("firm", spec.firm_count, 1)):
-        if count > n:
-            unused = min(set(range(1, n + 2)) - {e[side] for e in spec.edges})
-            return [f"{kind} {unused} appears in no edge: {count} {kind}s "
-                    f"need at least {count} edges, got {n}"]
-
-    for name, values, count in (("alpha", spec.alpha, spec.market_count),
-                                ("beta", spec.beta, spec.market_count),
-                                ("gamma", spec.gamma, spec.firm_count),
-                                ("speed", spec.speed, spec.firm_count)):
-        if len(values) != count:
-            problems.append(f"{name} must have {count} entries, got {len(values)}")
-            continue
-        for k, v in enumerate(values, start=1):
-            if not (np.isfinite(v) and v > 0.0):
-                problems.append(f"{name}[{k}] must be strictly positive, got {v}")
-
-    seen: set[Edge] = set()
-    for i, j in spec.edges:
-        if not 1 <= i <= spec.market_count:
-            problems.append(f"edge ({i},{j}) references unknown market {i}")
-        if not 1 <= j <= spec.firm_count:
-            problems.append(f"edge ({i},{j}) references unknown firm {j}")
-        if (i, j) in seen:
-            problems.append(f"duplicate edge ({i},{j})")
-        seen.add((i, j))
-
-    markets_used = {i for i, _ in spec.edges}
-    firms_used = {j for _, j in spec.edges}
-    for i in range(1, spec.market_count + 1):
-        if i not in markets_used:
-            problems.append(f"market {i} appears in no edge")
-    for j in range(1, spec.firm_count + 1):
-        if j not in firms_used:
-            problems.append(f"firm {j} appears in no edge")
-    return problems
+    return list(spec._problems)
 
 
 def canonical_edge_order(spec: NetworkSpec) -> tuple[Edge, ...]:
     """Edges sorted by (market, firm); the shared coordinate order."""
-    return tuple(sorted(set(spec.edges)))
+    return spec._order
 
 
 def variable_names(order: tuple[Edge, ...]) -> tuple[str, ...]:
@@ -296,16 +327,6 @@ def two_firms_two_markets(alpha1: float, alpha2: float,
                        gamma=(gamma1, gamma2))
 
 
-def edge_index(spec: NetworkSpec) -> tuple[tuple[Edge, ...], np.ndarray, np.ndarray]:
-    """The canonical edge order and, per edge, its 0-based market and
-    firm indices: the nonzero columns of the edge-market and edge-firm
-    incidence matrices M and F."""
-    order = canonical_edge_order(spec)
-    pairs = np.array(order, dtype=np.intp).reshape(len(order), 2) - 1
-    market, firm = pairs.T.copy()  # contiguous, for np.bincount
-    return order, market, firm
-
-
 def to_affine(spec: NetworkSpec) -> AffineSystem:
     """Assemble the flow dynamics into dq/dt = c - A q.
 
@@ -313,15 +334,8 @@ def to_affine(spec: NetworkSpec) -> AffineSystem:
     incidence structure (see :class:`EdgeIncidence`), so assembly is
     O(n + k) and the n x n matrix is filled only if it is asked for.
     """
-    problems = validate(spec)
-    if problems:
-        raise ValueError("invalid network spec: " + "; ".join(problems))
-    order, market, firm = edge_index(spec)
-    market_beta = np.array(spec.beta)
-    b = np.array(spec.speed)[firm]
-    structure = EdgeIncidence(market=market, firm=firm, speed=b,
-                              beta=market_beta[market],
-                              firm_gamma=np.array(spec.gamma),
-                              market_beta=market_beta)
-    return AffineSystem(constant=b * np.array(spec.alpha)[market],
-                        variable_order=order, structure=structure)
+    if spec._problems:
+        raise ValueError("invalid network spec: " + "; ".join(spec._problems))
+    structure, constant = spec._incidence
+    return AffineSystem(constant=constant, variable_order=spec._order,
+                        structure=structure)

@@ -28,9 +28,13 @@ files are bit-exact to specify and trivial to parse anywhere.
 
 ``parse_scenario`` rejects unknown keys, duplicate keys and invariant
 violations with the offending line or field named;
-``render_scenario`` writes the normalized form back out. A ``[pd]``
-graph with more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES``
-edges is rejected before it is built.
+``render_scenario`` writes the normalized form back out. A
+``[network]`` spec is checked once: the problem list and the canonical
+edge order that q0 is counted against stay on the spec, and the
+commands' ``to_affine`` reads them from there. A ``[pd]`` graph with
+more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES`` edges, or a
+run of more than ``MAX_PD_STEPS`` steps, is rejected before anything
+is built.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ from .stability import CanonicalParams
 # still fit).
 MAX_PLAYERS = 1_000_000
 MAX_PLAYER_EDGES = 1_000_000
+# A [pd] run keeps one cooperation fraction per step and writes each
+# one out, so its length is bounded too, by the 10^7 that bounds the
+# stored values of an integration.
+MAX_PD_STEPS = 10_000_000
 
 
 class ScenarioError(ValueError):
@@ -293,6 +301,9 @@ def _build_pd(entries) -> PDScenario:
     steps = _int(*entries["steps"], "steps")
     if steps < 0:
         raise ScenarioError("steps must be nonnegative", entries["steps"][1])
+    if steps > MAX_PD_STEPS:
+        raise ScenarioError(f"steps: {steps} is more than the limit of "
+                            f"{MAX_PD_STEPS}", entries["steps"][1])
 
     side_payment = None
     if "side_payment" in entries:
@@ -327,7 +338,13 @@ def _fmt_list(values) -> str:
 
 
 def render_scenario(scenario: Scenario) -> str:
-    """Normalized text form; parse(render(s)) == s."""
+    """Normalized text form, with a network's edges in canonical order.
+
+    For a valid scenario, parse(render(s)) describes the same system
+    and renders back to the same text. It equals s when a network's
+    edges are listed in canonical order, as parsing keeps them in the
+    order written; for other edge orders the two specs differ only in
+    that order."""
     if isinstance(scenario, NetworkScenario):
         spec = scenario.spec
         edges = ", ".join(f"{i}:{j}" for i, j in canonical_edge_order(spec))

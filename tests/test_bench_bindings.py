@@ -27,6 +27,24 @@ codes = [main(["stability", "--scenario", scenario]),
 print(json.dumps({"codes": codes, "metrics": tracer.metrics(0)}))
 """
 
+# The network path: a network command assembles through cli.to_affine,
+# and the library's field through cournot.vector_field.
+TRACED_NETWORK_RUN = """
+import json, sys
+root = sys.argv[1]
+sys.path[:0] = [root + "/src", root + "/bench"]
+import tracing
+tracer = tracing.Tracer()
+main = tracing.install(tracer)
+from cournotgraph import cournot, two_firms_two_markets
+codes = [main(["stability", "--scenario",
+               root + "/scenarios/two_firm_network.scenario"])]
+spec = two_firms_two_markets(1.0, 1.0, 0.2, 0.3, 0.1, 0.4)
+field = cournot.vector_field(spec, [0.1, 0.3, 0.2]).tolist()
+print(json.dumps({"codes": codes, "field": field,
+                  "metrics": tracer.metrics(0)}))
+"""
+
 
 def test_traced_stability_and_simulate_reach_the_wrapped_layers(tmp_path):
     done = subprocess.run(
@@ -46,3 +64,18 @@ def test_traced_stability_and_simulate_reach_the_wrapped_layers(tmp_path):
     # evaluations per rk4 step.
     assert metrics["dynamics.steps"] == 5
     assert metrics["dynamics.field_evals"] == 20
+
+
+def test_traced_network_run_reaches_assembly_and_field(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_NETWORK_RUN, str(ROOT)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout.splitlines()[-1])
+    assert record["codes"] == [0]
+    assert len(record["field"]) == 3
+    metrics = record["metrics"]
+    assert metrics["stability.analyze_calls"] == 1
+    for name in ("network.to_affine_s", "cournot.vector_field_s",
+                 "stability.analyze_s", "reports.render_s"):
+        assert metrics[name] > 0.0, name

@@ -409,6 +409,46 @@ class TestCommandRoutes:
             assert "market 3 appears in no edge: 1000000 markets need at " \
                 "least 1000000 edges, got 2" in err
 
+    @pytest.mark.parametrize("values, message", [
+        ("alpha = 1e200\nbeta = 1\ngamma = 1\nspeed = 1e200\n",
+         "constant must be finite"),
+        ("alpha = 1\nbeta = 1e200\ngamma = 1e200\nspeed = 1e200\n",
+         "matrix must be finite"),
+    ])
+    @pytest.mark.parametrize("command", ["stability", "equilibrium", "simulate"])
+    def test_overflowing_parameters_exit_2_with_one_line(self, values, message,
+                                                         command, tmp_path,
+                                                         capsys):
+        path = tmp_path / "huge.scenario"
+        path.write_text("[network]\nmarkets = 1\nfirms = 1\nedges = 1:1\n"
+                        + values + "q0 = 0.1\n")
+        out = tmp_path / "t.csv"
+        argv = ["--out", out] if command == "simulate" else []
+        # A numpy overflow warning would be raised here as an error.
+        assert run(command, "--scenario", path, *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_pd_steps_past_the_limit_exit_2_before_any_work(self, monkeypatch,
+                                                            tmp_path, capsys):
+        from cournotgraph import cli, scenario
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may be built or run")
+        monkeypatch.setattr(scenario.PDScenario, "build_graph", forbidden)
+        monkeypatch.setattr(cli, "run_spatial", forbidden)
+        path = tmp_path / "long.scenario"
+        path.write_text(PD.read_text().replace("steps = 20",
+                                               "steps = 10000000000"))
+        out = tmp_path / "pd.csv"
+        assert run("pd", "--scenario", path, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: line 10: steps: 10000000000 is more than the limit of "
+            f"{scenario.MAX_PD_STEPS}\n")
+        assert not out.exists()
+
     def test_pd_builds_the_player_graph_once(self, monkeypatch, tmp_path, capsys):
         from cournotgraph import scenario
         builds = []

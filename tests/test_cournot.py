@@ -154,3 +154,26 @@ class TestVectorField:
         del spec
         gc.collect()
         assert ref() is None
+
+
+class TestInvalidSpecs:
+    """Every function here reads the system ``to_affine`` assembles, so
+    an invalid spec is refused with its message rather than summed or
+    indexed as if it were valid."""
+
+    @pytest.mark.parametrize("edges, q, problem", [
+        (((1, 1), (2, 1)), [0.1, 0.2], "edge (2,1) references unknown market 2"),
+        (((1, 1), (1, 1)), [0.1], "duplicate edge (1,1)"),
+    ])
+    def test_every_function_refuses_the_spec(self, edges, q, problem):
+        spec = NetworkSpec(1, 1, edges, alpha=(1.0,), beta=(0.5,), gamma=(1.0,))
+        calls = (lambda: firm_supply(spec, q, 1),
+                 lambda: market_supply(spec, q, 1),
+                 lambda: profit(spec, q, 1),
+                 lambda: marginal_profit(spec, q, 1, 1),
+                 lambda: vector_field(spec, q))
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value).startswith("invalid network spec: ")
+            assert problem in str(exc.value)

@@ -350,3 +350,100 @@ class TestMatrixFreeOperator:
             AffineSystem(np.ones(3), np.eye(3), structure=sys.structure)
         with pytest.raises(ValueError, match="constant has length"):
             AffineSystem(np.ones(4), structure=sys.structure)
+
+
+class TestDerivedOncePerSpec:
+    """A spec's checks, canonical order and incidence structure are
+    derived on first use and kept on the spec object."""
+
+    NETWORK_TEXT = ("[network]\nmarkets = 2\nfirms = 2\nedges = 2:2, 1:1, 2:1\n"
+                    "alpha = 1, 1\nbeta = 0.2, 0.3\ngamma = 0.1, 0.4\n"
+                    "q0 = 0.1, 0.3, 0.2\n")
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        """Counts the runs of each derivation on NetworkSpec."""
+        from functools import cached_property
+        counts = {}
+        for name in ("_problems", "_order", "_incidence"):
+            func = vars(NetworkSpec)[name].func
+
+            def counted(spec, _name=name, _func=func):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _func(spec)
+            prop = cached_property(counted)
+            prop.__set_name__(NetworkSpec, name)
+            monkeypatch.setattr(NetworkSpec, name, prop)
+        return counts
+
+    def test_parse_assembly_and_fields_check_and_sort_once(self, derivations):
+        from cournotgraph import parse_scenario
+        spec = parse_scenario(self.NETWORK_TEXT).spec
+        assert derivations == {"_problems": 1, "_order": 1}
+        to_affine(spec)
+        for q in np.eye(3):
+            vector_field(spec, q)
+        assert validate(spec) == []
+        assert canonical_edge_order(spec) == ((1, 1), (2, 1), (2, 2))
+        assert derivations == {"_problems": 1, "_order": 1, "_incidence": 1}
+        # An equal spec is another object with its own derivation.
+        to_affine(NetworkSpec(*(getattr(spec, f) for f in (
+            "market_count", "firm_count", "edges", "alpha", "beta", "gamma"))))
+        assert derivations == {"_problems": 2, "_order": 2, "_incidence": 2}
+
+    def test_invalid_spec_is_checked_once_and_never_indexed(self, derivations):
+        spec = NetworkSpec(1, 1, ((1, 1), (1, 1)), alpha=(1.0,), beta=(0.5,),
+                           gamma=(1.0,))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="duplicate edge"):
+                to_affine(spec)
+        problems = validate(spec)
+        problems.append("changed by a caller")
+        assert validate(spec) == ["duplicate edge (1,1)"]
+        assert derivations == {"_problems": 1}
+
+    def test_systems_share_the_structure_and_fill_their_own_matrix(self):
+        spec = two_firm_spec()
+        a, b = to_affine(spec), to_affine(spec)
+        assert a is not b
+        assert a.structure is b.structure and a.constant is b.constant
+        a.matrix
+        assert "matrix" in vars(a) and "matrix" not in vars(b)
+
+    def test_spec_holds_no_square_array(self):
+        spec = NetworkSpec(3, 4, tuple((i, j) for i in range(1, 4)
+                                       for j in range(1, 5)),
+                           alpha=(1.0,) * 3, beta=(0.5,) * 3, gamma=(0.3,) * 4)
+        system = to_affine(spec)
+        system.matrix
+        seen, todo = [], list(vars(spec).values())
+        while todo:
+            value = todo.pop()
+            if isinstance(value, np.ndarray):
+                seen.append(value)
+            elif isinstance(value, (tuple, list)):
+                todo.extend(value)
+            elif hasattr(value, "__dict__"):
+                todo.extend(vars(value).values())
+        assert seen and all(values.ndim == 1 for values in seen)
+        assert max(values.size for values in seen) == len(spec.edges)
+
+
+class TestOverflow:
+    """Finite parameters whose products overflow are refused with
+    AffineSystem's finiteness rule, and no numpy warning escapes (the
+    suite turns warnings into errors)."""
+
+    def test_constant_overflow(self):
+        spec = NetworkSpec(1, 1, ((1, 1),), alpha=(1e200,), beta=(1.0,),
+                           gamma=(1.0,), speed=(1e200,))
+        with pytest.raises(ValueError, match="^constant must be finite$"):
+            to_affine(spec)
+
+    def test_dense_fill_overflow(self):
+        spec = NetworkSpec(1, 1, ((1, 1),), alpha=(1.0,), beta=(1e200,),
+                           gamma=(1e200,), speed=(1e200,))
+        system = to_affine(spec)
+        assert np.isfinite(system.structure.speed).all()
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            system.matrix

@@ -174,6 +174,15 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match="steps must be nonnegative"):
             parse_scenario(text)
 
+    def test_steps_bounded(self):
+        from cournotgraph.scenario import MAX_PD_STEPS
+        limit = PD_TEXT.replace("steps = 10", f"steps = {MAX_PD_STEPS}")
+        assert parse_scenario(limit).steps == MAX_PD_STEPS
+        text = PD_TEXT.replace("steps = 10", f"steps = {MAX_PD_STEPS + 1}")
+        with pytest.raises(ScenarioError, match=f"^line 5: steps: {MAX_PD_STEPS + 1} "
+                           f"is more than the limit of {MAX_PD_STEPS}$"):
+            parse_scenario(text)
+
     def test_graph_size_limits_checked_before_building(self, monkeypatch):
         from cournotgraph import scenario
         built = []
