@@ -173,7 +173,8 @@ class EdgeIncidence:
     held as its per-edge structure: the 0-based ``market`` and ``firm``
     of each edge, the edge's speed b_j(e) and slope beta_i(e), and the
     per-firm gamma and per-market beta. Read-only arrays, held by the
-    rule of ``_frozen``; the float ones must be finite."""
+    rule of ``_frozen``; the float ones must be finite, and so must the
+    entries b_j gamma_j, b_j beta_i and b_j (gamma_j + 2 beta_i) of A."""
 
     market: np.ndarray
     firm: np.ndarray
@@ -190,6 +191,11 @@ class EdgeIncidence:
                 values = _frozen(values)
                 _require_finite(name, values)
             object.__setattr__(self, name, values)
+        gamma = self.firm_gamma[self.firm]
+        with np.errstate(over="ignore"):
+            entries = self.speed * np.stack((gamma, self.beta,
+                                             gamma + 2.0 * self.beta))
+        _require_finite("matrix", entries)
 
     def supplies(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Firm outputs s = F^T q and market supplies c = M^T q."""
@@ -211,9 +217,8 @@ class EdgeIncidence:
         edge can share a firm or a market with (i, j), never both). One
         buffer is filled in place, each entry the same floating-point
         product as that per-entry definition, so it equals a per-entry
-        loop bit for bit. Refused past ``MAX_DENSE_VALUES`` entries,
-        before anything is allocated, and, like a matrix an AffineSystem
-        is given, if an entry overflows."""
+        loop bit for bit and is finite. Refused past ``MAX_DENSE_VALUES``
+        entries, before anything is allocated."""
         n = len(self.speed)
         if n * n > MAX_DENSE_VALUES:
             raise ValueError(
@@ -225,10 +230,8 @@ class EdgeIncidence:
         a = np.zeros((n, n))
         np.copyto(a, gamma[:, None], where=firm[:, None] == firm[None, :])
         np.copyto(a, self.beta[:, None], where=market[:, None] == market[None, :])
-        with np.errstate(over="ignore"):
-            np.fill_diagonal(a, gamma + 2.0 * self.beta)
-            a *= self.speed[:, None]
-        _require_finite("matrix", a)
+        np.fill_diagonal(a, gamma + 2.0 * self.beta)
+        a *= self.speed[:, None]
         a.setflags(write=False)
         return a
 

@@ -26,15 +26,20 @@ files are bit-exact to specify and trivial to parse anywhere.
     steps = 200
     side_payment = 2.5                # optional
 
+The format is declared once: ``_KEYS`` per section, and one ``_Form``
+per ``[pd]`` graph and init form (an ``edges`` list aside), which
+parsing, sizing, building and rendering all read.
+
 ``parse_scenario`` rejects unknown keys, duplicate keys and invariant
 violations with the offending line or field named;
 ``render_scenario`` writes the normalized form back out. A
 ``[network]`` spec is checked once: the problem list and the canonical
 edge order that q0 is counted against stay on the spec, and the
 commands' ``to_affine`` reads them from there. A ``[pd]`` graph with
-more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES`` edges, or a
-run of more than ``MAX_PD_STEPS`` steps, is rejected before anything
-is built.
+more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES`` edges, a run
+of more than ``MAX_PD_STEPS`` steps, or a run that reads more than
+``MAX_PD_READS`` neighborhood entries in all is rejected before
+anything is built.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .network import NetworkSpec, canonical_edge_order, validate
 from .pdgame import (PayoffMatrix, PlayerGraph, PopulationState,
@@ -61,6 +67,10 @@ MAX_PLAYER_EDGES = 1_000_000
 # one out, so its length is bounded too, by the 10^7 that bounds the
 # stored values of an integration.
 MAX_PD_STEPS = 10_000_000
+# An imitation step reads every closed neighborhood, players + 2 * edges
+# entries, at some 32-40 ns each (100 x 100 and 500 x 500 tori on a 2-core
+# Xeon), so the entries a run reads are bounded too: a few minutes' worth.
+MAX_PD_READS = 5_000_000_000
 
 
 class ScenarioError(ValueError):
@@ -86,8 +96,8 @@ class CanonicalScenario:
 @dataclass(frozen=True)
 class PDScenario:
     payoff: PayoffMatrix
-    graph: tuple          # ("complete", n) | ("cycle", n) | ("torus", w, h) | ("edges", pairs)
-    init: tuple           # ("all_c",) | ("all_d",) | ("single_defector",) | ("random", frac, seed)
+    graph: tuple          # (form, *arguments), e.g. ("torus", w, h) or ("edges", pairs)
+    init: tuple           # (form, *arguments), e.g. ("all_c",) or ("random", frac, seed)
     steps: int
     side_payment: float | None = None
 
@@ -99,53 +109,33 @@ class PDScenario:
 
     @cached_property
     def _player_graph(self) -> PlayerGraph:
-        kind = self.graph[0]
-        if kind == "complete":
-            return complete_graph(self.graph[1])
-        if kind == "cycle":
-            return cycle_graph(self.graph[1])
-        if kind == "torus":
-            return torus_graph(self.graph[1], self.graph[2])
-        return player_graph(self.graph_size()[0], self.graph[1])
+        kind, *args = self.graph
+        if kind == "edges":
+            return player_graph(self.graph_size()[0], *args)
+        return _GRAPHS[kind].make(*args)
 
     def graph_size(self) -> tuple[int, int]:
         """(players, edges at most) of the graph form, without building
         it. Negative sizes count as 0; the builders reject them."""
-        kind = self.graph[0]
-        if kind == "complete":
-            n = max(self.graph[1], 0)
-            return n, n * (n - 1) // 2
-        if kind == "cycle":
-            return self.graph[1], self.graph[1]
-        if kind == "torus":
-            players = max(self.graph[1], 0) * max(self.graph[2], 0)
-            return players, 2 * players
-        pairs = self.graph[1]
-        return max(max(pair) for pair in pairs) + 1, len(pairs)
+        kind, *args = self.graph
+        if kind == "edges":
+            return max(map(max, args[0])) + 1, len(args[0])
+        return _GRAPHS[kind].size(*(max(a, 0) for a in args))
 
     def build_population(self, graph: PlayerGraph) -> PopulationState:
-        kind = self.init[0]
-        if kind == "all_c":
-            return all_cooperate(graph)
-        if kind == "all_d":
-            return all_defect(graph)
-        if kind == "single_defector":
-            return single_defector(graph)
-        return random_population(graph, self.init[1], self.init[2])
+        kind, *args = self.init
+        return _INITS[kind].make(graph, *args)
 
 
 Scenario = NetworkScenario | CanonicalScenario | PDScenario
 
+# Each section's keys, mapped to whether they are required.
 _KEYS = {
-    "network": {"markets", "firms", "edges", "alpha", "beta", "gamma",
-                "speed", "q0"},
-    "canonical": {"r", "q0"},
-    "pd": {"payoff", "graph", "init", "steps", "side_payment"},
-}
-_REQUIRED = {
-    "network": ("markets", "firms", "edges", "alpha", "beta", "gamma", "q0"),
-    "canonical": ("r", "q0"),
-    "pd": ("payoff", "graph", "init", "steps"),
+    "network": {"markets": True, "firms": True, "edges": True, "alpha": True,
+                "beta": True, "gamma": True, "speed": False, "q0": True},
+    "canonical": {"r": True, "q0": True},
+    "pd": {"payoff": True, "graph": True, "init": True, "steps": True,
+           "side_payment": False},
 }
 
 
@@ -166,8 +156,22 @@ def _int(token: str, line: int, key: str) -> int:
         raise ScenarioError(f"{key}: '{token}' is not an integer", line) from None
 
 
-def _floats(value: str, line: int, key: str) -> tuple[float, ...]:
-    return tuple(_float(t.strip(), line, key) for t in value.split(","))
+def _floats(value: str, line: int, key: str, count: int | None = None,
+            what: str = "") -> tuple[float, ...]:
+    """The numbers of ``value``; exactly ``count`` of them if given
+    (``what`` words that count in the error)."""
+    values = tuple(_float(t.strip(), line, key) for t in value.split(","))
+    if count is not None and len(values) != count:
+        raise ScenarioError(f"{key} must have {what or f'exactly {count} values'}"
+                            f", got {len(values)}", line)
+    return values
+
+
+def _fraction(token: str, line: int, key: str) -> float:
+    v = _float(token, line, key)
+    if not 0.0 <= v <= 1.0:
+        raise ScenarioError(f"{key}: fraction must be in [0, 1]", line)
+    return v
 
 
 def _pairs(value: str, sep: str, line: int, key: str) -> tuple[tuple[int, int], ...]:
@@ -179,6 +183,40 @@ def _pairs(value: str, sep: str, line: int, key: str) -> tuple[tuple[int, int], 
             raise ScenarioError(f"{key}: expected '<a>{sep}<b>', got '{token}'", line)
         pairs.append((_int(left.strip(), line, key), _int(right.strip(), line, key)))
     return tuple(pairs)
+
+
+class _Form(NamedTuple):
+    """A ``[pd]`` form: its arguments (name as written: token parser),
+    its maker (an init form's takes the graph first), which calls the
+    builder by its module name, and a graph's (players, edges at most)."""
+    args: dict[str, Callable]
+    make: Callable
+    size: Callable | None = None
+
+
+_GRAPHS = {
+    "complete": _Form({"N": _int}, lambda n: complete_graph(n),
+                      lambda n: (n, n * (n - 1) // 2)),
+    "cycle": _Form({"N": _int}, lambda n: cycle_graph(n), lambda n: (n, n)),
+    "torus": _Form({"W": _int, "H": _int}, lambda w, h: torus_graph(w, h),
+                   lambda w, h: (w * h, 2 * w * h)),
+}
+_INITS = {
+    "all_c": _Form({}, lambda graph: all_cooperate(graph)),
+    "all_d": _Form({}, lambda graph: all_defect(graph)),
+    "single_defector": _Form({}, lambda graph: single_defector(graph)),
+    "random": _Form({"FRACTION": _fraction, "SEED": _int},
+                    lambda graph, frac, seed: random_population(graph, frac, seed)),
+}
+
+
+def _form(forms: dict[str, _Form], kind: str, tokens, line: int, key: str):
+    """(kind, *arguments), with ``tokens`` read as form ``kind`` declares."""
+    args = forms[kind].args
+    if len(tokens) != len(args):
+        raise ScenarioError(f"{key}: expected '{' '.join((kind, *args))}'", line)
+    return (kind, *(read(token, line, key)
+                    for token, read in zip(tokens, args.values())))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -212,8 +250,8 @@ def parse_scenario(text: str) -> Scenario:
 
     if section is None:
         raise ScenarioError("no section header found")
-    for key in _REQUIRED[section]:
-        if key not in entries:
+    for key, required in _KEYS[section].items():
+        if required and key not in entries:
             raise ScenarioError(f"missing key '{key}' in [{section}]")
     builder = {"network": _build_network, "canonical": _build_canonical,
                "pd": _build_pd}[section]
@@ -233,70 +271,39 @@ def _build_network(entries) -> NetworkScenario:
     problems = validate(spec)
     if problems:
         raise ScenarioError("invalid [network] values: " + "; ".join(problems))
-    q0 = _floats(*entries["q0"], "q0")
-    expected = len(canonical_edge_order(spec))
-    if len(q0) != expected:
-        raise ScenarioError(
-            f"q0 must have one value per edge ({expected}), got {len(q0)}",
-            entries["q0"][1])
+    n = len(canonical_edge_order(spec))
+    q0 = _floats(*entries["q0"], "q0", n, f"one value per edge ({n})")
     return NetworkScenario(spec=spec, q0=q0)
 
 
 def _build_canonical(entries) -> CanonicalScenario:
-    r = _floats(*entries["r"], "r")
-    if len(r) != 5:
-        raise ScenarioError(f"r must have exactly 5 values, got {len(r)}",
-                            entries["r"][1])
-    q0 = _floats(*entries["q0"], "q0")
-    if len(q0) != 3:
-        raise ScenarioError(f"q0 must have exactly 3 values, got {len(q0)}",
-                            entries["q0"][1])
+    r = _floats(*entries["r"], "r", 5)
+    q0 = _floats(*entries["q0"], "q0", 3)
     return CanonicalScenario(r=CanonicalParams(*r), q0=q0)
 
 
 def _build_pd(entries) -> PDScenario:
-    values = _floats(*entries["payoff"], "payoff")
-    if len(values) != 4:
-        raise ScenarioError(f"payoff must have exactly 4 values (R,S,T,U), "
-                            f"got {len(values)}", entries["payoff"][1])
-    payoff = PayoffMatrix(*values)
+    payoff = PayoffMatrix(*_floats(*entries["payoff"], "payoff", 4))
     if not payoff.is_strict_dilemma():
         raise ScenarioError("payoff must satisfy T > R > U > S",
                             entries["payoff"][1])
 
     graph_value, graph_line = entries["graph"]
     kind, _, rest = graph_value.partition(" ")
-    rest = rest.strip()
-    if kind == "complete":
-        graph = ("complete", _int(rest, graph_line, "graph"))
-    elif kind == "cycle":
-        graph = ("cycle", _int(rest, graph_line, "graph"))
-    elif kind == "torus":
-        dims = rest.split()
-        if len(dims) != 2:
-            raise ScenarioError("graph: torus needs two dimensions", graph_line)
-        graph = ("torus", _int(dims[0], graph_line, "graph"),
-                 _int(dims[1], graph_line, "graph"))
-    elif kind == "edges":
-        graph = ("edges", _pairs(rest, "-", graph_line, "graph"))
+    if kind == "edges":
+        graph = ("edges", _pairs(rest.strip(), "-", graph_line, "graph"))
+    elif kind in _GRAPHS:
+        graph = _form(_GRAPHS, kind, rest.split(), graph_line, "graph")
     else:
-        raise ScenarioError(f"graph: unknown form '{kind}' "
-                            f"(expected complete, cycle, torus or edges)",
-                            graph_line)
+        raise ScenarioError(f"graph: unknown form '{kind}' (expected "
+                            f"{', '.join(_GRAPHS)} or edges)", graph_line)
 
     init_value, init_line = entries["init"]
-    tokens = init_value.split()
-    if not tokens:
-        raise ScenarioError("init: value is empty", init_line)
-    if tokens[0] in ("all_c", "all_d", "single_defector") and len(tokens) == 1:
-        init = (tokens[0],)
-    elif tokens[0] == "random" and len(tokens) == 3:
-        fraction = _float(tokens[1], init_line, "init")
-        if not 0.0 <= fraction <= 1.0:
-            raise ScenarioError("init: fraction must be in [0, 1]", init_line)
-        init = ("random", fraction, _int(tokens[2], init_line, "init"))
-    else:
-        raise ScenarioError(f"init: unknown form '{init_value}'", init_line)
+    kind, *tokens = init_value.split() or [""]
+    if kind not in _INITS:
+        raise ScenarioError(f"init: unknown form '{init_value}'" if kind
+                            else "init: value is empty", init_line)
+    init = _form(_INITS, kind, tokens, init_line, "init")
 
     steps = _int(*entries["steps"], "steps")
     if steps < 0:
@@ -322,6 +329,11 @@ def _build_pd(entries) -> PDScenario:
     if players > MAX_PLAYERS:
         raise ScenarioError(f"graph: '{graph_value}' has {players} players, "
                             f"more than the limit of {MAX_PLAYERS}", graph_line)
+    reads = (players + 2 * edges) * steps
+    if reads > MAX_PD_READS:
+        raise ScenarioError(f"steps: {steps} steps of '{graph_value}' read up to "
+                            f"{reads} neighborhood entries, more than the limit "
+                            f"of {MAX_PD_READS}", entries["steps"][1])
     try:
         scenario.build_graph()  # surfaces range/duplicate/self-loop problems
     except ValueError as exc:
@@ -362,19 +374,14 @@ def render_scenario(scenario: Scenario) -> str:
                  f"r = {_fmt_list(scenario.r.as_tuple())}",
                  f"q0 = {_fmt_list(scenario.q0)}"]
     else:
-        g = scenario.graph
-        if g[0] == "edges":
-            graph = "edges " + ", ".join(f"{a}-{b}" for a, b in g[1])
-        else:
-            graph = " ".join(str(v) for v in g)
-        init = scenario.init
-        init_text = (f"random {_fmt(init[1])} {init[2]}"
-                     if init[0] == "random" else init[0])
+        graph = scenario.graph
+        if graph[0] == "edges":
+            graph = ("edges", ", ".join(f"{a}-{b}" for a, b in graph[1]))
         m = scenario.payoff
         lines = ["[pd]",
                  f"payoff = {_fmt_list((m.R, m.S, m.T, m.U))}",
-                 f"graph = {graph}",
-                 f"init = {init_text}",
+                 f"graph = {' '.join(map(str, graph))}",
+                 f"init = {' '.join(map(str, scenario.init))}",
                  f"steps = {scenario.steps}"]
         if scenario.side_payment is not None:
             lines.append(f"side_payment = {_fmt(scenario.side_payment)}")

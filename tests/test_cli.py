@@ -449,6 +449,29 @@ class TestCommandRoutes:
             f"{scenario.MAX_PD_STEPS}\n")
         assert not out.exists()
 
+    def test_pd_reads_past_the_limit_exit_2_before_any_work(self, monkeypatch,
+                                                            tmp_path, capsys):
+        from cournotgraph import cli, scenario
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may be built or run")
+        for name in ("complete_graph", "cycle_graph", "torus_graph",
+                     "player_graph"):
+            monkeypatch.setattr(scenario, name, forbidden)
+        monkeypatch.setattr(cli, "run_spatial", forbidden)
+        path = tmp_path / "wide.scenario"
+        path.write_text(PD.read_text()
+                        .replace("graph = edges 0-1, 0-2", "graph = torus 707 707")
+                        .replace("steps = 20", "steps = 10000000"))
+        out = tmp_path / "pd.csv"
+        assert run("pd", "--scenario", path, "--out", out) == 2
+        reads = (707 * 707 + 4 * 707 * 707) * 10_000_000
+        assert capsys.readouterr().err == (
+            f"error: line 10: steps: 10000000 steps of 'torus 707 707' read up "
+            f"to {reads} neighborhood entries, more than the limit of "
+            f"{scenario.MAX_PD_READS}\n")
+        assert not out.exists()
+
     def test_pd_builds_the_player_graph_once(self, monkeypatch, tmp_path, capsys):
         from cournotgraph import scenario
         builds = []

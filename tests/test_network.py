@@ -441,9 +441,19 @@ class TestOverflow:
             to_affine(spec)
 
     def test_dense_fill_overflow(self):
+        # Every parameter is finite, but the entries b_j gamma_j and
+        # b_j (gamma_j + 2 beta_i) the dense fill would write overflow:
+        # the structure refuses them, so neither route is made.
         spec = NetworkSpec(1, 1, ((1, 1),), alpha=(1.0,), beta=(1e200,),
                            gamma=(1e200,), speed=(1e200,))
-        system = to_affine(spec)
-        assert np.isfinite(system.structure.speed).all()
         with pytest.raises(ValueError, match="^matrix must be finite$"):
-            system.matrix
+            to_affine(spec)
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            vector_field(spec, [1.0])
+
+    def test_structure_refuses_an_overflowing_entry(self):
+        # Only the diagonal entry b (gamma + 2 beta) overflows here.
+        from cournotgraph.network import EdgeIncidence
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            EdgeIncidence(market=[0], firm=[0], speed=[1e300], beta=[5e7],
+                          firm_gamma=[1e8], market_beta=[5e7])

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cournotgraph import (CanonicalScenario, NetworkScenario, PDScenario,
-                          ScenarioError, parse_scenario, render_scenario)
+                          ScenarioError, parse_scenario, render_scenario,
+                          scenario)
+from cournotgraph.pdgame import (all_cooperate, all_defect, complete_graph,
+                                 cycle_graph, player_graph, random_population,
+                                 single_defector, torus_graph)
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 CANONICAL_TEXT = """\
 # reference parameter point
@@ -79,6 +86,46 @@ class TestParse:
             (0.1, 0.2, 0.3)
 
 
+# Every [pd] graph and init form, with the pdgame call that makes it.
+GRAPH_FORMS = {
+    "complete 5": lambda: complete_graph(5),
+    "cycle 6": lambda: cycle_graph(6),
+    "torus 3 4": lambda: torus_graph(3, 4),
+    "edges 0-1, 2-1, 3-0": lambda: player_graph(4, ((0, 1), (2, 1), (3, 0))),
+}
+INIT_FORMS = {
+    "all_c": all_cooperate,
+    "all_d": all_defect,
+    "single_defector": single_defector,
+    "random 0.25 9": lambda graph: random_population(graph, 0.25, 9),
+}
+
+
+def pd_text(graph: str = "torus 4 4", init: str = "random 0.5 42",
+            steps: int = 10) -> str:
+    return (PD_TEXT.replace("graph = torus 4 4", f"graph = {graph}")
+            .replace("init = random 0.5 42", f"init = {init}")
+            .replace("steps = 10", f"steps = {steps}"))
+
+
+class TestForms:
+    def test_every_declared_form_is_covered(self):
+        assert {g.split()[0] for g in GRAPH_FORMS} == {*scenario._GRAPHS, "edges"}
+        assert {i.split()[0] for i in INIT_FORMS} == set(scenario._INITS)
+
+    @pytest.mark.parametrize("init", INIT_FORMS)
+    @pytest.mark.parametrize("graph", GRAPH_FORMS)
+    def test_form_round_trips_and_builds_as_its_function(self, graph, init):
+        sc = parse_scenario(pd_text(graph, init))
+        assert parse_scenario(render_scenario(sc)) == sc
+        expected = GRAPH_FORMS[graph]()
+        built = sc.build_graph()
+        assert built.player_count == expected.player_count
+        assert np.array_equal(built.ends, expected.ends)
+        assert np.array_equal(sc.build_population(built).cooperates,
+                              INIT_FORMS[init](expected).cooperates)
+
+
 class TestParseErrors:
     def test_invariant_violation_names_field(self):
         text = NETWORK_TEXT.replace("beta = 0.2, 0.3", "beta = 0, 0.3")
@@ -144,6 +191,18 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match="T > R > U > S"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("graph, init, message", [
+        ("complete", "all_c", "line 3: graph: expected 'complete N'"),
+        ("complete 5 6", "all_c", "line 3: graph: expected 'complete N'"),
+        ("cycle", "all_c", "line 3: graph: expected 'cycle N'"),
+        ("torus 4", "all_c", "line 3: graph: expected 'torus W H'"),
+        ("torus 4 4", "random 0.5", "line 4: init: expected 'random FRACTION SEED'"),
+        ("torus 4 4", "all_c 1", "line 4: init: expected 'all_c'"),
+    ])
+    def test_wrong_form_arity(self, graph, init, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(pd_text(graph, init))
+
     def test_unknown_graph_form(self):
         text = PD_TEXT.replace("graph = torus 4 4", "graph = lattice 4 4")
         with pytest.raises(ScenarioError, match="unknown form 'lattice'"):
@@ -182,6 +241,22 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match=f"^line 5: steps: {MAX_PD_STEPS + 1} "
                            f"is more than the limit of {MAX_PD_STEPS}$"):
             parse_scenario(text)
+
+    def test_reads_bounded(self):
+        # torus 10 25 has 250 players and 500 edges: 1250 entries a step.
+        steps = scenario.MAX_PD_READS // 1250
+        assert parse_scenario(pd_text("torus 10 25", steps=steps)).steps == steps
+        reads = 1250 * (steps + 1)
+        with pytest.raises(ScenarioError, match=(
+                f"^line 5: steps: {steps + 1} steps of 'torus 10 25' read up to "
+                f"{reads} neighborhood entries, more than the limit of "
+                f"{scenario.MAX_PD_READS}$")):
+            parse_scenario(pd_text("torus 10 25", steps=steps + 1))
+
+    @pytest.mark.parametrize("graph, steps", [  # the pd benchmark's runs
+        ("torus 100 100", 20), ("torus 40 40", 30), ("complete 400", 5)])
+    def test_reads_bound_admits(self, graph, steps):
+        assert parse_scenario(pd_text(graph, steps=steps)).steps == steps
 
     def test_graph_size_limits_checked_before_building(self, monkeypatch):
         from cournotgraph import scenario
@@ -222,3 +297,28 @@ class TestRoundTrip:
         rendered = render_scenario(scenario)
         assert parse_scenario(rendered) == scenario
         assert render_scenario(parse_scenario(rendered)) == rendered
+
+
+class TestReadme:
+    """README's "Scenario files" section states the format as ``scenario``
+    declares it: every section key and form, and the value of each limit."""
+
+    SECTION = ((ROOT / "README.md").read_text(encoding="utf-8")
+               .split("## Scenario files\n", 1)[1].split("\n## ", 1)[0])
+    LIMITS = ("MAX_PLAYERS", "MAX_PLAYER_EDGES", "MAX_PD_STEPS", "MAX_PD_READS")
+
+    def test_names_every_key_and_form(self):
+        for section, keys in scenario._KEYS.items():
+            assert f"`[{section}]`" in self.SECTION
+            for key in keys:
+                assert f"`{key}`" in self.SECTION, key
+        for kind, form in [*scenario._GRAPHS.items(), *scenario._INITS.items()]:
+            assert f"`{' '.join((kind, *form.args))}`" in self.SECTION, kind
+
+    def test_quotes_each_limit_at_its_value(self):
+        quoted = re.findall(r"(\d[\d\s]*\d)\s[a-z\s-]*\(`scenario\.(MAX_\w+)`",
+                            self.SECTION)
+        assert sorted(name for _, name in quoted) == sorted(self.LIMITS)
+        assert set(re.findall(r"scenario\.(MAX_\w+)", self.SECTION)) == set(self.LIMITS)
+        for value, name in quoted:
+            assert int(re.sub(r"\s", "", value)) == getattr(scenario, name), name
