@@ -17,11 +17,15 @@ with F and M the n x k edge-firm and edge-market incidence matrices
 per-edge market and firm indices and parameters, in an
 :class:`EdgeIncidence`. Its field c - A q costs O(n + k) -- the firm
 outputs F^T q and market supplies M^T q by two ``np.bincount``s, then
-gathers -- so simulating a network never needs the n x n matrix. The
-dense matrix, which only the equilibrium solve, the eigenvalues and the
-small-system propagator of :mod:`cournotgraph.dynamics` use, is filled
-on first access and then kept; networks past ``MAX_DENSE_VALUES``
-entries are refused before it is allocated. Every coordinate follows
+gathers -- so simulating a network never needs the n x n matrix, and
+neither does its equilibrium (a Woodbury solve on the k x k capacitance
+matrix, :mod:`cournotgraph.stability`). The dense matrix is filled on
+first access and then kept. Three things still read it: the eigenvalues,
+hence the characteristic coefficients, of a ``stability`` report while
+n^2 <= ``MAX_DENSE_VALUES``; the Phi_h propagator that
+:mod:`cournotgraph.dynamics` uses up to 300 edges; and the tests'
+oracles. Past that many entries it is refused before it is allocated,
+and the margin comes from the structure alone. Every coordinate follows
 the canonical edge order, which every other module and file format
 shares as its coordinate system.
 
@@ -42,9 +46,9 @@ import numpy as np
 Edge = tuple[int, int]  # (market index, firm index), 1-based
 
 # A network's dense matrix holds n x n float64 values, 8 bytes each, and
-# the equilibrium solve and the eigenvalues work on a few copies of it.
-# Past this many values (more than 3162 edges) it is refused before it
-# is allocated; nothing else needs it (see EdgeIncidence).
+# the symmetric eigenvalue solve works on a few copies of it. Past this
+# many values (more than 3162 edges) it is refused before it is
+# allocated, and ``stability`` takes its structured route instead.
 MAX_DENSE_VALUES = 10_000_000
 
 
@@ -210,6 +214,11 @@ class EdgeIncidence:
                              + (self.market_beta * c)[self.market]
                              + self.beta * q)
 
+    @property
+    def dense_allowed(self) -> bool:
+        """Whether ``dense`` may fill A: n^2 <= ``MAX_DENSE_VALUES``."""
+        return len(self.speed) ** 2 <= MAX_DENSE_VALUES
+
     def dense(self) -> np.ndarray:
         """A as a read-only n x n array. Row (i, j): b_j (gamma_j +
         2 beta_i) on the diagonal, b_j gamma_j for every other edge of
@@ -220,7 +229,7 @@ class EdgeIncidence:
         loop bit for bit and is finite. Refused past ``MAX_DENSE_VALUES``
         entries, before anything is allocated."""
         n = len(self.speed)
-        if n * n > MAX_DENSE_VALUES:
+        if not self.dense_allowed:
             raise ValueError(
                 f"a network of {n} edges needs a dense {n}x{n} matrix, more "
                 f"than the limit of {MAX_DENSE_VALUES} values "

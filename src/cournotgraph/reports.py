@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .network import variable_names
+from .network import MAX_DENSE_VALUES, variable_names
 from .pdgame import PayoffMatrix, apply_side_payment, dominant_strategy, \
     min_side_payment
 from .scenario import CanonicalScenario
@@ -72,7 +72,7 @@ def render_stability_report(report: StabilityReport) -> str:
     lines = ["equilibrium:"]
     lines.extend(f"  {name} = {fmt(v)}"
                  for name, v in zip(names, report.equilibrium))
-    coeffs = report.char_coeffs
+    coeffs = report.char_coeffs or ()
     lines.append("characteristic coefficients (Jacobian):")
     lines.extend(f"  a{k+1} = {fmt(c)}" for k, c in enumerate(coeffs))
     if len(coeffs) == 3:
@@ -82,9 +82,16 @@ def render_stability_report(report: StabilityReport) -> str:
         lines.append("  Routh-Hurwitz checks: n/a (system is not cubic; "
                      "verdict rests on the eigenvalue margin)")
     else:
-        route = ("coefficients are the elementary symmetric functions of "
-                 "the eigenvalues" if coeffs else
-                 "coefficients from the eigenvalues are not finite, none printed")
+        if coeffs:
+            route = ("coefficients are the elementary symmetric functions "
+                     "of the eigenvalues")
+        elif report.char_coeffs is None:
+            route = (f"{len(report.equilibrium)} variables are past the "
+                     f"dense limit of {MAX_DENSE_VALUES} matrix values, so no "
+                     f"eigenvalues and no coefficients are computed, and the "
+                     f"margin comes from an inertia bisection")
+        else:
+            route = "coefficients from the eigenvalues are not finite, none printed"
         lines.append(f"  Routh-Hurwitz checks: n/a (system is not cubic; "
                      f"{route}; verdict rests on the eigenvalue margin)")
     lines.append(f"eigenvalue margin (max Re): {fmt(report.eigen_margin)}")

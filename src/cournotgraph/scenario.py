@@ -37,9 +37,10 @@ violations with the offending line or field named;
 edge order that q0 is counted against stay on the spec, and the
 commands' ``to_affine`` reads them from there. A ``[pd]`` graph with
 more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES`` edges, a run
-of more than ``MAX_PD_STEPS`` steps, or a run that reads more than
-``MAX_PD_READS`` neighborhood entries in all is rejected before
-anything is built.
+of more than ``MAX_PD_STEPS`` steps, or a run that counts more than
+``MAX_PD_READS`` reads in all (its neighborhood entries, plus
+``PD_STEP_READS`` a step for the fixed cost of a step) is rejected
+before anything is built.
 """
 
 from __future__ import annotations
@@ -69,7 +70,11 @@ MAX_PLAYER_EDGES = 1_000_000
 MAX_PD_STEPS = 10_000_000
 # An imitation step reads every closed neighborhood, players + 2 * edges
 # entries, at some 32-40 ns each (100 x 100 and 500 x 500 tori on a 2-core
-# Xeon), so the entries a run reads are bounded too: a few minutes' worth.
+# Xeon), and has a fixed cost of about 84 us besides, which a step is
+# charged as PD_STEP_READS more entries (84 us / 36 ns). The reads of a
+# run are bounded: a few minutes' worth. So no graph runs more than about
+# 2 * 10^6 steps; MAX_PD_STEPS is checked first and names the steps alone.
+PD_STEP_READS = 2_400
 MAX_PD_READS = 5_000_000_000
 
 
@@ -329,11 +334,14 @@ def _build_pd(entries) -> PDScenario:
     if players > MAX_PLAYERS:
         raise ScenarioError(f"graph: '{graph_value}' has {players} players, "
                             f"more than the limit of {MAX_PLAYERS}", graph_line)
-    reads = (players + 2 * edges) * steps
+    entries_read = players + 2 * edges
+    reads = (entries_read + PD_STEP_READS) * steps
     if reads > MAX_PD_READS:
-        raise ScenarioError(f"steps: {steps} steps of '{graph_value}' read up to "
-                            f"{reads} neighborhood entries, more than the limit "
-                            f"of {MAX_PD_READS}", entries["steps"][1])
+        raise ScenarioError(f"steps: {steps} steps of '{graph_value}' count as "
+                            f"{reads} reads (up to {entries_read} neighborhood "
+                            f"entries and {PD_STEP_READS} for the fixed cost of "
+                            f"each step), more than the limit of {MAX_PD_READS}",
+                            entries["steps"][1])
     try:
         scenario.build_graph()  # surfaces range/duplicate/self-loop problems
     except ValueError as exc:

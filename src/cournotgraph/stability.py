@@ -1,24 +1,57 @@
 """Equilibrium and stability analysis for affine flow dynamics.
 
 For dq/dt = c - A q the unique equilibrium solves A q = c and the
-Jacobian is J = -A. One kernel (``_solve``) runs the condition guard,
-the solve and the residual test on a stack of systems: ``equilibrium``
-on one, ``canonical_margins`` on a sweep's grid. ``analyze`` computes
-the eigenvalues of J once; their maximum real part is the "margin",
-which decides the verdict, since strict inequalities mean nothing at
-the boundary in floating point. The characteristic coefficients (a1..an
-of det(lambda I - J) = lambda^n + a1 lambda^(n-1) + ... + an) come from
-one of two routes:
+Jacobian is J = -A. The maximum real part of J's eigenvalues is the
+"margin", which decides the verdict, since strict inequalities mean
+nothing at the boundary in floating point. There are two routes, one
+per kind of matrix.
 
-* for n <= 3, from the matrix by Faddeev-LeVerrier (``char_poly``),
-  independent of the eigenvalues; for cubic systems the Routh-Hurwitz
-  inequalities (a1 > 0, a3 > 0, a1 a2 > a3) then decide stability a
-  second way, and the two must agree away from the marginal band
-  |margin| <= MARGIN_EPS;
+* A network system (``AffineSystem.structure`` set) has
+  A = D_b S with S = diag(beta_i(e)) + U W U^T symmetric positive
+  definite, where U = [F | M] is the n x k edge incidence matrix
+  (k firms and markets) and W = diag(gamma, beta). Everything is
+  computed from that :class:`~cournotgraph.network.EdgeIncidence`:
+
+  - The equilibrium solves S q = r, r = c / b_e = alpha_i(e), so it
+    does not depend on the speeds. By the Woodbury identity it is
+    y = D^-1 r, K z = U^T y, q = y - D^-1 U z, with D = diag(beta_e)
+    and the k x k capacitance matrix K = W^-1 + U^T D^-1 U factored by
+    Cholesky: O(n + k^3), and the n x n matrix is never filled. An O(n + k) bound on cond(S)
+    (Gershgorin row sums over min beta_e) and the success of the
+    Cholesky factorisation guard it. The residual is checked
+    matrix-free; where it fails because a tiny beta_e cost the solve
+    digits, corrections solved from it (iterative refinement) win them
+    back.
+  - A is similar to the symmetric H = D_b^1/2 S D_b^1/2, so its
+    spectrum is real. While the dense matrix is allowed
+    (n^2 <= ``network.MAX_DENSE_VALUES``), one ``eigvalsh`` of H gives
+    every eigenvalue. Past that, only the margin -lambda_min(H) is
+    computed, with no n x n array: H - lam I is congruent to
+    diag(beta_e - lam / b_e) + U W U^T, so by Haynsworth's inertia
+    theorem #{eig H < lam} = #{b_e beta_e < lam} - #{eig K_lam < 0},
+    with K_lam the capacitance matrix of that diagonal. Bisection on
+    [min b_e beta_e, min b_e (gamma_j + 2 beta_i)], which holds
+    lambda_min (H >= diag(b_e beta_e), and no eigenvalue exceeds the
+    least diagonal entry of H), then costs O(n + k^3) a step; a value
+    b_e beta_e shared by more than k edges is an eigenvalue of H and
+    lowers the upper end.
+
+* Any other system, in particular the canonical normal form below,
+  keeps dense LU and the general ``eigvals``: its matrix is not
+  symmetric, nor similar to a symmetric one (r4 and r5 may be
+  negative, and the spectrum complex).
+
+The characteristic coefficients (a1..an of det(lambda I - J) =
+lambda^n + a1 lambda^(n-1) + ... + an) come from one of two routes:
+
+* for n <= 3, from the matrix (``char_poly``: the trace, the sum of the
+  principal 2 x 2 minors and the determinant), independent of the
+  eigenvalues; for cubic systems the Routh-Hurwitz inequalities
+  (a1 > 0, a3 > 0, a1 a2 > a3) then decide stability a second way, and
+  the two must agree away from the marginal band |margin| <= MARGIN_EPS;
 * for n > 3, as the elementary symmetric functions of the eigenvalues
-  (``np.poly``). Faddeev-LeVerrier loses all accuracy on network
-  systems past about 20 flow variables, so it decides nothing there;
-  coefficients that are not finite are dropped rather than reported.
+  (``np.poly``); coefficients that are not finite are dropped rather
+  than reported, and past the dense limit there are none.
 
 The module also implements the rescaled three-variable normal form of
 the two-firm, two-market network,
@@ -45,12 +78,15 @@ from enum import Enum
 
 import numpy as np
 
-from .network import AffineSystem, Edge
+from .network import AffineSystem, Edge, EdgeIncidence
 
 MARGIN_EPS = 1e-9       # band around 0 where the verdict is MARGINAL
 CHAR_POLY_MAX_N = 3     # largest system whose coefficients char_poly gives
 _COND_LIMIT = 1e12      # condition-number guard for the equilibrium solve
+_REFINE_STEPS = 3       # residual corrections a network equilibrium may take
 _SYMMETRY_TOL = 1e-12   # |r1 - r2| tolerance for the symmetric closed forms
+_BISECT_TOL = 2.0 ** -46  # relative bracket width where the margin bisection stops
+_POLE_GAP = 2.0 ** -10    # relative distance from lam within which a pole stays in Z
 
 CANONICAL_ORDER: tuple[Edge, ...] = ((1, 1), (2, 2), (2, 1))
 
@@ -91,7 +127,7 @@ class StabilityReport:
     """Everything the stability command reports for one system."""
 
     equilibrium: np.ndarray
-    char_coeffs: tuple[float, ...]
+    char_coeffs: tuple[float, ...] | None  # None: past the dense limit
     hurwitz_pass: bool | None            # None unless the system is cubic
     closed_form: tuple[float, float, float] | None  # r-formula coefficients
     eigen_margin: float
@@ -128,6 +164,138 @@ def _spectrum(a: np.ndarray):
     return eigvals, np.max(eigvals.real, axis=-1)
 
 
+def _gram(st: EdgeIncidence, weight: np.ndarray) -> np.ndarray:
+    """U^T diag(weight) U for the n x k incidence U = [F | M], firms
+    first. Edge (i, j) adds its weight to the entries (j, i) and (i, j),
+    which no other edge shares, and to the diagonal entries (j, j) and
+    (i, i), which are the sums F^T w and M^T w."""
+    market = st.market + len(st.firm_gamma)
+    gram = np.diag(np.concatenate(st.supplies(weight)))
+    gram[st.firm, market] = weight
+    gram[market, st.firm] = weight
+    return gram
+
+
+def _capacitance(st: EdgeIncidence, weight: np.ndarray) -> np.ndarray:
+    """K = W^-1 + U^T diag(weight) U, with W = diag(gamma, beta): the
+    k x k matrix of the Woodbury identity for diag(1 / weight) + U W U^T."""
+    k = _gram(st, weight)
+    k.flat[::len(k) + 1] += 1.0 / np.concatenate((st.firm_gamma,
+                                                   st.market_beta))
+    return k
+
+
+def _woodbury(st: EdgeIncidence):
+    """The solver r -> S^-1 r of the Woodbury identity (see the module
+    docstring), with the capacitance matrix factored once;
+    NoUniqueEquilibriumError when cond(S) may pass _COND_LIMIT or the
+    capacitance matrix is not positive definite."""
+    firm_degree, market_degree = st.supplies(np.ones(len(st.speed)))
+    # S has no negative entry, so its largest row sum bounds its largest
+    # eigenvalue, and S >= diag(beta_e) bounds its smallest one below.
+    rows = (st.firm_gamma * firm_degree)[st.firm] + st.beta * (
+        market_degree[st.market] + 1.0)
+    bound = float(np.max(rows) / np.min(st.beta))
+    if not bound <= _COND_LIMIT:
+        raise NoUniqueEquilibriumError(
+            f"no unique equilibrium: matrix condition number bound "
+            f"{bound:.3g} exceeds {_COND_LIMIT:.0e}")
+    try:
+        lower = np.linalg.cholesky(_capacitance(st, 1.0 / st.beta))
+    except np.linalg.LinAlgError:
+        raise NoUniqueEquilibriumError(
+            "no unique equilibrium: the Woodbury capacitance matrix is not "
+            "positive definite") from None
+    firms = len(st.firm_gamma)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        y = r / st.beta
+        z = np.linalg.solve(lower.T, np.linalg.solve(lower, np.concatenate(
+            st.supplies(y))))
+        return y - (z[:firms][st.firm] + z[firms:][st.market]) / st.beta
+    return solve
+
+
+def _count_below(st: EdgeIncidence, poles: np.ndarray, lam: float,
+                 roots: dict) -> int:
+    """#{eig H < lam} for H = D_b^1/2 S D_b^1/2, from the inertia of the
+    (n + k) x (n + k) matrix [[E, V], [V^T, -W^-1]], E = diag(b_e beta_e
+    - lam) and V = D_b^1/2 U, which has k + #{eig H < lam} negative
+    eigenvalues. The edges whose b_e beta_e lies within _POLE_GAP of lam,
+    relative, stay in it, because 1 / (b_e beta_e - lam) would swamp the
+    rest in rounding; the others are eliminated (Haynsworth), which
+    leaves Z = [[E_near, V_near], [V_near^T, -K]] with K the capacitance
+    matrix of the far edges. Near edges that share one pole value with
+    more than k others enter Z by the square root of their Gram matrix,
+    which has the same inertia with at most k rows; each row it drops
+    adds one eigenvalue b_e beta_e - lam, which is positive, because
+    ``_lowest_eigenvalue`` bisects below every such value. ``poles``
+    holds b_e beta_e, and ``roots`` keeps the square roots from one call
+    to the next."""
+    gap = poles - lam
+    near = np.abs(gap) <= _POLE_GAP * lam
+    k = _capacitance(st, np.where(near, 0.0,
+                                  st.speed / np.where(near, 1.0, gap)))
+    size = len(k)
+    below = np.count_nonzero(gap[~near] < 0.0)
+    values, counts = np.unique(poles[near], return_counts=True)
+    crowded = values[counts > size]
+    edges = np.flatnonzero(near & ~np.isin(poles, crowded))
+    v = np.zeros((len(edges), size))  # rows of V = D_b^1/2 U
+    root = np.sqrt(st.speed[edges])
+    v[np.arange(len(edges)), st.firm[edges]] = root
+    v[np.arange(len(edges)), len(st.firm_gamma) + st.market[edges]] = root
+    rows, diagonal = [v], [gap[edges]]
+    for value in crowded:
+        if value not in roots:
+            eig, vec = np.linalg.eigh(_gram(st, np.where(poles == value,
+                                                         st.speed, 0.0)))
+            keep = eig > size * np.finfo(float).eps * eig[-1]
+            roots[value] = np.sqrt(eig[keep])[:, None] * vec[:, keep].T
+        rows.append(roots[value])
+        diagonal.append(np.full(len(roots[value]), value - lam))
+    v = np.concatenate(rows)
+    z = np.block([[np.diag(np.concatenate(diagonal)), v], [v.T, -k]])
+    return below + np.count_nonzero(np.linalg.eigvalsh(z) < 0.0) - size
+
+
+def _lowest_eigenvalue(st: EdgeIncidence) -> float:
+    """lambda_min of H = D_b^1/2 S D_b^1/2 without an n x n array, by
+    bisection on ``_count_below`` over the bracket of the module
+    docstring, to a relative width of _BISECT_TOL."""
+    poles = st.speed * st.beta
+    values, counts = np.unique(poles, return_counts=True)
+    # A pole value p on more than k edges leaves some x on those edges
+    # with U^T x = 0, so H x = p x and p bounds lambda_min above; when it
+    # is the least pole, lambda_min is p exactly.
+    crowded = values[counts > len(st.firm_gamma) + len(st.market_beta)]
+    lo = float(values[0])
+    hi = float(np.min(np.append(crowded, st.speed * (
+        st.firm_gamma[st.firm] + 2.0 * st.beta))))
+    roots: dict = {}
+    while hi - lo > _BISECT_TOL * hi:
+        lam = 0.5 * (lo + hi)
+        below = _count_below(st, poles, lam, roots)
+        lo, hi = (lo, lam) if below > 0 else (lam, hi)
+    return 0.5 * (lo + hi)
+
+
+def _system_spectrum(sys: AffineSystem):
+    """(eigenvalues of J = -A, or None where they are not computed, and
+    the margin max Re of them), by the route of the module docstring."""
+    st = sys.structure
+    if st is None:
+        eigvals, margin = _spectrum(sys.matrix)
+        return eigvals, float(margin)
+    if not st.dense_allowed:
+        return None, -_lowest_eigenvalue(st)
+    root = np.sqrt(st.speed)
+    h = sys.matrix / root[:, None]   # D_b^-1/2 A D_b^1/2 = H
+    h *= root
+    eigvals = -np.linalg.eigvalsh(h)
+    return eigvals, float(eigvals[0])
+
+
 def _hurwitz_checks(a1: float, a2: float, a3: float):
     """The three Routh-Hurwitz inequalities of a cubic, labelled."""
     return (("a1 > 0", a1 > 0.0), ("a3 > 0", a3 > 0.0),
@@ -144,7 +312,27 @@ def verdict_of(margin: float) -> Stability:
 
 
 def equilibrium(sys: AffineSystem) -> np.ndarray:
-    """Solve A q = c with a condition-number guard and residual check."""
+    """Solve A q = c with a condition-number guard and residual check: a
+    network by its structure, never filling the dense matrix, any other
+    system by dense LU."""
+    st = sys.structure
+    if st is not None:
+        solve, c = _woodbury(st), sys.constant
+        tolerance = 1e-10 * np.max(np.abs(c))
+        q = solve(c / st.speed)
+        residual = c - st.apply(q)
+        # A tiny beta_e makes D^-1 large, and the solve then cancels away
+        # digits; corrections from the matrix-free residual win them back.
+        for _ in range(_REFINE_STEPS):
+            if np.max(np.abs(residual)) <= tolerance:
+                break
+            q = q + solve(residual / st.speed)
+            residual = c - st.apply(q)
+        worst = float(np.max(np.abs(residual)))
+        if not worst <= tolerance:  # NaN fails
+            raise NoUniqueEquilibriumError(
+                f"no unique equilibrium: solve residual {worst:.3g} too large")
+        return q
     q, ok, cond, residual = _solve(sys.matrix[None], sys.constant[None])
     if not ok[0]:
         reason = (f"solve residual {residual[0]:.3g} too large"
@@ -156,21 +344,28 @@ def equilibrium(sys: AffineSystem) -> np.ndarray:
 
 
 def char_poly(sys: AffineSystem) -> tuple[float, ...]:
-    """Coefficients (a1, ..., an) of det(lambda I - J) = lambda^n
-    + a1 lambda^(n-1) + ... + an for the Jacobian J = -A, by the
-    Faddeev-LeVerrier recursion. It costs O(n^4) and its rounding grows
-    with n, so ``analyze`` uses it only up to CHAR_POLY_MAX_N."""
-    j = -sys.matrix
-    n = j.shape[0]
-    coeffs: list[float] = []
-    m = np.eye(n)
-    c = -float(np.trace(j))
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        m = j @ m + c * np.eye(n)
-        c = -float(np.trace(j @ m)) / k
-        coeffs.append(c)
+    """Coefficients (a1, ..., an) of det(lambda I - J) = det(lambda I + A)
+    = lambda^n + a1 lambda^(n-1) + ... + an for the Jacobian J = -A:
+    a_k is the sum of the principal k x k minors of A, so a1 is the
+    trace, a2 the sum of the principal 2 x 2 minors and an the
+    determinant, each by its explicit product formula. It takes 2^n - 1
+    of them, so ``analyze`` uses it only up to CHAR_POLY_MAX_N."""
+    a = sys.matrix
+    n = a.shape[0]
+    coeffs = [0.0] * n
+    for subset in range(1, 1 << n):
+        rows = [i for i in range(n) if subset >> i & 1]
+        coeffs[len(rows) - 1] += _det(a[np.ix_(rows, rows)])
     return tuple(coeffs)
+
+
+def _det(a: np.ndarray) -> float:
+    """Determinant by cofactor expansion along the first row, so a 2 x 2
+    minor is a d - b c and a 3 x 3 one the explicit six-term sum."""
+    if len(a) == 1:
+        return float(a[0, 0])
+    return sum((-1) ** j * float(a[0, j]) * _det(np.delete(a[1:], j, axis=1))
+               for j in range(len(a)))
 
 
 def routh_hurwitz_cubic(a1: float, a2: float, a3: float) -> bool:
@@ -180,13 +375,14 @@ def routh_hurwitz_cubic(a1: float, a2: float, a3: float) -> bool:
 
 
 def eigen_margin(sys: AffineSystem) -> float:
-    """Max real part over the eigenvalues of J = -A.
+    """Max real part over the eigenvalues of J = -A, the margin that
+    ``analyze`` reports.
 
-    Computed by LAPACK straight from the matrix, deliberately not via
-    ``char_poly``, so the Routh-Hurwitz route and this one stay
-    independent of each other.
+    Computed by LAPACK from the matrix, or for a network from its
+    structure, deliberately not via ``char_poly``, so the Routh-Hurwitz
+    route and this one stay independent of each other.
     """
-    return float(_spectrum(sys.matrix)[1])
+    return _system_spectrum(sys)[1]
 
 
 def canonical_field(r: CanonicalParams, q) -> tuple[float, float, float]:
@@ -287,15 +483,18 @@ def analyze(sys: AffineSystem,
     (cubic systems only), eigenvalue margin and the verdict; for
     canonical systems pass r to include the closed-form coefficients."""
     eq = equilibrium(sys)
-    eigvals, margin = _spectrum(sys.matrix)
-    if sys.dimension > CHAR_POLY_MAX_N:
+    eigvals, margin = _system_spectrum(sys)
+    if sys.dimension <= CHAR_POLY_MAX_N:
+        coeffs = char_poly(sys)
+    elif eigvals is None:
+        coeffs = None
+    else:
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = tuple(float(v) for v in np.poly(eigvals).real[1:])
         if not all(np.isfinite(coeffs)):
             coeffs = ()
-    else:
-        coeffs = char_poly(sys)
-    hurwitz = routh_hurwitz_cubic(*coeffs) if len(coeffs) == 3 else None
+    hurwitz = (routh_hurwitz_cubic(*coeffs)
+               if coeffs is not None and len(coeffs) == 3 else None)
     return StabilityReport(equilibrium=eq, char_coeffs=coeffs,
                            hurwitz_pass=hurwitz,
                            closed_form=closed_form_coeffs(r) if r is not None else None,

@@ -465,10 +465,37 @@ class TestCommandRoutes:
                         .replace("steps = 20", "steps = 10000000"))
         out = tmp_path / "pd.csv"
         assert run("pd", "--scenario", path, "--out", out) == 2
-        reads = (707 * 707 + 4 * 707 * 707) * 10_000_000
+        entries = 707 * 707 + 4 * 707 * 707
+        reads = (entries + 2400) * 10_000_000
         assert capsys.readouterr().err == (
-            f"error: line 10: steps: 10000000 steps of 'torus 707 707' read up "
-            f"to {reads} neighborhood entries, more than the limit of "
+            f"error: line 10: steps: 10000000 steps of 'torus 707 707' count "
+            f"as {reads} reads (up to {entries} neighborhood entries and 2400 "
+            f"for the fixed cost of each step), more than the limit of "
+            f"{scenario.MAX_PD_READS}\n")
+        assert not out.exists()
+
+    def test_pd_small_graph_pays_the_step_charge_exit_2_before_any_work(
+            self, monkeypatch, tmp_path, capsys):
+        # 10^7 steps of a 4 x 4 torus read only 8 * 10^8 neighborhood
+        # entries, but the fixed cost of each step makes them minutes.
+        from cournotgraph import cli, scenario
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may be built or run")
+        for name in ("complete_graph", "cycle_graph", "torus_graph",
+                     "player_graph"):
+            monkeypatch.setattr(scenario, name, forbidden)
+        monkeypatch.setattr(cli, "run_spatial", forbidden)
+        path = tmp_path / "small.scenario"
+        path.write_text(PD.read_text()
+                        .replace("graph = edges 0-1, 0-2", "graph = torus 4 4")
+                        .replace("steps = 20", "steps = 10000000"))
+        out = tmp_path / "pd.csv"
+        assert run("pd", "--scenario", path, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: line 10: steps: 10000000 steps of 'torus 4 4' count as "
+            "24800000000 reads (up to 80 neighborhood entries and 2400 for "
+            f"the fixed cost of each step), more than the limit of "
             f"{scenario.MAX_PD_READS}\n")
         assert not out.exists()
 
@@ -558,8 +585,9 @@ def _network_scenario(path, markets: int, firms: int, seed: int,
 
 
 class TestNetworkRoutes:
-    """Networks past 300 edges simulate on the incidence structure;
-    only stability and equilibrium fill the dense matrix."""
+    """Networks past 300 edges simulate on the incidence structure, and
+    every network solves its equilibrium there; only the eigenvalues of
+    a stability report fill the dense matrix, once, while it is allowed."""
 
     def test_simulate_never_fills_the_dense_matrix(self, monkeypatch,
                                                    tmp_path, capsys):
@@ -574,6 +602,7 @@ class TestNetworkRoutes:
         for method in ("rk4", "euler"):
             assert run("simulate", "--scenario", path, "--t-end", 1,
                        "--method", method, "--out", tmp_path / "t.csv") == 0
+        assert run("equilibrium", "--scenario", path) == 0
         calls = []
 
         def counted(self):
@@ -581,8 +610,63 @@ class TestNetworkRoutes:
             return fill(self)
         monkeypatch.setattr(EdgeIncidence, "dense", counted)
         assert run("stability", "--scenario", path) == 0
+        assert calls == [1]
+
+    def test_past_the_dense_limit_on_the_structure(self, monkeypatch, tmp_path,
+                                                   capsys):
+        from cournotgraph.network import EdgeIncidence
+        path = tmp_path / "big.scenario"
+        _network_scenario(path, 40, 80, seed=7, complete=True)  # 3200 edges
+
+        def forbidden(self):
+            raise AssertionError("dense matrix filled")
+        monkeypatch.setattr(EdgeIncidence, "dense", forbidden)
+        assert run("simulate", "--scenario", path, "--t-end", 0.05,
+                   "--out", tmp_path / "t.csv") == 0
+        capsys.readouterr()
         assert run("equilibrium", "--scenario", path) == 0
-        assert calls == [1, 1]
+        flows = capsys.readouterr().out.splitlines()
+        assert len(flows) == 3200
+        assert run("stability", "--scenario", path) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert report[1:3201] == ["  " + line for line in flows]
+        assert not any(line.startswith("  a") for line in report)
+        assert report[3201:] == [
+            "characteristic coefficients (Jacobian):",
+            "  Routh-Hurwitz checks: n/a (system is not cubic; 3200 variables "
+            "are past the dense limit of 10000000 matrix values, so no "
+            "eigenvalues and no coefficients are computed, and the margin "
+            "comes from an inertia bisection; verdict rests on the eigenvalue "
+            "margin)",
+            report[-2], "verdict: STABLE"]
+        assert report[-2].startswith("eigenvalue margin (max Re): -")
+
+    def test_badly_conditioned_network_exits_3_with_no_output(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "ill.scenario"
+        path.write_text(NETWORK.read_text().replace("beta = 0.2, 0.3",
+                                                    "beta = 1e-13, 0.3"))
+        for command in ("equilibrium", "stability"):
+            assert run(command, "--scenario", path) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "error: no unique equilibrium: matrix condition number bound ")
+
+    def test_ten_thousand_edges_never_fill_the_dense_matrix(self, monkeypatch,
+                                                            tmp_path, capsys):
+        from cournotgraph.network import EdgeIncidence
+        path = tmp_path / "huge.scenario"
+        _network_scenario(path, 100, 100, seed=11, complete=True)
+
+        def forbidden(self):
+            raise AssertionError("dense matrix filled")
+        monkeypatch.setattr(EdgeIncidence, "dense", forbidden)
+        for command in ("equilibrium", "stability"):
+            assert run(command, "--scenario", path) == 0
+        out = capsys.readouterr().out
+        assert out.count("q100_100 = ") == 2
+        assert "verdict: STABLE" in out
 
     def test_blowup_contract_on_the_matrix_free_route(self, tmp_path, capsys):
         from cournotgraph import IntegrationBlowUp, integrate, to_affine
@@ -605,21 +689,6 @@ class TestNetworkRoutes:
         scale = np.maximum(1.0, np.max(np.abs(want.states), axis=1))
         gap = np.max(np.abs(got[:, 1:] - want.states), axis=1) / scale
         assert float(np.max(gap)) <= 1e-12
-
-    def test_dense_size_bound_spares_simulate(self, tmp_path, capsys):
-        path = tmp_path / "big.scenario"
-        _network_scenario(path, 40, 80, seed=7, complete=True)  # 3200 edges
-        assert run("simulate", "--scenario", path, "--t-end", 0.05,
-                   "--out", tmp_path / "t.csv") == 0
-        capsys.readouterr()
-        for command in ("stability", "equilibrium"):
-            assert run(command, "--scenario", path) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (
-                "error: a network of 3200 edges needs a dense 3200x3200 "
-                "matrix, more than the limit of 10000000 values (80 MB at "
-                "8 bytes each)\n")
 
     @pytest.mark.parametrize("name", ["canonical_stable", "canonical_unstable",
                                       "two_firm_network"])

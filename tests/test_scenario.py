@@ -235,22 +235,29 @@ class TestParseErrors:
 
     def test_steps_bounded(self):
         from cournotgraph.scenario import MAX_PD_STEPS
+        # MAX_PD_STEPS steps pass the steps check; the reads bound, which
+        # no graph meets at that many steps, refuses them next.
         limit = PD_TEXT.replace("steps = 10", f"steps = {MAX_PD_STEPS}")
-        assert parse_scenario(limit).steps == MAX_PD_STEPS
+        with pytest.raises(ScenarioError, match=f"^line 5: steps: {MAX_PD_STEPS} "
+                           f"steps of 'torus 4 4' count as "):
+            parse_scenario(limit)
         text = PD_TEXT.replace("steps = 10", f"steps = {MAX_PD_STEPS + 1}")
         with pytest.raises(ScenarioError, match=f"^line 5: steps: {MAX_PD_STEPS + 1} "
                            f"is more than the limit of {MAX_PD_STEPS}$"):
             parse_scenario(text)
 
     def test_reads_bounded(self):
-        # torus 10 25 has 250 players and 500 edges: 1250 entries a step.
-        steps = scenario.MAX_PD_READS // 1250
+        # torus 10 25 has 250 players and 500 edges: 1250 entries a step,
+        # and each step is charged 2400 more for its fixed cost.
+        assert scenario.PD_STEP_READS == 2400
+        steps = scenario.MAX_PD_READS // (1250 + 2400)
         assert parse_scenario(pd_text("torus 10 25", steps=steps)).steps == steps
-        reads = 1250 * (steps + 1)
+        reads = (1250 + 2400) * (steps + 1)
         with pytest.raises(ScenarioError, match=(
-                f"^line 5: steps: {steps + 1} steps of 'torus 10 25' read up to "
-                f"{reads} neighborhood entries, more than the limit of "
-                f"{scenario.MAX_PD_READS}$")):
+                rf"^line 5: steps: {steps + 1} steps of 'torus 10 25' count as "
+                rf"{reads} reads \(up to 1250 neighborhood entries and 2400 for "
+                rf"the fixed cost of each step\), more than the limit of "
+                rf"{scenario.MAX_PD_READS}$")):
             parse_scenario(pd_text("torus 10 25", steps=steps + 1))
 
     @pytest.mark.parametrize("graph, steps", [  # the pd benchmark's runs

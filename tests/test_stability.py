@@ -12,8 +12,8 @@ from cournotgraph import (AffineSystem, CanonicalParams,
                           routh_hurwitz_cubic, symmetric_conditions,
                           symmetric_equilibrium, to_affine,
                           two_firms_two_markets)
-from helpers import (charpoly_by_determinant, random_canonical,
-                     random_network_spec)
+from helpers import (charpoly_by_determinant, network_spec_of_shape,
+                     random_canonical, random_network_spec, to_affine_by_loop)
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
 UNSTABLE = CanonicalParams(0.01, 0.1, 1.1, -0.3, 0.4)
@@ -340,3 +340,129 @@ class TestCoefficientRoutes:
         text = render_stability_report(report)
         assert "not finite, none printed" in text
         assert "  a1 = " not in text
+
+
+def _network_specs(seed: int, count: int):
+    """Specs from both generators: up to 8 markets and firms, then up to
+    25 of each."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        if k % 2:
+            yield random_network_spec(rng, max_markets=8, max_firms=8)
+        else:
+            yield network_spec_of_shape(rng, int(rng.integers(1, 26)),
+                                        int(rng.integers(1, 26)))
+
+
+def _dense_h(spec):
+    """H = D_b^1/2 S D_b^1/2 from the loop-built A = D_b S."""
+    _, a = to_affine_by_loop(spec)
+    order = sorted(set(spec.edges))
+    root = np.sqrt([spec.speed[j - 1] for _, j in order])
+    return a / (root * root)[:, None] * root[:, None] * root[None, :]
+
+
+class TestNetworkRoute:
+    """Network systems are solved and analysed on their incidence
+    structure: a Woodbury solve, eigvalsh of the symmetric H, and past the
+    dense limit an inertia bisection."""
+
+    def test_woodbury_equilibrium_matches_dense_solve(self):
+        for spec in _network_specs(60, 80):
+            c, a = to_affine_by_loop(spec)
+            want = np.linalg.solve(a, c)
+            got = equilibrium(to_affine(spec))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_equilibrium_does_not_depend_on_the_speeds(self):
+        rng = np.random.default_rng(61)
+        for spec in _network_specs(62, 40):
+            q = equilibrium(to_affine(spec))
+            for speed in (np.full(spec.firm_count, 1e6),
+                          np.full(spec.firm_count, 1e-6),
+                          10.0 ** rng.choice([-6, 6], spec.firm_count)):
+                moved = dataclasses.replace(spec, speed=tuple(spec.speed * speed))
+                got = equilibrium(to_affine(moved))
+                assert np.max(np.abs(got - q)) <= 1e-12 * np.max(np.abs(q))
+
+    def test_bisection_margin_matches_dense_eigenvalues(self, monkeypatch):
+        from cournotgraph import network
+        specs = list(_network_specs(63, 80))
+        want = [-float(np.linalg.eigvalsh(_dense_h(spec))[0]) for spec in specs]
+        monkeypatch.setattr(network, "MAX_DENSE_VALUES", 0)
+        for spec, margin in zip(specs, want):
+            got = eigen_margin(to_affine(spec))
+            assert abs(got - margin) <= 1e-12 * abs(margin)
+
+    def test_bisection_near_repeated_poles(self, monkeypatch):
+        # Round parameters repeat the values b_e beta_e, and some sit on
+        # or next to the lowest eigenvalue of H; the count keeps the edges
+        # near the bisection point in its matrix instead of dividing by
+        # the small differences.
+        from cournotgraph import NetworkSpec, network
+        rng = np.random.default_rng(64)
+        specs = []
+        for _ in range(60):
+            shape = network_spec_of_shape(rng, int(rng.integers(1, 13)),
+                                          int(rng.integers(1, 13)))
+            specs.append(NetworkSpec(
+                shape.market_count, shape.firm_count, shape.edges, shape.alpha,
+                tuple(rng.choice([0.5, 1.0, 2.0], shape.market_count)),
+                tuple(rng.choice([0.5, 1.0], shape.firm_count)),
+                tuple(rng.choice([1.0, 2.0], shape.firm_count))))
+        # One b_e beta_e on more edges than there are firms and markets:
+        # the least pole (lambda_min is that value exactly), or one just
+        # above lambda_min, which the count then meets near the pole.
+        complete = tuple((i, j) for i in range(1, 7) for j in range(1, 9))
+        for beta in ((0.5,) * 6, (0.999,) + (1.0,) * 5, (0.9999,) + (1.0,) * 5):
+            specs.append(NetworkSpec(6, 8, complete, (1.0,) * 6, beta,
+                                     tuple(rng.uniform(0.1, 2.0, 8)), (1.0,) * 8))
+        want = [-float(np.linalg.eigvalsh(_dense_h(spec))[0]) for spec in specs]
+        monkeypatch.setattr(network, "MAX_DENSE_VALUES", 0)
+        for spec, margin in zip(specs, want):
+            got = eigen_margin(to_affine(spec))
+            assert abs(got - margin) <= 1e-12 * abs(margin)
+
+    def test_equilibrium_never_fills_the_dense_matrix(self, monkeypatch):
+        from cournotgraph.network import EdgeIncidence
+
+        def forbidden(self):
+            raise AssertionError("dense matrix filled")
+        monkeypatch.setattr(EdgeIncidence, "dense", forbidden)
+        rng = np.random.default_rng(65)
+        for markets, firms in ((1, 1), (2, 3), (20, 30), (70, 70)):
+            spec = network_spec_of_shape(rng, markets, firms)
+            q = equilibrium(to_affine(spec))
+            assert len(q) == len(set(spec.edges)) and np.all(np.isfinite(q))
+
+    def test_margin_is_the_symmetric_one(self):
+        for spec in _network_specs(66, 30):
+            mu = np.linalg.eigvalsh(_dense_h(spec))
+            assert abs(analyze(to_affine(spec)).eigen_margin + mu[0]) <= 1e-12 * mu[0]
+
+    def test_tiny_beta_is_refined_to_the_dense_solve(self):
+        # beta_1 = 1e-11 puts 1e11 into D^-1; S itself is well conditioned.
+        for beta1 in (1e-11, 1e-9, 1e-7):
+            spec = two_firms_two_markets(1, 1, beta1, 0.3, 0.1, 0.4)
+            c, a = to_affine_by_loop(spec)
+            want = np.linalg.solve(a, c)
+            got = equilibrium(to_affine(spec))
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_badly_conditioned_network_gets_no_equilibrium(self):
+        from cournotgraph import NetworkSpec
+        spec = NetworkSpec(2, 2, ((1, 1), (1, 2), (2, 2)), alpha=(1.0, 1.0),
+                           beta=(1e-13, 1.0), gamma=(1.0, 1.0))
+        with pytest.raises(NoUniqueEquilibriumError,
+                           match="condition number bound .* exceeds 1e\\+12"):
+            equilibrium(to_affine(spec))
+        with pytest.raises(NoUniqueEquilibriumError):
+            analyze(to_affine(spec))
+
+    def test_cholesky_failure_is_no_equilibrium(self, monkeypatch):
+        def fails(matrix):
+            raise np.linalg.LinAlgError("not positive definite")
+        monkeypatch.setattr(np.linalg, "cholesky", fails)
+        with pytest.raises(NoUniqueEquilibriumError,
+                           match="capacitance matrix is not positive definite"):
+            equilibrium(to_affine(two_firms_two_markets(1, 1, 0.2, 0.3, 0.1, 0.4)))
