@@ -20,14 +20,18 @@ outputs F^T q and market supplies M^T q by two ``np.bincount``s, then
 gathers -- so simulating a network never needs the n x n matrix, and
 neither does its equilibrium (a Woodbury solve on the k x k capacitance
 matrix, :mod:`cournotgraph.stability`). The dense matrix is filled on
-first access and then kept. Three things still read it: the eigenvalues,
-hence the characteristic coefficients, of a ``stability`` report while
-n^2 <= ``MAX_DENSE_VALUES``; the Phi_h propagator that
-:mod:`cournotgraph.dynamics` uses up to 300 edges; and the tests'
-oracles. Past that many entries it is refused before it is allocated,
-and the margin comes from the structure alone. Every coordinate follows
-the canonical edge order, which every other module and file format
-shares as its coordinate system.
+first access and then kept. Two things still read it: the Phi_h
+propagator that :mod:`cournotgraph.dynamics` uses up to 300 edges, and
+the tests' oracles; so do ``char_poly`` (at most 3 edges) and the
+equilibrium of a network whose capacitance matrix passes
+``stability.MAX_CAPACITANCE_VALUES``. The
+eigenvalues of a ``stability`` report, hence its characteristic
+coefficients, come from the symmetric H = D_b^1/2 S D_b^1/2
+(``dense_symmetric``), which is filled in place of A. Past
+``MAX_DENSE_VALUES`` entries both are refused before they are
+allocated, and the margin comes from the structure alone. Every
+coordinate follows the canonical edge order, which every other module
+and file format shares as its coordinate system.
 
 A spec's fields are frozen, so everything derived from them is derived
 once per spec object, on first use, and kept on it: the problem list
@@ -219,15 +223,13 @@ class EdgeIncidence:
         """Whether ``dense`` may fill A: n^2 <= ``MAX_DENSE_VALUES``."""
         return len(self.speed) ** 2 <= MAX_DENSE_VALUES
 
-    def dense(self) -> np.ndarray:
-        """A as a read-only n x n array. Row (i, j): b_j (gamma_j +
-        2 beta_i) on the diagonal, b_j gamma_j for every other edge of
-        firm j and b_j beta_i for every other edge into market i (an
-        edge can share a firm or a market with (i, j), never both). One
-        buffer is filled in place, each entry the same floating-point
-        product as that per-entry definition, so it equals a per-entry
-        loop bit for bit and is finite. Refused past ``MAX_DENSE_VALUES``
-        entries, before anything is allocated."""
+    def _filled(self) -> np.ndarray:
+        """S = diag(beta_i(e)) + F Gamma F^T + M B M^T as a writeable
+        n x n array: gamma_j + 2 beta_i on the diagonal of row (i, j),
+        gamma_j for every other edge of firm j and beta_i for every other
+        edge into market i (an edge can share a firm or a market with
+        (i, j), never both). Refused past ``MAX_DENSE_VALUES`` entries,
+        before anything is allocated."""
         n = len(self.speed)
         if not self.dense_allowed:
             raise ValueError(
@@ -236,13 +238,33 @@ class EdgeIncidence:
                 f"({MAX_DENSE_VALUES * 8 // 10**6} MB at 8 bytes each)")
         market, firm = self.market, self.firm
         gamma = self.firm_gamma[firm]
-        a = np.zeros((n, n))
-        np.copyto(a, gamma[:, None], where=firm[:, None] == firm[None, :])
-        np.copyto(a, self.beta[:, None], where=market[:, None] == market[None, :])
-        np.fill_diagonal(a, gamma + 2.0 * self.beta)
+        s = np.zeros((n, n))
+        np.copyto(s, gamma[:, None], where=firm[:, None] == firm[None, :])
+        np.copyto(s, self.beta[:, None], where=market[:, None] == market[None, :])
+        np.fill_diagonal(s, gamma + 2.0 * self.beta)
+        return s
+
+    def dense(self) -> np.ndarray:
+        """A = D_b S as a read-only n x n array, S filled by ``_filled``
+        and its rows scaled in place, so each entry is the same
+        floating-point product as the per-entry definition b_j (gamma_j +
+        2 beta_i), b_j gamma_j or b_j beta_i: it equals a per-entry loop
+        bit for bit and is finite."""
+        a = self._filled()
         a *= self.speed[:, None]
         a.setflags(write=False)
         return a
+
+    def dense_symmetric(self) -> np.ndarray:
+        """H = D_b^1/2 S D_b^1/2 as an n x n array: symmetric, and similar
+        to A (A = D_b^1/2 H D_b^-1/2), so it has A's eigenvalues. S is
+        scaled in place, so H takes one n x n buffer and A is not
+        filled."""
+        root = np.sqrt(self.speed)
+        h = self._filled()
+        h *= root[:, None]
+        h *= root
+        return h
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .network import MAX_DENSE_VALUES, variable_names
+from .network import variable_names
 from .pdgame import PayoffMatrix, apply_side_payment, dominant_strategy, \
     min_side_payment
 from .scenario import CanonicalScenario
@@ -78,22 +78,11 @@ def render_stability_report(report: StabilityReport) -> str:
     if len(coeffs) == 3:
         lines.append("  Routh-Hurwitz checks:")
         lines.extend(_check_lines(*coeffs))
-    elif not report.coeffs_from_eigenvalues:
-        lines.append("  Routh-Hurwitz checks: n/a (system is not cubic; "
-                     "verdict rests on the eigenvalue margin)")
     else:
-        if coeffs:
-            route = ("coefficients are the elementary symmetric functions "
-                     "of the eigenvalues")
-        elif report.char_coeffs is None:
-            route = (f"{len(report.equilibrium)} variables are past the "
-                     f"dense limit of {MAX_DENSE_VALUES} matrix values, so no "
-                     f"eigenvalues and no coefficients are computed, and the "
-                     f"margin comes from an inertia bisection")
-        else:
-            route = "coefficients from the eigenvalues are not finite, none printed"
+        route = (f"{report.coefficient_route}; " if report.coefficient_route
+                 else "")
         lines.append(f"  Routh-Hurwitz checks: n/a (system is not cubic; "
-                     f"{route}; verdict rests on the eigenvalue margin)")
+                     f"{route}verdict rests on the eigenvalue margin)")
     lines.append(f"eigenvalue margin (max Re): {fmt(report.eigen_margin)}")
     lines.append(f"verdict: {report.verdict.value}")
     if report.closed_form is not None:

@@ -36,11 +36,10 @@ violations with the offending line or field named;
 ``[network]`` spec is checked once: the problem list and the canonical
 edge order that q0 is counted against stay on the spec, and the
 commands' ``to_affine`` reads them from there. A ``[pd]`` graph with
-more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES`` edges, a run
-of more than ``MAX_PD_STEPS`` steps, or a run that counts more than
-``MAX_PD_READS`` reads in all (its neighborhood entries, plus
-``PD_STEP_READS`` a step for the fixed cost of a step) is rejected
-before anything is built.
+more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES`` edges, or a
+run that counts more than ``MAX_PD_READS`` reads in all (its
+neighborhood entries, plus ``PD_STEP_READS`` a step for the fixed cost
+of a step) is rejected before anything is built.
 """
 
 from __future__ import annotations
@@ -64,16 +63,13 @@ from .stability import CanonicalParams
 # still fit).
 MAX_PLAYERS = 1_000_000
 MAX_PLAYER_EDGES = 1_000_000
-# A [pd] run keeps one cooperation fraction per step and writes each
-# one out, so its length is bounded too, by the 10^7 that bounds the
-# stored values of an integration.
-MAX_PD_STEPS = 10_000_000
 # An imitation step reads every closed neighborhood, players + 2 * edges
 # entries, at some 32-40 ns each (100 x 100 and 500 x 500 tori on a 2-core
 # Xeon), and has a fixed cost of about 84 us besides, which a step is
 # charged as PD_STEP_READS more entries (84 us / 36 ns). The reads of a
 # run are bounded: a few minutes' worth. So no graph runs more than about
-# 2 * 10^6 steps; MAX_PD_STEPS is checked first and names the steps alone.
+# 2 * 10^6 steps, and the one cooperation fraction a run keeps and writes
+# per step stays bounded too.
 PD_STEP_READS = 2_400
 MAX_PD_READS = 5_000_000_000
 
@@ -313,9 +309,6 @@ def _build_pd(entries) -> PDScenario:
     steps = _int(*entries["steps"], "steps")
     if steps < 0:
         raise ScenarioError("steps must be nonnegative", entries["steps"][1])
-    if steps > MAX_PD_STEPS:
-        raise ScenarioError(f"steps: {steps} is more than the limit of "
-                            f"{MAX_PD_STEPS}", entries["steps"][1])
 
     side_payment = None
     if "side_payment" in entries:

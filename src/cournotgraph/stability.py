@@ -16,25 +16,35 @@ per kind of matrix.
     does not depend on the speeds. By the Woodbury identity it is
     y = D^-1 r, K z = U^T y, q = y - D^-1 U z, with D = diag(beta_e)
     and the k x k capacitance matrix K = W^-1 + U^T D^-1 U factored by
-    Cholesky: O(n + k^3), and the n x n matrix is never filled. An O(n + k) bound on cond(S)
-    (Gershgorin row sums over min beta_e) and the success of the
-    Cholesky factorisation guard it. The residual is checked
-    matrix-free; where it fails because a tiny beta_e cost the solve
-    digits, corrections solved from it (iterative refinement) win them
-    back.
+    Cholesky: O(n + k^3), and the n x n matrix is never filled. An
+    O(n + k) bound on cond(S) (Gershgorin row sums over min beta_e) and
+    the success of the Cholesky factorisation guard it. The residual is
+    checked matrix-free; where it fails because a tiny beta_e cost the
+    solve digits, corrections solved from it (iterative refinement) win
+    them back.
   - A is similar to the symmetric H = D_b^1/2 S D_b^1/2, so its
     spectrum is real. While the dense matrix is allowed
-    (n^2 <= ``network.MAX_DENSE_VALUES``), one ``eigvalsh`` of H gives
-    every eigenvalue. Past that, only the margin -lambda_min(H) is
-    computed, with no n x n array: H - lam I is congruent to
-    diag(beta_e - lam / b_e) + U W U^T, so by Haynsworth's inertia
-    theorem #{eig H < lam} = #{b_e beta_e < lam} - #{eig K_lam < 0},
-    with K_lam the capacitance matrix of that diagonal. Bisection on
-    [min b_e beta_e, min b_e (gamma_j + 2 beta_i)], which holds
-    lambda_min (H >= diag(b_e beta_e), and no eigenvalue exceeds the
-    least diagonal entry of H), then costs O(n + k^3) a step; a value
-    b_e beta_e shared by more than k edges is an eigenvalue of H and
-    lowers the upper end.
+    (n^2 <= ``network.MAX_DENSE_VALUES``), one ``eigvalsh`` of H, filled
+    in place of A, gives every eigenvalue. Past that, only the margin
+    -lambda_min(H) is computed, with no n x n array, by bisection on
+    whether H - lam I is positive definite. Call b_e beta_e the pole of
+    edge e, and split the edges into the near ones, whose pole lies
+    below lam or just above it, and the far ones, whose pole lies above.
+    H - lam I = diag(b_e beta_e - lam) + V W V^T with V = D_b^1/2 U;
+    eliminating the far edges' diagonal, which is positive, and then
+    their capacitance matrix K_far = W^-1 + V_far^T
+    diag(1 / (b_e beta_e - lam))_far V_far, also positive definite,
+    leaves T = diag(b_e beta_e - lam)_near + V_near K_far^-1 V_near^T,
+    so by Haynsworth's inertia theorem H - lam I is positive definite
+    iff T is, which Cholesky tells. V W V^T has rank at most k, so
+    lambda_min lies in [p_(1), p_(k+1)], p_(m) the m-th least pole, and
+    below min b_e (gamma_j + 2 beta_i), the least diagonal entry of H;
+    under p_(k+1) at most k poles lie below lam, so T stays k x k, and a
+    step costs O(n + k^3).
+  - The Woodbury solve and the bisection factor k x k matrices. Past
+    ``MAX_CAPACITANCE_VALUES`` values the equilibrium takes the dense
+    route while that is allowed, and a network past both limits is
+    refused (exit 2).
 
 * Any other system, in particular the canonical normal form below,
   keeps dense LU and the general ``eigvals``: its matrix is not
@@ -52,6 +62,7 @@ lambda^n + a1 lambda^(n-1) + ... + an) come from one of two routes:
 * for n > 3, as the elementary symmetric functions of the eigenvalues
   (``np.poly``); coefficients that are not finite are dropped rather
   than reported, and past the dense limit there are none.
+  ``StabilityReport.coefficient_route`` says which.
 
 The module also implements the rescaled three-variable normal form of
 the two-firm, two-market network,
@@ -78,15 +89,19 @@ from enum import Enum
 
 import numpy as np
 
+from . import network
 from .network import AffineSystem, Edge, EdgeIncidence
 
 MARGIN_EPS = 1e-9       # band around 0 where the verdict is MARGINAL
 CHAR_POLY_MAX_N = 3     # largest system whose coefficients char_poly gives
+# The k x k capacitance matrix of a network (k firms and markets) is
+# bounded as network.MAX_DENSE_VALUES bounds the n x n one.
+MAX_CAPACITANCE_VALUES = 10_000_000
 _COND_LIMIT = 1e12      # condition-number guard for the equilibrium solve
 _REFINE_STEPS = 3       # residual corrections a network equilibrium may take
 _SYMMETRY_TOL = 1e-12   # |r1 - r2| tolerance for the symmetric closed forms
 _BISECT_TOL = 2.0 ** -46  # relative bracket width where the margin bisection stops
-_POLE_GAP = 2.0 ** -10    # relative distance from lam within which a pole stays in Z
+_POLE_GAP = 2.0 ** -10    # relative distance above lam within which an edge is near
 
 CANONICAL_ORDER: tuple[Edge, ...] = ((1, 1), (2, 2), (2, 1))
 
@@ -133,11 +148,9 @@ class StabilityReport:
     eigen_margin: float
     verdict: Stability
     variable_order: tuple[Edge, ...]
-
-    @property
-    def coeffs_from_eigenvalues(self) -> bool:
-        """Whether char_coeffs come from the eigenvalues (see ``analyze``)."""
-        return len(self.equilibrium) > CHAR_POLY_MAX_N
+    # Where char_coeffs of a system of more than CHAR_POLY_MAX_N
+    # variables come from, or why there are none; "" for ``char_poly``.
+    coefficient_route: str
 
 
 def _solve(a: np.ndarray, c: np.ndarray):
@@ -216,68 +229,69 @@ def _woodbury(st: EdgeIncidence):
     return solve
 
 
-def _count_below(st: EdgeIncidence, poles: np.ndarray, lam: float,
-                 roots: dict) -> int:
-    """#{eig H < lam} for H = D_b^1/2 S D_b^1/2, from the inertia of the
-    (n + k) x (n + k) matrix [[E, V], [V^T, -W^-1]], E = diag(b_e beta_e
-    - lam) and V = D_b^1/2 U, which has k + #{eig H < lam} negative
-    eigenvalues. The edges whose b_e beta_e lies within _POLE_GAP of lam,
-    relative, stay in it, because 1 / (b_e beta_e - lam) would swamp the
-    rest in rounding; the others are eliminated (Haynsworth), which
-    leaves Z = [[E_near, V_near], [V_near^T, -K]] with K the capacitance
-    matrix of the far edges. Near edges that share one pole value with
-    more than k others enter Z by the square root of their Gram matrix,
-    which has the same inertia with at most k rows; each row it drops
-    adds one eigenvalue b_e beta_e - lam, which is positive, because
-    ``_lowest_eigenvalue`` bisects below every such value. ``poles``
-    holds b_e beta_e, and ``roots`` keeps the square roots from one call
-    to the next."""
-    gap = poles - lam
-    near = np.abs(gap) <= _POLE_GAP * lam
-    k = _capacitance(st, np.where(near, 0.0,
-                                  st.speed / np.where(near, 1.0, gap)))
-    size = len(k)
-    below = np.count_nonzero(gap[~near] < 0.0)
-    values, counts = np.unique(poles[near], return_counts=True)
-    crowded = values[counts > size]
-    edges = np.flatnonzero(near & ~np.isin(poles, crowded))
-    v = np.zeros((len(edges), size))  # rows of V = D_b^1/2 U
-    root = np.sqrt(st.speed[edges])
-    v[np.arange(len(edges)), st.firm[edges]] = root
-    v[np.arange(len(edges)), len(st.firm_gamma) + st.market[edges]] = root
-    rows, diagonal = [v], [gap[edges]]
-    for value in crowded:
-        if value not in roots:
-            eig, vec = np.linalg.eigh(_gram(st, np.where(poles == value,
-                                                         st.speed, 0.0)))
-            keep = eig > size * np.finfo(float).eps * eig[-1]
-            roots[value] = np.sqrt(eig[keep])[:, None] * vec[:, keep].T
-        rows.append(roots[value])
-        diagonal.append(np.full(len(roots[value]), value - lam))
-    v = np.concatenate(rows)
-    z = np.block([[np.diag(np.concatenate(diagonal)), v], [v.T, -k]])
-    return below + np.count_nonzero(np.linalg.eigvalsh(z) < 0.0) - size
+def _definite_below(st: EdgeIncidence, order: np.ndarray,
+                    poles: np.ndarray, lam: float) -> bool:
+    """Whether H - lam I is positive definite, by the Cholesky test of T
+    in the module docstring, for lam below the (k + 1)-th least pole.
+    ``poles`` holds the b_e beta_e in increasing order and ``order`` the
+    edges they belong to. The near edges are the first ones, up to k of
+    them, whose pole lies below lam(1 + _POLE_GAP): keeping an edge with
+    a pole just above lam out of K_far keeps 1 / (b_e beta_e - lam),
+    which would swamp the rest of K_far in rounding, out of it."""
+    size = len(st.firm_gamma) + len(st.market_beta)
+    m = min(int(np.searchsorted(poles, lam * (1.0 + _POLE_GAP))), size)
+    near, far = order[:m], order[m:]
+    weight = np.zeros(len(order))
+    weight[far] = st.speed[far] / (poles[m:] - lam)
+    v = np.zeros((size, m))  # V_near^T
+    root = np.sqrt(st.speed[near])
+    firm, market = st.firm[near], len(st.firm_gamma) + st.market[near]
+    v[firm, np.arange(m)] = root
+    v[market, np.arange(m)] = root
+    y = np.linalg.solve(_capacitance(st, weight), v)  # K_far^-1 V_near^T
+    t = root[:, None] * (y[firm] + y[market])         # V_near K_far^-1 V_near^T
+    t.flat[::m + 1] += poles[:m] - lam
+    try:
+        np.linalg.cholesky(t)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _lowest_eigenvalue(st: EdgeIncidence) -> float:
     """lambda_min of H = D_b^1/2 S D_b^1/2 without an n x n array, by
-    bisection on ``_count_below`` over the bracket of the module
+    bisection on ``_definite_below`` over the bracket of the module
     docstring, to a relative width of _BISECT_TOL."""
-    poles = st.speed * st.beta
-    values, counts = np.unique(poles, return_counts=True)
-    # A pole value p on more than k edges leaves some x on those edges
-    # with U^T x = 0, so H x = p x and p bounds lambda_min above; when it
-    # is the least pole, lambda_min is p exactly.
-    crowded = values[counts > len(st.firm_gamma) + len(st.market_beta)]
-    lo = float(values[0])
-    hi = float(np.min(np.append(crowded, st.speed * (
+    order = np.argsort(st.speed * st.beta, kind="stable")
+    poles = (st.speed * st.beta)[order]
+    size = len(st.firm_gamma) + len(st.market_beta)
+    lo = float(poles[0])
+    hi = float(np.min(np.append(poles[size:size + 1], st.speed * (
         st.firm_gamma[st.firm] + 2.0 * st.beta))))
-    roots: dict = {}
     while hi - lo > _BISECT_TOL * hi:
         lam = 0.5 * (lo + hi)
-        below = _count_below(st, poles, lam, roots)
-        lo, hi = (lo, lam) if below > 0 else (lam, hi)
+        if _definite_below(st, order, poles, lam):
+            lo = lam
+        else:
+            hi = lam
     return 0.5 * (lo + hi)
+
+
+def _capacitance_allowed(st: EdgeIncidence) -> bool:
+    """Whether the k x k capacitance matrix is within
+    MAX_CAPACITANCE_VALUES."""
+    k = len(st.firm_gamma) + len(st.market_beta)
+    return k * k <= MAX_CAPACITANCE_VALUES
+
+
+def _size_error(st: EdgeIncidence) -> ValueError:
+    """The ValueError for a network past both size limits."""
+    n, k = len(st.speed), len(st.firm_gamma) + len(st.market_beta)
+    return ValueError(
+        f"a network of {n} edges and {k} firms and markets needs a dense "
+        f"{n}x{n} matrix or a {k}x{k} capacitance matrix, more than the "
+        f"limits of {network.MAX_DENSE_VALUES} and {MAX_CAPACITANCE_VALUES} "
+        f"values")
 
 
 def _system_spectrum(sys: AffineSystem):
@@ -287,13 +301,12 @@ def _system_spectrum(sys: AffineSystem):
     if st is None:
         eigvals, margin = _spectrum(sys.matrix)
         return eigvals, float(margin)
-    if not st.dense_allowed:
-        return None, -_lowest_eigenvalue(st)
-    root = np.sqrt(st.speed)
-    h = sys.matrix / root[:, None]   # D_b^-1/2 A D_b^1/2 = H
-    h *= root
-    eigvals = -np.linalg.eigvalsh(h)
-    return eigvals, float(eigvals[0])
+    if st.dense_allowed:
+        eigvals = -np.linalg.eigvalsh(st.dense_symmetric())
+        return eigvals, float(eigvals[0])
+    if not _capacitance_allowed(st):
+        raise _size_error(st)
+    return None, -_lowest_eigenvalue(st)
 
 
 def _hurwitz_checks(a1: float, a2: float, a3: float):
@@ -314,9 +327,10 @@ def verdict_of(margin: float) -> Stability:
 def equilibrium(sys: AffineSystem) -> np.ndarray:
     """Solve A q = c with a condition-number guard and residual check: a
     network by its structure, never filling the dense matrix, any other
-    system by dense LU."""
+    system by dense LU, and so a network past MAX_CAPACITANCE_VALUES
+    while its dense matrix is allowed (one past both is refused)."""
     st = sys.structure
-    if st is not None:
+    if st is not None and _capacitance_allowed(st):
         solve, c = _woodbury(st), sys.constant
         tolerance = 1e-10 * np.max(np.abs(c))
         q = solve(c / st.speed)
@@ -333,6 +347,8 @@ def equilibrium(sys: AffineSystem) -> np.ndarray:
             raise NoUniqueEquilibriumError(
                 f"no unique equilibrium: solve residual {worst:.3g} too large")
         return q
+    if st is not None and not st.dense_allowed:
+        raise _size_error(st)
     q, ok, cond, residual = _solve(sys.matrix[None], sys.constant[None])
     if not ok[0]:
         reason = (f"solve residual {residual[0]:.3g} too large"
@@ -345,27 +361,25 @@ def equilibrium(sys: AffineSystem) -> np.ndarray:
 
 def char_poly(sys: AffineSystem) -> tuple[float, ...]:
     """Coefficients (a1, ..., an) of det(lambda I - J) = det(lambda I + A)
-    = lambda^n + a1 lambda^(n-1) + ... + an for the Jacobian J = -A:
-    a_k is the sum of the principal k x k minors of A, so a1 is the
-    trace, a2 the sum of the principal 2 x 2 minors and an the
-    determinant, each by its explicit product formula. It takes 2^n - 1
-    of them, so ``analyze`` uses it only up to CHAR_POLY_MAX_N."""
-    a = sys.matrix
-    n = a.shape[0]
-    coeffs = [0.0] * n
-    for subset in range(1, 1 << n):
-        rows = [i for i in range(n) if subset >> i & 1]
-        coeffs[len(rows) - 1] += _det(a[np.ix_(rows, rows)])
-    return tuple(coeffs)
+    = lambda^n + a1 lambda^(n-1) + ... + an for the Jacobian J = -A of a
+    system of at most CHAR_POLY_MAX_N variables: a1 is the trace, a2 the
+    sum of the principal 2 x 2 minors and a3 the determinant, each by its
+    explicit formula."""
+    a = sys.matrix.tolist()
+    n = len(a)
+    if not 1 <= n <= CHAR_POLY_MAX_N:
+        raise ValueError(f"char_poly takes 1 to {CHAR_POLY_MAX_N} variables, "
+                         f"got {n}")
 
-
-def _det(a: np.ndarray) -> float:
-    """Determinant by cofactor expansion along the first row, so a 2 x 2
-    minor is a d - b c and a 3 x 3 one the explicit six-term sum."""
-    if len(a) == 1:
-        return float(a[0, 0])
-    return sum((-1) ** j * float(a[0, j]) * _det(np.delete(a[1:], j, axis=1))
-               for j in range(len(a)))
+    def minor(i: int, j: int) -> float:
+        return a[i][i] * a[j][j] - a[i][j] * a[j][i]
+    if n == 1:
+        return (a[0][0],)
+    if n == 2:
+        return (a[0][0] + a[1][1], minor(0, 1))
+    (p, q, r), (s, t, u), (v, w, x) = a
+    return (p + t + x, minor(0, 1) + minor(0, 2) + minor(1, 2),
+            p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v))
 
 
 def routh_hurwitz_cubic(a1: float, a2: float, a3: float) -> bool:
@@ -484,15 +498,23 @@ def analyze(sys: AffineSystem,
     canonical systems pass r to include the closed-form coefficients."""
     eq = equilibrium(sys)
     eigvals, margin = _system_spectrum(sys)
+    route = ""
     if sys.dimension <= CHAR_POLY_MAX_N:
         coeffs = char_poly(sys)
     elif eigvals is None:
         coeffs = None
+        route = (f"{sys.dimension} variables are past the dense limit of "
+                 f"{network.MAX_DENSE_VALUES} matrix values, so no "
+                 f"eigenvalues and no coefficients are computed, and the "
+                 f"margin comes from an inertia bisection")
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = tuple(float(v) for v in np.poly(eigvals).real[1:])
+        route = ("coefficients are the elementary symmetric functions of "
+                 "the eigenvalues")
         if not all(np.isfinite(coeffs)):
             coeffs = ()
+            route = "coefficients from the eigenvalues are not finite, none printed"
     hurwitz = (routh_hurwitz_cubic(*coeffs)
                if coeffs is not None and len(coeffs) == 3 else None)
     return StabilityReport(equilibrium=eq, char_coeffs=coeffs,
@@ -500,4 +522,5 @@ def analyze(sys: AffineSystem,
                            closed_form=closed_form_coeffs(r) if r is not None else None,
                            eigen_margin=float(margin),
                            verdict=verdict_of(margin),
-                           variable_order=sys.variable_order)
+                           variable_order=sys.variable_order,
+                           coefficient_route=route)

@@ -218,3 +218,15 @@ def random_strategies_by_loop(player_count: int, fraction: float,
     rng = random.Random(seed)
     return tuple(C if rng.random() < fraction else D
                  for _ in range(player_count))
+
+
+def record_factored_sizes(monkeypatch) -> list[int]:
+    """Patch numpy's solvers and factorisations to record the order of
+    every matrix passed to them."""
+    sizes: list[int] = []
+    for name in ("solve", "cholesky", "eigvalsh", "eigh", "eigvals"):
+        def recorded(a, *args, _call=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return sizes

@@ -444,9 +444,13 @@ class TestCommandRoutes:
                                                "steps = 10000000000"))
         out = tmp_path / "pd.csv"
         assert run("pd", "--scenario", path, "--out", out) == 2
+        # edges 0-1, 0-2: 3 players and 2 edges, 7 entries a step.
+        reads = (7 + scenario.PD_STEP_READS) * 10_000_000_000
         assert capsys.readouterr().err == (
-            "error: line 10: steps: 10000000000 is more than the limit of "
-            f"{scenario.MAX_PD_STEPS}\n")
+            f"error: line 10: steps: 10000000000 steps of 'edges 0-1, 0-2' "
+            f"count as {reads} reads (up to 7 neighborhood entries and 2400 "
+            f"for the fixed cost of each step), more than the limit of "
+            f"{scenario.MAX_PD_READS}\n")
         assert not out.exists()
 
     def test_pd_reads_past_the_limit_exit_2_before_any_work(self, monkeypatch,
@@ -586,19 +590,21 @@ def _network_scenario(path, markets: int, firms: int, seed: int,
 
 class TestNetworkRoutes:
     """Networks past 300 edges simulate on the incidence structure, and
-    every network solves its equilibrium there; only the eigenvalues of
-    a stability report fill the dense matrix, once, while it is allowed."""
+    every network solves its equilibrium there; A itself is never
+    filled, and only the eigenvalues of a stability report fill the
+    symmetric H, once, while it is allowed."""
 
     def test_simulate_never_fills_the_dense_matrix(self, monkeypatch,
                                                    tmp_path, capsys):
         from cournotgraph.network import EdgeIncidence
         path = tmp_path / "net.scenario"
         _network_scenario(path, 20, 30, seed=3)
-        fill = EdgeIncidence.dense
+        fill = EdgeIncidence.dense_symmetric
 
         def forbidden(self):
             raise AssertionError("dense matrix filled")
         monkeypatch.setattr(EdgeIncidence, "dense", forbidden)
+        monkeypatch.setattr(EdgeIncidence, "dense_symmetric", forbidden)
         for method in ("rk4", "euler"):
             assert run("simulate", "--scenario", path, "--t-end", 1,
                        "--method", method, "--out", tmp_path / "t.csv") == 0
@@ -608,7 +614,7 @@ class TestNetworkRoutes:
         def counted(self):
             calls.append(1)
             return fill(self)
-        monkeypatch.setattr(EdgeIncidence, "dense", counted)
+        monkeypatch.setattr(EdgeIncidence, "dense_symmetric", counted)
         assert run("stability", "--scenario", path) == 0
         assert calls == [1]
 
@@ -667,6 +673,35 @@ class TestNetworkRoutes:
         out = capsys.readouterr().out
         assert out.count("q100_100 = ") == 2
         assert "verdict: STABLE" in out
+
+    def test_clustered_poles_past_the_dense_limit(self, monkeypatch, tmp_path,
+                                                  capsys):
+        # 3249 edges whose poles b_e beta_e are all distinct and within
+        # 2e-6 of each other: the bisection factors nothing larger than
+        # the 114 firms and markets.
+        from cournotgraph import NetworkScenario, NetworkSpec, render_scenario
+        from cournotgraph.network import EdgeIncidence
+        from helpers import record_factored_sizes
+        w = 57
+        spec = NetworkSpec(w, w, tuple((i, j) for i in range(1, w + 1)
+                                       for j in range(1, w + 1)),
+                           (1.0,) * w, tuple(1.0 + 1e-6 * i / w for i in range(w)),
+                           (1.0,) * w, tuple(1.0 + 1e-7 * j / w for j in range(w)))
+        path = tmp_path / "cluster.scenario"
+        path.write_text(render_scenario(NetworkScenario(spec, (0.0,) * w * w)),
+                        encoding="utf-8")
+
+        def forbidden(self):
+            raise AssertionError("dense matrix filled")
+        monkeypatch.setattr(EdgeIncidence, "dense", forbidden)
+        monkeypatch.setattr(EdgeIncidence, "dense_symmetric", forbidden)
+        sizes = record_factored_sizes(monkeypatch)
+        for command in ("equilibrium", "stability"):
+            assert run(command, "--scenario", path) == 0
+        assert max(sizes) <= 2 * w
+        report = capsys.readouterr().out.splitlines()
+        assert report[-2].startswith("eigenvalue margin (max Re): -1.00000000")
+        assert report[-1] == "verdict: STABLE"
 
     def test_blowup_contract_on_the_matrix_free_route(self, tmp_path, capsys):
         from cournotgraph import IntegrationBlowUp, integrate, to_affine

@@ -234,17 +234,16 @@ class TestParseErrors:
             parse_scenario(text)
 
     def test_steps_bounded(self):
-        from cournotgraph.scenario import MAX_PD_STEPS
-        # MAX_PD_STEPS steps pass the steps check; the reads bound, which
-        # no graph meets at that many steps, refuses them next.
-        limit = PD_TEXT.replace("steps = 10", f"steps = {MAX_PD_STEPS}")
-        with pytest.raises(ScenarioError, match=f"^line 5: steps: {MAX_PD_STEPS} "
-                           f"steps of 'torus 4 4' count as "):
-            parse_scenario(limit)
-        text = PD_TEXT.replace("steps = 10", f"steps = {MAX_PD_STEPS + 1}")
-        with pytest.raises(ScenarioError, match=f"^line 5: steps: {MAX_PD_STEPS + 1} "
-                           f"is more than the limit of {MAX_PD_STEPS}$"):
-            parse_scenario(text)
+        # The reads bound is the one bound on steps: torus 4 4 reads up to
+        # 16 + 2 * 32 entries a step and is charged 2400 more.
+        steps = scenario.MAX_PD_READS // (16 + 2 * 32 + scenario.PD_STEP_READS)
+        limit = PD_TEXT.replace("steps = 10", f"steps = {steps}")
+        assert parse_scenario(limit).steps == steps
+        for too_many in (steps + 1, 10 ** 30):
+            text = PD_TEXT.replace("steps = 10", f"steps = {too_many}")
+            with pytest.raises(ScenarioError, match=f"^line 5: steps: {too_many} "
+                               f"steps of 'torus 4 4' count as "):
+                parse_scenario(text)
 
     def test_reads_bounded(self):
         # torus 10 25 has 250 players and 500 edges: 1250 entries a step,
@@ -312,7 +311,7 @@ class TestReadme:
 
     SECTION = ((ROOT / "README.md").read_text(encoding="utf-8")
                .split("## Scenario files\n", 1)[1].split("\n## ", 1)[0])
-    LIMITS = ("MAX_PLAYERS", "MAX_PLAYER_EDGES", "MAX_PD_STEPS", "MAX_PD_READS")
+    LIMITS = ("MAX_PLAYERS", "MAX_PLAYER_EDGES", "MAX_PD_READS")
 
     def test_names_every_key_and_form(self):
         for section, keys in scenario._KEYS.items():

@@ -13,7 +13,8 @@ from cournotgraph import (AffineSystem, CanonicalParams,
                           symmetric_equilibrium, to_affine,
                           two_firms_two_markets)
 from helpers import (charpoly_by_determinant, network_spec_of_shape,
-                     random_canonical, random_network_spec, to_affine_by_loop)
+                     random_canonical, random_network_spec,
+                     record_factored_sizes, to_affine_by_loop)
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
 UNSTABLE = CanonicalParams(0.01, 0.1, 1.1, -0.3, 0.4)
@@ -78,12 +79,15 @@ class TestCharPoly:
 
     def test_matches_determinant_interpolation(self):
         rng = np.random.default_rng(4)
-        for n in (2, 3, 4):
+        for n in (1, 2, 3):
             for _ in range(20):
                 a = rng.uniform(-2.0, 2.0, (n, n))
                 sys = AffineSystem(constant=np.zeros(n), matrix=a)
                 assert np.allclose(char_poly(sys), charpoly_by_determinant(a),
                                    rtol=1e-8, atol=1e-10)
+        # Past three variables the coefficients come from the eigenvalues.
+        with pytest.raises(ValueError, match="takes 1 to 3 variables, got 4"):
+            char_poly(AffineSystem(constant=np.zeros(4), matrix=np.eye(4)))
 
 
 class TestRouthHurwitz:
@@ -422,6 +426,55 @@ class TestNetworkRoute:
         for spec, margin in zip(specs, want):
             got = eigen_margin(to_affine(spec))
             assert abs(got - margin) <= 1e-12 * abs(margin)
+
+    def test_bisection_on_clustered_poles(self, monkeypatch):
+        # Many distinct poles b_e beta_e close together: two markets whose
+        # slopes differ by 1e-9 to 1e-3 on every firm (each value on fewer
+        # edges than there are firms and markets), and complete networks
+        # whose slopes and speeds spread by 1e-12 to 1e-3. The margin stays
+        # within 1e-12 of the dense one, and no matrix the bisection
+        # factors is larger than k x k.
+        from cournotgraph import NetworkSpec, network
+        rng = np.random.default_rng(67)
+        specs = []
+        for _ in range(20):
+            firms, spread = int(rng.integers(2, 60)), 10.0 ** rng.uniform(-9, -3)
+            specs.append(NetworkSpec(
+                2, firms, tuple((i, j) for i in (1, 2) for j in range(1, firms + 1)),
+                (1.0, 1.0), (1.0, 1.0 + spread), tuple(rng.uniform(0.1, 2.0, firms)),
+                (1.0,) * firms))
+        for _ in range(20):
+            m, f = int(rng.integers(1, 15)), int(rng.integers(1, 15))
+            spread = 10.0 ** rng.uniform(-12, -3)
+            specs.append(NetworkSpec(
+                m, f, tuple((i, j) for i in range(1, m + 1) for j in range(1, f + 1)),
+                (1.0,) * m, tuple(1.0 + spread * rng.uniform(0.0, 1.0, m)),
+                tuple(rng.uniform(0.1, 2.0, f)),
+                tuple(1.0 + spread * rng.uniform(0.0, 1.0, f))))
+        want = [-float(np.linalg.eigvalsh(_dense_h(spec))[0]) for spec in specs]
+        monkeypatch.setattr(network, "MAX_DENSE_VALUES", 0)
+        sizes = record_factored_sizes(monkeypatch)
+        for spec, margin in zip(specs, want):
+            sizes.clear()
+            got = eigen_margin(to_affine(spec))
+            assert abs(got - margin) <= 1e-12 * abs(margin)
+            assert max(sizes) <= spec.market_count + spec.firm_count
+
+    def test_capacitance_limit(self, monkeypatch):
+        # Past it the equilibrium is the dense solve while that is
+        # allowed; past both limits a network is refused.
+        from cournotgraph import network, stability
+        spec = two_firms_two_markets(1, 1, 0.2, 0.3, 0.1, 0.4)
+        c, a = to_affine_by_loop(spec)
+        monkeypatch.setattr(stability, "MAX_CAPACITANCE_VALUES", 15)
+        assert np.array_equal(equilibrium(to_affine(spec)), np.linalg.solve(a, c))
+        monkeypatch.setattr(network, "MAX_DENSE_VALUES", 8)
+        message = ("a network of 3 edges and 4 firms and markets needs a dense "
+                   "3x3 matrix or a 4x4 capacitance matrix, more than the "
+                   "limits of 8 and 15 values")
+        for call in (equilibrium, analyze, eigen_margin):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(to_affine(spec))
 
     def test_equilibrium_never_fills_the_dense_matrix(self, monkeypatch):
         from cournotgraph.network import EdgeIncidence
