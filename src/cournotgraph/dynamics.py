@@ -13,13 +13,19 @@ dq/dt = c - A q one step of length h is exactly
 
     q <- q + Phi_h (c - A q),
 
-with Phi_h = h for euler and Phi_h = h (I + Z/2 + Z^2/6 + Z^3/24),
+with Phi_h = h I for euler and Phi_h = h (I + Z/2 + Z^2/6 + Z^3/24),
 Z = -h A, for rk4 (the four stages of classical Runge-Kutta collapse
-into this one matrix). Phi_h is formed once per distinct step length,
-so a step costs two matrix-vector products instead of four field
-evaluations, and no equilibrium is needed, so a singular A simulates
-too. Euler steps are the same floating-point operations as stepping
-c - A q; rk4 steps round differently, at about 1e-14 relative.
+into this one matrix). So are j steps: q_{k+j} = q_k + Psi_j (c - A q_k)
+with Psi_1 = Phi_h and Psi_{j+1} = Psi_j + Phi_h (I - A Psi_j). The
+table Psi_1 .. Psi_m is formed once per distinct step length, and the m
+states after q_k are then one stacked product from q_k, in place of m
+steps. The block length is m = min(256, 2^16 // n^2), at least 1, so
+the table holds at most 2^16 values, or one n x n matrix past n = 256,
+and past n = 181 a block is one Phi_h step. The table ends before its
+first non-finite Psi_j, so a strongly unstable A has shorter blocks. No
+equilibrium is needed, so a singular A simulates too. Neither method's
+states are the bytes of stepping c - A q: they round differently, at
+about 1e-14 relative.
 
 Phi_h is used only where it pays (``_affine_pays``). A run too short
 for forming it to pay, and every network of more than
@@ -122,9 +128,11 @@ _STEPPERS = {"rk4": step_rk4, "euler": step_euler}
 # is two dense matrix-vector products, so it grows as n^2 (about 1e-3 us
 # per entry); a field step is four O(n + k) evaluations that cost
 # mostly per-call overhead, so it is nearly flat. The two meet near
-# n = 300 (48 vs 66 us at n = 300, 140 vs 57 at n = 400), and so do
-# Euler's one product against one evaluation (15 vs 19 us at n = 300,
-# 32 vs 22 at n = 400).
+# n = 300 (48 vs 66 us at n = 300, 140 vs 57 at n = 400). Past n = 181
+# a block (see ``_march``) is one Phi_h step, so this crossover still
+# holds for rk4. An euler step past n = 181 is the same two products
+# against one field evaluation, so for 182 to 300 edges euler steps
+# cost about twice the field route's (34 vs 21 us at n = 262).
 _DENSE_STEP_MAX = 300
 
 
@@ -135,8 +143,9 @@ def _affine_pays(system: AffineSystem, steps: int, method: str) -> bool:
     O(n + k) field, so past ``_DENSE_STEP_MAX`` variables a dense step
     costs more than a field step, and its n x n matrix is never built.
     Below that, and for a dense system, compare the two as matrix work.
-    Euler's Phi_h is the scalar h: nothing to form and one
-    matrix-vector product per step either way. For rk4, forming
+    Euler's Phi_h is h I: nothing to form, and always taken, though past
+    n = 181, where a block is one step, its two matrix-vector products
+    cost about twice one field evaluation. For rk4, forming
     Phi_h by Horner's rule takes two n x n products (4 n^3 flops), and
     each step then saves two of its four matrix-vector products
     (4 n^2 flops), so Phi_h pays for itself after n steps. Requiring
@@ -150,14 +159,34 @@ def _affine_pays(system: AffineSystem, steps: int, method: str) -> bool:
     return method == "euler" or 4 * n < steps
 
 
-def _propagator(a: np.ndarray, h: float, method: str):
-    """Phi_h of one step of length h: h for euler; for rk4
+def _propagator(a: np.ndarray, h: float, method: str) -> np.ndarray:
+    """Phi_h of one step of length h: h I for euler; for rk4
     h (I + Z/2 + Z^2/6 + Z^3/24) with Z = -h A, by Horner's rule."""
-    if method == "euler":
-        return h
     eye = np.eye(a.shape[0])
+    if method == "euler":
+        return h * eye
     z = -h * a
     return h * (eye + z @ (eye / 2.0 + z @ (eye / 6.0 + z / 24.0)))
+
+
+def _block_table(a: np.ndarray, h: float, method: str,
+                 rows: int) -> np.ndarray:
+    """Psi_1 .. Psi_rows stacked into one (rows n) x n array, with
+    Psi_1 = Phi_h and Psi_{j+1} = Psi_j + Phi_h (I - A Psi_j), so that j
+    steps of length h from q are q + Psi_j (c - A q). The table ends
+    before its first non-finite Psi_j (it keeps Psi_1 whatever it
+    holds): an overflowed Psi_j would turn a state held at an
+    equilibrium, where c - A q = 0, into inf * 0 = NaN."""
+    n = a.shape[0]
+    phi = _propagator(a, h, method)
+    psi = np.empty((rows, n, n))
+    psi[0] = phi
+    eye = np.eye(n)
+    for j in range(1, rows):
+        psi[j] = psi[j - 1] + phi @ (eye - a @ psi[j - 1])
+    bad = np.flatnonzero(~np.isfinite(psi).all(axis=(1, 2)))
+    kept = max(1, int(bad[0])) if bad.size else rows
+    return psi[:kept].reshape(kept * n, n)
 
 
 def _first_bad(rows: np.ndarray) -> int | None:
@@ -170,30 +199,42 @@ def _march(system: Field | AffineSystem, method: str, states: np.ndarray,
            segments) -> int | None:
     """Fill states[1:], one (h, count) segment of equal steps after
     another; return the index of the first bad state (see
-    ``_first_bad``), or None. A step is q <- q + Phi_h (c - A q) for an
-    AffineSystem, else the method's stepper over the field ``system``.
+    ``_first_bad``), or None.
 
-    States are checked once per block of at most ``_BLOCK_ROWS`` steps
-    and about ``_BLOCK_VALUES`` values, so a run that blows up steps at
-    most one block past its first bad state; the overflow and NaN
-    arithmetic of those steps is silenced, and a field that fails there
-    with an ArithmeticError or ValueError still reports the blow-up.
+    States are made and checked a block of at most ``_BLOCK_ROWS`` steps
+    and about ``_BLOCK_VALUES`` values at a time. A field ``system`` is
+    stepped by the method's stepper. An AffineSystem is propagated m
+    states at a time, m = min(count, ``_BLOCK_ROWS``,
+    ``_BLOCK_VALUES`` // n^2), at least 1 (fewer if the segment's
+    ``_block_table`` was cut): the m states after q_lo are
+    q_lo + Psi_j (c - A q_lo), j = 1..m, one stacked product.
+
+    A run that blows up computes at most one block past its first bad
+    state; the overflow and NaN arithmetic of those states is silenced,
+    and a field that fails there with an ArithmeticError or ValueError
+    still reports the blow-up.
     """
     affine = isinstance(system, AffineSystem)
     if affine:
         a, c = system.matrix, system.constant
-        apply = np.multiply if method == "euler" else np.matmul
     stepper = _STEPPERS[method]
-    rows = min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // states.shape[1]))
+    n = states.shape[1]
+    rows = min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // n))
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for h, count in segments:
-            phi = _propagator(a, h, method) if affine else None
+            if affine:
+                psi = _block_table(a, h, method, min(
+                    count, _BLOCK_ROWS, max(1, _BLOCK_VALUES // (n * n))))
+                m = len(psi) // n
             for lo in range(k, k + count, rows):
                 hi, failure = min(lo + rows, k + count), None
                 if affine:
-                    for q, nxt in zip(states[lo:hi], states[lo + 1:hi + 1]):
-                        np.add(q, apply(phi, c - a @ q), out=nxt)
+                    for b in range(lo, hi, m):
+                        e = min(b + m, hi)
+                        steps = psi[:(e - b) * n] @ (c - a @ states[b])
+                        np.add(states[b], steps.reshape(e - b, n),
+                               out=states[b + 1:e + 1])
                 else:
                     try:
                         for j in range(lo, hi):
@@ -207,6 +248,17 @@ def _march(system: Field | AffineSystem, method: str, states: np.ndarray,
                     raise failure
             k += count
     return None
+
+
+def _segments(t_end: float, dt: float) -> list[tuple[float, int]]:
+    """The (step length, count) runs of a march from 0 to t_end: whole
+    steps of dt, then one shortened step that lands on t_end unless dt
+    divides it to within 1e-9."""
+    n_whole = int(math.floor(t_end / dt + 1e-9))
+    landing = n_whole * dt
+    if abs(landing - t_end) <= 1e-9 * max(dt, 1.0):
+        return [(dt, n_whole)]
+    return [(dt, n_whole), (t_end - landing, 1)]
 
 
 def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
@@ -235,11 +287,9 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
             f"t_end / dt = {t_end / dt:.6g} steps of {q.size} variables exceed "
             f"the limit of {MAX_STORED_VALUES} stored values")
 
-    n_whole = int(math.floor(t_end / dt + 1e-9))
-    landing = n_whole * dt
-    exact = abs(landing - t_end) <= 1e-9 * max(dt, 1.0)
-    n_steps = n_whole if exact else n_whole + 1
-    segments = [(dt, n_whole)] if exact else [(dt, n_whole), (t_end - landing, 1)]
+    segments = _segments(t_end, dt)
+    n_whole = segments[0][1]
+    n_steps = sum(count for _, count in segments)
 
     times = np.empty(n_steps + 1)
     times[: n_whole + 1] = dt * np.arange(n_whole + 1)

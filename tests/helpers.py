@@ -12,11 +12,13 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from cournotgraph import (CanonicalParams, NetworkSpec,
                           NoUniqueEquilibriumError, analyze, canonical_affine)
+from cournotgraph.dynamics import _segments
 from cournotgraph.pdgame import C, D
 from cournotgraph.reports import SweepPoint
 
@@ -80,6 +82,34 @@ def dense_field(system):
     network systems."""
     c, a = system.constant, system.matrix
     return lambda q: c - a @ np.asarray(q, dtype=float)
+
+
+def euler_exact(system, q0, t_end: float, dt: float) -> np.ndarray:
+    """The states of an euler run of ``integrate``, q <- q + h (c - A q),
+    in exact rational arithmetic from the float A, c and q0 and
+    ``integrate``'s own step lengths, each state rounded once to floats:
+    the trajectory with no rounding along the way. The rationals are
+    ``Fraction`` values held as integer numerators over one common
+    denominator, so a step takes no gcd: 556 steps of a 3-variable
+    system take about 0.1 s this way and 12 s as ``Fraction`` sums."""
+    q = [Fraction(x) for x in np.asarray(q0, dtype=float).tolist()]
+    den = math.lcm(*(x.denominator for x in q))
+    nums = [int(x * den) for x in q]
+    rows = [[float(x) for x in q]]
+    for h, count in _segments(t_end, dt):
+        h = Fraction(h)
+        ha = [[h * Fraction(x) for x in row] for row in system.matrix.tolist()]
+        hc = [h * Fraction(x) for x in system.constant.tolist()]
+        d = math.lcm(*(x.denominator for x in itertools.chain(hc, *ha)))
+        m = [[int(x * d) for x in row] for row in ha]
+        k = [int(x * d) for x in hc]
+        for _ in range(count):
+            nums = [ni * d + ki * den
+                    - sum(mij * nj for mij, nj in zip(row, nums))
+                    for ni, ki, row in zip(nums, k, m)]
+            den *= d
+            rows.append([ni / den for ni in nums])  # correctly rounded
+    return np.array(rows)
 
 
 def random_canonical(rng: np.random.Generator,

@@ -8,8 +8,8 @@ import pytest
 from cournotgraph import (CanonicalParams, IntegrationBlowUp, Outcome,
                           Trajectory, canonical_affine, classify, equilibrium,
                           integrate, step_euler, step_rk4, to_affine)
-from cournotgraph.dynamics import MAX_STORED_VALUES
-from helpers import dense_field, network_spec_of_shape
+from cournotgraph.dynamics import _BLOCK_ROWS, _BLOCK_VALUES, MAX_STORED_VALUES
+from helpers import dense_field, euler_exact, network_spec_of_shape
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
 UNSTABLE = CanonicalParams(0.01, 0.1, 1.1, -0.3, 0.4)
@@ -242,15 +242,15 @@ def _routes(system, q0, t_end, dt, method):
             integrate(dense_field(system), q0, t_end, dt, method))
 
 
-def _rk4_gap(affine, generic) -> float:
-    """Largest state difference, relative to max(1, |q|) per row."""
-    scale = np.maximum(1.0, np.max(np.abs(generic.states), axis=1))
-    return float(np.max(np.max(np.abs(affine.states - generic.states), axis=1)
-                        / scale))
+def _gap(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest state difference, relative to max(1, |q|) per row of want."""
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=1))
+    return float(np.max(np.max(np.abs(got - want), axis=1) / scale))
 
 
 # Fixed before the affine route was written: its rk4 steps round
-# differently from the four field evaluations, at about 1e-14.
+# differently from the four field evaluations, at about 1e-14, and so,
+# since it propagates blocks of states, do its euler steps.
 RK4_TOLERANCE = 1e-12
 
 
@@ -268,18 +268,29 @@ class TestAffineRoute:
         yield system, rng.uniform(0.0, 0.5, system.dimension), 30.0, 0.01
         yield system, np.zeros(system.dimension), 2.5, 0.07
 
-    def test_euler_bytes_equal_field_route(self):
+    def test_euler_within_tolerance_of_field_route(self):
         for system, q0, t_end, dt in self._systems():
             affine, generic = _routes(system, q0, t_end, dt, "euler")
             assert np.array_equal(affine.times, generic.times)
-            assert affine.states.tobytes() == generic.states.tobytes()
+            assert _gap(affine.states, generic.states) <= RK4_TOLERANCE
 
     def test_rk4_within_tolerance_of_field_route(self):
         for system, q0, t_end, dt in self._systems():
             affine, generic = _routes(system, q0, t_end, dt, "rk4")
             assert np.array_equal(affine.times, generic.times)
             assert affine.times[-1] == t_end
-            assert _rk4_gap(affine, generic) <= RK4_TOLERANCE
+            assert _gap(affine.states, generic.states) <= RK4_TOLERANCE
+
+    def test_euler_routes_within_1e14_of_the_exact_recurrence(self):
+        # 556 steps: past the block edges at 256 and 512 states, then a
+        # shortened last step of 0.005.
+        for r in (STABLE, UNSTABLE):
+            system = canonical_affine(r)
+            exact = euler_exact(system, Q0, 5.555, 0.01)
+            assert len(exact) == 557
+            for route in (system, system.field_at):
+                got = integrate(route, Q0, 5.555, 0.01, "euler")
+                assert _gap(got.states, exact) <= 1e-14
 
     def test_blowup_matches_field_route(self):
         caught = {}
@@ -295,11 +306,15 @@ class TestAffineRoute:
         assert str(affine).startswith("state blew up at t=27.0 (max |q| = ")
         assert np.array_equal(affine.trajectory.times, generic.trajectory.times)
         assert np.all(np.isfinite(affine.trajectory.states))
-        assert _rk4_gap(affine.trajectory, generic.trajectory) <= RK4_TOLERANCE
+        assert _gap(affine.trajectory.states,
+                    generic.trajectory.states) <= RK4_TOLERANCE
         affine, generic = caught["euler"]
-        assert str(affine) == str(generic)
-        assert affine.trajectory.states.tobytes() == \
-            generic.trajectory.states.tobytes()
+        assert affine.time == generic.time == 1828.0
+        assert str(affine).startswith("state blew up at t=1828.0 (max |q| = ")
+        assert len(affine.trajectory.states) == len(generic.trajectory.states)
+        assert np.array_equal(affine.trajectory.times, generic.trajectory.times)
+        assert _gap(affine.trajectory.states,
+                    generic.trajectory.states) <= RK4_TOLERANCE
 
     def test_blowup_inside_a_block_stops_at_first_bad_state(self):
         # Growth by 1e3 per step: past STATE_LIMIT at step 4, then
@@ -312,6 +327,16 @@ class TestAffineRoute:
         assert info.value.time == 4.0
         assert info.value.trajectory.states[-1].tolist() == [1e9, 1e9]
         assert "max |q| = 1000000000000.0" in str(info.value)
+
+    def test_unstable_equilibrium_is_not_a_blowup(self):
+        # Psi_j overflows within a few steps of A = -999 I; a state held
+        # at the equilibrium must not meet it as inf * 0 = NaN.
+        from cournotgraph import AffineSystem
+        system = AffineSystem(constant=np.zeros(2), matrix=-999.0 * np.eye(2))
+        for method in ("rk4", "euler"):
+            traj = integrate(system, np.zeros(2), 500.0, 1.0, method)
+            assert len(traj.states) == 501
+            assert not np.any(traj.states)
 
     def test_singular_matrix_still_simulates(self):
         from cournotgraph import AffineSystem
@@ -381,4 +406,38 @@ class TestMatrixFreeRoute:
             got = integrate(system, q0, t_end, dt, method)
             want = integrate(dense_field(system), q0, t_end, dt, method)
             assert np.array_equal(got.times, want.times)
-            assert _rk4_gap(got, want) <= 1e-12
+            assert _gap(got.states, want.states) <= 1e-12
+
+
+class TestBlockEdges:
+    """The affine route propagates m = min(256, 2^16 // n^2) states per
+    stacked product. Runs ending just before, at and past a block edge,
+    and runs with a shortened last step, match the dense field route."""
+
+    @staticmethod
+    def _system(n: int, seed: int):
+        from cournotgraph import AffineSystem
+        rng = np.random.default_rng(seed)
+        matrix = np.eye(n) + rng.uniform(-1.0, 1.0, (n, n)) / n
+        return (AffineSystem(constant=rng.uniform(0.5, 1.5, n), matrix=matrix),
+                rng.uniform(0.0, 1.0, n))
+
+    @pytest.mark.parametrize("n, m, method, counts", [
+        (3, 256, "euler", (1, 255, 256, 257, 513)),
+        (3, 256, "rk4", (255, 256, 257, 513)),
+        (100, 6, "euler", (1, 5, 6, 7, 13, 513)),
+        (260, 1, "rk4", (1041,)),
+    ])
+    def test_runs_around_block_edges_match_the_field_route(self, n, m,
+                                                           method, counts):
+        assert min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // (n * n))) == m
+        system, q0 = self._system(n, seed=n)
+        dt = 0.01
+        for count in counts:
+            # Over 4n steps, so that rk4 takes the affine route too.
+            assert method == "euler" or 4 * n < count
+            for t_end in (count * dt, (count + 0.5) * dt):
+                affine, generic = _routes(system, q0, t_end, dt, method)
+                assert len(affine.times) == count + 1 + (t_end != count * dt)
+                assert np.array_equal(affine.times, generic.times)
+                assert _gap(affine.states, generic.states) <= RK4_TOLERANCE
