@@ -27,12 +27,13 @@ equilibrium is needed, so a singular A simulates too. Neither method's
 states are the bytes of stepping c - A q: they round differently, at
 about 1e-14 relative.
 
-Phi_h is used only where it pays (``_affine_pays``). A run too short
-for forming it to pay, and every network of more than
-``_DENSE_STEP_MAX`` = 300 edges, steps the method over the system's
-``field_at`` like any other field. A network's field is matrix-free,
-O(n + k) per evaluation (see :mod:`cournotgraph.network`), so past 300
-edges simulating a network never builds an n x n array.
+Phi_h is used only where it pays (``_affine_pays``). An rk4 run too
+short for forming it to pay, an euler run past n = 181, and every
+network of more than ``_DENSE_STEP_MAX`` = 300 edges step the method
+over the system's ``field_at`` like any other field. A network's field
+is matrix-free, O(n + k) per evaluation (see
+:mod:`cournotgraph.network`), so past 300 edges simulating a network
+never builds an n x n array.
 
 ``classify`` compares the end of a run against a candidate equilibrium:
 converged (field essentially zero there, no net drift away), diverged
@@ -131,9 +132,15 @@ _STEPPERS = {"rk4": step_rk4, "euler": step_euler}
 # n = 300 (48 vs 66 us at n = 300, 140 vs 57 at n = 400). Past n = 181
 # a block (see ``_march``) is one Phi_h step, so this crossover still
 # holds for rk4. An euler step past n = 181 is the same two products
-# against one field evaluation, so for 182 to 300 edges euler steps
-# cost about twice the field route's (34 vs 21 us at n = 262).
+# against one field evaluation (34 vs 21 us at n = 262), so there euler
+# takes the field route (see ``_affine_pays``).
 _DENSE_STEP_MAX = 300
+
+
+def _block_length(n: int) -> int:
+    """Most Phi_h steps per stacked product for n variables (see
+    ``_march``): about ``_BLOCK_VALUES`` values of Psi, at least 1."""
+    return max(1, _BLOCK_VALUES // (n * n))
 
 
 def _affine_pays(system: AffineSystem, steps: int, method: str) -> bool:
@@ -143,9 +150,10 @@ def _affine_pays(system: AffineSystem, steps: int, method: str) -> bool:
     O(n + k) field, so past ``_DENSE_STEP_MAX`` variables a dense step
     costs more than a field step, and its n x n matrix is never built.
     Below that, and for a dense system, compare the two as matrix work.
-    Euler's Phi_h is h I: nothing to form, and always taken, though past
-    n = 181, where a block is one step, its two matrix-vector products
-    cost about twice one field evaluation. For rk4, forming
+    Euler's Phi_h is h I: nothing to form, and taken while a block holds
+    more than one step. Past n = 181 a block is one step, whose two
+    matrix-vector products cost about twice one field evaluation, so
+    there euler steps the field. For rk4, forming
     Phi_h by Horner's rule takes two n x n products (4 n^3 flops), and
     each step then saves two of its four matrix-vector products
     (4 n^2 flops), so Phi_h pays for itself after n steps. Requiring
@@ -156,7 +164,9 @@ def _affine_pays(system: AffineSystem, steps: int, method: str) -> bool:
     n = system.dimension
     if system.structure is not None and n > _DENSE_STEP_MAX:
         return False
-    return method == "euler" or 4 * n < steps
+    if method == "euler":
+        return _block_length(n) > 1
+    return 4 * n < steps
 
 
 def _propagator(a: np.ndarray, h: float, method: str) -> np.ndarray:
@@ -205,7 +215,7 @@ def _march(system: Field | AffineSystem, method: str, states: np.ndarray,
     and about ``_BLOCK_VALUES`` values at a time. A field ``system`` is
     stepped by the method's stepper. An AffineSystem is propagated m
     states at a time, m = min(count, ``_BLOCK_ROWS``,
-    ``_BLOCK_VALUES`` // n^2), at least 1 (fewer if the segment's
+    ``_block_length(n)``) (fewer if the segment's
     ``_block_table`` was cut): the m states after q_lo are
     q_lo + Psi_j (c - A q_lo), j = 1..m, one stacked product.
 
@@ -224,8 +234,8 @@ def _march(system: Field | AffineSystem, method: str, states: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for h, count in segments:
             if affine:
-                psi = _block_table(a, h, method, min(
-                    count, _BLOCK_ROWS, max(1, _BLOCK_VALUES // (n * n))))
+                psi = _block_table(a, h, method,
+                                   min(count, _BLOCK_ROWS, _block_length(n)))
                 m = len(psi) // n
             for lo in range(k, k + count, rows):
                 hi, failure = min(lo + rows, k + count), None

@@ -29,15 +29,27 @@ Graphs and populations are arrays, from graph to series. A
 (lower, higher) ends in ascending order: ``complete_graph``,
 ``cycle_graph`` and ``torus_graph`` build it by index arithmetic, and
 ``player_graph`` validates given pairs on arrays. Its closed
-neighborhoods are two flat int32 arrays built from the edge array. A
+neighborhoods are padded tables built from the edge array on first use:
+players are grouped by the ceiling of log2 of their closed size, and
+each group has one (width, group size) intp table whose column j is
+player ids[j]'s run [self, neighbors ascending], padded with a sentinel
+player that plays D and scores below every real total. Tori, cycles and
+complete graphs are one table; a star is two. A step counts each
+player's cooperating neighbors down the table rows, scores every player
+at once, and takes the first maximum down each column as the one
+maximum of the key total * width + (width - 1 - row). A
 :class:`PopulationState` holds one read-only bool array, True where the
-player cooperates, and an imitation step indexes it directly. The tuple
-views ``PlayerGraph.edges``, ``PlayerGraph.neighbors`` and
-``PopulationState.strategies`` are derived on first use, for tests and
-callers; building a graph and running the dynamics never make them.
+player cooperates. The tuple views ``PlayerGraph.edges``,
+``PlayerGraph.neighbors`` and ``PopulationState.strategies`` are derived
+on first use, for tests and callers; building a graph and running the
+dynamics never make them.
+
+The dynamics are deterministic, so once a step returns the state it was
+given (a fixed point), every later state is that one: ``run_spatial``
+stops stepping there and repeats the last cooperation fraction.
 
 Randomness enters only through the explicit seed of
-:func:`random_population`; the dynamics themselves are deterministic.
+:func:`random_population`.
 """
 
 from __future__ import annotations
@@ -135,33 +147,84 @@ class PlayerGraph:
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each player's neighbors in ascending order."""
-        members, starts = self.closed_neighborhoods
-        flat = members.tolist()
-        bounds = [*starts.tolist(), len(flat)]
-        return tuple(tuple(flat[a + 1:b]) for a, b in zip(bounds, bounds[1:]))
+        runs: list[tuple[int, ...]] = [()] * self.player_count
+        degrees = self._degrees.tolist()
+        for ids, table in self.closed_neighborhoods:
+            for p, column in zip(ids.tolist(), table[1:].T.tolist()):
+                runs[p] = tuple(column[:degrees[p]])
+        return tuple(runs)
 
     @cached_property
-    def closed_neighborhoods(self) -> tuple[np.ndarray, np.ndarray]:
-        """(members, starts): every player's closed neighborhood -- the
-        player itself, then its neighbors in ascending order -- laid end
-        to end in the int32 array ``members``, with player p's run
-        beginning at ``starts[p]``. Its size is player_count + 2 * edges.
-        Both arrays are read-only."""
-        players = np.arange(self.player_count, dtype=np.int32)
+    def _degrees(self) -> np.ndarray:
+        """Each player's neighbor count, then a 0 for the sentinel player
+        ``player_count`` of ``closed_neighborhoods``: a read-only intp
+        array of player_count + 1 entries."""
+        n = self.player_count
         low, high = self.ends.T
-        owner = np.concatenate((players, high, low))
-        # Sorting stably by owner keeps each run in the order laid out
-        # here: the player, then its lower neighbors (rows ending at it,
-        # ascending by their lower end), then its higher neighbors (rows
-        # starting at it, ascending by their higher end).
-        order = np.argsort(owner, kind="stable")
-        members = np.concatenate((players, low, high))[order]
-        starts = np.zeros(self.player_count, np.int32)
-        np.cumsum(np.bincount(owner, minlength=self.player_count)[:-1],
-                  out=starts[1:])
-        members.setflags(write=False)
-        starts.setflags(write=False)
-        return members, starts
+        degrees = np.bincount(low, minlength=n + 1)
+        degrees += np.bincount(high, minlength=n + 1)
+        degrees.setflags(write=False)
+        return degrees
+
+    @cached_property
+    def _max_degree(self) -> int:
+        """The largest degree, which bounds every total and key."""
+        return int(self._degrees.max())
+
+    @cached_property
+    def closed_neighborhoods(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Every player's closed neighborhood -- the player itself, then
+        its neighbors in ascending order -- as padded tables, one
+        ``(ids, table)`` pair per group of players whose closed sizes
+        share a ceiling of log2. ``table`` is a (width, len(ids)) intp
+        array, width the group's largest closed size; column j holds
+        player ids[j]'s run, then pads of the sentinel index
+        ``player_count``. The pads take fewer entries than the runs, so
+        the tables hold under 2 (players + 2 edges) entries. Players
+        ascend within a group, groups ascend in size. All arrays are
+        read-only."""
+        n = self.player_count
+        size = self._degrees[:n] + 1
+        group = np.frexp(size - 1)[1]  # the bit length of size - 1
+        ids = np.argsort(group, kind="stable")
+        ids.setflags(write=False)
+        count = np.bincount(group)
+        bounds = np.cumsum(count)
+        groups, stride, base = [], np.empty(n, np.intp), np.empty(n, np.intp)
+        offset = 0
+        for key in np.flatnonzero(count):
+            stop = int(bounds[key])
+            start = stop - int(count[key])
+            members = ids[start:stop]
+            width = int(size[members].max())
+            stride[members] = stop - start
+            base[members] = offset + np.arange(stop - start)
+            groups.append((members, offset, width))
+            offset += width * (stop - start)
+        # Entry (row r, player p) lies at base[p] + r * stride[p]. Row 0 is
+        # p; then come its lower neighbors, the rows ending at p, which a
+        # stable sort by higher end keeps ascending by lower end; then its
+        # higher neighbors, the contiguous rows starting at p. Either part,
+        # laid end to end by player, puts its k-th entry in row
+        # first[p] + k - start[p] of its player p's column, start[p]
+        # counting the part's entries of the players before p.
+        entries = np.full(offset, n, np.intp)
+        entries[base] = np.arange(n)
+        low, high = self.ends.T
+        lower = np.bincount(high, minlength=n)
+        higher = size - 1 - lower
+        for count, first, member in (
+                (lower, 1, low[np.argsort(high, kind="stable")]),
+                (higher, 1 + lower, high)):
+            start = np.cumsum(count) - count
+            at = np.repeat(stride, count)
+            at *= np.arange(at.size)
+            at += np.repeat(base + (first - start) * stride, count)
+            entries[at] = member
+        entries.setflags(write=False)
+        return tuple((members, entries[offset:offset + width * len(members)]
+                      .reshape(width, len(members)))
+                     for members, offset, width in groups)
 
 
 def _keys(player_count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -311,54 +374,74 @@ def random_population(graph: PlayerGraph, fraction: float,
 def _integer_scores(state: PopulationState,
                     m: PayoffMatrix) -> tuple[np.ndarray, int]:
     """(totals, scale): each player's exact total payoff in units of
-    1/scale, where scale is the payoffs' common binary denominator. The
-    totals are int64 when they cannot overflow it, Python ints otherwise."""
+    1/scale, where scale is the payoffs' common binary denominator, then
+    the sentinel player's total, below every real one. The totals are
+    int64 when the keys of ``imitation_step`` cannot overflow int64,
+    Python ints otherwise."""
     ratios = [v.as_integer_ratio() for v in (m.R, m.S, m.T, m.U)]
     scale = max(den for _, den in ratios)  # powers of two: this is the lcm
     R, S, T, U = (num * (scale // den) for num, den in ratios)
-    members, starts = state.graph.closed_neighborhoods
-    degree = np.diff(starts, append=members.size) - 1
-    bound = max(map(abs, (R, S, T, U))) * (int(degree.max()) + 1)
-    dtype = np.int64 if bound < 2 ** 62 else object
-    coop = state.cooperates
-    n_c = np.add.reduceat(coop[members], starts, dtype=np.intp) - coop
-    n_d = (degree - n_c).astype(dtype)
-    n_c = n_c.astype(dtype)
-    return np.where(coop, R * n_c + S * n_d, T * n_c + U * n_d), scale
+    graph = state.graph
+    big, degree = max(map(abs, (R, S, T, U))), graph._max_degree
+    # A key is total * width + (width - 1 - row), width <= degree + 1,
+    # and the sentinel's total is -big * degree - 1.
+    exact = big * (degree + 2) ** 2 < 2 ** 62
+    coop = np.append(state.cooperates, False)  # the sentinel plays D
+    n_c = np.zeros(coop.size, np.int64)
+    for ids, table in graph.closed_neighborhoods:
+        n_c[ids] = np.count_nonzero(coop[table[1:]], axis=0)
+    n_d = graph._degrees - n_c
+    if not exact:
+        n_c, n_d = n_c.astype(object), n_d.astype(object)
+    totals = np.where(coop, R * n_c + S * n_d, T * n_c + U * n_d)
+    totals[-1] = -big * degree - 1
+    return totals, scale
 
 
 def scores(state: PopulationState, m: PayoffMatrix) -> list[float]:
     """Each player's total stage payoff against all of its neighbors,
     correctly rounded from the exact total."""
     totals, scale = _integer_scores(state, m)
-    return (totals.astype(object) / scale).tolist()
+    return (totals[:-1].astype(object) / scale).tolist()
 
 
 def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
     """One synchronous update: adopt the strategy of the best scorer in
     the closed neighborhood; ties keep the current strategy, then go to
-    the lowest player index. The first maximum of each closed-neighborhood
-    run [self, neighbors ascending] is exactly that player."""
+    the lowest player index. That player is the first maximum down a
+    column [self, neighbors ascending, pads] of the tables, and the key
+    total * width + (width - 1 - row) makes it the one column maximum."""
     totals, _ = _integer_scores(state, m)
-    members, starts = state.graph.closed_neighborhoods
-    candidates = totals[members]
-    best = np.maximum.reduceat(candidates, starts)
-    sizes = np.diff(starts, append=members.size)
-    at_best = np.flatnonzero(candidates == np.repeat(best, sizes))
-    # Every run holds its maximum, so the first match at or after a run's
-    # start lies inside that run.
-    winners = members[at_best[np.searchsorted(at_best, starts)]]
-    return PopulationState(state.graph, state.cooperates[winners])
+    coop = state.cooperates
+    stepped = np.empty_like(coop)
+    for ids, table in state.graph.closed_neighborhoods:
+        width, size = table.shape
+        keys = totals[table]
+        keys *= width
+        keys += np.arange(width - 1, -1, -1)[:, None]
+        rows = (width - 1) - keys.max(axis=0) % width
+        winners = table[rows.astype(np.intp, copy=False), np.arange(size)]
+        stepped[ids] = coop[winners]
+    stepped.setflags(write=False)
+    return PopulationState(state.graph, stepped)
 
 
 def run_spatial(state: PopulationState, m: PayoffMatrix,
                 steps: int) -> list[float]:
     """Cooperation fraction before the first update and after each of
-    ``steps`` synchronous updates (length steps + 1)."""
+    ``steps`` synchronous updates (length steps + 1).
+
+    Once an update returns the current state (a fixed point), every
+    later state is that one, and the rest of the series repeats the last
+    fraction."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     fractions = [state.cooperation_fraction()]
-    for _ in range(steps):
-        state = imitation_step(state, m)
-        fractions.append(state.cooperation_fraction())
+    while len(fractions) <= steps:
+        stepped = imitation_step(state, m)
+        fractions.append(stepped.cooperation_fraction())
+        if np.array_equal(stepped.cooperates, state.cooperates):
+            fractions += [fractions[-1]] * (steps + 1 - len(fractions))
+            break
+        state = stepped
     return fractions

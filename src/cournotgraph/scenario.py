@@ -64,12 +64,17 @@ from .stability import CanonicalParams
 MAX_PLAYERS = 1_000_000
 MAX_PLAYER_EDGES = 1_000_000
 # An imitation step reads every closed neighborhood, players + 2 * edges
-# entries, at some 32-40 ns each (100 x 100 and 500 x 500 tori on a 2-core
-# Xeon), and has a fixed cost of about 84 us besides, which a step is
-# charged as PD_STEP_READS more entries (84 us / 36 ns). The reads of a
-# run are bounded: a few minutes' worth. So no graph runs more than about
-# 2 * 10^6 steps, and the one cooperation fraction a run keeps and writes
-# per step stays bounded too.
+# entries, at some 13-17 ns each (100 x 100 and 500 x 500 tori on a
+# 2-core Xeon, Python 3.11, numpy 2.4), and has a fixed cost of about
+# 40 us besides (a 4 x 4 torus). A step is charged as its entries plus
+# PD_STEP_READS more for the fixed cost, and the reads of a run are
+# bounded. Both values date from steps about twice as slow (36 ns an
+# entry, 84 us a step, so 2 400 entries), and are kept: a run is now
+# bounded to a minute or two. So no graph runs more than about 2 * 10^6
+# steps, and the one cooperation fraction a run keeps and writes per
+# step stays bounded too. A run that reaches a fixed point stops
+# stepping there, but how soon is not known when the scenario is read,
+# so the bound counts every declared step.
 PD_STEP_READS = 2_400
 MAX_PD_READS = 5_000_000_000
 

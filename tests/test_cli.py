@@ -22,6 +22,36 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ("--help",), ("pd", "--help"), (), ("bogus",), ("sweep", "--scenario"),
+        ("simulate", "--scenario", "x", "--out", "y", "--dt", "inf"),
+        ("sweep", "--scenario", "x", "--param", "r9")])
+    def test_reused_parser_prints_what_a_fresh_one_does(self, argv, tmp_path,
+                                                        capsys):
+        from cournotgraph import cli
+        outputs = []
+        for parse in (cli.build_parser().parse_args, cli.main, cli.main):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            outputs.append((exc.value.code, capsys.readouterr()))
+            # A successful run between them leaves the parser as it was.
+            assert run("pd", "--scenario", PD, "--out", tmp_path / "x.csv") == 0
+            capsys.readouterr()
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][0] in (0, 2)
+
+    def test_main_builds_no_parser_of_its_own(self, monkeypatch, tmp_path):
+        from cournotgraph import cli
+        assert cli._parser() is cli._parser()
+
+        def unreachable():
+            raise AssertionError("parser rebuilt")
+        monkeypatch.setattr(cli, "build_parser", unreachable)
+        for _ in range(2):
+            assert run("pd", "--scenario", PD, "--out", tmp_path / "x.csv") == 0
+
+
 class TestWriters:
     def test_trajectory_rows_and_thinning(self):
         traj = Trajectory(times=np.array([0.0, 0.1, 0.2]),

@@ -8,7 +8,8 @@ import pytest
 from cournotgraph import (CanonicalParams, IntegrationBlowUp, Outcome,
                           Trajectory, canonical_affine, classify, equilibrium,
                           integrate, step_euler, step_rk4, to_affine)
-from cournotgraph.dynamics import _BLOCK_ROWS, _BLOCK_VALUES, MAX_STORED_VALUES
+from cournotgraph.dynamics import (_BLOCK_ROWS, _BLOCK_VALUES, MAX_STORED_VALUES,
+                                   _block_length)
 from helpers import dense_field, euler_exact, network_spec_of_shape
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
@@ -242,6 +243,22 @@ def _routes(system, q0, t_end, dt, method):
             integrate(dense_field(system), q0, t_end, dt, method))
 
 
+def _record_routes(monkeypatch) -> list[str]:
+    """Patch ``AffineSystem.field_at`` and ``EdgeIncidence.dense`` to
+    append their names, in call order, to the list returned."""
+    from cournotgraph import AffineSystem
+    from cournotgraph.network import EdgeIncidence
+    calls = []
+    for owner, name in ((AffineSystem, "field_at"), (EdgeIncidence, "dense")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def _gap(got: np.ndarray, want: np.ndarray) -> float:
     """Largest state difference, relative to max(1, |q|) per row of want."""
     scale = np.maximum(1.0, np.max(np.abs(want), axis=1))
@@ -365,17 +382,7 @@ class TestAffineRoute:
 
     def test_networks_past_300_edges_step_the_matrix_free_field(self,
                                                                 monkeypatch):
-        from cournotgraph import AffineSystem
-        from cournotgraph.network import EdgeIncidence
-        calls = []
-        for owner, name in ((AffineSystem, "field_at"),
-                            (EdgeIncidence, "dense")):
-            original = getattr(owner, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(*args)
-            monkeypatch.setattr(owner, name, counted)
+        calls = _record_routes(monkeypatch)
         rng = np.random.default_rng(8)
         small = to_affine(network_spec_of_shape(rng, 3, 4))
         assert small.dimension <= 300
@@ -389,6 +396,23 @@ class TestAffineRoute:
             integrate(large, np.zeros(large.dimension), 20.0, 0.01, method)
             assert calls == ["field_at"] * (evaluations * 2000)
         assert "matrix" not in vars(large)
+
+    def test_euler_past_181_edges_steps_the_field(self, monkeypatch):
+        # Past n = 181 a block is one step, and euler's two matrix-vector
+        # products cost more than one evaluation of the field.
+        calls = _record_routes(monkeypatch)
+        rng = np.random.default_rng(15)
+        system = to_affine(network_spec_of_shape(rng, 16, 27))
+        assert system.dimension == 262
+        assert _block_length(262) == 1 < _block_length(181)
+        q0 = rng.uniform(0.0, 0.5, system.dimension)
+        got = integrate(system, q0, 0.105, 0.01, "euler")
+        assert calls == ["field_at"] * 11
+        assert "matrix" not in vars(system)
+        del calls[:]
+        integrate(system, q0, 20.0, 0.01)  # rk4 still takes Phi_h
+        assert calls == ["dense"]
+        assert _gap(got.states, euler_exact(system, q0, 0.105, 0.01)) <= 1e-14
 
 
 class TestMatrixFreeRoute:

@@ -38,6 +38,41 @@ def transit_cooperation_dominant(m: PayoffMatrix, sigma: float) -> bool:
     return all(pairs[(C, b)] > pairs[(D, b)] for b in (C, D))
 
 
+def table_runs(graph: PlayerGraph) -> tuple[list[int], list[int]]:
+    """(members, starts): the closed-neighborhood runs read from the
+    padded tables and laid end to end in player order, as
+    ``closed_neighborhoods_by_loop`` lays them out. Checks the layout on
+    the way: ids partition the players, ascending within a group; every
+    closed size in a group has the same ceiling of log2; a table is a
+    read-only (width, len(ids)) intp array, width the group's largest
+    closed size, each column a run then sentinel pads; and the tables
+    hold fewer than 2 (players + 2 edges) entries."""
+    n = graph.player_count
+    runs: list[list[int] | None] = [None] * n
+    entries, last_binade = 0, -1
+    for ids, table in graph.closed_neighborhoods:
+        assert ids.dtype == table.dtype == np.intp
+        assert not ids.flags.writeable and not table.flags.writeable
+        assert table.shape == (table.shape[0], ids.size) and ids.size > 0
+        assert np.all(np.diff(ids) > 0)
+        sizes = []
+        for p, column in zip(ids.tolist(), table.T.tolist()):
+            size = column.index(n) if n in column else len(column)
+            assert column[size:] == [n] * (len(column) - size)
+            assert runs[p] is None
+            runs[p] = column[:size]
+            sizes.append(size)
+        binades = {(size - 1).bit_length() for size in sizes}
+        assert len(binades) == 1 and binades.pop() > last_binade
+        last_binade = (sizes[0] - 1).bit_length()
+        assert table.shape[0] == max(sizes)
+        entries += table.size
+    assert entries < 2 * (n + 2 * len(graph.ends))
+    members = [q for run in runs for q in run]
+    starts = list(itertools.accumulate((len(r) for r in runs[:-1]), initial=0))
+    return members, starts
+
+
 class TestStageGame:
     def test_payoff_lookups(self):
         assert payoffs(CLASSIC, C, C) == (3, 3)
@@ -236,9 +271,10 @@ class TestImitationDynamics:
 
     def test_star_neighborhoods_take_players_plus_twice_edges(self):
         # One player of high degree must not size every player's entry:
-        # the closed neighborhoods hold players + 2 * edges indices, and a
-        # step allocates a small multiple of that, not players x degree
-        # (which would be 3001 x 3001 x 8 bytes = 72 MB here).
+        # the star is two tables, the center's (n x 1) and the leaves'
+        # (2 x n - 1), players + 2 * edges entries, and a step allocates a
+        # small multiple of that, not players x degree (which would be
+        # 3001 x 3001 x 8 bytes = 72 MB here).
         n = 3001
         graph = player_graph(n, [(0, k) for k in range(1, n)])
         graph.neighbors
@@ -249,16 +285,48 @@ class TestImitationDynamics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        members, starts = graph.closed_neighborhoods
-        assert members.size == n + 2 * (n - 1)
-        assert members[:4].tolist() == [0, 1, 2, 3]
-        assert members[n:n + 4].tolist() == [1, 0, 2, 0]
-        assert starts[:3].tolist() == [0, n, n + 2]
-        assert peak < 100 * members.size
+        (leaves, spokes), (center, hub) = graph.closed_neighborhoods
+        assert spokes.shape == (2, n - 1) and hub.shape == (n, 1)
+        assert leaves.tolist() == list(range(1, n)) and center.tolist() == [0]
+        assert spokes[:, :2].tolist() == [[1, 2], [0, 0]]
+        assert hub[:4, 0].tolist() == [0, 1, 2, 3]
+        members, starts = table_runs(graph)
+        assert len(members) == n + 2 * (n - 1)
+        assert members[:4] == [0, 1, 2, 3]
+        assert members[n:n + 4] == [1, 0, 2, 0]
+        assert starts[:3] == [0, n, n + 2]
+        assert peak < 100 * len(members)
         # The center scores 5 per cooperating leaf, more than any leaf, so
         # as a defector it converts every leaf.
         center_d = PopulationState.from_strategies(graph, (D,) + state.strategies[1:])
         assert imitation_step(center_d, CLASSIC).strategies == (D,) * n
+
+    def test_matches_brute_force_on_graphs_of_several_tables(self):
+        # Closed sizes spread over several binades: a star, a skewed
+        # random graph, isolated players (closed size 1, a width-1 table)
+        # and a single player.
+        rng = np.random.default_rng(47)
+        weights = np.array([1.0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89])
+        weights /= weights.sum()
+        pairs = {tuple(sorted(rng.choice(12, size=2, replace=False,
+                                         p=weights).tolist()))
+                 for _ in range(30)}
+        graphs = [player_graph(9, [(4, k) for k in range(9) if k != 4]),
+                  player_graph(16, sorted(pairs)),
+                  player_graph(7, [(1, 5), (5, 6), (1, 6)]),
+                  player_graph(5, []),
+                  complete_graph(1)]
+        assert len(graphs[1].closed_neighborhoods) >= 3
+        assert len(graphs[2].closed_neighborhoods) == 2
+        assert graphs[3].closed_neighborhoods[0][1].shape == (1, 5)
+        huge = PayoffMatrix(R=1e200, S=-1e-200, T=2e200, U=1e-300)
+        for graph in graphs:
+            for trial in range(20):
+                m = huge if trial % 4 == 0 else random_dilemma(rng)
+                state = random_population(graph, rng.uniform(0.2, 0.8),
+                                          seed=int(rng.integers(1 << 30)))
+                assert imitation_step(state, m).strategies == \
+                    brute_force_step(state, m)
 
 
 class TestRunSpatial:
@@ -290,7 +358,47 @@ class TestRunSpatial:
         assert series[-1] > 0.0
 
 
+    # A strict dilemma on five players whose 2-cycle alternates between
+    # cooperation fractions 0.2 and 0.4.
+    BLINKER = (player_graph(5, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)]),
+               PayoffMatrix(R=-1.0, S=-3.0, T=1.0, U=-2.0), "DCCDC")
+
+    @pytest.mark.parametrize("case, steps, first", [
+        ((8, 0), 30, 4), ((8, 0), 4, 4), ((8, 0), 5, 4), ((8, 0), 3, None),
+        ((8, 3), 30, None), ("blinker", 12, None), ((21, 1), 60, None)])
+    def test_matches_plain_stepping(self, case, steps, first, monkeypatch):
+        # Runs that reach a fixed point at their last step, one step
+        # before it or earlier; runs that end in a 2-cycle, which are
+        # stepped to the end; and runs that do not repeat.
+        if case == "blinker":
+            graph, m, letters = self.BLINKER
+            state = PopulationState.from_strategies(graph, letters)
+        else:
+            side, seed = case
+            m = PayoffMatrix(R=3, S=0, T=3.5, U=0.5)
+            state = random_population(torus_graph(side, side), 0.5, seed=seed)
+        want, fixed = plain_stepping(state, m, steps)
+        assert fixed == first
+        calls = []
+        step = pdgame.imitation_step
+
+        def counted(state, m):
+            calls.append(1)
+            return step(state, m)
+        monkeypatch.setattr(pdgame, "imitation_step", counted)
+        got = run_spatial(state, m, steps)
+        assert got == want
+        assert all(type(x) is float for x in got)
+        assert len(calls) == (steps if first is None else first)
+        if case == "blinker":
+            assert want[3:] == [0.2, 0.4] * 5
+
     def test_each_step_calls_the_module_imitation_step(self, monkeypatch):
+        # Up to the first step that returns the state it was given, after
+        # which the state stays put and no step is taken.
+        graph = torus_graph(6, 6)
+        state = random_population(graph, 0.5, seed=4)
+        want, fixed = plain_stepping(state, CLASSIC, 9)
         calls = []
         step = pdgame.imitation_step
 
@@ -298,11 +406,25 @@ class TestRunSpatial:
             calls.append(state.graph.player_count)
             return step(state, m)
         monkeypatch.setattr(pdgame, "imitation_step", counted)
-        graph = torus_graph(6, 6)
-        series = run_spatial(random_population(graph, 0.5, seed=4), CLASSIC, 9)
-        assert calls == [36] * 9
-        assert len(series) == 10
-        assert all(type(x) is float for x in series)
+        series = run_spatial(state, CLASSIC, 9)
+        assert calls == [36] * fixed
+        assert fixed < 9
+        assert series == want
+
+
+def plain_stepping(state: PopulationState, m: PayoffMatrix,
+                   steps: int) -> tuple[list[float], int | None]:
+    """(fractions, fixed): the cooperation fractions of ``steps`` updates
+    made one after another, and the first update that returns the state
+    it was given, or None."""
+    history = [state.cooperates]
+    fixed = None
+    for step in range(1, steps + 1):
+        state = imitation_step(state, m)
+        if fixed is None and np.array_equal(state.cooperates, history[-1]):
+            fixed = step
+        history.append(state.cooperates)
+    return [int(np.count_nonzero(c)) / c.size for c in history], fixed
 
 
 def random_edge_list(rng, n: int) -> list[tuple[int, int]]:
@@ -352,9 +474,7 @@ class TestGraphBuilders:
                 continue
             graph = player_graph(n, pairs)
             assert graph.edges == want
-            members, starts = graph.closed_neighborhoods
-            assert (members.tolist(), starts.tolist()) == \
-                closed_neighborhoods_by_loop(n, want)
+            assert table_runs(graph) == closed_neighborhoods_by_loop(n, want)
         assert errors == {"self-loop", "edge", "duplicate"}
 
     def test_builders_match_loop_oracles(self):
@@ -370,17 +490,16 @@ class TestGraphBuilders:
             assert graph.edges == want
             assert graph.ends.dtype == np.int32
             assert not graph.ends.flags.writeable
-            members, starts = graph.closed_neighborhoods
-            assert members.dtype == starts.dtype == np.int32
             flat, runs = closed_neighborhoods_by_loop(graph.player_count, want)
-            assert (members.tolist(), starts.tolist()) == (flat, runs)
+            assert table_runs(graph) == (flat, runs)
+            assert len(graph.closed_neighborhoods) == 1
             assert graph.neighbors == tuple(
                 tuple(flat[a + 1:b]) for a, b in zip(runs, [*runs[1:], len(flat)]))
 
     def test_graph_arrays_are_read_only(self):
         graph = torus_graph(4, 4)
-        members, starts = graph.closed_neighborhoods
-        for values in (members, starts, graph.ends):
+        (ids, table), = graph.closed_neighborhoods
+        for values in (ids, table, graph.ends):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1
         # Ends given directly are copied into a read-only int32 array.
