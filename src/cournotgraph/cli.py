@@ -20,7 +20,7 @@ import numpy as np
 from . import stability
 from .dynamics import IntegrationBlowUp, integrate
 from .network import to_affine, variable_names
-from .reports import (pd_series_csv, render_equilibrium,
+from .reports import (SWEEP_PARAMS, pd_series_csv, render_equilibrium,
                       render_side_payment, render_stability_report, sweep,
                       sweep_csv, write_trajectory)
 from .scenario import (CanonicalScenario, NetworkScenario, PDScenario,
@@ -184,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="verdict map over one r parameter")
     scenario_arg(p)
-    p.add_argument("--param", required=True,
-                   choices=("r1", "r2", "r3", "r4", "r5"))
+    p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--from", required=True, type=_finite_float, dest="start")
     p.add_argument("--to", required=True, type=_finite_float, dest="stop")
     p.add_argument("--points", required=True, type=int)

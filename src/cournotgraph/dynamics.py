@@ -280,8 +280,8 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
     the module docstring). Thinning is an output-time concern; the whole
     trajectory stays in memory, which is fine at desk scale (a few 1e5
     steps of a small system). Runs that would store more than
-    ``MAX_STORED_VALUES`` numbers are rejected before anything is
-    allocated.
+    ``MAX_STORED_VALUES`` numbers, and a q0 that is not finite or passes
+    ``STATE_LIMIT``, are rejected before anything is allocated.
     """
     if method not in _STEPPERS:
         raise ValueError(f"unknown method '{method}' (expected rk4 or euler)")
@@ -289,7 +289,11 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
         raise ValueError("dt must be positive")
     if dt > t_end:
         raise ValueError("dt must not exceed t_end")
-    q = np.asarray(q0, dtype=float).copy()
+    q = np.asarray(q0, dtype=float)
+    peak = float(np.max(np.abs(q), initial=0.0))
+    if not peak <= STATE_LIMIT:  # NaN fails too
+        raise ValueError(f"q0 must be finite with max |q| at most "
+                         f"{STATE_LIMIT!r}, got {peak!r}")
     # t_end / dt + 2 bounds the stored rows; testing it as a float also
     # keeps a step count too large for int() from reaching it.
     if (t_end / dt + 2) * q.size > MAX_STORED_VALUES:

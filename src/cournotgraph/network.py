@@ -17,19 +17,17 @@ with F and M the n x k edge-firm and edge-market incidence matrices
 per-edge market and firm indices and parameters, in an
 :class:`EdgeIncidence`. Its field c - A q costs O(n + k) -- the firm
 outputs F^T q and market supplies M^T q by two ``np.bincount``s, then
-gathers -- so simulating a network never needs the n x n matrix, and
-neither does its equilibrium (a Woodbury solve on the k x k capacitance
-matrix, :mod:`cournotgraph.stability`). The dense matrix is filled on
-first access and then kept. Two things still read it: the Phi_h
-propagator that :mod:`cournotgraph.dynamics` uses up to 300 edges, and
-the tests' oracles; so do ``char_poly`` (at most 3 edges) and the
-equilibrium of a network whose capacitance matrix passes
-``stability.MAX_CAPACITANCE_VALUES``. The
+gathers -- so simulating a network never needs the n x n matrix A,
+and neither does its equilibrium (a Cholesky solve of S, or of the
+k x k capacitance matrix where k < n, :mod:`cournotgraph.stability`).
+A is filled on first access and then kept. Three things still read
+it: the Phi_h propagator that :mod:`cournotgraph.dynamics` uses up to
+300 edges, ``char_poly`` (at most 3 edges) and the tests' oracles. The
 eigenvalues of a ``stability`` report, hence its characteristic
 coefficients, come from the symmetric H = D_b^1/2 S D_b^1/2
-(``dense_symmetric``), which is filled in place of A. Past
-``MAX_DENSE_VALUES`` entries both are refused before they are
-allocated, and the margin comes from the structure alone. Every
+(``dense_symmetric``), filled in place of A. Past ``MAX_DENSE_VALUES``
+entries A, S and H are refused before they are allocated, and
+``stability`` works on k x k matrices alone. Every
 coordinate follows the canonical edge order, which every other module
 and file format shares as its coordinate system.
 
@@ -49,10 +47,11 @@ import numpy as np
 
 Edge = tuple[int, int]  # (market index, firm index), 1-based
 
-# A network's dense matrix holds n x n float64 values, 8 bytes each, and
-# the symmetric eigenvalue solve works on a few copies of it. Past this
-# many values (more than 3162 edges) it is refused before it is
-# allocated, and ``stability`` takes its structured route instead.
+# Every float matrix a network route fills or factors, n x n (A, S or H)
+# or k x k (k firms and markets), holds at most this many float64 values,
+# 8 bytes each, and LAPACK works on a few copies of it. An n x n one is
+# refused past it (more than 3162 edges) before it is allocated, and
+# ``stability`` then works on k x k ones alone.
 MAX_DENSE_VALUES = 10_000_000
 
 

@@ -8,7 +8,7 @@ so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,10 +17,10 @@ from .network import variable_names
 from .pdgame import PayoffMatrix, apply_side_payment, dominant_strategy, \
     min_side_payment
 from .scenario import CanonicalScenario
-from .stability import (StabilityReport, _hurwitz_checks, canonical_margins,
-                        verdict_of)
+from .stability import (CanonicalParams, StabilityReport, _hurwitz_checks,
+                        canonical_margins, verdict_of)
 
-SWEEP_PARAMS = ("r1", "r2", "r3", "r4", "r5")
+SWEEP_PARAMS = tuple(field.name for field in fields(CanonicalParams))
 MAX_SWEEP_POINTS = 1_000_000  # grid points of one sweep, checked before any work
 _BLOCK_VALUES = 1 << 14       # values per block of rendered trajectory rows
 

@@ -13,15 +13,16 @@ per kind of matrix.
   computed from that :class:`~cournotgraph.network.EdgeIncidence`:
 
   - The equilibrium solves S q = r, r = c / b_e = alpha_i(e), so it
-    does not depend on the speeds. By the Woodbury identity it is
-    y = D^-1 r, K z = U^T y, q = y - D^-1 U z, with D = diag(beta_e)
-    and the k x k capacitance matrix K = W^-1 + U^T D^-1 U factored by
-    Cholesky: O(n + k^3), and the n x n matrix is never filled. An
-    O(n + k) bound on cond(S) (Gershgorin row sums over min beta_e) and
-    the success of the Cholesky factorisation guard it. The residual is
-    checked matrix-free; where it fails because a tiny beta_e cost the
-    solve digits, corrections solved from it (iterative refinement) win
-    them back.
+    does not depend on the speeds, by Cholesky on the smaller of two
+    matrices. While n <= k that is S itself, filled n x n. Otherwise it
+    is the k x k capacitance matrix K = W^-1 + U^T D^-1 U, with
+    D = diag(beta_e), and the Woodbury identity gives y = D^-1 r,
+    K z = U^T y, q = y - D^-1 U z: O(n + k^3), with no n x n array.
+    An O(n + k) bound on cond(S) (Gershgorin row sums over min beta_e)
+    and the success of the Cholesky factorisation guard it. The
+    residual is checked matrix-free; where it fails because a tiny
+    beta_e cost the solve digits, corrections solved from it (iterative
+    refinement) win them back.
   - A is similar to the symmetric H = D_b^1/2 S D_b^1/2, so its
     spectrum is real. While the dense matrix is allowed
     (n^2 <= ``network.MAX_DENSE_VALUES``), one ``eigvalsh`` of H, filled
@@ -41,10 +42,9 @@ per kind of matrix.
     below min b_e (gamma_j + 2 beta_i), the least diagonal entry of H;
     under p_(k+1) at most k poles lie below lam, so T stays k x k, and a
     step costs O(n + k^3).
-  - The Woodbury solve and the bisection factor k x k matrices. Past
-    ``MAX_CAPACITANCE_VALUES`` values the equilibrium takes the dense
-    route while that is allowed, and a network past both limits is
-    refused (exit 2).
+  - Every float matrix a network route fills or factors, n x n or
+    k x k, is bounded by ``network.MAX_DENSE_VALUES``, so a network is
+    refused (exit 2) exactly when min(n, k)^2 passes it.
 
 * Any other system, in particular the canonical normal form below,
   keeps dense LU and the general ``eigvals``: its matrix is not
@@ -84,7 +84,7 @@ conditions also have closed forms (``symmetric_equilibrium``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -94,9 +94,6 @@ from .network import AffineSystem, Edge, EdgeIncidence
 
 MARGIN_EPS = 1e-9       # band around 0 where the verdict is MARGINAL
 CHAR_POLY_MAX_N = 3     # largest system whose coefficients char_poly gives
-# The k x k capacitance matrix of a network (k firms and markets) is
-# bounded as network.MAX_DENSE_VALUES bounds the n x n one.
-MAX_CAPACITANCE_VALUES = 10_000_000
 _COND_LIMIT = 1e12      # condition-number guard for the equilibrium solve
 _REFINE_STEPS = 3       # residual corrections a network equilibrium may take
 _SYMMETRY_TOL = 1e-12   # |r1 - r2| tolerance for the symmetric closed forms
@@ -127,7 +124,7 @@ class CanonicalParams:
     r5: float
 
     def __post_init__(self):
-        for name in ("r1", "r2", "r3", "r4", "r5"):
+        for name in (field.name for field in fields(self)):
             v = float(getattr(self, name))
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -198,12 +195,16 @@ def _capacitance(st: EdgeIncidence, weight: np.ndarray) -> np.ndarray:
     return k
 
 
-def _woodbury(st: EdgeIncidence):
-    """The solver r -> S^-1 r of the Woodbury identity (see the module
-    docstring), with the capacitance matrix factored once;
+def _s_solver(st: EdgeIncidence):
+    """The solver r -> S^-1 r of the module docstring, with S (while
+    n <= k) or the capacitance matrix K factored once by Cholesky;
+    ``_size_error`` when that matrix passes ``network.MAX_DENSE_VALUES``,
     NoUniqueEquilibriumError when cond(S) may pass _COND_LIMIT or the
-    capacitance matrix is not positive definite."""
-    firm_degree, market_degree = st.supplies(np.ones(len(st.speed)))
+    matrix is not positive definite."""
+    n, k = len(st.speed), len(st.firm_gamma) + len(st.market_beta)
+    if min(n, k) ** 2 > network.MAX_DENSE_VALUES:
+        raise _size_error(st)
+    firm_degree, market_degree = st.supplies(np.ones(n))
     # S has no negative entry, so its largest row sum bounds its largest
     # eigenvalue, and S >= diag(beta_e) bounds its smallest one below.
     rows = (st.firm_gamma * firm_degree)[st.firm] + st.beta * (
@@ -213,18 +214,25 @@ def _woodbury(st: EdgeIncidence):
         raise NoUniqueEquilibriumError(
             f"no unique equilibrium: matrix condition number bound "
             f"{bound:.3g} exceeds {_COND_LIMIT:.0e}")
+    woodbury = k < n
     try:
-        lower = np.linalg.cholesky(_capacitance(st, 1.0 / st.beta))
+        lower = np.linalg.cholesky(_capacitance(st, 1.0 / st.beta)
+                                   if woodbury else st._filled())
     except np.linalg.LinAlgError:
         raise NoUniqueEquilibriumError(
-            "no unique equilibrium: the Woodbury capacitance matrix is not "
-            "positive definite") from None
+            f"no unique equilibrium: the "
+            f"{'capacitance matrix' if woodbury else 'matrix S'} is not "
+            f"positive definite") from None
+
+    def factored(b: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
+    if not woodbury:
+        return factored
     firms = len(st.firm_gamma)
 
     def solve(r: np.ndarray) -> np.ndarray:
         y = r / st.beta
-        z = np.linalg.solve(lower.T, np.linalg.solve(lower, np.concatenate(
-            st.supplies(y))))
+        z = factored(np.concatenate(st.supplies(y)))
         return y - (z[:firms][st.firm] + z[firms:][st.market]) / st.beta
     return solve
 
@@ -277,21 +285,14 @@ def _lowest_eigenvalue(st: EdgeIncidence) -> float:
     return 0.5 * (lo + hi)
 
 
-def _capacitance_allowed(st: EdgeIncidence) -> bool:
-    """Whether the k x k capacitance matrix is within
-    MAX_CAPACITANCE_VALUES."""
-    k = len(st.firm_gamma) + len(st.market_beta)
-    return k * k <= MAX_CAPACITANCE_VALUES
-
-
 def _size_error(st: EdgeIncidence) -> ValueError:
-    """The ValueError for a network past both size limits."""
+    """The ValueError for a network whose smaller matrix, n x n or k x k,
+    passes ``network.MAX_DENSE_VALUES``."""
     n, k = len(st.speed), len(st.firm_gamma) + len(st.market_beta)
     return ValueError(
         f"a network of {n} edges and {k} firms and markets needs a dense "
         f"{n}x{n} matrix or a {k}x{k} capacitance matrix, more than the "
-        f"limits of {network.MAX_DENSE_VALUES} and {MAX_CAPACITANCE_VALUES} "
-        f"values")
+        f"limit of {network.MAX_DENSE_VALUES} values")
 
 
 def _system_spectrum(sys: AffineSystem):
@@ -304,7 +305,8 @@ def _system_spectrum(sys: AffineSystem):
     if st.dense_allowed:
         eigvals = -np.linalg.eigvalsh(st.dense_symmetric())
         return eigvals, float(eigvals[0])
-    if not _capacitance_allowed(st):
+    # n^2 passes the limit here, so min(n, k)^2 does iff k^2 does.
+    if (len(st.firm_gamma) + len(st.market_beta)) ** 2 > network.MAX_DENSE_VALUES:
         raise _size_error(st)
     return None, -_lowest_eigenvalue(st)
 
@@ -325,38 +327,35 @@ def verdict_of(margin: float) -> Stability:
 
 
 def equilibrium(sys: AffineSystem) -> np.ndarray:
-    """Solve A q = c with a condition-number guard and residual check: a
-    network by its structure, never filling the dense matrix, any other
-    system by dense LU, and so a network past MAX_CAPACITANCE_VALUES
-    while its dense matrix is allowed (one past both is refused)."""
+    """Solve A q = c with a condition-number guard and a residual check:
+    a network by the Cholesky solve of its structure (see the module
+    docstring), any other system by dense LU."""
     st = sys.structure
-    if st is not None and _capacitance_allowed(st):
-        solve, c = _woodbury(st), sys.constant
-        tolerance = 1e-10 * np.max(np.abs(c))
-        q = solve(c / st.speed)
+    if st is None:
+        q, ok, cond, residual = _solve(sys.matrix[None], sys.constant[None])
+        if not ok[0]:
+            reason = (f"solve residual {residual[0]:.3g} too large"
+                      if cond[0] <= _COND_LIMIT else
+                      f"matrix condition number {cond[0]:.3g} exceeds "
+                      f"{_COND_LIMIT:.0e}")
+            raise NoUniqueEquilibriumError(f"no unique equilibrium: {reason}")
+        return q[0]
+    solve, c = _s_solver(st), sys.constant
+    tolerance = 1e-10 * np.max(np.abs(c))
+    q = solve(c / st.speed)
+    residual = c - st.apply(q)
+    # A tiny beta_e makes D^-1 large, and the solve then cancels away
+    # digits; corrections from the matrix-free residual win them back.
+    for _ in range(_REFINE_STEPS):
+        if np.max(np.abs(residual)) <= tolerance:
+            break
+        q = q + solve(residual / st.speed)
         residual = c - st.apply(q)
-        # A tiny beta_e makes D^-1 large, and the solve then cancels away
-        # digits; corrections from the matrix-free residual win them back.
-        for _ in range(_REFINE_STEPS):
-            if np.max(np.abs(residual)) <= tolerance:
-                break
-            q = q + solve(residual / st.speed)
-            residual = c - st.apply(q)
-        worst = float(np.max(np.abs(residual)))
-        if not worst <= tolerance:  # NaN fails
-            raise NoUniqueEquilibriumError(
-                f"no unique equilibrium: solve residual {worst:.3g} too large")
-        return q
-    if st is not None and not st.dense_allowed:
-        raise _size_error(st)
-    q, ok, cond, residual = _solve(sys.matrix[None], sys.constant[None])
-    if not ok[0]:
-        reason = (f"solve residual {residual[0]:.3g} too large"
-                  if cond[0] <= _COND_LIMIT else
-                  f"matrix condition number {cond[0]:.3g} exceeds "
-                  f"{_COND_LIMIT:.0e}")
-        raise NoUniqueEquilibriumError(f"no unique equilibrium: {reason}")
-    return q[0]
+    worst = float(np.max(np.abs(residual)))
+    if not worst <= tolerance:  # NaN fails
+        raise NoUniqueEquilibriumError(
+            f"no unique equilibrium: solve residual {worst:.3g} too large")
+    return q
 
 
 def char_poly(sys: AffineSystem) -> tuple[float, ...]:

@@ -52,6 +52,25 @@ def network_spec_of_shape(rng: np.random.Generator, k1: int,
         speed=tuple(rng.uniform(0.5, 2.0, k2)))
 
 
+def matching_spec(rng: np.random.Generator, pairs: int, cross: int = 3,
+                  speed=None) -> NetworkSpec:
+    """Random valid spec on ``pairs`` markets and as many firms: edge
+    (i, i) for each pair, then ``cross`` more distinct edges (at most
+    pairs^2 - pairs). It has n = pairs + cross edges and k = 2 pairs
+    firms and markets, so n <= k while cross <= pairs. ``speed`` defaults
+    to random speeds in [0.5, 2]."""
+    edges = {(i, i) for i in range(1, pairs + 1)}
+    while len(edges) < pairs + cross:
+        edges.add(tuple(int(v) for v in rng.integers(1, pairs + 1, 2)))
+    if speed is None:
+        speed = rng.uniform(0.5, 2.0, pairs)
+    return NetworkSpec(
+        market_count=pairs, firm_count=pairs, edges=tuple(sorted(edges)),
+        alpha=tuple(rng.uniform(0.1, 2.0, pairs)),
+        beta=tuple(rng.uniform(0.1, 2.0, pairs)),
+        gamma=tuple(rng.uniform(0.1, 2.0, pairs)), speed=tuple(speed))
+
+
 def to_affine_by_loop(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
     """(c, A) of the flow dynamics, entry by entry: row (i, j) holds
     b_j (gamma_j + 2 beta_i) on the diagonal, b_j gamma_j for every

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +233,19 @@ class TestCommands:
         assert "blew up" in capsys.readouterr().err
         assert out.exists()
         assert len(out.read_text().splitlines()) >= 2
+
+    def test_simulate_q0_past_the_state_limit_exits_2(self, tmp_path, capsys):
+        # The run shrinks from there; it used to exit 3 with q0 reported as
+        # the last finite state of a blow-up.
+        path = tmp_path / "far.scenario"
+        path.write_text(STABLE.read_text().replace("q0 = 0.1, 0.2, 0.3",
+                                                   "q0 = 1e10, 0, 0"))
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--scenario", path, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: q0 must be finite with max |q| at most 1000000000.0, "
+            "got 10000000000.0\n")
+        assert not out.exists()
 
     def test_size_limits_exit_2_before_allocating(self, monkeypatch, tmp_path,
                                                  capsys):
@@ -689,6 +705,47 @@ class TestNetworkRoutes:
             assert captured.err.startswith(
                 "error: no unique equilibrium: matrix condition number bound ")
 
+    def test_matching_network_with_spread_speeds_solves_on_s(self, monkeypatch,
+                                                             tmp_path, capsys):
+        # n = 43 <= k = 80, with the limit between n^2 and k^2: S is
+        # factored, not A, so speeds of 1e-7 and 1e7 leave the solve
+        # exact (a dense LU of A would find cond(A) past 1e12).
+        from cournotgraph import NetworkScenario, network, render_scenario
+        from helpers import matching_spec, record_factored_sizes, to_affine_by_loop
+        rng = np.random.default_rng(17)
+        spec = matching_spec(rng, 40, speed=10.0 ** rng.choice([-7, 7], 40))
+        path = tmp_path / "matching.scenario"
+        path.write_text(render_scenario(NetworkScenario(spec, (0.0,) * 43)),
+                        encoding="utf-8")
+        monkeypatch.setattr(network, "MAX_DENSE_VALUES", 43 ** 2)
+        sizes = record_factored_sizes(monkeypatch)
+        assert run("equilibrium", "--scenario", path) == 0
+        assert set(sizes) == {43}
+        got = [float(line.split(" = ")[1])
+               for line in capsys.readouterr().out.splitlines()]
+        c, a = to_affine_by_loop(dataclasses.replace(spec, speed=(1.0,) * 40))
+        want = np.linalg.solve(a, c)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_size_refusal_exits_2_exactly_past_the_limit(self, monkeypatch,
+                                                        tmp_path, capsys):
+        from cournotgraph import network
+        rng = np.random.default_rng(19)
+        for seed in range(8):
+            markets, firms = (int(v) for v in rng.integers(1, 9, 2))
+            scenario = _network_scenario(tmp_path / "net.scenario", markets,
+                                         firms, seed=seed)
+            n, k = len(scenario.q0), markets + firms
+            for limit in (min(n, k) ** 2 - 1, min(n, k) ** 2):
+                monkeypatch.setattr(network, "MAX_DENSE_VALUES", limit)
+                for command in ("equilibrium", "stability"):
+                    code = run(command, "--scenario", tmp_path / "net.scenario")
+                    err = capsys.readouterr().err
+                    assert code == (2 if min(n, k) ** 2 > limit else 0), err
+                    assert (code == 2) == err.startswith(
+                        f"error: a network of {n} edges and {k} firms and "
+                        f"markets needs ")
+
     def test_ten_thousand_edges_never_fill_the_dense_matrix(self, monkeypatch,
                                                             tmp_path, capsys):
         from cournotgraph.network import EdgeIncidence
@@ -779,3 +836,28 @@ class TestNetworkRoutes:
         assert run("simulate", "--scenario", path, "--method", method,
                    "--out", out) == 0
         assert out.read_text(encoding="utf-8") == want
+
+
+class TestReadmeLimits:
+    """README's "CLI" section quotes each limit of the commands at its
+    value: every ``module.MAX_*`` it names exists and equals the number
+    quoted just before the parenthesis that names it."""
+
+    SECTION = ((SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+               .split("## CLI\n", 1)[1].split("\n## ", 1)[0])
+    LIMITS = ("dynamics.MAX_STORED_VALUES", "network.MAX_DENSE_VALUES",
+              "reports.MAX_SWEEP_POINTS")
+
+    def test_quotes_each_limit_at_its_value(self):
+        # The parenthesis may hold text and nested parentheses before
+        # the name, as in "((steps + 1) x variables, `...`)".
+        quoted = re.findall(r"(\d[\d\s]*\d)\s[a-z\s-]*"
+                            r"\((?:[^`()]|\([^`()]*\))*`(\w+\.MAX_\w+)`",
+                            self.SECTION)
+        assert sorted(name for _, name in quoted) == sorted(self.LIMITS)
+        assert set(re.findall(r"`(\w+\.MAX_\w+)`", self.SECTION)) == set(self.LIMITS)
+        for value, name in quoted:
+            module, constant = name.split(".")
+            got = getattr(importlib.import_module(f"cournotgraph.{module}"),
+                          constant)
+            assert int(re.sub(r"\s", "", value)) == got, name

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,25 @@ class TestIntegrate:
         with pytest.raises(AssertionError, match="np.empty reached"):
             integrate(decay, np.zeros(3), 1000.0, 0.01)
 
+    @pytest.mark.parametrize("q0", [[1e10, 0.0, 0.0], [-1.5e9], [np.nan, 0.0],
+                                    [0.0, np.inf], [-np.inf]])
+    def test_q0_the_blowup_check_rejects_is_refused_before_allocating(
+            self, monkeypatch, q0):
+        # A run from such a q0 would report q0 itself as the last finite
+        # state of a blow-up, even where the state then shrinks.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("np.empty reached")
+        monkeypatch.setattr(np, "empty", unreachable)
+        peak = float(np.max(np.abs(q0)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"q0 must be finite with max |q| at most 1000000000.0, "
+                f"got {peak!r}")):
+            integrate(decay, np.array(q0), 1.0, 0.1)
+
+    def test_q0_at_the_state_limit_is_marched(self):
+        got = integrate(decay, np.array([1e9, -1e9]), 1.0, 0.1)
+        assert np.all(np.abs(got.states[1:]) < 1e9)
+
     def test_blowup_steps_at_most_one_block_past_the_first_bad_state(self):
         # Doubling per euler step passes STATE_LIMIT at step 30; the run
         # is checked a block of at most 256 steps at a time.
@@ -136,9 +156,11 @@ class TestIntegrate:
         with pytest.raises(IntegrationBlowUp) as info:
             integrate(fragile, np.array([1.0]), 1e5, 1.0, "euler")
         assert info.value.time == 30.0
-        # Before the first bad state the field's own error stands.
+        # Before the first bad state the field's own error stands: here
+        # the field is undefined at q0 itself.
         with pytest.raises(OverflowError, match="field undefined"):
-            integrate(fragile, np.array([2e10]), 10.0, 1.0, "euler")
+            integrate(lambda q: fragile(1e3 * q), np.array([2e7]), 10.0, 1.0,
+                      "euler")
 
     def test_nan_field_detected(self):
         bad = lambda q: np.array([float("nan")])

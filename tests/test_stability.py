@@ -12,9 +12,10 @@ from cournotgraph import (AffineSystem, CanonicalParams,
                           routh_hurwitz_cubic, symmetric_conditions,
                           symmetric_equilibrium, to_affine,
                           two_firms_two_markets)
-from helpers import (charpoly_by_determinant, network_spec_of_shape,
-                     random_canonical, random_network_spec,
-                     record_factored_sizes, to_affine_by_loop)
+from helpers import (charpoly_by_determinant, matching_spec,
+                     network_spec_of_shape, random_canonical,
+                     random_network_spec, record_factored_sizes,
+                     to_affine_by_loop)
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
 UNSTABLE = CanonicalParams(0.01, 0.1, 1.1, -0.3, 0.4)
@@ -366,10 +367,43 @@ def _dense_h(spec):
     return a / (root * root)[:, None] * root[:, None] * root[None, :]
 
 
+def _edges_and_size(spec) -> tuple[int, int]:
+    """(n, k): the spec's edges, and its firms and markets."""
+    return len(set(spec.edges)), spec.market_count + spec.firm_count
+
+
+def _force_bisection(monkeypatch) -> None:
+    """Send every network's spectrum to the bisection. The one size limit
+    bounds the k x k matrices too, so patching it would reach the
+    bisection only where k < n."""
+    from cournotgraph.network import EdgeIncidence
+    monkeypatch.setattr(EdgeIncidence, "dense_allowed",
+                        property(lambda self: False))
+
+
 class TestNetworkRoute:
     """Network systems are solved and analysed on their incidence
-    structure: a Woodbury solve, eigvalsh of the symmetric H, and past the
-    dense limit an inertia bisection."""
+    structure: a Cholesky solve of S, or of the k x k capacitance matrix
+    where k < n, eigvalsh of the symmetric H, and past the dense limit an
+    inertia bisection."""
+
+    def test_s_route_matches_dense_solve(self, monkeypatch):
+        rng = np.random.default_rng(68)
+        specs = [*(random_network_spec(rng) for _ in range(120)),
+                 *_network_specs(69, 200),
+                 *(matching_spec(rng, int(rng.integers(3, 40)),
+                                 int(rng.integers(0, 4))) for _ in range(20))]
+        specs = [spec for spec in specs
+                 if _edges_and_size(spec)[0] <= _edges_and_size(spec)[1]]
+        assert len(specs) >= 150
+        wants = [np.linalg.solve(a, c)
+                 for c, a in map(to_affine_by_loop, specs)]
+        sizes = record_factored_sizes(monkeypatch)
+        for spec, want in zip(specs, wants):
+            sizes.clear()
+            got = equilibrium(to_affine(spec))
+            assert set(sizes) == {len(want)}  # S, n x n, is factored
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_woodbury_equilibrium_matches_dense_solve(self):
         for spec in _network_specs(60, 80):
@@ -380,7 +414,13 @@ class TestNetworkRoute:
 
     def test_equilibrium_does_not_depend_on_the_speeds(self):
         rng = np.random.default_rng(61)
-        for spec in _network_specs(62, 40):
+        specs = [*_network_specs(62, 40),
+                 *(random_network_spec(rng) for _ in range(20)),
+                 *(matching_spec(rng, int(rng.integers(3, 30)))
+                   for _ in range(10))]
+        # Both factorings: S where n <= k, the capacitance matrix past it.
+        assert {n <= k for n, k in map(_edges_and_size, specs)} == {True, False}
+        for spec in specs:
             q = equilibrium(to_affine(spec))
             for speed in (np.full(spec.firm_count, 1e6),
                           np.full(spec.firm_count, 1e-6),
@@ -390,10 +430,9 @@ class TestNetworkRoute:
                 assert np.max(np.abs(got - q)) <= 1e-12 * np.max(np.abs(q))
 
     def test_bisection_margin_matches_dense_eigenvalues(self, monkeypatch):
-        from cournotgraph import network
         specs = list(_network_specs(63, 80))
         want = [-float(np.linalg.eigvalsh(_dense_h(spec))[0]) for spec in specs]
-        monkeypatch.setattr(network, "MAX_DENSE_VALUES", 0)
+        _force_bisection(monkeypatch)
         for spec, margin in zip(specs, want):
             got = eigen_margin(to_affine(spec))
             assert abs(got - margin) <= 1e-12 * abs(margin)
@@ -403,7 +442,7 @@ class TestNetworkRoute:
         # or next to the lowest eigenvalue of H; the count keeps the edges
         # near the bisection point in its matrix instead of dividing by
         # the small differences.
-        from cournotgraph import NetworkSpec, network
+        from cournotgraph import NetworkSpec
         rng = np.random.default_rng(64)
         specs = []
         for _ in range(60):
@@ -422,7 +461,7 @@ class TestNetworkRoute:
             specs.append(NetworkSpec(6, 8, complete, (1.0,) * 6, beta,
                                      tuple(rng.uniform(0.1, 2.0, 8)), (1.0,) * 8))
         want = [-float(np.linalg.eigvalsh(_dense_h(spec))[0]) for spec in specs]
-        monkeypatch.setattr(network, "MAX_DENSE_VALUES", 0)
+        _force_bisection(monkeypatch)
         for spec, margin in zip(specs, want):
             got = eigen_margin(to_affine(spec))
             assert abs(got - margin) <= 1e-12 * abs(margin)
@@ -434,7 +473,7 @@ class TestNetworkRoute:
         # whose slopes and speeds spread by 1e-12 to 1e-3. The margin stays
         # within 1e-12 of the dense one, and no matrix the bisection
         # factors is larger than k x k.
-        from cournotgraph import NetworkSpec, network
+        from cournotgraph import NetworkSpec
         rng = np.random.default_rng(67)
         specs = []
         for _ in range(20):
@@ -452,7 +491,7 @@ class TestNetworkRoute:
                 tuple(rng.uniform(0.1, 2.0, f)),
                 tuple(1.0 + spread * rng.uniform(0.0, 1.0, f))))
         want = [-float(np.linalg.eigvalsh(_dense_h(spec))[0]) for spec in specs]
-        monkeypatch.setattr(network, "MAX_DENSE_VALUES", 0)
+        _force_bisection(monkeypatch)
         sizes = record_factored_sizes(monkeypatch)
         for spec, margin in zip(specs, want):
             sizes.clear()
@@ -460,21 +499,28 @@ class TestNetworkRoute:
             assert abs(got - margin) <= 1e-12 * abs(margin)
             assert max(sizes) <= spec.market_count + spec.firm_count
 
-    def test_capacitance_limit(self, monkeypatch):
-        # Past it the equilibrium is the dense solve while that is
-        # allowed; past both limits a network is refused.
-        from cournotgraph import network, stability
-        spec = two_firms_two_markets(1, 1, 0.2, 0.3, 0.1, 0.4)
-        c, a = to_affine_by_loop(spec)
-        monkeypatch.setattr(stability, "MAX_CAPACITANCE_VALUES", 15)
-        assert np.array_equal(equilibrium(to_affine(spec)), np.linalg.solve(a, c))
-        monkeypatch.setattr(network, "MAX_DENSE_VALUES", 8)
-        message = ("a network of 3 edges and 4 firms and markets needs a dense "
-                   "3x3 matrix or a 4x4 capacitance matrix, more than the "
-                   "limits of 8 and 15 values")
-        for call in (equilibrium, analyze, eigen_margin):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                call(to_affine(spec))
+    def test_one_matrix_size_limit(self, monkeypatch):
+        # Every matrix a network route fills or factors is S or H (n x n)
+        # or a k x k one, under the one limit: a network is refused
+        # exactly when min(n, k)^2 passes it, by each entry point.
+        from cournotgraph import network
+        rng = np.random.default_rng(70)
+        specs = [*_network_specs(71, 30),
+                 *(matching_spec(rng, int(rng.integers(3, 12))) for _ in range(6))]
+        for spec in specs:
+            n, k = _edges_and_size(spec)
+            for limit in (min(n, k) ** 2 - 1, min(n, k) ** 2, max(n, k) ** 2):
+                monkeypatch.setattr(network, "MAX_DENSE_VALUES", limit)
+                message = (f"a network of {n} edges and {k} firms and markets "
+                           f"needs a dense {n}x{n} matrix or a {k}x{k} "
+                           f"capacitance matrix, more than the limit of "
+                           f"{limit} values")
+                for call in (equilibrium, analyze, eigen_margin):
+                    if min(n, k) ** 2 > limit:
+                        with pytest.raises(ValueError, match=f"^{message}$"):
+                            call(to_affine(spec))
+                    else:
+                        call(to_affine(spec))
 
     def test_equilibrium_never_fills_the_dense_matrix(self, monkeypatch):
         from cournotgraph.network import EdgeIncidence
@@ -513,9 +559,20 @@ class TestNetworkRoute:
             analyze(to_affine(spec))
 
     def test_cholesky_failure_is_no_equilibrium(self, monkeypatch):
+        from cournotgraph import NetworkSpec
+
         def fails(matrix):
             raise np.linalg.LinAlgError("not positive definite")
         monkeypatch.setattr(np.linalg, "cholesky", fails)
+        # n = 3 <= k = 4 factors S; a complete 2 x 3 network, n = 6 > k = 5,
+        # factors the capacitance matrix.
         with pytest.raises(NoUniqueEquilibriumError,
-                           match="capacitance matrix is not positive definite"):
+                           match="^no unique equilibrium: the matrix S is not "
+                                 "positive definite$"):
             equilibrium(to_affine(two_firms_two_markets(1, 1, 0.2, 0.3, 0.1, 0.4)))
+        complete = NetworkSpec(2, 3, tuple((i, j) for i in (1, 2) for j in (1, 2, 3)),
+                               (1.0, 1.0), (0.2, 0.3), (0.1, 0.4, 0.5))
+        with pytest.raises(NoUniqueEquilibriumError,
+                           match="^no unique equilibrium: the capacitance "
+                                 "matrix is not positive definite$"):
+            equilibrium(to_affine(complete))
