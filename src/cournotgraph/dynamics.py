@@ -27,13 +27,17 @@ equilibrium is needed, so a singular A simulates too. Neither method's
 states are the bytes of stepping c - A q: they round differently, at
 about 1e-14 relative.
 
-Phi_h is used only where it pays (``_affine_pays``). An rk4 run too
-short for forming it to pay, an euler run past n = 181, and every
-network of more than ``_DENSE_STEP_MAX`` = 300 edges step the method
-over the system's ``field_at`` like any other field. A network's field
-is matrix-free, O(n + k) per evaluation (see
-:mod:`cournotgraph.network`), so past 300 edges simulating a network
-never builds an n x n array.
+Which route a run takes depends on the system and the method alone
+(``_affine_pays``): a network of more than ``_DENSE_STEP_MAX`` = 300
+edges, and an euler run past n = 181, step the method over the
+system's ``field_at`` like any other field; every other affine run
+takes Phi_h. A network's field is matrix-free, O(n + k) per evaluation
+(see :mod:`cournotgraph.network`), so past 300 edges simulating a
+network never builds an n x n array. Neither the route nor the Psi
+table depends on the run length, and every block multiplies the whole
+table, so a shorter run's states are byte for byte the leading states
+of a longer run with the same dt. The price is that a very short run
+still forms the whole table once.
 
 ``classify`` compares the end of a run against a candidate equilibrium:
 converged (field essentially zero there, no net drift away), diverged
@@ -138,35 +142,28 @@ _DENSE_STEP_MAX = 300
 
 
 def _block_length(n: int) -> int:
-    """Most Phi_h steps per stacked product for n variables (see
-    ``_march``): about ``_BLOCK_VALUES`` values of Psi, at least 1."""
-    return max(1, _BLOCK_VALUES // (n * n))
+    """Steps per stacked product for n variables (see ``_march``): the
+    rows of the Psi table, at most ``_BLOCK_ROWS`` and about
+    ``_BLOCK_VALUES`` values of Psi, at least 1. It depends on n alone,
+    not on the run's length."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // (n * n)))
 
 
-def _affine_pays(system: AffineSystem, steps: int, method: str) -> bool:
-    """Whether stepping through Phi_h is cheaper than through the field.
+def _affine_pays(system: AffineSystem, method: str) -> bool:
+    """Whether a run steps through Phi_h rather than the field. The
+    system and the method decide, never the run's length, so a shorter
+    run takes the route of a longer one and repeats its leading states.
 
-    A network system (one with an incidence ``structure``) has an
-    O(n + k) field, so past ``_DENSE_STEP_MAX`` variables a dense step
-    costs more than a field step, and its n x n matrix is never built.
-    Below that, and for a dense system, compare the two as matrix work.
-    Euler's Phi_h is h I: nothing to form, and taken while a block holds
-    more than one step. Past n = 181 a block is one step, whose two
-    matrix-vector products cost about twice one field evaluation, so
-    there euler steps the field. For rk4, forming
-    Phi_h by Horner's rule takes two n x n products (4 n^3 flops), and
-    each step then saves two of its four matrix-vector products
-    (4 n^2 flops), so Phi_h pays for itself after n steps. Requiring
-    more than 4 n steps leaves room for the constant factors that flop
-    counts miss, and keeps Phi_h's n^2 values under a quarter of the
-    stored states.
+    A network system (one with an incidence ``structure``) of more than
+    ``_DENSE_STEP_MAX`` variables steps its O(n + k) field, and its
+    n x n matrix is never built. Euler past n = 181, where a block is
+    one step whose two matrix-vector products cost about twice one field
+    evaluation, steps the field too. Everything else takes Phi_h.
     """
     n = system.dimension
     if system.structure is not None and n > _DENSE_STEP_MAX:
         return False
-    if method == "euler":
-        return _block_length(n) > 1
-    return 4 * n < steps
+    return method == "rk4" or _block_length(n) > 1
 
 
 def _propagator(a: np.ndarray, h: float, method: str) -> np.ndarray:
@@ -214,10 +211,11 @@ def _march(system: Field | AffineSystem, method: str, states: np.ndarray,
     States are made and checked a block of at most ``_BLOCK_ROWS`` steps
     and about ``_BLOCK_VALUES`` values at a time. A field ``system`` is
     stepped by the method's stepper. An AffineSystem is propagated m
-    states at a time, m = min(count, ``_BLOCK_ROWS``,
-    ``_block_length(n)``) (fewer if the segment's
+    states at a time, m = ``_block_length(n)`` (fewer if the segment's
     ``_block_table`` was cut): the m states after q_lo are
-    q_lo + Psi_j (c - A q_lo), j = 1..m, one stacked product.
+    q_lo + Psi_j (c - A q_lo), j = 1..m, one product with the whole
+    table, of which a block cut short keeps its leading rows (BLAS may
+    round a product of fewer rows differently).
 
     A run that blows up computes at most one block past its first bad
     state; the overflow and NaN arithmetic of those states is silenced,
@@ -234,15 +232,14 @@ def _march(system: Field | AffineSystem, method: str, states: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for h, count in segments:
             if affine:
-                psi = _block_table(a, h, method,
-                                   min(count, _BLOCK_ROWS, _block_length(n)))
+                psi = _block_table(a, h, method, _block_length(n))
                 m = len(psi) // n
             for lo in range(k, k + count, rows):
                 hi, failure = min(lo + rows, k + count), None
                 if affine:
                     for b in range(lo, hi, m):
                         e = min(b + m, hi)
-                        steps = psi[:(e - b) * n] @ (c - a @ states[b])
+                        steps = (psi @ (c - a @ states[b]))[:(e - b) * n]
                         np.add(states[b], steps.reshape(e - b, n),
                                out=states[b + 1:e + 1])
                 else:
@@ -312,7 +309,7 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
     states = np.empty((n_steps + 1, len(q)))
     states[0] = q
     if (isinstance(system, AffineSystem)
-            and not _affine_pays(system, n_steps, method)):
+            and not _affine_pays(system, method)):
         system = system.field_at
     bad = _march(system, method, states, segments)
     # Handed over read-only, so the Trajectory keeps them uncopied; the

@@ -15,14 +15,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TRACED_RUN = """
 import json, sys
-root, out = sys.argv[1:]
+root, network, out = sys.argv[1:]
 sys.path[:0] = [root + "/src", root + "/bench"]
 import tracing
 tracer = tracing.Tracer()
 main = tracing.install(tracer)
 scenario = root + "/scenarios/canonical_stable.scenario"
 codes = [main(["stability", "--scenario", scenario]),
-         main(["simulate", "--scenario", scenario, "--t-end", "0.05",
+         main(["simulate", "--scenario", network, "--t-end", "0.05",
                "--dt", "0.01", "--out", out])]
 print(json.dumps({"codes": codes, "metrics": tracer.metrics(0)}))
 """
@@ -46,9 +46,23 @@ print(json.dumps({"codes": codes, "field": field,
 """
 
 
+def _complete_network(markets: int, firms: int) -> str:
+    """A [network] scenario on every market:firm edge, unit parameters."""
+    edges = ", ".join(f"{i}:{j}" for i in range(1, markets + 1)
+                      for j in range(1, firms + 1))
+    return (f"[network]\nmarkets = {markets}\nfirms = {firms}\n"
+            f"edges = {edges}\nalpha = {', '.join(['1'] * markets)}\n"
+            f"beta = {', '.join(['1'] * markets)}\n"
+            f"gamma = {', '.join(['1'] * firms)}\n"
+            f"q0 = {', '.join(['0.1'] * (markets * firms))}\n")
+
+
 def test_traced_stability_and_simulate_reach_the_wrapped_layers(tmp_path):
+    network = tmp_path / "complete.scenario"
+    network.write_text(_complete_network(16, 19), encoding="utf-8")
     done = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(ROOT), str(tmp_path / "x.csv")],
+        [sys.executable, "-c", TRACED_RUN, str(ROOT), str(network),
+         str(tmp_path / "x.csv")],
         capture_output=True, text=True, timeout=120, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     record = json.loads(done.stdout.splitlines()[-1])
@@ -60,8 +74,8 @@ def test_traced_stability_and_simulate_reach_the_wrapped_layers(tmp_path):
                  "reports.render_s", "dynamics.integrate_s",
                  "reports.write_trajectory_s"):
         assert metrics[name] > 0.0, name
-    # Five steps of three variables take the field route: four
-    # evaluations per rk4 step.
+    # Five steps of a 304-edge network take the matrix-free field route:
+    # four evaluations per rk4 step.
     assert metrics["dynamics.steps"] == 5
     assert metrics["dynamics.field_evals"] == 20
 

@@ -220,6 +220,21 @@ class TestCommands:
         final = [float(v) for v in lines[-1].split(",")[1:]]
         assert np.allclose(final, (1.13636, 0.454545, 0.772727), atol=1e-4)
 
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("name", ["canonical_stable", "canonical_unstable",
+                                      "two_firm_network"])
+    def test_short_simulate_is_a_prefix_of_the_default_run(self, name, method,
+                                                           tmp_path, capsys):
+        scenario = SCENARIO_DIR / f"{name}.scenario"
+        short, full = tmp_path / "short.csv", tmp_path / "full.csv"
+        assert run("simulate", "--scenario", scenario, "--method", method,
+                   "--t-end", 0.1, "--thin", 1, "--out", short) == 0
+        assert run("simulate", "--scenario", scenario, "--method", method,
+                   "--thin", 1, "--out", full) == 0
+        lines = short.read_text().splitlines(keepends=True)
+        assert len(lines) == 12  # header and times 0, 0.01, ..., 0.1
+        assert full.read_text().splitlines(keepends=True)[:12] == lines
+
     def test_simulate_rejects_pd_scenario(self, tmp_path, capsys):
         code = run("simulate", "--scenario", PD, "--out", tmp_path / "x.csv")
         assert code == 2

@@ -4,15 +4,18 @@ Whatever the scenario text or the flags, a command must end with exit
 code 0, 2 or 3 and print no traceback. Runs go through ``main`` in this
 process (an escaping exception fails the test with its traceback); a
 few run through ``python -m cournotgraph`` to check the real entry
-point's stderr. Every value used keeps the work small: a simulation
-takes at most 4000 steps, and a mutated number is one of a few short
-tokens, so no graph or step count grows large.
+point's stderr. A ``simulate`` that succeeds is run again at ``--thin 1``,
+and so is a shorter run of half its whole steps: the shorter CSV must be
+a line prefix of the longer. Every value used keeps the work small: a
+simulation takes at most 4000 steps, and a mutated number is one of a
+few short tokens, so no graph or step count grows large.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import random
 import re
@@ -109,11 +112,32 @@ def run_in_process(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def check_prefix(argv: list[str], tmp_path: Path, context: str) -> None:
+    """Rerun a successful simulate argv at --thin 1, and again to the end
+    of half its whole steps (at least one); the shorter run's CSV lines
+    must lead the longer run's."""
+    flags = dict(a.split("=", 1) for a in argv if "=" in a)
+    dt = float(flags.get("--dt", "0.01"))
+    steps = max(1, math.floor(float(flags["--t-end"]) / dt + 1e-9) // 2)
+    base = argv[:3] + [f"{flag}={flags[flag]}" for flag in ("--dt", "--method")
+                       if flag in flags] + ["--thin=1", "--out"]
+    texts = []
+    for t_end, name in ((flags["--t-end"], "long.csv"),
+                        (repr(steps * dt), "short.csv")):
+        code, err = run_in_process(base + [str(tmp_path / name),
+                                           f"--t-end={t_end}"])
+        assert code == 0, f"{context}\n{err}"
+        texts.append((tmp_path / name).read_text(encoding="utf-8"))
+    longer, shorter = (text.splitlines(keepends=True) for text in texts)
+    assert len(shorter) == steps + 2, context
+    assert longer[:len(shorter)] == shorter, context
+
+
 def test_mutated_scenarios_and_flags_keep_the_exit_contract(tmp_path):
     rng = random.Random(20260)
     texts = [path.read_text(encoding="utf-8") for path in SCENARIOS] + [SINGULAR]
     scenario = tmp_path / "fuzz.scenario"
-    codes = set()
+    codes, prefixes = set(), 0
     for case in range(400):
         original = text = rng.choice(texts)
         if rng.random() < 0.7:
@@ -125,7 +149,11 @@ def test_mutated_scenarios_and_flags_keep_the_exit_contract(tmp_path):
         assert code in (0, 2, 3), context
         assert "Traceback" not in err, context
         codes.add(code)
+        if argv[0] == "simulate" and code == 0:
+            check_prefix(argv, tmp_path, context)
+            prefixes += 1
     assert codes == {0, 2, 3}
+    assert prefixes >= 20
 
 
 @pytest.mark.parametrize("text_edit, args", [

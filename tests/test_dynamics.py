@@ -385,6 +385,7 @@ class TestAffineRoute:
         assert np.allclose(traj.states[-1], [10.0, -20.0], rtol=1e-12)
 
     def test_route_follows_size_rule(self, monkeypatch):
+        # The route depends on n and the method, never on the run length.
         from cournotgraph import AffineSystem
         calls = []
         field_at = AffineSystem.field_at
@@ -394,13 +395,18 @@ class TestAffineRoute:
             return field_at(self, q)
         monkeypatch.setattr(AffineSystem, "field_at", counted)
         system = AffineSystem(constant=np.ones(30), matrix=np.eye(30))
-        integrate(system, np.zeros(30), 2.0, 0.01)       # 200 > 4 * 30 steps
-        assert calls == []
-        integrate(system, np.zeros(30), 1.2, 0.01)       # 120 steps: field route
-        assert len(calls) == 4 * 120
-        del calls[:]
-        integrate(system, np.zeros(30), 1.2, 0.01, "euler")  # nothing to form
-        assert calls == []
+        for t_end in (2.0, 1.2, 0.01):                   # 200, 120, 1 steps
+            for method in ("rk4", "euler"):
+                integrate(system, np.zeros(30), t_end, 0.01, method)
+        assert calls == []                               # all on Phi_h
+        # Past n = 181 a block is one step, and only euler steps the field.
+        for n, method, evaluations in ((181, "euler", 0), (182, "euler", 1),
+                                       (182, "rk4", 0)):
+            system = AffineSystem(constant=np.ones(n), matrix=np.eye(n))
+            for steps in (1, 120):
+                del calls[:]
+                integrate(system, np.zeros(n), steps * 0.01, 0.01, method)
+                assert len(calls) == evaluations * steps
 
     def test_networks_past_300_edges_step_the_matrix_free_field(self,
                                                                 monkeypatch):
@@ -480,10 +486,69 @@ class TestBlockEdges:
         system, q0 = self._system(n, seed=n)
         dt = 0.01
         for count in counts:
-            # Over 4n steps, so that rk4 takes the affine route too.
-            assert method == "euler" or 4 * n < count
             for t_end in (count * dt, (count + 0.5) * dt):
                 affine, generic = _routes(system, q0, t_end, dt, method)
                 assert len(affine.times) == count + 1 + (t_end != count * dt)
                 assert np.array_equal(affine.times, generic.times)
                 assert _gap(affine.states, generic.states) <= RK4_TOLERANCE
+
+
+class TestPrefix:
+    """A shorter run's states are byte for byte the leading states of a
+    longer run with the same dt, on every route: the route and the Psi
+    table depend on the system and the method, never on the run length."""
+
+    # Past 2m + 1 and 4n steps for every system here, so a route that
+    # switched with the run length would show.
+    LONG = 1300
+
+    @staticmethod
+    def _system(kind: str, size, seed: int):
+        from pathlib import Path
+        from cournotgraph import AffineSystem, NetworkScenario, parse_scenario
+        rng = np.random.default_rng(seed)
+        if kind == "scenario":
+            path = (Path(__file__).resolve().parent.parent / "scenarios"
+                    / f"{size}.scenario")
+            scenario = parse_scenario(path.read_text(encoding="utf-8"))
+            system = (to_affine(scenario.spec)
+                      if isinstance(scenario, NetworkScenario)
+                      else canonical_affine(scenario.r))
+            return system, np.asarray(scenario.q0, dtype=float)
+        if kind == "network":
+            system = to_affine(network_spec_of_shape(rng, *size))
+        else:
+            system = AffineSystem(
+                constant=rng.uniform(0.5, 1.5, size),
+                matrix=np.eye(size) + rng.uniform(-1.0, 1.0, (size, size)) / size)
+        return system, rng.uniform(0.0, 0.5, system.dimension)
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("kind, size, seed, lo, hi", [
+        ("scenario", "canonical_stable", 0, 3, 3),
+        ("scenario", "canonical_unstable", 0, 3, 3),
+        ("scenario", "two_firm_network", 0, 3, 3),
+        ("network", (4, 6), 1, 2, 181),
+        ("network", (10, 15), 2, 2, 181),
+        ("network", (18, 22), 3, 182, 300),
+        ("network", (20, 26), 2, 301, 520),
+        ("dense", 7, 5, 7, 7),
+        ("dense", 60, 6, 60, 60),
+        ("dense", 320, 7, 320, 320),
+    ])
+    def test_shorter_run_is_a_byte_prefix(self, kind, size, seed, lo, hi,
+                                          method):
+        system, q0 = self._system(kind, size, seed)
+        n, dt = system.dimension, 0.01
+        assert lo <= n <= hi
+        m = _block_length(n)
+        long = integrate(system, q0, self.LONG * dt, dt, method).states
+        for count in sorted({1, 10, m - 1, m, m + 1, 2 * m + 1} - {0}):
+            got = integrate(system, q0, count * dt, dt, method).states
+            assert len(got) == count + 1
+            assert np.array_equal(got, long[:count + 1]), count
+        # A shortened last step lands on t_end; the whole steps before it
+        # are the longer run's.
+        got = integrate(system, q0, (m + 1.5) * dt, dt, method).states
+        assert len(got) == m + 3
+        assert np.array_equal(got[:m + 2], long[:m + 2])
