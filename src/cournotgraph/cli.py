@@ -10,6 +10,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stability
-from .dynamics import IntegrationBlowUp, integrate
+from .dynamics import IntegrationBlowUp, integrate, step_count
 from .network import to_affine, variable_names
 from .reports import (SWEEP_PARAMS, pd_series_csv, render_equilibrium,
                       render_side_payment, render_stability_report, sweep,
@@ -37,9 +38,12 @@ class OutputError(Exception):
     """An ``--out`` file could not be written."""
 
 
-def _write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str):
+    """The ``--out`` file, open for writing text."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with Path(path).open("w", encoding="utf-8") as out:
+            yield out
     except OSError as exc:
         raise OutputError(f"cannot write output file: {exc}") from None
 
@@ -66,14 +70,17 @@ def cmd_simulate(args) -> int:
     system, q0, _ = _dynamical(scenario, "simulate")
     names = variable_names(system.variable_order)
     try:
-        trajectory = integrate(system, q0, args.t_end, args.dt, args.method)
+        trajectory = integrate(system, q0, args.t_end, args.dt, args.method,
+                               args.thin)
     except IntegrationBlowUp as exc:
-        _write(args.out, write_trajectory(exc.trajectory, names, args.thin))
+        with _output(args.out) as out:
+            write_trajectory(exc.trajectory, names, out)
         print(f"error: {exc}", file=sys.stderr)
         print(f"wrote partial trajectory to {args.out}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _write(args.out, write_trajectory(trajectory, names, args.thin))
-    print(f"simulate: {len(trajectory.times) - 1} {args.method} steps "
+    with _output(args.out) as out:
+        write_trajectory(trajectory, names, out)
+    print(f"simulate: {step_count(args.t_end, args.dt)} {args.method} steps "
           f"to t={args.t_end}, wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -100,7 +107,8 @@ def cmd_pd(args) -> int:
     graph = scenario.build_graph()
     population = scenario.build_population(graph)
     fractions = run_spatial(population, scenario.payoff, scenario.steps)
-    _write(args.out, pd_series_csv(fractions))
+    with _output(args.out) as out:
+        out.write(pd_series_csv(fractions))
     sys.stdout.write(f"players: {graph.player_count}, edges: {len(graph.ends)}, "
                      f"steps: {scenario.steps}\n")
     sys.stdout.write(f"initial cooperation fraction: {fractions[0]!r}\n")
@@ -117,7 +125,8 @@ def cmd_sweep(args) -> int:
     if not isinstance(scenario, CanonicalScenario):
         raise ScenarioError("sweep requires a [canonical] scenario")
     points = sweep(scenario, args.param, args.start, args.stop, args.points)
-    _write(args.out, sweep_csv(points))
+    with _output(args.out) as out:
+        out.write(sweep_csv(points))
     print(f"sweep: {args.param} over [{args.start}, {args.stop}] "
           f"({args.points} points), wrote {args.out}", file=sys.stderr)
     return EXIT_OK

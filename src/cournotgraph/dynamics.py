@@ -1,11 +1,15 @@
 """Fixed-step integration of flow dynamics and long-run classification.
 
 The integrator marches from t=0 to t_end with a constant step (the
-final step is shortened to land exactly on t_end) and records every
-state. If a state goes non-finite or its magnitude passes
-``STATE_LIMIT`` the run aborts with :class:`IntegrationBlowUp`, which
-carries the finite prefix of the trajectory -- that is how divergence of
-unstable systems shows up in practice.
+final step is shortened to land exactly on t_end) and keeps every
+``thin``-th state and the last. Only the kept states are held: the
+states are made a block at a time in a scratch buffer, and each block
+starts from the last row of the one before, so a kept state has the
+bits of the same step of a run that keeps them all. If a state goes
+non-finite or its magnitude passes ``STATE_LIMIT`` the run aborts with
+:class:`IntegrationBlowUp`, which carries the kept states before it and
+the last finite state -- that is how divergence of unstable systems
+shows up in practice.
 
 ``integrate`` takes a vector field or an :class:`AffineSystem`, and
 one marching loop (``_march``) steps either. For an affine system
@@ -34,10 +38,10 @@ system's ``field_at`` like any other field; every other affine run
 takes Phi_h. A network's field is matrix-free, O(n + k) per evaluation
 (see :mod:`cournotgraph.network`), so past 300 edges simulating a
 network never builds an n x n array. Neither the route nor the Psi
-table depends on the run length, and every block multiplies the whole
-table, so a shorter run's states are byte for byte the leading states
-of a longer run with the same dt. The price is that a very short run
-still forms the whole table once.
+table depends on the run length or on ``thin``, and every block
+multiplies the whole table, so a shorter run's states are byte for
+byte the leading states of a longer run with the same dt. The price is
+that a very short run still forms the whole table once.
 
 ``classify`` compares the end of a run against a candidate equilibrium:
 converged (field essentially zero there, no net drift away), diverged
@@ -60,15 +64,17 @@ Field = Callable[[np.ndarray], np.ndarray]
 
 STATE_LIMIT = 1e9           # abort threshold on max |q|
 DIVERGENCE_FACTOR = 10.0    # "left a 10x ball" distance criterion
-MAX_STORED_VALUES = 10_000_000  # (steps + 1) x dimension: 80 MB of states
+MAX_STORED_VALUES = 10_000_000  # kept states x dimension: 80 MB of states
+MAX_MARCHED_VALUES = 1_000_000_000  # steps x dimension: the work of a run
 _BLOCK_ROWS = 256           # most steps per blow-up check
 _BLOCK_VALUES = 1 << 16     # about the most state values per blow-up check
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States recorded at times 0, dt, 2*dt, ..., t_end. The arrays are
-    kept read-only; a caller's writeable array is copied, not frozen."""
+    """States kept at times 0, thin dt, 2 thin dt, ..., and t_end (see
+    ``integrate``). The arrays are kept read-only; a caller's writeable
+    array is copied, not frozen."""
 
     times: np.ndarray
     states: np.ndarray
@@ -100,7 +106,8 @@ class LongRunVerdict:
 
 
 class IntegrationBlowUp(RuntimeError):
-    """State went non-finite or past STATE_LIMIT; carries the finite prefix."""
+    """State went non-finite or past STATE_LIMIT; carries the kept states
+    before it, ending at the last finite state."""
 
     def __init__(self, message: str, trajectory: Trajectory, time: float):
         super().__init__(message)
@@ -202,17 +209,21 @@ def _first_bad(rows: np.ndarray) -> int | None:
     return int(bad[0]) // rows.shape[1] if bad.size else None
 
 
-def _march(system: Field | AffineSystem, method: str, states: np.ndarray,
-           segments) -> int | None:
-    """Fill states[1:], one (h, count) segment of equal steps after
-    another; return the index of the first bad state (see
-    ``_first_bad``), or None.
+def _march(system: Field | AffineSystem, method: str, kept: np.ndarray,
+           segments, thin: int) -> tuple[int, tuple[int, float] | None]:
+    """Step from kept[0] through the (h, count) segments of equal steps,
+    keeping state k in kept when k % thin == 0, and the last state.
+    Return (rows kept, None), or on a blow-up (rows kept, (k, peak)) with
+    k the index of the first bad state (see ``_first_bad``) and peak its
+    max |q|; the rows kept then end at state k - 1, the last finite one.
 
-    States are made and checked a block of at most ``_BLOCK_ROWS`` steps
-    and about ``_BLOCK_VALUES`` values at a time. A field ``system`` is
-    stepped by the method's stepper. An AffineSystem is propagated m
-    states at a time, m = ``_block_length(n)`` (fewer if the segment's
-    ``_block_table`` was cut): the m states after q_lo are
+    States are made and checked in a scratch buffer, a block of at most
+    ``_BLOCK_ROWS`` steps and about ``_BLOCK_VALUES`` values at a time;
+    the next block starts from the buffer's last row, so every state has
+    the bits it would have in a run that kept them all. A field
+    ``system`` is stepped by the method's stepper. An AffineSystem is
+    propagated m states at a time, m = ``_block_length(n)`` (fewer if the
+    segment's ``_block_table`` was cut): the m states after q_lo are
     q_lo + Psi_j (c - A q_lo), j = 1..m, one product with the whole
     table, of which a block cut short keeps its leading rows (BLAS may
     round a product of fewer rows differently).
@@ -226,9 +237,11 @@ def _march(system: Field | AffineSystem, method: str, states: np.ndarray,
     if affine:
         a, c = system.matrix, system.constant
     stepper = _STEPPERS[method]
-    n = states.shape[1]
+    n = kept.shape[1]
     rows = min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // n))
-    k = 0
+    buf = np.empty((rows + 1, n))  # buf[i] is state lo + i
+    buf[0] = kept[0]
+    k, filled = 0, 1
     with np.errstate(over="ignore", invalid="ignore"):
         for h, count in segments:
             if affine:
@@ -237,24 +250,38 @@ def _march(system: Field | AffineSystem, method: str, states: np.ndarray,
             for lo in range(k, k + count, rows):
                 hi, failure = min(lo + rows, k + count), None
                 if affine:
-                    for b in range(lo, hi, m):
-                        e = min(b + m, hi)
-                        steps = (psi @ (c - a @ states[b]))[:(e - b) * n]
-                        np.add(states[b], steps.reshape(e - b, n),
-                               out=states[b + 1:e + 1])
+                    for b in range(0, hi - lo, m):
+                        e = min(b + m, hi - lo)
+                        steps = (psi @ (c - a @ buf[b]))[:(e - b) * n]
+                        np.add(buf[b], steps.reshape(e - b, n),
+                               out=buf[b + 1:e + 1])
                 else:
                     try:
-                        for j in range(lo, hi):
-                            states[j + 1] = stepper(system, states[j], h)
+                        for j in range(hi - lo):
+                            buf[j + 1] = stepper(system, buf[j], h)
                     except (ArithmeticError, ValueError) as exc:
-                        hi, failure = j, exc  # rows lo + 1 .. j were made
-                bad = _first_bad(states[lo + 1:hi + 1])
+                        hi, failure = lo + j, exc  # rows 1 .. j were made
+                bad = _first_bad(buf[1:hi - lo + 1])
+                last = hi if bad is None else lo + bad
+                # States lo + 1 .. last on the thin grid, then the last
+                # finite state of a blow-up off it.
+                picks = buf[(lo // thin + 1) * thin - lo:last - lo + 1:thin]
+                kept[filled:filled + len(picks)] = picks
+                filled += len(picks)
                 if bad is not None:
-                    return lo + 1 + bad
+                    if last % thin:
+                        kept[filled] = buf[last - lo]
+                        filled += 1
+                    return filled, (last + 1, float(np.max(np.abs(
+                        buf[last - lo + 1]))))
                 if failure is not None:
                     raise failure
+                buf[0] = buf[hi - lo]
             k += count
-    return None
+    if k % thin:
+        kept[filled] = buf[0]
+        filled += 1
+    return filled, None
 
 
 def _segments(t_end: float, dt: float) -> list[tuple[float, int]]:
@@ -268,17 +295,32 @@ def _segments(t_end: float, dt: float) -> list[tuple[float, int]]:
     return [(dt, n_whole), (t_end - landing, 1)]
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Steps of a march from 0 to t_end with step dt: the whole steps of
+    dt and, unless dt divides t_end, one shortened last step."""
+    return sum(count for _, count in _segments(t_end, dt))
+
+
+def _kept_index(last: int, thin: int) -> np.ndarray:
+    """Indices of the states kept from a run whose last state is
+    ``last``: every ``thin``-th, and the last."""
+    index = np.arange(0, last + 1, thin)
+    return index if index[-1] == last else np.append(index, last)
+
+
 def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
-              method: str = "rk4") -> Trajectory:
-    """March from 0 to t_end recording every step.
+              method: str = "rk4", thin: int = 1) -> Trajectory:
+    """March from 0 to t_end, keeping every ``thin``-th step and the last.
 
     ``system`` is a vector field q -> dq/dt or an :class:`AffineSystem`,
     which is stepped through its propagator Phi_h when that pays (see
-    the module docstring). Thinning is an output-time concern; the whole
-    trajectory stays in memory, which is fine at desk scale (a few 1e5
-    steps of a small system). Runs that would store more than
-    ``MAX_STORED_VALUES`` numbers, and a q0 that is not finite or passes
-    ``STATE_LIMIT``, are rejected before anything is allocated.
+    the module docstring). Only the kept states are held, beside a
+    scratch block of at most ``_BLOCK_ROWS`` states, and each kept state
+    has the bits of the same step of a run at ``thin`` = 1. Rejected
+    before anything is allocated: a run that would keep more than
+    ``MAX_STORED_VALUES`` numbers, one that would march more than
+    ``MAX_MARCHED_VALUES`` (steps x variables), and a q0 that is not
+    finite or passes ``STATE_LIMIT``.
     """
     if method not in _STEPPERS:
         raise ValueError(f"unknown method '{method}' (expected rk4 or euler)")
@@ -286,44 +328,54 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
         raise ValueError("dt must be positive")
     if dt > t_end:
         raise ValueError("dt must not exceed t_end")
+    if thin < 1:
+        raise ValueError("thin must be at least 1")
     q = np.asarray(q0, dtype=float)
     peak = float(np.max(np.abs(q), initial=0.0))
     if not peak <= STATE_LIMIT:  # NaN fails too
         raise ValueError(f"q0 must be finite with max |q| at most "
                          f"{STATE_LIMIT!r}, got {peak!r}")
-    # t_end / dt + 2 bounds the stored rows; testing it as a float also
-    # keeps a step count too large for int() from reaching it.
-    if (t_end / dt + 2) * q.size > MAX_STORED_VALUES:
+    # Tested as floats, which also keeps a step count too large for
+    # int() from reaching it: at most t_end / dt + 1 steps, of which at
+    # most steps / thin + 2 states are kept (1 / thin, an int division,
+    # takes a thin past the float range too).
+    steps = t_end / dt
+    if ((steps + 1) * (1 / thin) + 2) * q.size > MAX_STORED_VALUES:
         raise ValueError(
-            f"t_end / dt = {t_end / dt:.6g} steps of {q.size} variables exceed "
-            f"the limit of {MAX_STORED_VALUES} stored values")
+            f"t_end / dt = {steps:.6g} steps of {q.size} variables at thin "
+            f"{thin} exceed the limit of {MAX_STORED_VALUES} stored values")
+    if steps * q.size > MAX_MARCHED_VALUES:
+        raise ValueError(
+            f"t_end / dt = {steps:.6g} steps of {q.size} variables exceed "
+            f"the limit of {MAX_MARCHED_VALUES} marched values")
 
     segments = _segments(t_end, dt)
-    n_whole = segments[0][1]
-    n_steps = sum(count for _, count in segments)
-
-    times = np.empty(n_steps + 1)
-    times[: n_whole + 1] = dt * np.arange(n_whole + 1)
-    times[-1] = t_end
-
-    states = np.empty((n_steps + 1, len(q)))
-    states[0] = q
+    n_steps = step_count(t_end, dt)
+    # Any thin past the last step keeps the first and last state alone.
+    thin = min(thin, n_steps + 1)
+    index = _kept_index(n_steps, thin)
+    kept = np.empty((len(index), len(q)))
+    kept[0] = q
     if (isinstance(system, AffineSystem)
             and not _affine_pays(system, method)):
         system = system.field_at
-    bad = _march(system, method, states, segments)
+    filled, bad = _march(system, method, kept, segments, thin)
     # Handed over read-only, so the Trajectory keeps them uncopied; the
-    # prefix views of a blow-up are copied.
-    times.setflags(write=False)
-    states.setflags(write=False)
+    # prefix view of a blow-up is copied.
+    kept.setflags(write=False)
     if bad is not None:
-        peak = float(np.max(np.abs(states[bad])))
-        partial = Trajectory(times[:bad], states[:bad], method, dt)
+        first_bad, peak = bad
+        time = t_end if first_bad == n_steps else dt * first_bad
+        partial = Trajectory(dt * _kept_index(first_bad - 1, thin),
+                             kept[:filled], method, dt)
         raise IntegrationBlowUp(
-            f"state blew up at t={float(times[bad])!r} (max |q| = {peak!r}); "
-            f"last finite state {states[bad - 1].tolist()!r}",
-            partial, float(times[bad]))
-    return Trajectory(times, states, method, dt)
+            f"state blew up at t={time!r} (max |q| = {peak!r}); "
+            f"last finite state {kept[filled - 1].tolist()!r}",
+            partial, time)
+    times = dt * index
+    times[-1] = t_end
+    times.setflags(write=False)
+    return Trajectory(times, kept, method, dt)
 
 
 def classify(trajectory: Trajectory, field: Field, q_star, tol: float,

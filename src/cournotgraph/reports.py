@@ -22,35 +22,31 @@ from .stability import (CanonicalParams, StabilityReport, _hurwitz_checks,
 
 SWEEP_PARAMS = tuple(field.name for field in fields(CanonicalParams))
 MAX_SWEEP_POINTS = 1_000_000  # grid points of one sweep, checked before any work
-_BLOCK_VALUES = 1 << 14       # values per block of rendered trajectory rows
+_BLOCK_VALUES = 1 << 12       # values per block of written trajectory rows
 
 
 def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_trajectory(trajectory: Trajectory, names, thin: int = 1) -> str:
-    """CSV with header ``t,<name1>,...``, keeping every ``thin``-th step;
-    the final step is always included.
+def write_trajectory(trajectory: Trajectory, names, out) -> None:
+    """Write the CSV of every kept state of ``trajectory`` to the open
+    text file ``out``: header ``t,<name1>,...``, then one row per state.
+    Thinning is ``integrate``'s.
 
-    Rows are rendered a block of about ``_BLOCK_VALUES`` values at a
-    time: ``tolist`` turns a block into Python floats, whose ``repr`` is
-    ``fmt``'s, and only the block's text is kept.
+    Rows are rendered and written a block of about ``_BLOCK_VALUES``
+    values at a time, so only one block's text is held: ``tolist`` turns
+    a block into Python floats, and one ``%r`` format string, whose
+    ``repr`` is ``fmt``'s, renders them all.
     """
-    if thin < 1:
-        raise ValueError("thin must be at least 1")
-    count = len(trajectory.times)
-    kept = np.arange(0, count, thin)
-    if kept[-1] != count - 1:
-        kept = np.append(kept, count - 1)
-    rows = max(1, _BLOCK_VALUES // (trajectory.states.shape[1] + 1))
-    blocks = ["t," + ",".join(names)]
-    for lo in range(0, len(kept), rows):
-        index = kept[lo:lo + rows]
-        table = np.column_stack((trajectory.times[index],
-                                 trajectory.states[index])).tolist()
-        blocks.append("\n".join(",".join(map(repr, row)) for row in table))
-    return "\n".join(blocks) + "\n"
+    width = trajectory.states.shape[1] + 1
+    rows = max(1, _BLOCK_VALUES // width)
+    line = ",".join(["%r"] * width) + "\n"
+    out.write("t," + ",".join(names) + "\n")
+    for lo in range(0, len(trajectory.times), rows):
+        block = np.column_stack((trajectory.times[lo:lo + rows],
+                                 trajectory.states[lo:lo + rows]))
+        out.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def pd_series_csv(fractions) -> str:

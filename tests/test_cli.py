@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib
+import io
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cournotgraph import Trajectory
+from cournotgraph import Trajectory, integrate
 from cournotgraph.cli import main
 from cournotgraph.reports import (pd_series_csv, sweep, sweep_csv,
                                   write_trajectory)
@@ -23,6 +25,13 @@ PD = SCENARIO_DIR / "gas_transit_pd.scenario"
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def csv_of(trajectory, names) -> str:
+    """What ``write_trajectory`` writes for ``trajectory``."""
+    out = io.StringIO()
+    write_trajectory(trajectory, names, out)
+    return out.getvalue()
 
 
 class TestParser:
@@ -60,29 +69,31 @@ class TestWriters:
         traj = Trajectory(times=np.array([0.0, 0.1, 0.2]),
                           states=np.array([[1.0], [2.0], [3.0]]),
                           method="rk4", step=0.1)
-        text = write_trajectory(traj, ("q11",), thin=1)
+        text = csv_of(traj, ("q11",))
         assert text.splitlines() == ["t,q11", "0.0,1.0", "0.1,2.0", "0.2,3.0"]
-        thinned = write_trajectory(traj, ("q11",), thin=2)
-        assert thinned.splitlines() == ["t,q11", "0.0,1.0", "0.2,3.0"]
+        # Thinning is integrate's; the writer writes every state it keeps.
+        grow = lambda q: np.ones(1)
+        full = csv_of(integrate(grow, [1.0], 0.2, 0.1, "euler"), ("q11",))
+        thinned = csv_of(integrate(grow, [1.0], 0.2, 0.1, "euler", thin=2),
+                         ("q11",))
+        header, t0, _, t2 = full.splitlines()
+        assert thinned.splitlines() == [header, t0, t2]
 
     def test_final_step_always_kept(self):
-        traj = Trajectory(times=np.array([0.0, 1.0, 2.0, 3.0]),
-                          states=np.zeros((4, 1)), method="rk4", step=1.0)
-        lines = write_trajectory(traj, ("q11",), thin=3).splitlines()
-        assert lines[-1].startswith("3.0,")
-        assert len(lines) == 3  # header, t=0, t=3
+        for thin, times in ((3, [0.0, 3.0]), (2, [0.0, 2.0, 3.0])):
+            traj = integrate(lambda q: -q, [1.0], 3.0, 1.0, "euler", thin)
+            lines = csv_of(traj, ("q11",)).splitlines()
+            assert [float(line.split(",")[0]) for line in lines[1:]] == times
 
     def test_two_state_trajectory_gives_three_lines(self):
         traj = Trajectory(times=np.array([0.0, 0.1]),
                           states=np.array([[1.0], [0.9]]),
                           method="rk4", step=0.1)
-        assert len(write_trajectory(traj, ("q11",), thin=1).splitlines()) == 3
+        assert len(csv_of(traj, ("q11",)).splitlines()) == 3
 
     def test_thin_must_be_positive(self):
-        traj = Trajectory(times=np.array([0.0]), states=np.zeros((1, 1)),
-                          method="rk4", step=1.0)
-        with pytest.raises(ValueError):
-            write_trajectory(traj, ("q11",), thin=0)
+        with pytest.raises(ValueError, match="thin must be at least 1"):
+            integrate(lambda q: -q, [1.0], 1.0, 0.1, "rk4", thin=0)
 
     def test_marginal_system_renders_marginal_verdict(self):
         from cournotgraph import AffineSystem, analyze
@@ -180,19 +191,22 @@ class TestWriters:
                                                  (2001, 3, 10), (1002, 3, 10),
                                                  (7, 1, 3), (3, 70000, 1)])
     def test_trajectory_csv_matches_per_value_rendering(self, rows, width, thin):
-        # Thinning with and without a final row off the stride, and rows
-        # wider than one rendering block.
+        # The per-value oracle thins the whole trajectory (with and
+        # without a final row off the stride); the writer writes the
+        # rows kept, some wider than one writing block.
         rng = np.random.default_rng(rows + width)
         states = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
             -300, 300, (rows, width))
         states[0, 0] = -0.0
         traj = Trajectory(times=np.arange(rows) * 0.01, states=states,
                           method="rk4", step=0.01)
+        index = sorted(set(range(0, rows, thin)) | {rows - 1})
+        kept = Trajectory(traj.times[index], traj.states[index], "rk4", 0.01)
         names = tuple(f"q{k}" for k in range(width))
-        assert write_trajectory(traj, names, thin) == \
-            trajectory_csv_by_value(traj, names, thin)
+        assert csv_of(kept, names) == trajectory_csv_by_value(traj, names, thin)
 
-    def test_trajectory_csv_peak_memory_below_per_value_rendering(self):
+    def test_trajectory_csv_peak_memory_below_per_value_rendering(self,
+                                                                  tmp_path):
         import tracemalloc
         rng = np.random.default_rng(5)
         traj = Trajectory(times=np.arange(20001) * 0.01,
@@ -200,14 +214,17 @@ class TestWriters:
                           method="euler", step=0.01)
         names = ("q11", "q22", "q21")
         peaks = []
-        for render in (trajectory_csv_by_value, write_trajectory):
-            tracemalloc.start()
-            try:
-                render(traj, names, 1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < peaks[0]
+        with (tmp_path / "t.csv").open("w", encoding="utf-8") as out:
+            for render in (lambda: trajectory_csv_by_value(traj, names, 1),
+                           lambda: write_trajectory(traj, names, out)):
+                tracemalloc.start()
+                try:
+                    render()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        # The writer holds one block of about 2^12 values, not the text.
+        assert peaks[1] < peaks[0] / 10
 
 
 class TestCommands:
@@ -615,6 +632,140 @@ class TestCommandRoutes:
         assert "players: 60, edges: 1770" in outputs[1][0]
 
 
+class TestStreamedSimulate:
+    """``simulate`` holds only the states it writes: ``integrate`` thins
+    while marching, and the CSV is written a block at a time."""
+
+    # sha256 of each shipped scenario's CSV, taken from the release that
+    # held every state and built the whole text; flags beside --method
+    # are given, the rest default.
+    PINNED = {
+        ("canonical_stable", "rk4"):
+            "8840804ba2936710289e3fc2b56aea85415dffc37ed962eab599375641b09379",
+        ("canonical_stable", "rk4", "--thin", "1"):
+            "61c5ceef0e45fcf75a0dd7de559b2ef35baf06009c6b773f6adb1197ac42cc29",
+        ("canonical_stable", "euler"):
+            "979577f88c192718fa4154dacc4d31174f5cd2c6a3a2146b04e23b69a20ac937",
+        ("canonical_stable", "euler", "--thin", "1"):
+            "0ece80202fc51c1e39db032cdca8205d8fb2c6eba52024c227f86da8d789ec56",
+        ("canonical_unstable", "rk4"):
+            "d7dee7c0d538a0dc903da9767ec1558ff8ddc1ee42fe2b3651dd4b49ae56e2bd",
+        ("canonical_unstable", "rk4", "--thin", "1"):
+            "d01aba62a5bc878085590f58d434b88720c1ef474804e3e14d30a10467873ca8",
+        ("canonical_unstable", "euler"):
+            "a25203ca801c45d6c27a27799a89b53910b68bcce61ecec2f734344acefdf782",
+        ("canonical_unstable", "euler", "--thin", "1"):
+            "40e39805990d1e04bc5aabd917f4ef620282c3af9760d07d805a941a148042ca",
+        ("two_firm_network", "rk4"):
+            "5c02bba98ec1dcb16fb29f2d0155fab3f8c802af4407cb743d6abf108e47f9cd",
+        ("two_firm_network", "rk4", "--thin", "1"):
+            "8ac758424b8b8c35e7bb43d69573373a4162324275ba464659be4fcff25c3465",
+        ("two_firm_network", "euler"):
+            "d4268651e9d97ba510fc840bcfd5b6e99a7c7e106ba5d48cd09b103e970b55d1",
+        ("two_firm_network", "euler", "--thin", "1"):
+            "f1b9d55f93a20661d74bb7cc74849c41e69f304c57f8ab5238ea93bd14b8bb87",
+        ("canonical_stable", "rk4", "--thin", "7"):
+            "451e7a09bbc7cbdd71cf61b5b89a59b8529af786751140d67cad40cbee9d6a15",
+        ("canonical_unstable", "euler", "--t-end", "199.995", "--thin", "7"):
+            "aac489b2e7c917ef967a44e2cf9a3a4fbbaac33b1fe1aa62fca62311b5dba411",
+        ("two_firm_network", "rk4", "--t-end", "3.333", "--thin", "7"):
+            "a23cc57ecd54b7613a9ab81fa7fd3194b6b77ef5903543882984f01db075c94e",
+    }
+
+    @pytest.mark.parametrize("key", PINNED, ids="-".join)
+    def test_simulate_csv_bytes_are_pinned(self, key, tmp_path, capsys):
+        name, method, *flags = key
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--scenario", SCENARIO_DIR / f"{name}.scenario",
+                   "--method", method, *flags, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[key]
+
+    @pytest.mark.parametrize("t_end, steps", [("200", 20000), ("0.105", 11)])
+    def test_stderr_counts_the_steps_taken_not_the_rows(self, t_end, steps,
+                                                        tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--scenario", STABLE, "--t-end", t_end,
+                   "--thin", 7, "--out", out) == 0
+        assert capsys.readouterr().err == (
+            f"simulate: {steps} rk4 steps to t={float(t_end)}, wrote {out}\n")
+        assert len(out.read_text().splitlines()) == 2 + -(-steps // 7)
+
+    def test_thinned_blowup_csv_ends_at_the_last_finite_state(self, tmp_path,
+                                                              capsys):
+        # The state of step 9 (t = 27) blows up; step 8, the last finite
+        # one, is off the --thin 7 grid and still ends the partial CSV.
+        texts, errors = [], []
+        for thin in (1, 7):
+            out = tmp_path / f"thin{thin}.csv"
+            assert run("simulate", "--scenario", STABLE, "--dt", 3,
+                       "--t-end", 40, "--thin", thin, "--out", out) == 3
+            texts.append(out.read_text().splitlines(keepends=True))
+            errors.append(capsys.readouterr().err.splitlines()[0])
+        full, thinned = texts
+        assert len(full) == 10
+        assert thinned == [full[0], full[1], full[8], full[9]]
+        assert thinned[-1].startswith("24.0,")
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: state blew up at t=27.0 ")
+
+    def test_huge_thin_keeps_the_first_and_last_rows(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--scenario", STABLE, "--t-end", 1,
+                   "--thin", 10 ** 400, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["t", "0.0", "1.0"]
+
+    def test_peak_memory_is_set_by_the_rows_written(self, tmp_path, capsys):
+        # 2 * 10^4 and 2 * 10^5 steps, 101 rows written by each: the
+        # peaks agree to within one writing block of values.
+        import tracemalloc
+        from cournotgraph import reports
+        out = tmp_path / "t.csv"
+        # A first run leaves the one-time caches of the process behind.
+        assert run("simulate", "--scenario", STABLE, "--out", out) == 0
+        peaks = []
+        for t_end in (200, 2000, 200, 2000):
+            tracemalloc.start()
+            try:
+                assert run("simulate", "--scenario", STABLE, "--t-end", t_end,
+                           "--thin", t_end, "--out", out) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(out.read_text().splitlines()) == 102
+        block = reports._BLOCK_VALUES * 8
+        assert max(peaks) - min(peaks) <= block, peaks
+
+    def test_stored_limit_counts_the_rows_kept(self, monkeypatch, tmp_path,
+                                               capsys):
+        # 1001 states of 3 variables pass a limit of 1000 values; the
+        # 101 rows kept at --thin 10 do not.
+        from cournotgraph import dynamics
+        monkeypatch.setattr(dynamics, "MAX_STORED_VALUES", 1000)
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--scenario", STABLE, "--t-end", 10,
+                   "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 102
+        assert run("simulate", "--scenario", STABLE, "--t-end", 10,
+                   "--thin", 1, "--out", tmp_path / "full.csv") == 2
+        assert "limit of 1000 stored values" in capsys.readouterr().err
+        assert not (tmp_path / "full.csv").exists()
+
+    def test_marched_limit_exits_2_before_allocating(self, monkeypatch,
+                                                     tmp_path, capsys):
+        from cournotgraph.dynamics import MAX_MARCHED_VALUES
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("allocation reached")
+        monkeypatch.setattr(np, "empty", unreachable)
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--scenario", STABLE, "--t-end", 1e9,
+                   "--dt", 1, "--thin", 10 ** 9, "--out", out) == 2
+        assert (f"limit of {MAX_MARCHED_VALUES} marched values"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 class TestOutputFiles:
     @pytest.mark.parametrize("argv", [
         ("simulate", "--scenario", STABLE),
@@ -844,9 +995,9 @@ class TestNetworkRoutes:
             system = AffineSystem(c, a, order)
         else:
             system = canonical_affine(scenario.r)
-        want = write_trajectory(integrate(system, scenario.q0, 200.0, 0.01,
-                                          method),
-                                variable_names(system.variable_order), 10)
+        want = csv_of(integrate(system, scenario.q0, 200.0, 0.01, method,
+                                thin=10),
+                      variable_names(system.variable_order))
         out = tmp_path / "t.csv"
         assert run("simulate", "--scenario", path, "--method", method,
                    "--out", out) == 0
@@ -860,8 +1011,8 @@ class TestReadmeLimits:
 
     SECTION = ((SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
                .split("## CLI\n", 1)[1].split("\n## ", 1)[0])
-    LIMITS = ("dynamics.MAX_STORED_VALUES", "network.MAX_DENSE_VALUES",
-              "reports.MAX_SWEEP_POINTS")
+    LIMITS = ("dynamics.MAX_STORED_VALUES", "dynamics.MAX_MARCHED_VALUES",
+              "network.MAX_DENSE_VALUES", "reports.MAX_SWEEP_POINTS")
 
     def test_quotes_each_limit_at_its_value(self):
         # The parenthesis may hold text and nested parentheses before

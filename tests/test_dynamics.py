@@ -9,7 +9,8 @@ import pytest
 from cournotgraph import (CanonicalParams, IntegrationBlowUp, Outcome,
                           Trajectory, canonical_affine, classify, equilibrium,
                           integrate, step_euler, step_rk4, to_affine)
-from cournotgraph.dynamics import (_BLOCK_ROWS, _BLOCK_VALUES, MAX_STORED_VALUES,
+from cournotgraph.dynamics import (_BLOCK_ROWS, _BLOCK_VALUES, MAX_MARCHED_VALUES,
+                                   MAX_STORED_VALUES, _affine_pays,
                                    _block_length)
 from helpers import dense_field, euler_exact, network_spec_of_shape
 
@@ -111,6 +112,21 @@ class TestIntegrate:
         with pytest.raises(AssertionError, match="np.empty reached"):
             integrate(decay, np.zeros(3), 1000.0, 0.01)
 
+    def test_marched_values_bounded_before_allocating(self, monkeypatch):
+        # Thinning lifts the stored-values limit off long runs; the work
+        # of marching is bounded on its own, before anything is built.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("np.empty reached")
+        monkeypatch.setattr(np, "empty", unreachable)
+        limit = f"limit of {MAX_MARCHED_VALUES} marched values"
+        with pytest.raises(ValueError, match=limit):
+            integrate(decay, np.zeros(60_000), 20.0, 0.001, thin=10 ** 6)
+        with pytest.raises(ValueError, match=limit):
+            integrate(decay, np.zeros(3), 1e9, 1.0, thin=10 ** 9)
+        # 10^4 steps of 60 000 variables kept every 1000th pass both.
+        with pytest.raises(AssertionError, match="np.empty reached"):
+            integrate(decay, np.zeros(60_000), 10.0, 0.001, thin=1000)
+
     @pytest.mark.parametrize("q0", [[1e10, 0.0, 0.0], [-1.5e9], [np.nan, 0.0],
                                     [0.0, np.inf], [-np.inf]])
     def test_q0_the_blowup_check_rejects_is_refused_before_allocating(
@@ -208,6 +224,79 @@ class TestIntegrate:
             traj = integrate(system, Q0, 1.0, 0.1)
             assert np.shares_memory(handed.pop(), traj.states)
             assert not traj.states.flags.writeable
+
+
+class TestThinning:
+    """``integrate(..., thin=k)`` keeps rows 0, k, 2k, ... and the last
+    row of the same run at thin = 1, bit for bit, on both routes and
+    with both methods; so does the partial trajectory of a blow-up,
+    which ends at the last finite state."""
+
+    THINS = (1, 7, 10)
+
+    @staticmethod
+    def _kept(count: int, thin: int) -> list[int]:
+        return sorted(set(range(0, count, thin)) | {count - 1})
+
+    @staticmethod
+    def _system(route: str, method: str):
+        rng = np.random.default_rng(11)
+        if route == "block":
+            system, q0 = canonical_affine(STABLE), Q0
+        else:
+            system = to_affine(network_spec_of_shape(rng, 20, 26))
+            q0 = rng.uniform(0.0, 0.2, system.dimension)
+        assert _affine_pays(system, method) == (route == "block")
+        return system, q0
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("route", ["block", "field"])
+    def test_thinned_rows_are_the_rows_of_the_full_run(self, route, method):
+        system, q0 = self._system(route, method)
+        dt = 0.01
+        # 600 steps span several checking blocks on both routes; the
+        # second run shortens its last step to land on t_end.
+        for t_end in (600 * dt, 600.5 * dt):
+            full = integrate(system, q0, t_end, dt, method)
+            count = len(full.times)
+            for thin in self.THINS + (count - 1, count + 5, 10 ** 400):
+                got = integrate(system, q0, t_end, dt, method, thin)
+                index = self._kept(count, thin)
+                assert np.array_equal(got.times, full.times[index]), thin
+                assert np.array_equal(got.states, full.states[index]), thin
+                assert got.method == method and got.step == dt
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("route", ["block", "field"])
+    def test_blowup_keeps_thinned_rows_and_the_last_finite_state(self, route,
+                                                                 method):
+        # A slowly unstable A: the run blows up at step 533 (rk4) or 542
+        # (euler), past two checking blocks of 256 steps.
+        from cournotgraph import AffineSystem
+        rng = np.random.default_rng(3)
+        system = AffineSystem(
+            constant=np.ones(3),
+            matrix=-0.05 * np.eye(3) + 0.02 * rng.uniform(-1.0, 1.0, (3, 3)))
+        if route == "field":
+            system = system.field_at
+        with pytest.raises(IntegrationBlowUp) as info:
+            integrate(system, Q0, 1000.0, 0.5, method)
+        full = info.value
+        count = len(full.trajectory.times)
+        assert count > 2 * _BLOCK_ROWS
+        off_grid = 0
+        for thin in self.THINS + (count + 5,):
+            with pytest.raises(IntegrationBlowUp) as info:
+                integrate(system, Q0, 1000.0, 0.5, method, thin)
+            got = info.value
+            index = self._kept(count, thin)
+            assert str(got) == str(full) and got.time == full.time
+            assert np.array_equal(got.trajectory.times,
+                                  full.trajectory.times[index])
+            assert np.array_equal(got.trajectory.states,
+                                  full.trajectory.states[index])
+            off_grid += (count - 1) % thin != 0
+        assert off_grid >= 2  # the last finite state is off the thin grid
 
 
 class TestClassify:
