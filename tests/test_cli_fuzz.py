@@ -6,7 +6,8 @@ process (an escaping exception fails the test with its traceback); a
 few run through ``python -m cournotgraph`` to check the real entry
 point's stderr. A ``simulate`` that succeeds is run again at ``--thin 1``,
 and so is a shorter run of half its whole steps: the shorter CSV must be
-a line prefix of the longer. Every value used keeps the work small: a
+a line prefix of the longer. Every number in every CSV written is the
+text ``repr`` gives its float. Every value used keeps the work small: a
 simulation takes at most 4000 steps, and a mutated number is one of a
 few short tokens, so no graph or step count grows large.
 """
@@ -112,6 +113,19 @@ def run_in_process(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def check_numbers(path: Path, context: str) -> None:
+    """Every number of the CSV at ``path`` is the text ``repr`` gives its
+    float; the integer ``step`` and the ``verdict`` columns are not
+    numbers of that kind."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    columns = [k for k, name in enumerate(header.split(","))
+               if name not in ("step", "verdict")]
+    for row in rows:
+        fields = row.split(",")
+        for k in columns:
+            assert repr(float(fields[k])) == fields[k], f"{context}\n{row}"
+
+
 def check_prefix(argv: list[str], tmp_path: Path, context: str) -> None:
     """Rerun a successful simulate argv at --thin 1, and again to the end
     of half its whole steps (at least one); the shorter run's CSV lines
@@ -127,6 +141,7 @@ def check_prefix(argv: list[str], tmp_path: Path, context: str) -> None:
         code, err = run_in_process(base + [str(tmp_path / name),
                                            f"--t-end={t_end}"])
         assert code == 0, f"{context}\n{err}"
+        check_numbers(tmp_path / name, context)
         texts.append((tmp_path / name).read_text(encoding="utf-8"))
     longer, shorter = (text.splitlines(keepends=True) for text in texts)
     assert len(shorter) == steps + 2, context
@@ -136,24 +151,29 @@ def check_prefix(argv: list[str], tmp_path: Path, context: str) -> None:
 def test_mutated_scenarios_and_flags_keep_the_exit_contract(tmp_path):
     rng = random.Random(20260)
     texts = [path.read_text(encoding="utf-8") for path in SCENARIOS] + [SINGULAR]
-    scenario = tmp_path / "fuzz.scenario"
-    codes, prefixes = set(), 0
+    scenario, out = tmp_path / "fuzz.scenario", tmp_path / "out.csv"
+    codes, prefixes, written = set(), 0, 0
     for case in range(400):
         original = text = rng.choice(texts)
         if rng.random() < 0.7:
             text = mutate(text, rng)
         scenario.write_text(text, encoding="utf-8")
-        argv = random_argv(rng, original, scenario, tmp_path / "out.csv")
+        argv = random_argv(rng, original, scenario, out)
+        out.unlink(missing_ok=True)
         code, err = run_in_process(argv)
         context = f"case {case}: {argv}\n{text}"
         assert code in (0, 2, 3), context
         assert "Traceback" not in err, context
         codes.add(code)
+        if out.exists():
+            check_numbers(out, context)
+            written += 1
         if argv[0] == "simulate" and code == 0:
             check_prefix(argv, tmp_path, context)
             prefixes += 1
     assert codes == {0, 2, 3}
     assert prefixes >= 20
+    assert written >= 50
 
 
 @pytest.mark.parametrize("text_edit, args", [
