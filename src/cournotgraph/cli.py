@@ -40,9 +40,10 @@ class OutputError(Exception):
 
 @contextlib.contextmanager
 def _output(path: str):
-    """The ``--out`` file, open for writing text."""
+    """The ``--out`` file, open for writing text with ``\\n`` line ends
+    on every platform (the CSV writers pass bytes to its buffer)."""
     try:
-        with Path(path).open("w", encoding="utf-8") as out:
+        with Path(path).open("w", encoding="utf-8", newline="\n") as out:
             yield out
     except OSError as exc:
         raise OutputError(f"cannot write output file: {exc}") from None
@@ -108,7 +109,7 @@ def cmd_pd(args) -> int:
     population = scenario.build_population(graph)
     fractions = run_spatial(population, scenario.payoff, scenario.steps)
     with _output(args.out) as out:
-        out.write(pd_series_csv(fractions))
+        pd_series_csv(fractions, out)
     sys.stdout.write(f"players: {graph.player_count}, edges: {len(graph.ends)}, "
                      f"steps: {scenario.steps}\n")
     sys.stdout.write(f"initial cooperation fraction: {fractions[0]!r}\n")
@@ -124,9 +125,9 @@ def cmd_sweep(args) -> int:
     scenario = _load(args.scenario)
     if not isinstance(scenario, CanonicalScenario):
         raise ScenarioError("sweep requires a [canonical] scenario")
-    points = sweep(scenario, args.param, args.start, args.stop, args.points)
+    result = sweep(scenario, args.param, args.start, args.stop, args.points)
     with _output(args.out) as out:
-        out.write(sweep_csv(points))
+        sweep_csv(result, out)
     print(f"sweep: {args.param} over [{args.start}, {args.stop}] "
           f"({args.points} points), wrote {args.out}", file=sys.stderr)
     return EXIT_OK

@@ -22,7 +22,7 @@ import functools
 
 import numpy as np
 
-WORK_ROWS = 21                # rows of the work array the functions use
+WORK_ROWS = 13                # rows of the work array the functions use
 
 _U64 = np.uint64
 _I64 = np.int64
@@ -55,18 +55,19 @@ def decimal_digits(bits: np.ndarray, work: np.ndarray,
                    flags: np.ndarray) -> None:
     """Shortest round-trip digits of the doubles whose bit patterns are
     ``bits``: work[0] gets a 17-digit integer D (trailing zeros kept) and
-    work[3] the decimal point position d (int64), so that the magnitude
+    work[8] the decimal point position d (int64), so that the magnitude
     is 0.D x 10^d, the digits ``repr`` prints. A zero gets D = 0 and
     d = 1; ``flags[0]`` marks subnormal and non-finite values, whose D
-    and d are not meaningful. Uses every work row but 8, and ``flags``
-    (8 rows of bools, the bytes of work row 8)."""
+    and d are not meaningful. Uses work rows 0-11, and ``flags`` (8 rows
+    of bools, the bytes of work row 12)."""
     n = bits.size
-    mag, c, h, k = work[0], work[1], work[2].view(_I64), work[3].view(_I64)
+    h, mag, k = work[0].view(_I64), work[1], work[8].view(_I64)
     limbs = work[4:8].reshape(n, 4)
     a, b, c_hi, d = limbs.T
     special, irregular, upin, wpin, uin, win, up, diff = flags
-    # Rows 0-2 (mag, c, h) are spent once cp is made: ``low`` reuses them.
-    low, cp, hi, acc, tmp = (work[i:i + 3] for i in (0, 9, 12, 15, 18))
+    c, cp = work[9], work[9:12]
+    # Rows 0-3 (h, mag) are spent once cp is made: the products' scratch.
+    hi, acc, tmp, low = work[0:4]
 
     np.bitwise_and(bits, _LOW63, out=mag)
     np.subtract(mag, _U64(1 << 52), out=c)          # wraps below 2^52
@@ -101,59 +102,58 @@ def decimal_digits(bits: np.ndarray, work: np.ndarray,
     np.add(k, -_K_MIN, out=index)
     np.take(_powers_of_ten(), index, axis=0, out=limbs, mode="clip")
 
-    # vb, vbl, vbr: g times cp = (4c, 4c - 2 or 4c - 1, 4c + 2) << h,
+    # vb, lower, upper: g times cp = (4c, 4c - 2 or 4c - 1, 4c + 2) << h,
     # shifted down 127 bits and rounded to odd, with the truncations of
     # Schubfach's reference code: x1 = high(g0 cp), y1:y0 = g1 cp,
     # z = (y0 >> 1) + x1, v = y1 + (z >> 63), odd when z's low 63 bits
     # are not zero. Every product is of two 32-bit limbs.
-    np.left_shift(c, _U64(2), out=cp[0])
+    c <<= _U64(2)
     np.subtract(cp[0], _U64(2), out=cp[1])
     cp[1] += irregular
     np.add(cp[0], _U64(2), out=cp[2])
     cp <<= h.view(_U64)
-    np.right_shift(cp, _U64(32), out=hi)
-    cp &= _LOW32                                    # cp is now its low limb
-    np.multiply(d, cp, out=acc)
-    acc >>= _U64(32)
-    np.multiply(d, hi, out=tmp)
-    acc += tmp
-    np.multiply(c_hi, cp, out=tmp)
-    acc += tmp
-    acc >>= _U64(32)
-    np.multiply(c_hi, hi, out=tmp)
-    acc += tmp                                      # x1
-    np.multiply(b, cp, out=low)                     # b lo
-    np.multiply(a, cp, out=tmp)
-    np.multiply(b, hi, out=cp)
-    tmp += cp                                       # a lo + b hi
-    np.left_shift(tmp, _U64(32), out=cp)
-    cp += low                                       # y0
-    cp >>= _U64(1)
-    cp += acc                                       # z
-    low >>= _U64(32)
-    tmp += low
-    tmp >>= _U64(32)
-    np.multiply(a, hi, out=acc)
-    tmp += acc                                      # y1
-    np.right_shift(cp, _U64(63), out=acc)
-    tmp += acc
-    cp &= _LOW63
-    cp += _LOW63
-    cp >>= _U64(63)
-    tmp |= cp
-    vb, vbl, vbr = tmp
+    for v in cp:                        # each in place, four scratch rows
+        np.right_shift(v, _U64(32), out=hi)
+        v &= _LOW32                                 # v is now its low limb
+        np.multiply(d, v, out=acc)
+        acc >>= _U64(32)
+        np.multiply(d, hi, out=tmp)
+        acc += tmp
+        np.multiply(c_hi, v, out=tmp)
+        acc += tmp
+        acc >>= _U64(32)
+        np.multiply(c_hi, hi, out=tmp)
+        acc += tmp                                  # x1
+        np.multiply(b, v, out=low)                  # b lo
+        np.multiply(a, v, out=tmp)
+        np.multiply(b, hi, out=v)
+        tmp += v                                    # a lo + b hi
+        np.left_shift(tmp, _U64(32), out=v)
+        v += low                                    # y0
+        v >>= _U64(1)
+        v += acc                                    # z
+        low >>= _U64(32)
+        tmp += low
+        tmp >>= _U64(32)
+        np.multiply(a, hi, out=acc)
+        tmp += acc                                  # y1
+        np.right_shift(v, _U64(63), out=acc)
+        tmp += acc
+        v &= _LOW63
+        v += _LOW63
+        v >>= _U64(63)
+        v |= tmp
+    vb, lower, upper = cp
 
     # The shortest digits: one of s' 10 or t' 10 = s' 10 + 10 if exactly
     # one lies in the interval (s' = floor(s / 10)), else one of
     # s = vb >> 2 and t = s + 1 if exactly one does, else the one nearer
     # v, s on a tie when s is even. Bounds are inclusive when c is even.
-    s, lower, upper = cp
-    s10, w, s4 = hi
-    odd = acc[0]
+    s, s10, w, s4, odd = work[0:5]
     np.bitwise_and(bits, _U64(1), out=odd)     # the low bit of c
     np.right_shift(vb, _U64(2), out=s)
-    np.add(vbl, odd, out=lower)
-    np.subtract(vbr, odd, out=upper)
+    lower += odd
+    upper -= odd
     np.floor_divide(s, _U64(10), out=s10)
     np.multiply(s10, _U64(40), out=w)
     np.less_equal(lower, w, out=upin)
@@ -172,8 +172,8 @@ def decimal_digits(bits: np.ndarray, work: np.ndarray,
     up |= diff
     np.not_equal(uin, win, out=diff)
     np.putmask(up, diff, win)
-    digits = work[0]
-    np.add(s, up, out=digits)
+    digits = s
+    digits += up
     np.not_equal(upin, wpin, out=diff)
     np.multiply(wpin, _U64(10), out=w)
     s10 *= _U64(10)
@@ -187,23 +187,23 @@ def decimal_digits(bits: np.ndarray, work: np.ndarray,
     np.greater_equal(digits, _U64(10 ** 16), out=big)
     k += 16
     k += big
-    np.multiply(digits, _U64(10), out=s)
+    np.multiply(digits, _U64(10), out=s10)
     np.invert(big, out=diff)
-    np.putmask(digits, diff, s)
+    np.putmask(digits, diff, s10)
     if zero is not None:
         k[zero] = 1
 
 
 def ascii_digits(digits: np.ndarray, work: np.ndarray) -> np.ndarray:
     """ASCII of the 17-digit integers ``digits`` (work[0], consumed):
-    work[2] gets the first digit's character, work[4] and work[5] the
+    work[11] gets the first digit's character, work[4] and work[5] the
     next eight and the last eight, first character in the lowest byte.
     Returns the count of digits up to the last nonzero one (1 for zero),
-    an int64 view of work[1]. Uses work rows 0-2, 4-7 and 9-11."""
-    first = work[2]
+    an int64 view of work[9]. Uses work rows 0, 2-7 and 9-11."""
+    first = work[11]
     eights = work[4:6]
-    t1, t2 = work[6:8], work[9:11]
-    scratch = work[11]
+    t1, t2 = work[2:4], work[6:8]
+    scratch = work[10]
     np.floor_divide(digits, _U64(10 ** 16), out=first)
     np.multiply(first, _U64(10 ** 16), out=scratch)
     digits -= scratch
@@ -249,7 +249,7 @@ def ascii_digits(digits: np.ndarray, work: np.ndarray) -> np.ndarray:
     nonzero <<= _U64(1)
     nonzero += _U64(1)
     np.copyto(t2[0].view(np.float64), nonzero, casting="unsafe")
-    count = work[1]
+    count = work[9]
     np.right_shift(t2[0], _U64(52), out=count)
     count = count.view(_I64)
     count -= 1022

@@ -9,6 +9,7 @@ not tautology.
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import math
 import random
@@ -20,7 +21,7 @@ from cournotgraph import (CanonicalParams, NetworkSpec,
                           NoUniqueEquilibriumError, analyze, canonical_affine)
 from cournotgraph.dynamics import _segments
 from cournotgraph.pdgame import C, D
-from cournotgraph.reports import SweepPoint
+from cournotgraph.reports import VERDICTS, Sweep
 
 
 def random_network_spec(rng: np.random.Generator,
@@ -181,11 +182,29 @@ def sweep_by_analyze(scenario, param: str, start: float, stop: float,
         r = dataclasses.replace(scenario.r, **{param: value})
         try:
             report = analyze(canonical_affine(r), r)
-            results.append(SweepPoint(value, report.verdict.value,
-                                      report.eigen_margin))
+            results.append((value, report.verdict.value, report.eigen_margin))
         except (NoUniqueEquilibriumError, np.linalg.LinAlgError):
-            results.append(SweepPoint(value, "ERROR", math.nan))
-    return results
+            results.append((value, "ERROR", math.nan))
+    return sweep_of(results)
+
+
+def sweep_of(rows) -> Sweep:
+    """The ``Sweep`` of (value, verdict, margin) rows."""
+    values, verdicts, margins = zip(*rows)
+    return Sweep(np.array(values), np.array(margins),
+                 np.array([VERDICTS.index(v) for v in verdicts], np.uint8))
+
+
+def sweep_verdicts(result: Sweep) -> list[str]:
+    """The verdict of each point of a ``Sweep``."""
+    return [VERDICTS[code] for code in result.codes]
+
+
+def written(write, *args) -> str:
+    """The text ``write(*args, out)`` writes to an open text file."""
+    out = io.StringIO()
+    write(*args, out)
+    return out.getvalue()
 
 
 def trajectory_csv_by_value(trajectory, names, thin: int = 1) -> str:

@@ -15,7 +15,8 @@ from cournotgraph.cli import main
 from cournotgraph.reports import (pd_series_csv, sweep, sweep_csv,
                                   write_trajectory)
 from cournotgraph.scenario import parse_scenario
-from helpers import sweep_by_analyze, trajectory_csv_by_value
+from helpers import (sweep_by_analyze, sweep_verdicts, trajectory_csv_by_value,
+                     written)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 STABLE = SCENARIO_DIR / "canonical_stable.scenario"
@@ -118,21 +119,22 @@ class TestWriters:
         assert "a4 = " in text
 
     def test_pd_series(self):
-        assert pd_series_csv([0.5, 0.25]) == "step,coop_fraction\n0,0.5\n1,0.25\n"
+        assert written(pd_series_csv, [0.5, 0.25]) == \
+            "step,coop_fraction\n0,0.5\n1,0.25\n"
 
     def test_sweep_error_rows_keep_grid_going(self):
         scenario = parse_scenario(STABLE.read_text(encoding="utf-8"))
         # det(A) crosses 0 at r4 = 0.14, inside the condition-number guard
         points = sweep(scenario, "r4", 0.14, 0.15, 2)
-        assert [p.verdict for p in points] == ["ERROR", "UNSTABLE"]
-        text = sweep_csv(points)
+        assert sweep_verdicts(points) == ["ERROR", "UNSTABLE"]
+        text = written(sweep_csv, points)
         assert text.splitlines()[1].endswith(",ERROR,nan")
 
     def test_sweep_grid_endpoints(self):
         scenario = parse_scenario(STABLE.read_text(encoding="utf-8"))
         points = sweep(scenario, "r3", 0.1, 1.5, 2)
-        assert [p.value for p in points] == [0.1, 1.5]
-        assert [p.verdict for p in points] == ["UNSTABLE", "STABLE"]
+        assert points.values.tolist() == [0.1, 1.5]
+        assert sweep_verdicts(points) == ["UNSTABLE", "STABLE"]
 
     def test_sweep_rejects_bad_grid(self):
         scenario = parse_scenario(STABLE.read_text(encoding="utf-8"))
@@ -148,11 +150,13 @@ class TestWriters:
         from cournotgraph import analyze, canonical_affine
         scenario = parse_scenario(STABLE.read_text(encoding="utf-8"))
         points = sweep(scenario, "r3", 0.05, 2.0, 7)
-        for p in points:
-            r = dataclasses.replace(scenario.r, r3=p.value)
+        for value, verdict, margin in zip(points.values.tolist(),
+                                          sweep_verdicts(points),
+                                          points.margins.tolist()):
+            r = dataclasses.replace(scenario.r, r3=value)
             report = analyze(canonical_affine(r), r)
-            assert p.verdict == report.verdict.value
-            assert p.eigen_margin == report.eigen_margin
+            assert verdict == report.verdict.value
+            assert margin == report.eigen_margin
         # Dense grids over every parameter, the r4 one across det A = 0
         # at r4 = 0.14: the same bytes as one analyze per point.
         verdicts = set()
@@ -161,8 +165,9 @@ class TestWriters:
                                           ("r3", 0.1, 1.5, 2000),
                                           ("r4", 0.13, 0.15, 2001),
                                           ("r5", -1.0, 1.0, 2000)):
-            want = sweep_csv(sweep_by_analyze(scenario, param, start, stop, count))
-            got = sweep_csv(sweep(scenario, param, start, stop, count))
+            want = written(sweep_csv,
+                           sweep_by_analyze(scenario, param, start, stop, count))
+            got = written(sweep_csv, sweep(scenario, param, start, stop, count))
             assert got == want, param
             verdicts.update(line.split(",")[1] for line in want.splitlines()[1:])
         assert verdicts == {"STABLE", "UNSTABLE", "ERROR"}
@@ -717,9 +722,9 @@ class TestStreamedSimulate:
 
     def test_peak_memory_is_set_by_the_rows_written(self, tmp_path, capsys):
         # 2 * 10^4 and 2 * 10^5 steps, 101 rows written by each: the
-        # peaks agree to within one writing block of values.
+        # peaks agree to within 1536 values of 8 bytes, whatever the
+        # size of a writing block.
         import tracemalloc
-        from cournotgraph import reports
         out = tmp_path / "t.csv"
         # A first run leaves the one-time caches of the process behind.
         assert run("simulate", "--scenario", STABLE, "--out", out) == 0
@@ -733,8 +738,7 @@ class TestStreamedSimulate:
             finally:
                 tracemalloc.stop()
             assert len(out.read_text().splitlines()) == 102
-        block = reports._BLOCK_VALUES * 8
-        assert max(peaks) - min(peaks) <= block, peaks
+        assert max(peaks) - min(peaks) <= 12_288, peaks
 
     def test_stored_limit_counts_the_rows_kept(self, monkeypatch, tmp_path,
                                                capsys):
