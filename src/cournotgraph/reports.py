@@ -26,12 +26,11 @@ from .network import variable_names
 from .pdgame import PayoffMatrix, apply_side_payment, dominant_strategy, \
     min_side_payment
 from .scenario import CanonicalScenario
-from .stability import (MARGIN_EPS, CanonicalParams, Stability,
-                        StabilityReport, _hurwitz_checks, canonical_margins)
+from .stability import (VERDICTS, CanonicalParams, StabilityReport,
+                        _hurwitz_checks, canonical_margins, verdict_codes)
 
 SWEEP_PARAMS = tuple(field.name for field in fields(CanonicalParams))
 MAX_SWEEP_POINTS = 1_000_000  # grid points of one sweep, checked before any work
-VERDICTS = (*(verdict.value for verdict in Stability), "ERROR")  # by code
 _BLOCK_VALUES = 4096          # values per block of rendered CSV text
 _SWEEP_CHUNK = 1 << 16        # grid points per canonical_margins call
 _SERIES_ROWS = 8192           # rows per block of a PD series
@@ -82,19 +81,17 @@ def write_trajectory(trajectory: Trajectory, names, out) -> None:
 def pd_series_csv(fractions, out) -> None:
     """Write the CSV of a cooperation-fraction series, header
     ``step,coop_fraction``, to the open text file ``out``, a block of
-    ``_SERIES_ROWS`` rows at a time. A block of one repeated fraction
-    (the tail after a fixed point) is one join of its steps."""
+    ``_SERIES_ROWS`` rows at a time. A fraction that is the same float
+    as the row before's (the tail after a fixed point) reuses its text."""
     out.write("step,coop_fraction\n")
+    prev = text = None
     for lo in range(0, len(fractions), _SERIES_ROWS):
-        block = fractions[lo:lo + _SERIES_ROWS]
-        first = block[0]
-        if all(f is first for f in block):
-            row_end = f",{fmt(first)}\n"
-            steps = map(str, range(lo, lo + len(block)))
-            out.write(row_end.join(steps) + row_end)
-        else:
-            out.write("".join(f"{k},{fmt(f)}\n"
-                              for k, f in enumerate(block, lo)))
+        rows = []
+        for k, f in enumerate(fractions[lo:lo + _SERIES_ROWS], lo):
+            if f is not prev:
+                prev, text = f, fmt(f)
+            rows.append(f"{k},{text}\n")
+        out.write("".join(rows))
 
 
 def _check_lines(a1: float, a2: float, a3: float) -> list[str]:
@@ -143,7 +140,8 @@ def render_equilibrium(values, order) -> str:
 @dataclass(frozen=True)
 class Sweep:
     """A verdict map: grid values, their eigenvalue margins (NaN where
-    there is no unique equilibrium) and verdict codes into ``VERDICTS``."""
+    there is no unique equilibrium) and verdict codes into
+    ``stability.VERDICTS``."""
     values: np.ndarray
     margins: np.ndarray
     codes: np.ndarray
@@ -155,8 +153,8 @@ def sweep(scenario: CanonicalScenario, param: str, start: float, stop: float,
 
     The grid is evaluated as stacks of at most ``_SWEEP_CHUNK`` 3 x 3
     systems (``stability.canonical_margins``), with the guards, margins
-    and verdict band of ``analyze``. Points with no unique equilibrium (a
-    singular grid value) get verdict ERROR.
+    and verdict band (``stability.verdict_codes``) of ``analyze``. Points
+    with no unique equilibrium (a singular grid value) get verdict ERROR.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(f"param must be one of {', '.join(SWEEP_PARAMS)}")
@@ -179,12 +177,7 @@ def sweep(scenario: CanonicalScenario, param: str, start: float, stop: float,
         chunk = values[lo:lo + _SWEEP_CHUNK]
         r[:len(chunk), SWEEP_PARAMS.index(param)] = chunk
         margins[lo:lo + len(chunk)] = canonical_margins(r[:len(chunk)])
-    # The band of stability.verdict_of, and ERROR for NaN.
-    codes = np.full(points, VERDICTS.index("MARGINAL"), np.uint8)
-    codes[margins < -MARGIN_EPS] = VERDICTS.index("STABLE")
-    codes[margins > MARGIN_EPS] = VERDICTS.index("UNSTABLE")
-    codes[np.isnan(margins)] = VERDICTS.index("ERROR")
-    return Sweep(values, margins, codes)
+    return Sweep(values, margins, verdict_codes(margins))
 
 
 def sweep_csv(result: Sweep, out) -> None:

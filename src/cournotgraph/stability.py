@@ -113,6 +113,9 @@ class Stability(Enum):
     MARGINAL = "MARGINAL"
 
 
+VERDICTS = (*(verdict.value for verdict in Stability), "ERROR")  # by code
+
+
 @dataclass(frozen=True)
 class CanonicalParams:
     """Free parameters r1..r5 of the rescaled three-variable system."""
@@ -324,6 +327,16 @@ def verdict_of(margin: float) -> Stability:
     if margin > MARGIN_EPS:
         return Stability.UNSTABLE
     return Stability.MARGINAL
+
+
+def verdict_codes(margins: np.ndarray) -> np.ndarray:
+    """``verdict_of`` of each margin as a code into ``VERDICTS``, and
+    ERROR for a NaN margin (no unique equilibrium)."""
+    codes = np.full(margins.shape, VERDICTS.index("MARGINAL"), np.uint8)
+    codes[margins < -MARGIN_EPS] = VERDICTS.index("STABLE")
+    codes[margins > MARGIN_EPS] = VERDICTS.index("UNSTABLE")
+    codes[np.isnan(margins)] = VERDICTS.index("ERROR")
+    return codes
 
 
 def equilibrium(sys: AffineSystem) -> np.ndarray:

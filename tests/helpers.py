@@ -21,7 +21,8 @@ from cournotgraph import (CanonicalParams, NetworkSpec,
                           NoUniqueEquilibriumError, analyze, canonical_affine)
 from cournotgraph.dynamics import _segments
 from cournotgraph.pdgame import C, D
-from cournotgraph.reports import VERDICTS, Sweep
+from cournotgraph.reports import Sweep
+from cournotgraph.stability import VERDICTS
 
 
 def random_network_spec(rng: np.random.Generator,

@@ -19,11 +19,12 @@ import pytest
 
 from cournotgraph import Trajectory, reports
 from cournotgraph.csvtext import CsvRows
-from cournotgraph.reports import (_BLOCK_VALUES, _SERIES_ROWS, VERDICTS,
+from cournotgraph.reports import (_BLOCK_VALUES, _SERIES_ROWS, Sweep,
                                   pd_series_csv, sweep, sweep_csv,
                                   write_trajectory)
 from cournotgraph.scenario import parse_scenario
-from cournotgraph.stability import canonical_margins, verdict_of
+from cournotgraph.shortest import WORK_ROWS
+from cournotgraph.stability import VERDICTS, canonical_margins, verdict_of
 from helpers import (sweep_by_analyze, sweep_of, trajectory_csv_by_value,
                      written)
 
@@ -206,6 +207,8 @@ def test_sweep_csv_is_one_repr_per_number():
     assert {verdict for _, verdict, _ in rows} == set(VERDICTS)
     assert written(sweep_csv, sweep_of(rows[:1])) == \
         "value,verdict,eigen_margin\n0.25,ERROR,nan\n"
+    empty = Sweep(np.empty(0), np.empty(0), np.empty(0, np.uint8))
+    assert written(sweep_csv, empty) == "value,verdict,eigen_margin\n"
 
 
 @pytest.mark.parametrize("points", [2 ** 16 - 1, 2 ** 16 + 1])
@@ -253,14 +256,14 @@ def test_pd_series_is_one_repr_per_row(length):
     fractions[0] = 0.0
     assert written(pd_series_csv, fractions) == series_by_row(fractions)
     # A fixed point from step 2 on repeats one fraction, as run_spatial
-    # writes it: whole blocks of that one value are one join each.
+    # writes it: its rows reuse one text, across block ends too.
     tail = fractions[:2] + [fractions[-1]] * (length + _SERIES_ROWS)
     assert written(pd_series_csv, tail) == series_by_row(tail)
 
 
 def test_pd_series_tells_equal_fractions_of_other_text_apart():
-    # 0.0 == -0.0, but their text differs: a block counts as one
-    # repeated fraction only if it repeats the same float.
+    # 0.0 == -0.0, but their text differs: a row reuses the text of the
+    # row before only if its fraction is the same float.
     fractions = [0.0] * (_SERIES_ROWS + 5)
     fractions[_SERIES_ROWS + 2] = -0.0
     fractions[3] = -0.0
@@ -268,12 +271,16 @@ def test_pd_series_tells_equal_fractions_of_other_text_apart():
 
 
 def test_renderer_working_set_per_value_of_capacity():
-    # A renderer holds its input buffer and one work array, 8 + 104
-    # bytes per value of capacity, and makes a block's text (here 25
-    # bytes a value for almost every value, 17 digits and a three-digit
-    # exponent, the longest text there is) and the exponent rows of the
-    # block. That block peaks at 148.0 bytes per value of capacity (numpy
-    # 2.4); a larger working set must show here.
+    # A renderer holds its input buffer and one work array of WORK_ROWS
+    # rows, 8 + 8 * WORK_ROWS bytes per value of capacity, and a block
+    # makes its text: here 25 bytes a value for almost every value (17
+    # digits and a three-digit exponent, the longest text there is). On
+    # top of those, 16 bytes a value for temporaries: the exponent path
+    # keeps an int64 row index and two boolean masks, 10 bytes a value,
+    # until the text is made, and 6 more leave room for numpy's own
+    # scratch (about 1 byte a value, traced on numpy 2.4). One more
+    # array of a word per value, or another work row, must show here.
+    assert WORK_ROWS <= 13
     capacity = 4096
     values = -np.random.default_rng(1).uniform(1, 2, capacity) * 1e-100
     CsvRows(1)(0, 1)                    # the constant tables, built once
@@ -286,4 +293,4 @@ def test_renderer_working_set_per_value_of_capacity():
     finally:
         tracemalloc.stop()
     assert len(text) > 24.5 * capacity
-    assert peak <= 150 * capacity, peak / capacity
+    assert peak <= (8 + 8 * WORK_ROWS + 25 + 16) * capacity, peak / capacity

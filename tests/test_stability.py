@@ -12,6 +12,8 @@ from cournotgraph import (AffineSystem, CanonicalParams,
                           routh_hurwitz_cubic, symmetric_conditions,
                           symmetric_equilibrium, to_affine,
                           two_firms_two_markets)
+from cournotgraph.stability import (MARGIN_EPS, VERDICTS, verdict_codes,
+                                    verdict_of)
 from helpers import (charpoly_by_determinant, matching_spec,
                      network_spec_of_shape, random_canonical,
                      random_network_spec, record_factored_sizes,
@@ -279,6 +281,17 @@ class TestAnalyze:
         a = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         report = analyze(AffineSystem(constant=np.zeros(3), matrix=a))
         assert report.verdict is Stability.MARGINAL
+
+    def test_verdict_codes_keep_the_band_of_verdict_of(self):
+        eps = MARGIN_EPS
+        margins = np.array([-np.inf, -1.0, np.nextafter(-eps, -1), -eps,
+                            -0.0, 0.0, eps, np.nextafter(eps, 1), 1.0,
+                            np.inf, np.nan])
+        labels = [VERDICTS[code] for code in verdict_codes(margins)]
+        assert labels[-1] == "ERROR"
+        assert labels[:-1] == [verdict_of(m).value for m in margins[:-1]]
+        assert labels[1:9] == (["STABLE"] * 2 + ["MARGINAL"] * 4
+                               + ["UNSTABLE"] * 2)
 
     def test_hurwitz_agrees_with_verdict_away_from_margin(self):
         rng = np.random.default_rng(20)
