@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: simulate, equilibrium, stability, pd, sweep. Data goes to
-``--out`` files (or stdout for reports); progress notes go to stderr so
-data streams stay byte-reproducible. Exit codes: 0 success, 2 bad usage,
+``--out`` files, opened for binary writing and written as ASCII bytes
+(reports go to stdout); progress notes go to stderr so data streams
+stay byte-reproducible. Exit codes: 0 success, 2 bad usage,
 scenario problems or an output file that cannot be written, 3 numerical
 failures.
 """
@@ -40,10 +41,9 @@ class OutputError(Exception):
 
 @contextlib.contextmanager
 def _output(path: str):
-    """The ``--out`` file, open for writing text with ``\\n`` line ends
-    on every platform (the CSV writers pass bytes to its buffer)."""
+    """The ``--out`` file, open for writing bytes."""
     try:
-        with Path(path).open("w", encoding="utf-8", newline="\n") as out:
+        with Path(path).open("wb") as out:
             yield out
     except OSError as exc:
         raise OutputError(f"cannot write output file: {exc}") from None
@@ -70,17 +70,18 @@ def cmd_simulate(args) -> int:
     scenario = _load(args.scenario)
     system, q0, _ = _dynamical(scenario, "simulate")
     names = variable_names(system.variable_order)
+    blowup = None
     try:
         trajectory = integrate(system, q0, args.t_end, args.dt, args.method,
                                args.thin)
     except IntegrationBlowUp as exc:
-        with _output(args.out) as out:
-            write_trajectory(exc.trajectory, names, out)
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"wrote partial trajectory to {args.out}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        blowup, trajectory = exc, exc.trajectory
     with _output(args.out) as out:
         write_trajectory(trajectory, names, out)
+    if blowup is not None:
+        print(f"error: {blowup}", file=sys.stderr)
+        print(f"wrote partial trajectory to {args.out}", file=sys.stderr)
+        return EXIT_NUMERICAL
     print(f"simulate: {step_count(args.t_end, args.dt)} {args.method} steps "
           f"to t={args.t_end}, wrote {args.out}", file=sys.stderr)
     return EXIT_OK

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# canonical_edge_order is re-exported for callers that import it from here.
-from .network import (NetworkSpec, canonical_edge_order,  # noqa: F401
-                      to_affine)
+from .network import NetworkSpec, to_affine
 
 
 def _flows(q, n: int) -> np.ndarray:

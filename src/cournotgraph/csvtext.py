@@ -11,8 +11,11 @@ otherwise, ``.0`` on integral values), followed by the comma or newline
 of its place in its row, and one boolean compress drops the slots'
 unused bytes. Zeros take the same route; only subnormal and non-finite
 values are passed to ``repr``, one at a time. A label column (a sweep's
-verdicts) takes its text from a table. ``write_text`` hands the bytes
-to a text file's binary buffer.
+verdicts) takes its text from a table. The writers pass the bytes as
+they are to a file open for binary writing.
+
+``fmt`` is the same text, one value at a time, for report and scenario
+lines.
 """
 
 from __future__ import annotations
@@ -69,6 +72,11 @@ def _literal(text: str) -> tuple[np.ndarray, int]:
     slot[2:2 + len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
     slot[31] = ord(",")
     return slot, (1 << 31) | ((1 << len(text)) - 1) << 2
+
+
+def fmt(x: float) -> str:
+    """``repr(float(x))``: the shortest text that reads back as x."""
+    return repr(float(x))
 
 
 _HEAD = _U64(int.from_bytes(b"\0\0-0.000", "little"))
@@ -184,7 +192,7 @@ class CsvRows:
         np.take(t.keep, hc, out=keep_bits, mode="clip")
 
         for j in np.flatnonzero(special).tolist():
-            text[j], keep_bits[j] = _literal(repr(float(values[j])))
+            text[j], keep_bits[j] = _literal(fmt(values[j]))
         if codes is not None:
             text[1::width] = self._label_slots[codes]
             keep_bits[1::width] = self._label_keep[codes]
@@ -196,15 +204,3 @@ class CsvRows:
         np.copyto(index, keep_bits.view(np.uint8))
         np.take(t.bits, index, axis=0, out=keep, mode="clip")
         return text.reshape(-1)[keep.reshape(-1)]
-
-
-def write_text(out, text: np.ndarray) -> None:
-    """Write the ASCII bytes ``text`` to the open text file ``out``:
-    straight to its binary buffer when it has one, with no str copy and
-    no re-encoding."""
-    buffer = getattr(out, "buffer", None)
-    if buffer is None:
-        out.write(str(text, "ascii"))
-    else:
-        out.flush()
-        buffer.write(text)

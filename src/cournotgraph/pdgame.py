@@ -54,6 +54,7 @@ Randomness enters only through the explicit seed of
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -441,7 +442,8 @@ def run_spatial(state: PopulationState, m: PayoffMatrix,
         stepped = imitation_step(state, m)
         fractions.append(stepped.cooperation_fraction())
         if np.array_equal(stepped.cooperates, state.cooperates):
-            fractions += [fractions[-1]] * (steps + 1 - len(fractions))
+            fractions.extend(itertools.repeat(fractions[-1],
+                                              steps + 1 - len(fractions)))
             break
         state = stepped
     return fractions

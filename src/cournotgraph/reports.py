@@ -4,14 +4,15 @@ Every number is written as ``repr(float(x))`` writes it -- the shortest
 decimal that round-trips to the same double -- and no output embeds
 timestamps, so identical runs produce byte-identical files.
 
-Report lines format their few numbers one ``repr`` at a time (``fmt``).
-CSV rows of floats -- trajectories, and sweeps with their verdict label
-column -- are rendered by :class:`cournotgraph.csvtext.CsvRows` without
-``repr``, in flat blocks of ``_BLOCK_VALUES`` values that may begin and
-end mid-row, each written to the output file as it is made. A sweep is
-arrays (values, margins, verdict codes), evaluated in chunks of
-``_SWEEP_CHUNK`` grid points. A PD series is written a block of rows at
-a time.
+Report lines format their few numbers one ``repr`` at a time
+(``csvtext.fmt``). The CSV writers write ASCII bytes to a file open for
+binary writing. CSV rows of floats -- trajectories, and sweeps with
+their verdict label column -- are rendered by
+:class:`cournotgraph.csvtext.CsvRows` without ``repr``, in flat blocks
+of ``_BLOCK_VALUES`` values that may begin and end mid-row, each
+written to the output file as it is made. A sweep is arrays (values,
+margins, verdict codes), evaluated in chunks of ``_SWEEP_CHUNK`` grid
+points. A PD series is written a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .csvtext import CsvRows, write_text
+from .csvtext import CsvRows, fmt
 from .dynamics import Trajectory
 from .network import variable_names
 from .pdgame import PayoffMatrix, apply_side_payment, dominant_strategy, \
@@ -34,10 +35,6 @@ MAX_SWEEP_POINTS = 1_000_000  # grid points of one sweep, checked before any wor
 _BLOCK_VALUES = 4096          # values per block of rendered CSV text
 _SWEEP_CHUNK = 1 << 16        # grid points per canonical_margins call
 _SERIES_ROWS = 8192           # rows per block of a PD series
-
-
-def fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _gather(block: np.ndarray, times: np.ndarray, states: np.ndarray,
@@ -59,8 +56,8 @@ def _gather(block: np.ndarray, times: np.ndarray, states: np.ndarray,
 
 
 def write_trajectory(trajectory: Trajectory, names, out) -> None:
-    """Write the CSV of every kept state of ``trajectory`` to the open
-    text file ``out``: header ``t,<name1>,...``, then one row per state.
+    """Write the CSV of every kept state of ``trajectory`` to the binary
+    file ``out``: header ``t,<name1>,...``, then one row per state.
     Thinning is ``integrate``'s.
 
     The rows are rendered and written in flat blocks of ``_BLOCK_VALUES``
@@ -69,21 +66,21 @@ def write_trajectory(trajectory: Trajectory, names, out) -> None:
     """
     times, states = trajectory.times, trajectory.states
     width = states.shape[1] + 1
-    out.write("t," + ",".join(names) + "\n")
+    out.write(("t," + ",".join(names) + "\n").encode("ascii"))
     total = len(times) * width
     render = CsvRows(max(1, min(_BLOCK_VALUES, total)))
     for lo in range(0, total, _BLOCK_VALUES):
         n = min(_BLOCK_VALUES, total - lo)
         _gather(render.values[:n], times, states, lo)
-        write_text(out, render(n, width, lo % width))
+        out.write(render(n, width, lo % width))
 
 
 def pd_series_csv(fractions, out) -> None:
     """Write the CSV of a cooperation-fraction series, header
-    ``step,coop_fraction``, to the open text file ``out``, a block of
+    ``step,coop_fraction``, to the binary file ``out``, a block of
     ``_SERIES_ROWS`` rows at a time. A fraction that is the same float
     as the row before's (the tail after a fixed point) reuses its text."""
-    out.write("step,coop_fraction\n")
+    out.write(b"step,coop_fraction\n")
     prev = text = None
     for lo in range(0, len(fractions), _SERIES_ROWS):
         rows = []
@@ -91,7 +88,7 @@ def pd_series_csv(fractions, out) -> None:
             if f is not prev:
                 prev, text = f, fmt(f)
             rows.append(f"{k},{text}\n")
-        out.write("".join(rows))
+        out.write("".join(rows).encode("ascii"))
 
 
 def _check_lines(a1: float, a2: float, a3: float) -> list[str]:
@@ -182,9 +179,9 @@ def sweep(scenario: CanonicalScenario, param: str, start: float, stop: float,
 
 def sweep_csv(result: Sweep, out) -> None:
     """Write the CSV of ``result``, header ``value,verdict,eigen_margin``,
-    to the open text file ``out``: rows rendered by ``CsvRows`` a block
+    to the binary file ``out``: rows rendered by ``CsvRows`` a block
     at a time, the verdict the label of column 1."""
-    out.write("value,verdict,eigen_margin\n")
+    out.write(b"value,verdict,eigen_margin\n")
     count, rows = len(result.values), _BLOCK_VALUES // 3
     render = CsvRows(3 * max(1, min(rows, count)), VERDICTS)
     for lo in range(0, count, rows):
@@ -192,7 +189,7 @@ def sweep_csv(result: Sweep, out) -> None:
         table = render.values[:3 * k].reshape(k, 3)
         table[:, 0] = result.values[lo:lo + k]
         table[:, 2] = result.margins[lo:lo + k]
-        write_text(out, render(3 * k, 3, codes=result.codes[lo:lo + k]))
+        out.write(render(3 * k, 3, codes=result.codes[lo:lo + k]))
 
 
 def render_side_payment(m: PayoffMatrix, sigma: float) -> str:

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
+from .csvtext import fmt
 from .network import NetworkSpec, canonical_edge_order, validate
 from .pdgame import (PayoffMatrix, PlayerGraph, PopulationState,
                      all_cooperate, all_defect, complete_graph, cycle_graph,
@@ -347,12 +348,8 @@ def _build_pd(entries) -> PDScenario:
     return scenario
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _fmt_list(values) -> str:
-    return ", ".join(_fmt(v) for v in values)
+    return ", ".join(map(fmt, values))
 
 
 def render_scenario(scenario: Scenario) -> str:
@@ -390,5 +387,5 @@ def render_scenario(scenario: Scenario) -> str:
                  f"init = {' '.join(map(str, scenario.init))}",
                  f"steps = {scenario.steps}"]
         if scenario.side_payment is not None:
-            lines.append(f"side_payment = {_fmt(scenario.side_payment)}")
+            lines.append(f"side_payment = {fmt(scenario.side_payment)}")
     return "\n".join(lines) + "\n"

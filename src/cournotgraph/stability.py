@@ -201,12 +201,11 @@ def _capacitance(st: EdgeIncidence, weight: np.ndarray) -> np.ndarray:
 def _s_solver(st: EdgeIncidence):
     """The solver r -> S^-1 r of the module docstring, with S (while
     n <= k) or the capacitance matrix K factored once by Cholesky;
-    ``_size_error`` when that matrix passes ``network.MAX_DENSE_VALUES``,
+    ``_check_size``'s ValueError when that matrix is too large,
     NoUniqueEquilibriumError when cond(S) may pass _COND_LIMIT or the
     matrix is not positive definite."""
+    _check_size(st)
     n, k = len(st.speed), len(st.firm_gamma) + len(st.market_beta)
-    if min(n, k) ** 2 > network.MAX_DENSE_VALUES:
-        raise _size_error(st)
     firm_degree, market_degree = st.supplies(np.ones(n))
     # S has no negative entry, so its largest row sum bounds its largest
     # eigenvalue, and S >= diag(beta_e) bounds its smallest one below.
@@ -288,11 +287,13 @@ def _lowest_eigenvalue(st: EdgeIncidence) -> float:
     return 0.5 * (lo + hi)
 
 
-def _size_error(st: EdgeIncidence) -> ValueError:
-    """The ValueError for a network whose smaller matrix, n x n or k x k,
-    passes ``network.MAX_DENSE_VALUES``."""
+def _check_size(st: EdgeIncidence) -> None:
+    """Raise ValueError for a network whose smaller matrix, n x n or
+    k x k, passes ``network.MAX_DENSE_VALUES``."""
     n, k = len(st.speed), len(st.firm_gamma) + len(st.market_beta)
-    return ValueError(
+    if min(n, k) ** 2 <= network.MAX_DENSE_VALUES:
+        return
+    raise ValueError(
         f"a network of {n} edges and {k} firms and markets needs a dense "
         f"{n}x{n} matrix or a {k}x{k} capacitance matrix, more than the "
         f"limit of {network.MAX_DENSE_VALUES} values")
@@ -308,9 +309,7 @@ def _system_spectrum(sys: AffineSystem):
     if st.dense_allowed:
         eigvals = -np.linalg.eigvalsh(st.dense_symmetric())
         return eigvals, float(eigvals[0])
-    # n^2 passes the limit here, so min(n, k)^2 does iff k^2 does.
-    if (len(st.firm_gamma) + len(st.market_beta)) ** 2 > network.MAX_DENSE_VALUES:
-        raise _size_error(st)
+    _check_size(st)
     return None, -_lowest_eigenvalue(st)
 
 

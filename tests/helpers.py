@@ -202,10 +202,10 @@ def sweep_verdicts(result: Sweep) -> list[str]:
 
 
 def written(write, *args) -> str:
-    """The text ``write(*args, out)`` writes to an open text file."""
-    out = io.StringIO()
+    """The text ``write(*args, out)`` writes to a binary file."""
+    out = io.BytesIO()
     write(*args, out)
-    return out.getvalue()
+    return out.getvalue().decode("ascii")
 
 
 def trajectory_csv_by_value(trajectory, names, thin: int = 1) -> str:

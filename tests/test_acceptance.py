@@ -21,15 +21,15 @@ import pytest
 
 from cournotgraph import (CanonicalParams, Outcome, PayoffMatrix, Stability,
                           all_cooperate, all_defect, analyze,
-                          apply_side_payment, canonical_affine, char_poly,
-                          classify, closed_form_coeffs, complete_graph,
+                          apply_side_payment, canonical_affine,
+                          canonical_edge_order, char_poly, classify,
+                          closed_form_coeffs, complete_graph,
                           dominant_strategy, eigen_margin, equilibrium,
                           imitation_step, integrate, marginal_profit,
                           min_side_payment, payoffs, PopulationState,
                           profit, random_population, routh_hurwitz_cubic,
                           run_spatial, symmetric_conditions,
                           symmetric_equilibrium, torus_graph)
-from cournotgraph.cournot import canonical_edge_order
 from cournotgraph.pdgame import C, D
 from helpers import central_difference, random_canonical, random_network_spec
 

@@ -4,7 +4,11 @@ import dataclasses
 import hashlib
 import importlib
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +34,9 @@ def run(*argv) -> int:
 
 def csv_of(trajectory, names) -> str:
     """What ``write_trajectory`` writes for ``trajectory``."""
-    out = io.StringIO()
+    out = io.BytesIO()
     write_trajectory(trajectory, names, out)
-    return out.getvalue()
+    return out.getvalue().decode("ascii")
 
 
 class TestParser:
@@ -219,7 +223,7 @@ class TestWriters:
                           method="euler", step=0.01)
         names = ("q11", "q22", "q21")
         peaks = []
-        with (tmp_path / "t.csv").open("w", encoding="utf-8") as out:
+        with (tmp_path / "t.csv").open("wb") as out:
             for render in (lambda: trajectory_csv_by_value(traj, names, 1),
                            lambda: write_trajectory(traj, names, out)):
                 tracemalloc.start()
@@ -1031,3 +1035,42 @@ class TestReadmeLimits:
             got = getattr(importlib.import_module(f"cournotgraph.{module}"),
                           constant)
             assert int(re.sub(r"\s", "", value)) == got, name
+
+
+# Runs every command on the shipped scenarios in a fresh interpreter and
+# prints the top-level modules loaded since start-up that are neither in
+# the standard library nor numpy or the package itself. Modules loaded at
+# start-up (site's .pth hooks) belong to the interpreter, not the package.
+LOADED_MODULES = """
+import json, sys
+before = {name.partition(".")[0] for name in sys.modules}
+from cournotgraph.cli import main
+scenarios, out = sys.argv[1:]
+stable, network, pd = (f"{scenarios}/{name}.scenario" for name in
+                       ("canonical_stable", "two_firm_network", "gas_transit_pd"))
+codes = [main(argv) for argv in (
+    ["simulate", "--scenario", stable, "--t-end", "1", "--out", out],
+    ["simulate", "--scenario", network, "--t-end", "1", "--out", out],
+    ["equilibrium", "--scenario", network],
+    ["stability", "--scenario", stable],
+    ["stability", "--scenario", network],
+    ["sweep", "--scenario", stable, "--param", "r3", "--from", "0.1",
+     "--to", "1.5", "--points", "5", "--out", out],
+    ["pd", "--scenario", pd, "--out", out])]
+allowed = set(sys.stdlib_module_names) | {"numpy", "cournotgraph"}
+loaded = {name.partition(".")[0] for name in sys.modules} - before
+print(json.dumps({"codes": codes, "foreign": sorted(loaded - allowed)}))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_commands_load_only_the_stdlib_and_numpy(self, tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES, str(SCENARIO_DIR),
+             str(tmp_path / "out.csv")],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env={**os.environ,
+                 "PYTHONPATH": str(SCENARIO_DIR.parent / "src")})
+        assert done.returncode == 0, done.stderr
+        record = json.loads(done.stdout.splitlines()[-1])
+        assert record == {"codes": [0] * 7, "foreign": []}

@@ -43,6 +43,8 @@ class TestSupplies:
             firm_supply(two_firm_spec(), q, 3)
         with pytest.raises(ValueError, match="unknown market index 0"):
             market_supply(two_firm_spec(), q, 0)
+        with pytest.raises(ValueError, match="unknown firm index 3"):
+            profit(two_firm_spec(), q, 3)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length 3"):

@@ -41,6 +41,11 @@ class TestValidate:
         spec = NetworkSpec(2, 1, ((2, 1),), alpha=(1, 1), beta=(1, 1),
                            gamma=(1,))
         assert any("market 1" in p for p in validate(spec))
+        # As many edges as markets: the unused market is found by the
+        # per-market pass, not the count check.
+        spec = NetworkSpec(2, 2, ((1, 1), (1, 2)), alpha=(1, 1), beta=(1, 1),
+                           gamma=(1, 1))
+        assert validate(spec) == ["market 2 appears in no edge"]
 
     def test_duplicate_edge(self):
         spec = NetworkSpec(1, 1, ((1, 1), (1, 1)), alpha=(1,), beta=(1,),
@@ -51,6 +56,9 @@ class TestValidate:
         spec = NetworkSpec(1, 1, ((1, 1), (2, 1)), alpha=(1,), beta=(1,),
                            gamma=(1,))
         assert any("unknown market 2" in p for p in validate(spec))
+        spec = NetworkSpec(1, 2, ((1, 1), (1, 3)), alpha=(1,), beta=(1,),
+                           gamma=(1, 1))
+        assert "edge (1,3) references unknown firm 3" in validate(spec)
 
     def test_wrong_parameter_length(self):
         spec = NetworkSpec(2, 1, ((1, 1), (2, 1)), alpha=(1,), beta=(1, 1),
@@ -60,6 +68,9 @@ class TestValidate:
     def test_nonpositive_counts(self):
         spec = NetworkSpec(0, 1, (), alpha=(), beta=(), gamma=(1,))
         assert any("market_count" in p for p in validate(spec))
+        spec = NetworkSpec(1, 0, (), alpha=(1,), beta=(1,), gamma=())
+        assert validate(spec) == ["firm_count must be a positive integer, "
+                                  "got 0"]
 
     def test_nan_gamma_rejected(self):
         spec = NetworkSpec(1, 1, ((1, 1),), alpha=(1,), beta=(1,),
@@ -350,6 +361,9 @@ class TestMatrixFreeOperator:
             AffineSystem(np.ones(3), np.eye(3), structure=sys.structure)
         with pytest.raises(ValueError, match="constant has length"):
             AffineSystem(np.ones(4), structure=sys.structure)
+        with pytest.raises(ValueError,
+                           match=r"matrix must be square, got shape \(2, 3\)"):
+            AffineSystem(np.ones(2), np.ones((2, 3)))
 
 
 class TestDerivedOncePerSpec:

@@ -335,6 +335,8 @@ class TestRunSpatial:
         state = PopulationState.from_strategies(graph, (C, C, D, C))
         series = run_spatial(state, CLASSIC, 0)
         assert series == [0.75]
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            run_spatial(state, CLASSIC, -1)
 
     def test_all_defect_stays_at_zero(self):
         series = run_spatial(all_defect(cycle_graph(5)), CLASSIC, 10)
@@ -410,6 +412,20 @@ class TestRunSpatial:
         assert calls == [36] * fixed
         assert fixed < 9
         assert series == want
+
+    def test_fixed_point_tail_is_one_reference_per_step(self):
+        # The tail after a fixed point is the list's own growth, 8 bytes
+        # a step, with no temporary list of the tail beside it.
+        steps = 10 ** 6
+        state = all_defect(complete_graph(3))
+        tracemalloc.start()
+        try:
+            series = run_spatial(state, CLASSIC, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == steps + 1 and set(series) == {0.0}
+        assert peak < 12 * steps
 
 
 def plain_stepping(state: PopulationState, m: PayoffMatrix,
@@ -542,6 +558,8 @@ class TestGraphBuilders:
         g = complete_graph(4)
         assert len(g.edges) == 6
         assert g.neighbors[0] == (1, 2, 3)
+        with pytest.raises(ValueError, match="player_count must be at least 1"):
+            complete_graph(0)
 
     def test_cycle(self):
         g = cycle_graph(5)
@@ -555,6 +573,8 @@ class TestGraphBuilders:
         assert g.player_count == 20
         assert len(g.edges) == 40
         assert all(len(ns) == 4 for ns in g.neighbors)
+        with pytest.raises(ValueError, match="at least 1"):
+            torus_graph(0, 1)
 
     def test_torus_small_dimensions_stay_simple(self):
         g = torus_graph(2, 2)
@@ -568,6 +588,10 @@ class TestGraphBuilders:
             player_graph(3, [(0, 1), (1, 0)])
         with pytest.raises(ValueError, match="out of range"):
             player_graph(2, [(0, 2)])
+        with pytest.raises(ValueError, match="player_count must be at least 1"):
+            player_graph(0, [])
+        with pytest.raises(ValueError, match=r"\(a, b\) pairs, got shape \(1, 3\)"):
+            player_graph(3, np.array([[0, 1, 2]]))
 
     def test_population_builders(self):
         graph = cycle_graph(4)
@@ -577,6 +601,8 @@ class TestGraphBuilders:
         assert lone.strategies == (D, C, C, C)
         assert random_population(graph, 0.0, seed=1).strategies == (D,) * 4
         assert random_population(graph, 1.0, seed=1).strategies == (C,) * 4
+        with pytest.raises(ValueError, match=r"in \[0, 1\], got 1.5"):
+            random_population(graph, 1.5, seed=1)
 
     def test_population_length_checked(self):
         with pytest.raises(ValueError, match="expected 4 strategies"):

@@ -227,6 +227,8 @@ class TestSymmetricClosedForm:
     def test_asymmetric_parameters_rejected(self):
         with pytest.raises(ValueError, match="r1 == r2"):
             symmetric_equilibrium(CanonicalParams(1, 1.5, 2, 0, 0))
+        with pytest.raises(ValueError, match="requires r1 > 0, got 0"):
+            symmetric_conditions(CanonicalParams(0, 0, 2, 0, 0))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(NoUniqueEquilibriumError):
@@ -552,14 +554,36 @@ class TestNetworkRoute:
             mu = np.linalg.eigvalsh(_dense_h(spec))
             assert abs(analyze(to_affine(spec)).eigen_margin + mu[0]) <= 1e-12 * mu[0]
 
+    @staticmethod
+    def _tiny_beta_specs(beta1: float):
+        """The S route (3 edges, k = 4) and the Woodbury route (a complete
+        2 x 3 network, 6 edges, k = 5) with beta_1 = ``beta1``."""
+        from cournotgraph import NetworkSpec
+        return (two_firms_two_markets(1, 1, beta1, 0.3, 0.1, 0.4),
+                NetworkSpec(2, 3, tuple((i, j) for i in (1, 2) for j in (1, 2, 3)),
+                            (1.0, 1.0), (beta1, 0.3), (0.1, 0.4, 0.5)))
+
     def test_tiny_beta_is_refined_to_the_dense_solve(self):
         # beta_1 = 1e-11 puts 1e11 into D^-1; S itself is well conditioned.
+        # On the Woodbury route the first solve misses c by 6.1e-6 (beta_1
+        # = 1e-11) down to 3.9e-10 (1e-7), so refinement has to run.
         for beta1 in (1e-11, 1e-9, 1e-7):
-            spec = two_firms_two_markets(1, 1, beta1, 0.3, 0.1, 0.4)
-            c, a = to_affine_by_loop(spec)
-            want = np.linalg.solve(a, c)
-            got = equilibrium(to_affine(spec))
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+            for spec in self._tiny_beta_specs(beta1):
+                c, a = to_affine_by_loop(spec)
+                want = np.linalg.solve(a, c)
+                got = equilibrium(to_affine(spec))
+                assert (np.max(np.abs(got - want))
+                        <= 1e-10 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("beta1", [1e-11, 1e-9, 1e-7])
+    def test_unrefined_residual_is_no_equilibrium(self, beta1, monkeypatch):
+        from cournotgraph import stability
+        monkeypatch.setattr(stability, "_REFINE_STEPS", 0)
+        woodbury = self._tiny_beta_specs(beta1)[1]
+        with pytest.raises(NoUniqueEquilibriumError,
+                           match="^no unique equilibrium: solve residual "
+                                 ".* too large$"):
+            equilibrium(to_affine(woodbury))
 
     def test_badly_conditioned_network_gets_no_equilibrium(self):
         from cournotgraph import NetworkSpec
