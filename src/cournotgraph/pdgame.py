@@ -39,10 +39,9 @@ player's cooperating neighbors down the table rows, scores every player
 at once, and takes the first maximum down each column as the one
 maximum of the key total * width + (width - 1 - row). A
 :class:`PopulationState` holds one read-only bool array, True where the
-player cooperates. The tuple views ``PlayerGraph.edges``,
-``PlayerGraph.neighbors`` and ``PopulationState.strategies`` are derived
-on first use, for tests and callers; building a graph and running the
-dynamics never make them.
+player cooperates. The one tuple view, ``PlayerGraph.neighbors``, is
+derived on first use and kept for the benchmark's tracer; building a
+graph and running the dynamics never make it.
 
 The dynamics are deterministic, so once a step returns the state it was
 given (a fixed point), every later state is that one: ``run_spatial``
@@ -139,11 +138,6 @@ class PlayerGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "ends", _frozen(self.ends, np.int32))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The rows of ``ends`` as tuples."""
-        return tuple(map(tuple, self.ends.tolist()))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -330,11 +324,6 @@ class PopulationState:
         if bad:
             raise ValueError(f"strategies must be 'C' or 'D', got {sorted(bad)}")
         return cls(graph, [s == C for s in strategies])
-
-    @cached_property
-    def strategies(self) -> tuple[Strategy, ...]:
-        """'C' or 'D' per player, derived from ``cooperates``."""
-        return tuple(np.where(self.cooperates, C, D).tolist())
 
     def cooperation_fraction(self) -> float:
         return int(np.count_nonzero(self.cooperates)) / self.graph.player_count

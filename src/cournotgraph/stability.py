@@ -143,7 +143,6 @@ class StabilityReport:
 
     equilibrium: np.ndarray
     char_coeffs: tuple[float, ...] | None  # None: past the dense limit
-    hurwitz_pass: bool | None            # None unless the system is cubic
     closed_form: tuple[float, float, float] | None  # r-formula coefficients
     eigen_margin: float
     verdict: Stability
@@ -320,16 +319,15 @@ def _hurwitz_checks(a1: float, a2: float, a3: float):
 
 
 def verdict_of(margin: float) -> Stability:
-    """STABLE below -MARGIN_EPS, UNSTABLE above MARGIN_EPS, else MARGINAL."""
-    if margin < -MARGIN_EPS:
-        return Stability.STABLE
-    if margin > MARGIN_EPS:
-        return Stability.UNSTABLE
-    return Stability.MARGINAL
+    """The verdict of one margin, read from ``verdict_codes``: STABLE
+    below -MARGIN_EPS, UNSTABLE above MARGIN_EPS, else MARGINAL. A NaN
+    margin has no verdict (ValueError)."""
+    return Stability(VERDICTS[int(verdict_codes(np.float64(margin)))])
 
 
 def verdict_codes(margins: np.ndarray) -> np.ndarray:
-    """``verdict_of`` of each margin as a code into ``VERDICTS``, and
+    """The verdict of each margin as a code into ``VERDICTS``: STABLE
+    below -MARGIN_EPS, UNSTABLE above MARGIN_EPS, else MARGINAL, and
     ERROR for a NaN margin (no unique equilibrium)."""
     codes = np.full(margins.shape, VERDICTS.index("MARGINAL"), np.uint8)
     codes[margins < -MARGIN_EPS] = VERDICTS.index("STABLE")
@@ -504,9 +502,9 @@ def symmetric_conditions(r: CanonicalParams) -> bool:
 
 def analyze(sys: AffineSystem,
             r: CanonicalParams | None = None) -> StabilityReport:
-    """Bundle equilibrium, characteristic coefficients, Routh-Hurwitz
-    (cubic systems only), eigenvalue margin and the verdict; for
-    canonical systems pass r to include the closed-form coefficients."""
+    """Bundle equilibrium, characteristic coefficients, eigenvalue margin
+    and the verdict (Routh-Hurwitz reads the coefficients of a cubic);
+    for canonical systems pass r to include the closed-form coefficients."""
     eq = equilibrium(sys)
     eigvals, margin = _system_spectrum(sys)
     route = ""
@@ -526,10 +524,7 @@ def analyze(sys: AffineSystem,
         if not all(np.isfinite(coeffs)):
             coeffs = ()
             route = "coefficients from the eigenvalues are not finite, none printed"
-    hurwitz = (routh_hurwitz_cubic(*coeffs)
-               if coeffs is not None and len(coeffs) == 3 else None)
     return StabilityReport(equilibrium=eq, char_coeffs=coeffs,
-                           hurwitz_pass=hurwitz,
                            closed_form=closed_form_coeffs(r) if r is not None else None,
                            eigen_margin=float(margin),
                            verdict=verdict_of(margin),

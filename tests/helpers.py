@@ -223,6 +223,16 @@ def trajectory_csv_by_value(trajectory, names, thin: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
+def pairs(graph) -> tuple[tuple[int, int], ...]:
+    """A player graph's ``ends`` rows as (lower, higher) tuples."""
+    return tuple(map(tuple, graph.ends.tolist()))
+
+
+def letters(state) -> tuple[str, ...]:
+    """'C' or 'D' per player of a population state."""
+    return tuple(C if c else D for c in state.cooperates.tolist())
+
+
 def player_graph_by_loop(player_count: int, edges) -> tuple[tuple[int, int], ...]:
     """The sorted (lower, higher) edges of a player graph, validated pair
     by pair with a set of the pairs seen so far; raises the library's

@@ -31,7 +31,8 @@ from cournotgraph import (CanonicalParams, Outcome, PayoffMatrix, Stability,
                           run_spatial, symmetric_conditions,
                           symmetric_equilibrium, torus_graph)
 from cournotgraph.pdgame import C, D
-from helpers import central_difference, random_canonical, random_network_spec
+from helpers import (central_difference, letters, random_canonical,
+                     random_network_spec)
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
 UNSTABLE = CanonicalParams(0.01, 0.1, 1.1, -0.3, 0.4)
@@ -73,16 +74,48 @@ def test_criterion_01_reference_equilibrium_and_verdict():
         assert elapsed < 0.1
 
 
+def rk4_by_numpy(a: np.ndarray, c: np.ndarray, q: np.ndarray, dt: float,
+                 steps: int) -> np.ndarray:
+    """The classical rk4 arithmetic on dq/dt = c - A q, written out with
+    numpy alone: the timing reference of criterion 2."""
+    for _ in range(steps):
+        k1 = c - a @ q
+        k2 = c - a @ (q + 0.5 * dt * k1)
+        k3 = c - a @ (q + 0.5 * dt * k2)
+        k4 = c - a @ (q + dt * k3)
+        q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return q
+
+
+# The package's 20 000 rk4 steps over the field take at most this many
+# times the reference loop's (best of three runs each, taken in turn, so
+# host load falls on both). On a 2-core x86-64 host the package read
+# 1.05-1.24 times the loop alone and up to 1.46 beside two more such
+# runs; an integrator that evaluates the field twice per stage read
+# 1.8-2.1.
+CRITERION_02_RATIO = 1.6
+
+
 def test_criterion_02_stable_trajectory_reaches_equilibrium():
-    with criterion(2, "trajectory from (0.1,0.2,0.3) lands on equilibrium, <1s"):
+    with criterion(2, "trajectory from (0.1,0.2,0.3) lands on equilibrium, "
+                      f"<{CRITERION_02_RATIO}x a numpy rk4 loop"):
         system = canonical_affine(STABLE)
-        start = time.perf_counter()
-        trajectory = integrate(system.field_at, Q0, t_end=200.0, dt=0.01,
-                               method="rk4")
-        elapsed = time.perf_counter() - start
-        final = trajectory.states[-1]
+        r1, r2, r3, r4, r5 = STABLE.as_tuple()
+        a = np.array([[r1, 0.0, 1.0], [0.0, r2, 1.0], [r4, r5, r3]])
+        c = np.ones(3)
+        package, reference = [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            trajectory = integrate(system.field_at, Q0, t_end=200.0,
+                                   dt=0.01, method="rk4")
+            package.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            final = rk4_by_numpy(a, c, Q0, 0.01, 20_000)
+            reference.append(time.perf_counter() - start)
+        assert len(trajectory.states) == 20_001
+        assert np.array_equal(trajectory.states[-1], final)
         assert np.all(np.abs(final - REFERENCE_EQUILIBRIUM) < 1e-4)
-        assert elapsed < 1.0
+        assert min(package) < CRITERION_02_RATIO * min(reference)
 
 
 def test_criterion_03_unstable_case_detected_by_all_routes():
@@ -223,7 +256,7 @@ def test_criterion_09_lattice_cooperation_survives():
         assert series[-1] == pytest.approx(331 / 441)
 
         for state in (all_cooperate(graph), all_defect(graph)):
-            assert imitation_step(state, m).strategies == state.strategies
+            assert letters(imitation_step(state, m)) == letters(state)
 
         k6 = complete_graph(6)
         for bits in itertools.product((C, D), repeat=6):
@@ -232,9 +265,9 @@ def test_criterion_09_lattice_cooperation_survives():
             state = PopulationState.from_strategies(k6, bits)
             for _ in range(6):
                 state = imitation_step(state, m)
-                if C not in state.strategies:
+                if C not in letters(state):
                     break
-            assert C not in state.strategies
+            assert C not in letters(state)
 
 
 def _run_cli(args, cwd: Path) -> subprocess.CompletedProcess:

@@ -211,6 +211,15 @@ class TestIntegrate:
         assert Trajectory(traj.times, traj.states, "rk4", 1.0).states \
             is traj.states
 
+    @pytest.mark.parametrize("times, states", [
+        (np.array([0.0, 1.0]), np.zeros((1, 1))),
+        (np.array([0.0]), np.zeros((2, 1))),
+        (np.zeros(0), np.zeros((0, 1)))])
+    def test_trajectory_refuses_unequal_or_empty_arrays(self, times, states):
+        with pytest.raises(ValueError, match=re.escape(
+                "times and states must have equal length >= 1")):
+            Trajectory(times, states, "rk4", 1.0)
+
     def test_integrate_hands_its_states_over_uncopied(self, monkeypatch):
         from cournotgraph import dynamics
         handed = []

@@ -16,7 +16,7 @@ from cournotgraph import (PayoffMatrix, PlayerGraph, PopulationState,
 from cournotgraph import pdgame
 from cournotgraph.pdgame import C, D
 from helpers import (closed_neighborhoods_by_loop, complete_edges_by_loop,
-                     cycle_edges_by_loop, player_graph_by_loop,
+                     cycle_edges_by_loop, letters, pairs, player_graph_by_loop,
                      random_strategies_by_loop, torus_edges_by_loop)
 
 CLASSIC = PayoffMatrix(R=3, S=0, T=5, U=1)
@@ -138,23 +138,24 @@ def brute_force_step(state: PopulationState, m: PayoffMatrix) -> tuple[str, ...]
     structured differently from the library (pairwise accumulation of
     exact rational totals, so summation order cannot decide a tie)."""
     n = state.graph.player_count
-    adjacency = {tuple(sorted(e)) for e in state.graph.edges}
+    adjacency = set(pairs(state.graph))
+    strategies = letters(state)
     totals = [Fraction(0)] * n
     for a in range(n):
         for b in range(n):
             if a != b and (min(a, b), max(a, b)) in adjacency:
-                totals[a] += Fraction(payoffs(m, state.strategies[a],
-                                              state.strategies[b])[0])
+                totals[a] += Fraction(payoffs(m, strategies[a],
+                                              strategies[b])[0])
     updated = []
     for p in range(n):
         closed = [p] + [q for q in range(n)
                         if (min(p, q), max(p, q)) in adjacency]
         best = max(totals[q] for q in closed)
         if totals[p] == best:
-            updated.append(state.strategies[p])
+            updated.append(strategies[p])
         else:
             winner = min(q for q in closed if totals[q] == best)
-            updated.append(state.strategies[winner])
+            updated.append(strategies[winner])
     return tuple(updated)
 
 
@@ -165,14 +166,14 @@ class TestImitationDynamics:
         for graph in graphs:
             m = random_dilemma(rng)
             for state in (all_cooperate(graph), all_defect(graph)):
-                assert imitation_step(state, m).strategies == state.strategies
+                assert letters(imitation_step(state, m)) == letters(state)
 
     def test_triangle_lone_cooperator_converts(self):
         # C scores 0 against two defectors; each D scores 5 + 1 = 6.
         graph = complete_graph(3)
         state = PopulationState.from_strategies(graph, (C, D, D))
         assert scores(state, CLASSIC) == [0.0, 6.0, 6.0]
-        assert imitation_step(state, CLASSIC).strategies == (D, D, D)
+        assert letters(imitation_step(state, CLASSIC)) == (D, D, D)
 
     def test_matches_brute_force_oracle_on_random_states(self):
         rng = np.random.default_rng(37)
@@ -186,16 +187,16 @@ class TestImitationDynamics:
                 m = random_dilemma(rng)
                 state = random_population(graph, rng.uniform(0.2, 0.8),
                                           seed=int(rng.integers(1 << 30)))
-                assert imitation_step(state, m).strategies == \
+                assert letters(imitation_step(state, m)) == \
                     brute_force_step(state, m)
         # Float sums in neighbor order split ties here that exact totals keep.
         torus = torus_graph(5, 5)
         state = random_population(torus, 0.6, seed=1)
         m = PayoffMatrix(R=0.2, S=0.05, T=0.3, U=0.1)
-        assert imitation_step(state, m).strategies == brute_force_step(state, m)
+        assert letters(imitation_step(state, m)) == brute_force_step(state, m)
         # Payoffs 500 binades apart overflow int64 once scaled to integers.
         m = PayoffMatrix(R=1e200, S=-1e-200, T=2e200, U=1e-300)
-        assert imitation_step(state, m).strategies == brute_force_step(state, m)
+        assert letters(imitation_step(state, m)) == brute_force_step(state, m)
 
     def test_well_mixed_mixed_states_collapse_to_defection(self):
         # Exhaustive over all initial states on complete graphs up to 12
@@ -213,11 +214,11 @@ class TestImitationDynamics:
                 for _ in range(n):
                     stepped = imitation_step(state, m)
                     if n <= 6:
-                        assert stepped.strategies == brute_force_step(state, m)
+                        assert letters(stepped) == brute_force_step(state, m)
                     state = stepped
-                    if C not in state.strategies:
+                    if C not in letters(state):
                         break
-                assert C not in state.strategies
+                assert C not in letters(state)
 
     def test_tie_break_keeps_current_strategy(self):
         # S == T makes every score tie, so nobody moves.
@@ -225,7 +226,7 @@ class TestImitationDynamics:
         state = PopulationState.from_strategies(graph, (C, D, C, D))
         m = PayoffMatrix(R=3, S=2, T=2, U=1)
         assert scores(state, m) == [4.0, 4.0, 4.0, 4.0]
-        assert imitation_step(state, m).strategies == (C, D, C, D)
+        assert letters(imitation_step(state, m)) == (C, D, C, D)
 
     def test_tie_break_lowest_index_among_neighbors(self):
         # R == T makes the two leaves tie above the center, which then
@@ -234,9 +235,9 @@ class TestImitationDynamics:
         m = PayoffMatrix(R=4, S=-1, T=4, U=1)
         state = PopulationState.from_strategies(graph, (C, C, D))
         assert scores(state, m) == [3.0, 4.0, 4.0]
-        assert imitation_step(state, m).strategies[0] == C
+        assert letters(imitation_step(state, m))[0] == C
         swapped = PopulationState.from_strategies(graph, (C, D, C))
-        assert imitation_step(swapped, m).strategies[0] == D
+        assert letters(imitation_step(swapped, m))[0] == D
 
     def test_exact_totals_decide_what_floats_tie(self):
         # Player 0 (D; D, D, C, C neighbors) and player 1 (C; four C
@@ -250,7 +251,7 @@ class TestImitationDynamics:
         assert 0.3 * 2 + 0.1 * 2 == 0.2 * 4 == 0.1 + 0.1 + 0.3 + 0.3
         assert 4 * Fraction(0.2) > 2 * Fraction(0.3) + 2 * Fraction(0.1)
         assert scores(state, m)[:2] == [0.8, 0.8]
-        stepped = imitation_step(state, m).strategies
+        stepped = letters(imitation_step(state, m))
         assert stepped == brute_force_step(state, m)
         assert stepped == (D, C, D, D, C, D, C, C, C)
 
@@ -261,8 +262,9 @@ class TestImitationDynamics:
             m = random_dilemma(rng)
             state = random_population(graph, 0.5, seed=int(rng.integers(1 << 30)))
             exact = [0] * graph.player_count
-            for a, b in graph.edges:
-                pa, pb = payoffs(m, state.strategies[a], state.strategies[b])
+            strategies = letters(state)
+            for a, b in pairs(graph):
+                pa, pb = payoffs(m, strategies[a], strategies[b])
                 exact[a] += Fraction(pa)
                 exact[b] += Fraction(pb)
             got = scores(state, m)
@@ -298,8 +300,8 @@ class TestImitationDynamics:
         assert peak < 100 * len(members)
         # The center scores 5 per cooperating leaf, more than any leaf, so
         # as a defector it converts every leaf.
-        center_d = PopulationState.from_strategies(graph, (D,) + state.strategies[1:])
-        assert imitation_step(center_d, CLASSIC).strategies == (D,) * n
+        center_d = PopulationState.from_strategies(graph, (D,) + letters(state)[1:])
+        assert letters(imitation_step(center_d, CLASSIC)) == (D,) * n
 
     def test_matches_brute_force_on_graphs_of_several_tables(self):
         # Closed sizes spread over several binades: a star, a skewed
@@ -325,7 +327,7 @@ class TestImitationDynamics:
                 m = huge if trial % 4 == 0 else random_dilemma(rng)
                 state = random_population(graph, rng.uniform(0.2, 0.8),
                                           seed=int(rng.integers(1 << 30)))
-                assert imitation_step(state, m).strategies == \
+                assert letters(imitation_step(state, m)) == \
                     brute_force_step(state, m)
 
 
@@ -373,8 +375,8 @@ class TestRunSpatial:
         # before it or earlier; runs that end in a 2-cycle, which are
         # stepped to the end; and runs that do not repeat.
         if case == "blinker":
-            graph, m, letters = self.BLINKER
-            state = PopulationState.from_strategies(graph, letters)
+            graph, m, word = self.BLINKER
+            state = PopulationState.from_strategies(graph, word)
         else:
             side, seed = case
             m = PayoffMatrix(R=3, S=0, T=3.5, U=0.5)
@@ -479,17 +481,17 @@ class TestGraphBuilders:
         errors = set()
         for _ in range(600):
             n = int(rng.integers(1, 9))
-            pairs = random_edge_list(rng, n)
+            given = random_edge_list(rng, n)
             try:
-                want = player_graph_by_loop(n, pairs)
+                want = player_graph_by_loop(n, given)
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
-                    player_graph(n, pairs)
+                    player_graph(n, given)
                 assert str(got.value) == str(exc)
                 errors.add(str(exc).split()[0])
                 continue
-            graph = player_graph(n, pairs)
-            assert graph.edges == want
+            graph = player_graph(n, given)
+            assert pairs(graph) == want
             assert table_runs(graph) == closed_neighborhoods_by_loop(n, want)
         assert errors == {"self-loop", "edge", "duplicate"}
 
@@ -503,7 +505,7 @@ class TestGraphBuilders:
         cases += [(torus_graph(7, 3), torus_edges_by_loop(7, 3)),
                   (torus_graph(12, 10), torus_edges_by_loop(12, 10))]
         for graph, want in cases:
-            assert graph.edges == want
+            assert pairs(graph) == want
             assert graph.ends.dtype == np.int32
             assert not graph.ends.flags.writeable
             flat, runs = closed_neighborhoods_by_loop(graph.player_count, want)
@@ -531,7 +533,7 @@ class TestGraphBuilders:
             for n in (1, 5, 1000):
                 graph = player_graph(n, [])
                 for fraction in (0.0, 0.3, 0.5, 1.0):
-                    assert random_population(graph, fraction, seed).strategies \
+                    assert letters(random_population(graph, fraction, seed)) \
                         == random_strategies_by_loop(n, fraction, seed)
 
     def test_state_is_a_read_only_bool_array(self):
@@ -542,7 +544,7 @@ class TestGraphBuilders:
         assert mine.flags.writeable
         assert state.cooperates.tolist() == [True, False, True, True]
         assert not state.cooperates.flags.writeable
-        assert state.strategies == (C, D, C, C)
+        assert letters(state) == (C, D, C, C)
         assert type(state.cooperation_fraction()) is float
         stepped = imitation_step(state, CLASSIC)
         assert not stepped.cooperates.flags.writeable
@@ -556,14 +558,14 @@ class TestGraphBuilders:
 
     def test_complete(self):
         g = complete_graph(4)
-        assert len(g.edges) == 6
+        assert len(pairs(g)) == 6
         assert g.neighbors[0] == (1, 2, 3)
         with pytest.raises(ValueError, match="player_count must be at least 1"):
             complete_graph(0)
 
     def test_cycle(self):
         g = cycle_graph(5)
-        assert len(g.edges) == 5
+        assert len(pairs(g)) == 5
         assert all(len(ns) == 2 for ns in g.neighbors)
         with pytest.raises(ValueError, match="at least 3"):
             cycle_graph(2)
@@ -571,15 +573,15 @@ class TestGraphBuilders:
     def test_torus_regular(self):
         g = torus_graph(5, 4)
         assert g.player_count == 20
-        assert len(g.edges) == 40
+        assert len(pairs(g)) == 40
         assert all(len(ns) == 4 for ns in g.neighbors)
         with pytest.raises(ValueError, match="at least 1"):
             torus_graph(0, 1)
 
     def test_torus_small_dimensions_stay_simple(self):
         g = torus_graph(2, 2)
-        assert len(g.edges) == len(set(g.edges)) == 4
-        assert all(a != b for a, b in g.edges)
+        assert len(pairs(g)) == len(set(pairs(g))) == 4
+        assert all(a != b for a, b in pairs(g))
 
     def test_explicit_edges_validation(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -598,9 +600,9 @@ class TestGraphBuilders:
         assert all_cooperate(graph).cooperation_fraction() == 1.0
         assert all_defect(graph).cooperation_fraction() == 0.0
         lone = single_defector(graph)
-        assert lone.strategies == (D, C, C, C)
-        assert random_population(graph, 0.0, seed=1).strategies == (D,) * 4
-        assert random_population(graph, 1.0, seed=1).strategies == (C,) * 4
+        assert letters(lone) == (D, C, C, C)
+        assert letters(random_population(graph, 0.0, seed=1)) == (D,) * 4
+        assert letters(random_population(graph, 1.0, seed=1)) == (C,) * 4
         with pytest.raises(ValueError, match=r"in \[0, 1\], got 1.5"):
             random_population(graph, 1.5, seed=1)
 

@@ -12,6 +12,7 @@ from cournotgraph import (CanonicalScenario, NetworkScenario, PDScenario,
 from cournotgraph.pdgame import (all_cooperate, all_defect, complete_graph,
                                  cycle_graph, player_graph, random_population,
                                  single_defector, torus_graph)
+from helpers import letters
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -72,7 +73,7 @@ class TestParse:
                             "init = all_c\nsteps = 5\n")
         assert sc.graph == ("edges", ((0, 1), (1, 2)))
         assert sc.build_graph().player_count == 3
-        assert sc.build_population(sc.build_graph()).strategies == ("C",) * 3
+        assert letters(sc.build_population(sc.build_graph())) == ("C",) * 3
 
     def test_comments_and_blank_lines_ignored(self):
         noisy = "\n# leading comment\n[canonical]\nr = 1,1,2,0,0  # inline\n\nq0 = 0,0,0\n"

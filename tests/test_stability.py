@@ -263,14 +263,14 @@ class TestAnalyze:
     def test_unstable_reference(self):
         report = analyze(canonical_affine(UNSTABLE), UNSTABLE)
         assert report.verdict is Stability.UNSTABLE
-        assert report.hurwitz_pass is False
+        assert routh_hurwitz_cubic(*report.char_coeffs) is False
         assert report.eigen_margin > 0
         assert report.closed_form[2] == pytest.approx(-0.0359, rel=1e-10)
 
     def test_stable_reference(self):
         report = analyze(canonical_affine(STABLE), STABLE)
         assert report.verdict is Stability.STABLE
-        assert report.hurwitz_pass is True
+        assert routh_hurwitz_cubic(*report.char_coeffs) is True
         assert np.allclose(report.equilibrium, STABLE_EQUILIBRIUM, atol=1e-5)
 
     def test_identity_is_stable(self):
@@ -289,11 +289,13 @@ class TestAnalyze:
         margins = np.array([-np.inf, -1.0, np.nextafter(-eps, -1), -eps,
                             -0.0, 0.0, eps, np.nextafter(eps, 1), 1.0,
                             np.inf, np.nan])
+        want = ["STABLE"] * 3 + ["MARGINAL"] * 4 + ["UNSTABLE"] * 3
         labels = [VERDICTS[code] for code in verdict_codes(margins)]
-        assert labels[-1] == "ERROR"
-        assert labels[:-1] == [verdict_of(m).value for m in margins[:-1]]
-        assert labels[1:9] == (["STABLE"] * 2 + ["MARGINAL"] * 4
-                               + ["UNSTABLE"] * 2)
+        assert labels == want + ["ERROR"]
+        assert [verdict_of(m).value for m in margins[:-1]] == want
+        # A NaN margin has no verdict: the sweep's ERROR is not a Stability.
+        with pytest.raises(ValueError):
+            verdict_of(np.nan)
 
     def test_hurwitz_agrees_with_verdict_away_from_margin(self):
         rng = np.random.default_rng(20)
@@ -306,7 +308,8 @@ class TestAnalyze:
                 continue
             if abs(report.eigen_margin) <= 1e-6:
                 continue
-            assert report.hurwitz_pass == (report.verdict is Stability.STABLE)
+            assert routh_hurwitz_cubic(*report.char_coeffs) == \
+                (report.verdict is Stability.STABLE)
 
     def test_network_system_of_other_dimension(self):
         spec = two_firms_two_markets(1, 1, 0.2, 0.3, 0.1, 0.4)
