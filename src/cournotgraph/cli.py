@@ -111,7 +111,7 @@ def cmd_pd(args) -> int:
     fractions = run_spatial(population, scenario.payoff, scenario.steps)
     with _output(args.out) as out:
         pd_series_csv(fractions, out)
-    sys.stdout.write(f"players: {graph.player_count}, edges: {len(graph.ends)}, "
+    sys.stdout.write(f"players: {graph.player_count}, edges: {graph.degrees.sum() // 2}, "
                      f"steps: {scenario.steps}\n")
     sys.stdout.write(f"initial cooperation fraction: {fractions[0]!r}\n")
     sys.stdout.write(f"final cooperation fraction: {fractions[-1]!r}\n")

@@ -126,111 +126,120 @@ def min_side_payment(m: PayoffMatrix) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PlayerGraph:
-    """Simple undirected graph over players 0..player_count-1.
+    """Simple undirected graph over players 0..player_count-1, held as
+    each player's neighbor count and closed neighborhood.
 
-    ``ends`` is a read-only (edges, 2) int32 array with one row (lower,
-    higher) per edge, rows in ascending order, held by the rule of
-    ``network._frozen``. The builders below make it; the edges of a
-    PlayerGraph constructed directly are not checked."""
+    ``degrees`` is an intp array of the neighbor counts.
+    ``closed_neighborhoods`` holds every player's closed neighborhood --
+    the player itself, then its neighbors in ascending order -- as
+    padded tables, one ``(ids, table)`` pair per group of players whose
+    closed sizes share a ceiling of log2. ``table`` is a (width,
+    len(ids)) intp array, width the group's largest closed size; column
+    j holds player ids[j]'s run, then pads of the sentinel index
+    ``player_count``. The pads take fewer entries than the runs, so the
+    tables hold under 2 (players + 2 edges) entries. Players ascend
+    within a group, groups ascend in size. The builders below make all
+    of it read-only; a PlayerGraph constructed directly is not
+    checked."""
 
-    player_count: int
-    ends: np.ndarray
+    degrees: np.ndarray
+    closed_neighborhoods: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "ends", _frozen(self.ends, np.int32))
+    @property
+    def player_count(self) -> int:
+        return self.degrees.size
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """A read-only (edges, 2) int32 array with one row (lower,
+        higher) per edge, rows in ascending order, read off the tables
+        on first use."""
+        n = self.player_count
+        parts = []
+        for ids, table in self.closed_neighborhoods:
+            runs = table[1:]
+            player, row = np.nonzero(((ids < runs) & (runs < n)).T)
+            parts.append(np.stack((ids[player], runs[row, player]), axis=1))
+        ends = np.concatenate(parts)
+        return _frozen(ends[np.argsort(ends[:, 0], kind="stable")], np.int32)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each player's neighbors in ascending order."""
         runs: list[tuple[int, ...]] = [()] * self.player_count
-        degrees = self._degrees.tolist()
+        degrees = self.degrees.tolist()
         for ids, table in self.closed_neighborhoods:
             for p, column in zip(ids.tolist(), table[1:].T.tolist()):
                 runs[p] = tuple(column[:degrees[p]])
         return tuple(runs)
 
     @cached_property
-    def _degrees(self) -> np.ndarray:
-        """Each player's neighbor count, then a 0 for the sentinel player
-        ``player_count`` of ``closed_neighborhoods``: a read-only intp
-        array of player_count + 1 entries."""
-        n = self.player_count
-        low, high = self.ends.T
-        degrees = np.bincount(low, minlength=n + 1)
-        degrees += np.bincount(high, minlength=n + 1)
-        degrees.setflags(write=False)
-        return degrees
-
-    @cached_property
     def _max_degree(self) -> int:
         """The largest degree, which bounds every total and key."""
-        return int(self._degrees.max())
-
-    @cached_property
-    def closed_neighborhoods(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Every player's closed neighborhood -- the player itself, then
-        its neighbors in ascending order -- as padded tables, one
-        ``(ids, table)`` pair per group of players whose closed sizes
-        share a ceiling of log2. ``table`` is a (width, len(ids)) intp
-        array, width the group's largest closed size; column j holds
-        player ids[j]'s run, then pads of the sentinel index
-        ``player_count``. The pads take fewer entries than the runs, so
-        the tables hold under 2 (players + 2 edges) entries. Players
-        ascend within a group, groups ascend in size. All arrays are
-        read-only."""
-        n = self.player_count
-        size = self._degrees[:n] + 1
-        group = np.frexp(size - 1)[1]  # the bit length of size - 1
-        ids = np.argsort(group, kind="stable")
-        ids.setflags(write=False)
-        count = np.bincount(group)
-        bounds = np.cumsum(count)
-        groups, stride, base = [], np.empty(n, np.intp), np.empty(n, np.intp)
-        offset = 0
-        for key in np.flatnonzero(count):
-            stop = int(bounds[key])
-            start = stop - int(count[key])
-            members = ids[start:stop]
-            width = int(size[members].max())
-            stride[members] = stop - start
-            base[members] = offset + np.arange(stop - start)
-            groups.append((members, offset, width))
-            offset += width * (stop - start)
-        # Entry (row r, player p) lies at base[p] + r * stride[p]. Row 0 is
-        # p; then come its lower neighbors, the rows ending at p, which a
-        # stable sort by higher end keeps ascending by lower end; then its
-        # higher neighbors, the contiguous rows starting at p. Either part,
-        # laid end to end by player, puts its k-th entry in row
-        # first[p] + k - start[p] of its player p's column, start[p]
-        # counting the part's entries of the players before p.
-        entries = np.full(offset, n, np.intp)
-        entries[base] = np.arange(n)
-        low, high = self.ends.T
-        lower = np.bincount(high, minlength=n)
-        higher = size - 1 - lower
-        for count, first, member in (
-                (lower, 1, low[np.argsort(high, kind="stable")]),
-                (higher, 1 + lower, high)):
-            start = np.cumsum(count) - count
-            at = np.repeat(stride, count)
-            at *= np.arange(at.size)
-            at += np.repeat(base + (first - start) * stride, count)
-            entries[at] = member
-        entries.setflags(write=False)
-        return tuple((members, entries[offset:offset + width * len(members)]
-                      .reshape(width, len(members)))
-                     for members, offset, width in groups)
+        return int(self.degrees.max())
 
 
-def _keys(player_count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each pair as the one number lower * player_count + higher."""
-    return np.minimum(a, b) * player_count + np.maximum(a, b)
+def _graph(degrees: np.ndarray, groups) -> PlayerGraph:
+    """The graph of ``degrees`` and ``groups`` of (ids, table), which it
+    makes read-only."""
+    for values in (degrees, *itertools.chain.from_iterable(groups)):
+        values.setflags(write=False)
+    return PlayerGraph(degrees, tuple(groups))
 
 
-def _graph(player_count: int, keys: np.ndarray) -> PlayerGraph:
-    """The graph whose edges are the ascending, distinct ``keys``."""
-    ends = np.stack(np.divmod(keys, player_count), axis=1)
-    return PlayerGraph(player_count, ends)  # which makes the int32 copy
+def _table(player_count: int, degree: int) -> np.ndarray:
+    """The (degree + 1, player_count) intp table of a regular graph, row
+    0 the players; its builder writes each player's run down the rest of
+    its column."""
+    table = np.empty((degree + 1, player_count), np.intp)
+    table[0] = np.arange(player_count)
+    return table
+
+
+def _regular(table: np.ndarray) -> PlayerGraph:
+    """The graph whose one table, filled by ``_table``'s rule, is ``table``."""
+    width, n = table.shape
+    return _graph(np.full(n, width - 1), [(table[0], table)])
+
+
+def _padded(degrees: np.ndarray, runs: np.ndarray) -> PlayerGraph:
+    """The graph in which player p has degrees[p] neighbors, given in
+    ascending order by its run in ``runs``, the runs laid end to end by
+    player: a regular graph's runs are its table's rows 1.. read across,
+    and other runs are scattered into padded tables."""
+    n = degrees.size
+    degree = int(degrees[0])
+    if np.all(degrees == degree):
+        table = _table(n, degree)
+        table[1:] = runs.reshape(n, degree).T
+        return _regular(table)
+    group = np.frexp(degrees)[1]  # the bit length of the degree
+    ids = np.argsort(group, kind="stable")
+    count = np.bincount(group)
+    bounds = np.cumsum(count)
+    groups, stride, base = [], np.empty(n, np.intp), np.empty(n, np.intp)
+    offset = 0
+    for key in np.flatnonzero(count):
+        stop = int(bounds[key])
+        start = stop - int(count[key])
+        members = ids[start:stop]
+        width = int(degrees[members].max()) + 1
+        stride[members] = stop - start
+        base[members] = offset + np.arange(stop - start)
+        groups.append((members, offset, width))
+        offset += width * (stop - start)
+    # Entry (row r, player p) lies at base[p] + r * stride[p]. Row 0 is p,
+    # and the k-th entry of its run, runs[start[p] + k], is row 1 + k.
+    entries = np.full(offset, n, np.intp)
+    entries[base] = np.arange(n)
+    start = np.cumsum(degrees) - degrees
+    at = np.repeat(stride, degrees)
+    at *= np.arange(at.size)
+    at += np.repeat(base + (1 - start) * stride, degrees)
+    entries[at] = runs
+    return _graph(degrees, [(members, entries[offset:offset + width * len(members)]
+                             .reshape(width, len(members)))
+                            for members, offset, width in groups])
 
 
 def player_graph(player_count: int, edges) -> PlayerGraph:
@@ -242,19 +251,22 @@ def player_graph(player_count: int, edges) -> PlayerGraph:
         raise ValueError("player_count must be at least 1")
     ends = np.asarray(edges)
     if ends.size == 0:
-        ends = ends.reshape(0, 2)
+        ends = np.empty((0, 2), np.intp)
     if ends.ndim != 2 or ends.shape[1] != 2:
         raise ValueError(f"edges must be (a, b) pairs, got shape {ends.shape}")
-    a, b = ends.T
-    keys = _keys(player_count, a, b)
+    # Pair i is the directed pairs 2i (a, b) and 2i + 1 (b, a), keyed
+    # source * player_count + target. One stable sort of the keys lays
+    # out every player's run of targets, and puts equal keys in input
+    # order, so every later copy of a pair is marked. Keys of
+    # out-of-range pairs may collide with others, but such a pair is
+    # itself an earlier or higher-ranked fault than the copy it marks.
+    source, target = ends.ravel(), ends[:, ::-1].ravel()
+    keys = source * player_count + target
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    # A stable sort puts the first of equal keys in input order first,
-    # so every later copy is marked. Keys of out-of-range pairs may
-    # collide with others, but such a pair is itself an earlier or
-    # higher-ranked fault than the copy it marks.
-    repeat = np.zeros(keys.size, bool)
-    repeat[order[1:]] = keys[1:] == keys[:-1]
+    repeat = np.zeros(len(ends), bool)
+    repeat[order[1:][keys[1:] == keys[:-1]] // 2] = True
+    a, b = ends.T
     bad = ((a == b) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= player_count)
            | repeat)
     if bad.any():
@@ -264,21 +276,36 @@ def player_graph(player_count: int, edges) -> PlayerGraph:
         if not (0 <= x < player_count and 0 <= y < player_count):
             raise ValueError(f"edge {x}-{y} out of range for {player_count} players")
         raise ValueError(f"duplicate edge {min(x, y)}-{max(x, y)}")
-    return _graph(player_count, keys)
+    return _padded(np.bincount(source, minlength=player_count), target[order])
 
 
 def complete_graph(n: int) -> PlayerGraph:
     if n < 1:
         raise ValueError("player_count must be at least 1")
-    low, high = np.triu_indices(n, 1)
-    return _graph(n, low * n + high)
+    table = _table(n, n - 1)
+    # Player p's k-th neighbor is k below p and k + 1 from p on.
+    k = np.arange(n - 1)[:, None]
+    np.greater_equal(k, table[0], out=table[1:])
+    table[1:] += k
+    return _regular(table)
 
 
 def cycle_graph(n: int) -> PlayerGraph:
     if n < 3:
         raise ValueError("cycle needs at least 3 players")
-    k = np.arange(n)
-    return _graph(n, np.sort(_keys(n, k, (k + 1) % n)))
+    return torus_graph(n, 1)
+
+
+def _wrap_classes(size: int, step: int):
+    """(positions, offsets) along one torus axis of ``size`` positions
+    ``step`` players apart: the first, the inner and the last positions,
+    each with the set of offsets to its wrapped neighbors on that axis.
+    A wrap onto the position itself, or onto its other neighbor (size
+    <= 2), is no further neighbor."""
+    for i, part in ((0, slice(0, 1)), (1, slice(1, size - 1)),
+                    (size - 1, slice(max(size - 1, 1), size))):
+        if part.start < part.stop:
+            yield part, {((i + s) % size - i) * step for s in (-1, 1)} - {0}
 
 
 def torus_graph(width: int, height: int) -> PlayerGraph:
@@ -286,15 +313,19 @@ def torus_graph(width: int, height: int) -> PlayerGraph:
     Wrap duplicates at width or height <= 2 collapse to single edges."""
     if width < 1 or height < 1:
         raise ValueError("torus dimensions must be at least 1")
-    p = np.arange(width * height).reshape(height, width)
-    a = np.concatenate((p, p), axis=None)
-    b = np.concatenate((np.roll(p, -1, axis=1), np.roll(p, -1, axis=0)),
-                       axis=None)
-    keep = a != b
-    # Sort and drop repeats: np.unique takes some 50 times as long here
-    # (numpy 2.4, 500 x 500).
-    keys = np.sort(_keys(p.size, a[keep], b[keep]))
-    return _graph(p.size, keys[np.diff(keys, prepend=-1) != 0])
+    rows = list(_wrap_classes(height, width))
+    cols = list(_wrap_classes(width, 1))
+    degree = len(rows[0][1]) + len(cols[0][1])
+    table = _table(width * height, degree)
+    grid = table.reshape(degree + 1, height, width)
+    for r, vertical in rows:
+        for c, horizontal in cols:
+            cells = grid[0, r, c]
+            # Vertical offsets are whole rows and horizontal ones stay in
+            # the row, so the sorted offsets give the run in order.
+            for row, offset in enumerate(sorted(vertical | horizontal), 1):
+                np.add(cells, offset, out=grid[row, r, c])
+    return _regular(table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,59 +392,82 @@ def random_population(graph: PlayerGraph, fraction: float,
     return PopulationState(graph, draws < fraction)
 
 
+def _by_player(graph: PlayerGraph, parts: list[np.ndarray]) -> np.ndarray:
+    """Values given per table, in the order of its ids, as one array in
+    player order."""
+    groups = graph.closed_neighborhoods
+    if len(groups) == 1:
+        return parts[0]  # the one table lists every player in order
+    values = np.empty(graph.player_count, parts[0].dtype)
+    for (ids, _), part in zip(groups, parts):
+        values[ids] = part
+    return values
+
+
 def _integer_scores(state: PopulationState,
-                    m: PayoffMatrix) -> tuple[np.ndarray, int]:
-    """(totals, scale): each player's exact total payoff in units of
-    1/scale, where scale is the payoffs' common binary denominator, then
-    the sentinel player's total, below every real one. The totals are
-    int64 when the keys of ``imitation_step`` cannot overflow int64,
+                    m: PayoffMatrix) -> tuple[np.ndarray, int, int]:
+    """(totals, scale, floor): each player's exact total payoff in units
+    of 1/scale, where scale is the payoffs' common binary denominator,
+    and a value below every total. The totals are int32 when the keys of
+    ``imitation_step`` fit in int32, int64 when they fit in int64, and
     Python ints otherwise."""
     ratios = [v.as_integer_ratio() for v in (m.R, m.S, m.T, m.U)]
     scale = max(den for _, den in ratios)  # powers of two: this is the lcm
     R, S, T, U = (num * (scale // den) for num, den in ratios)
     graph = state.graph
     big, degree = max(map(abs, (R, S, T, U))), graph._max_degree
-    # A key is total * width + (width - 1 - row), width <= degree + 1,
-    # and the sentinel's total is -big * degree - 1.
-    exact = big * (degree + 2) ** 2 < 2 ** 62
-    coop = np.append(state.cooperates, False)  # the sentinel plays D
-    n_c = np.zeros(coop.size, np.int64)
-    for ids, table in graph.closed_neighborhoods:
-        n_c[ids] = np.count_nonzero(coop[table[1:]], axis=0)
-    n_d = graph._degrees - n_c
-    if not exact:
-        n_c, n_d = n_c.astype(object), n_d.astype(object)
-    totals = np.where(coop, R * n_c + S * n_d, T * n_c + U * n_d)
-    totals[-1] = -big * degree - 1
-    return totals, scale
+    # A key is total * 2 width + 2 (width - 1 - row) + strategy, width =
+    # degree + 1, and the floor is -big * degree - 1: every key lies
+    # within 2 big (degree + 2)^2 for big >= 1, and so does every term
+    # summed below.
+    bound = 2 * max(big, 1) * (degree + 2) ** 2
+    dtype = np.int32 if bound < 2 ** 31 else np.int64 if bound < 2 ** 63 else object
+    coop = state.cooperates
+    cooperating = np.append(coop, False).view(np.int8)  # the sentinel plays D
+    n_c = _by_player(graph, [cooperating[table[1:]].sum(axis=0, dtype=dtype)
+                             for _, table in graph.closed_neighborhoods])
+    # slope[c] * n_c + base[c] * degree, with slope = (T - U, R - S) and
+    # base = (U, S) by strategy c, summed without a branch.
+    degrees = graph.degrees.astype(dtype)
+    totals = n_c * (T - U)
+    totals += degrees * U
+    cooperator = n_c * (R - S - T + U)
+    cooperator += degrees * (S - U)
+    cooperator *= coop
+    totals += cooperator
+    return totals, scale, -big * degree - 1
 
 
 def scores(state: PopulationState, m: PayoffMatrix) -> list[float]:
     """Each player's total stage payoff against all of its neighbors,
     correctly rounded from the exact total."""
-    totals, scale = _integer_scores(state, m)
-    return (totals[:-1].astype(object) / scale).tolist()
+    totals, scale, _ = _integer_scores(state, m)
+    return (totals.astype(object) / scale).tolist()
 
 
 def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
     """One synchronous update: adopt the strategy of the best scorer in
     the closed neighborhood; ties keep the current strategy, then go to
     the lowest player index. That player is the first maximum down a
-    column [self, neighbors ascending, pads] of the tables, and the key
-    total * width + (width - 1 - row) makes it the one column maximum."""
-    totals, _ = _integer_scores(state, m)
-    coop = state.cooperates
-    stepped = np.empty_like(coop)
-    for ids, table in state.graph.closed_neighborhoods:
-        width, size = table.shape
-        keys = totals[table]
-        keys *= width
-        keys += np.arange(width - 1, -1, -1)[:, None]
-        rows = (width - 1) - keys.max(axis=0) % width
-        winners = table[rows.astype(np.intp, copy=False), np.arange(size)]
-        stepped[ids] = coop[winners]
+    column [self, neighbors ascending, pads] of the tables. With width
+    the largest closed size, each entry's key total * 2 width +
+    2 (width - 1 - row) + strategy makes it the one column maximum, and
+    the maximum's low bit is the strategy adopted."""
+    totals, _, floor = _integer_scores(state, m)
+    graph = state.graph
+    top = 2 * graph._max_degree  # 2 (width - 1)
+    keys = np.empty(totals.size + 1, totals.dtype)
+    np.multiply(totals, top + 2, out=keys[:-1])
+    keys[:-1] += state.cooperates
+    keys[-1] = floor * (top + 2)  # the sentinel's
+    parts = []
+    for _, table in graph.closed_neighborhoods:
+        best = keys[table]
+        best += np.arange(top, top - 2 * len(table), -2, dtype=keys.dtype)[:, None]
+        parts.append(best.max(axis=0) & 1 == 1)
+    stepped = _by_player(graph, parts)
     stepped.setflags(write=False)
-    return PopulationState(state.graph, stepped)
+    return PopulationState(graph, stepped)
 
 
 def run_spatial(state: PopulationState, m: PayoffMatrix,

@@ -515,18 +515,16 @@ class TestGraphBuilders:
                 tuple(flat[a + 1:b]) for a, b in zip(runs, [*runs[1:], len(flat)]))
 
     def test_graph_arrays_are_read_only(self):
-        graph = torus_graph(4, 4)
-        (ids, table), = graph.closed_neighborhoods
-        for values in (ids, table, graph.ends):
-            with pytest.raises(ValueError, match="read-only"):
-                values[0] = 1
-        # Ends given directly are copied into a read-only int32 array.
-        ends = np.array([[0, 1], [1, 2]])
-        direct = PlayerGraph(3, ends)
-        ends[0, 0] = 2
-        assert direct.ends.tolist() == [[0, 1], [1, 2]]
-        assert direct.ends.dtype == np.int32
-        assert not direct.ends.flags.writeable
+        # The edge array is read off the tables only when asked for, as a
+        # read-only int32 array.
+        for graph in (torus_graph(4, 4), player_graph(4, [(2, 1), (0, 1)])):
+            assert "ends" not in vars(graph)
+            arrays = [graph.degrees, graph.ends,
+                      *itertools.chain.from_iterable(graph.closed_neighborhoods)]
+            for values in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 1
+            assert graph.ends.dtype == np.int32
 
     def test_random_population_draws_as_random_module(self):
         for seed in (0, 1, 7, 2 ** 40 + 3, -5):
