@@ -25,23 +25,20 @@ units of the payoffs' common binary denominator these totals are
 integers, and ties are ties whatever order a float sum would take.
 
 Graphs and populations are arrays, from graph to series. A
-:class:`PlayerGraph` holds its edges as one (edges, 2) int32 array of
-(lower, higher) ends in ascending order: ``complete_graph``,
-``cycle_graph`` and ``torus_graph`` build it by index arithmetic, and
-``player_graph`` validates given pairs on arrays. Its closed
-neighborhoods are padded tables built from the edge array on first use:
-players are grouped by the ceiling of log2 of their closed size, and
-each group has one (width, group size) intp table whose column j is
-player ids[j]'s run [self, neighbors ascending], padded with a sentinel
-player that plays D and scores below every real total. Tori, cycles and
-complete graphs are one table; a star is two. A step counts each
-player's cooperating neighbors down the table rows, scores every player
-at once, and takes the first maximum down each column as the one
-maximum of the key total * width + (width - 1 - row). A
+:class:`PlayerGraph` is its players' degrees and closed neighborhoods
+in padded tables, one per group of players whose closed sizes share a
+ceiling of log2, padded with a sentinel player that plays D and scores
+below every real total. ``torus_graph``, ``cycle_graph`` and
+``complete_graph`` write their one table in place by index arithmetic;
+``player_graph`` validates given pairs and lays out the runs with one
+sort of the directed pairs. The edge array ``ends`` and the tuple view
+``neighbors``, kept for the benchmark's tracer, are read off the tables
+on first use; building a graph and running the dynamics make neither.
+A step counts cooperating neighbors down the table rows, totals every
+player at once, and takes one gather of integer keys and one maximum
+down each column (see :func:`imitation_step`). A
 :class:`PopulationState` holds one read-only bool array, True where the
-player cooperates. The one tuple view, ``PlayerGraph.neighbors``, is
-derived on first use and kept for the benchmark's tracer; building a
-graph and running the dynamics never make it.
+player cooperates.
 
 The dynamics are deterministic, so once a step returns the state it was
 given (a fixed point), every later state is that one: ``run_spatial``
@@ -126,24 +123,25 @@ def min_side_payment(m: PayoffMatrix) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PlayerGraph:
-    """Simple undirected graph over players 0..player_count-1, held as
-    each player's neighbor count and closed neighborhood.
-
-    ``degrees`` is an intp array of the neighbor counts.
-    ``closed_neighborhoods`` holds every player's closed neighborhood --
-    the player itself, then its neighbors in ascending order -- as
-    padded tables, one ``(ids, table)`` pair per group of players whose
-    closed sizes share a ceiling of log2. ``table`` is a (width,
-    len(ids)) intp array, width the group's largest closed size; column
-    j holds player ids[j]'s run, then pads of the sentinel index
-    ``player_count``. The pads take fewer entries than the runs, so the
-    tables hold under 2 (players + 2 edges) entries. Players ascend
-    within a group, groups ascend in size. The builders below make all
-    of it read-only; a PlayerGraph constructed directly is not
-    checked."""
+    """Simple undirected graph over players 0..player_count-1: an intp
+    array of their ``degrees``, and ``closed_neighborhoods``, each
+    player's run [self, neighbors ascending] in padded tables, one
+    ``(ids, table)`` pair per group of players whose closed sizes share
+    a ceiling of log2. ``table`` is a (width, len(ids)) intp array,
+    width the group's largest closed size; column j holds player ids[j]'s
+    run, then pads of the sentinel index ``player_count``. The pads take
+    fewer entries than the runs, so the tables hold under 2 (players +
+    2 edges) entries. Players ascend within a group, groups ascend in
+    size. The arrays are made read-only. The builders below make them;
+    a PlayerGraph constructed directly is not checked."""
 
     degrees: np.ndarray
     closed_neighborhoods: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self):
+        for values in (self.degrees,
+                       *itertools.chain.from_iterable(self.closed_neighborhoods)):
+            values.setflags(write=False)
 
     @property
     def player_count(self) -> int:
@@ -151,14 +149,12 @@ class PlayerGraph:
 
     @cached_property
     def ends(self) -> np.ndarray:
-        """A read-only (edges, 2) int32 array with one row (lower,
-        higher) per edge, rows in ascending order, read off the tables
-        on first use."""
-        n = self.player_count
+        """Read-only (edges, 2) int32 array of one row (lower, higher) per
+        edge, rows ascending, read off the tables on first use."""
         parts = []
         for ids, table in self.closed_neighborhoods:
             runs = table[1:]
-            player, row = np.nonzero(((ids < runs) & (runs < n)).T)
+            player, row = np.nonzero(((ids < runs) & (runs < self.player_count)).T)
             parts.append(np.stack((ids[player], runs[row, player]), axis=1))
         ends = np.concatenate(parts)
         return _frozen(ends[np.argsort(ends[:, 0], kind="stable")], np.int32)
@@ -173,73 +169,35 @@ class PlayerGraph:
                 runs[p] = tuple(column[:degrees[p]])
         return tuple(runs)
 
-    @cached_property
-    def _max_degree(self) -> int:
-        """The largest degree, which bounds every total and key."""
-        return int(self.degrees.max())
-
-
-def _graph(degrees: np.ndarray, groups) -> PlayerGraph:
-    """The graph of ``degrees`` and ``groups`` of (ids, table), which it
-    makes read-only."""
-    for values in (degrees, *itertools.chain.from_iterable(groups)):
-        values.setflags(write=False)
-    return PlayerGraph(degrees, tuple(groups))
-
-
-def _table(player_count: int, degree: int) -> np.ndarray:
-    """The (degree + 1, player_count) intp table of a regular graph, row
-    0 the players; its builder writes each player's run down the rest of
-    its column."""
-    table = np.empty((degree + 1, player_count), np.intp)
-    table[0] = np.arange(player_count)
-    return table
-
 
 def _regular(table: np.ndarray) -> PlayerGraph:
-    """The graph whose one table, filled by ``_table``'s rule, is ``table``."""
+    """The regular graph whose one table is ``table``."""
     width, n = table.shape
-    return _graph(np.full(n, width - 1), [(table[0], table)])
+    return PlayerGraph(np.full(n, width - 1), ((table[0], table),))
 
 
 def _padded(degrees: np.ndarray, runs: np.ndarray) -> PlayerGraph:
-    """The graph in which player p has degrees[p] neighbors, given in
-    ascending order by its run in ``runs``, the runs laid end to end by
-    player: a regular graph's runs are its table's rows 1.. read across,
-    and other runs are scattered into padded tables."""
+    """The graph of ``runs``, player p's degrees[p] neighbors ascending,
+    laid end to end by player. A regular graph's runs are read down its
+    table's rows 1..; other runs are scattered into padded tables."""
     n = degrees.size
     degree = int(degrees[0])
     if np.all(degrees == degree):
-        table = _table(n, degree)
-        table[1:] = runs.reshape(n, degree).T
-        return _regular(table)
+        return _regular(np.vstack((np.arange(n), runs.reshape(n, degree).T)))
     group = np.frexp(degrees)[1]  # the bit length of the degree
     ids = np.argsort(group, kind="stable")
-    count = np.bincount(group)
-    bounds = np.cumsum(count)
-    groups, stride, base = [], np.empty(n, np.intp), np.empty(n, np.intp)
-    offset = 0
-    for key in np.flatnonzero(count):
-        stop = int(bounds[key])
-        start = stop - int(count[key])
-        members = ids[start:stop]
-        width = int(degrees[members].max()) + 1
-        stride[members] = stop - start
-        base[members] = offset + np.arange(stop - start)
-        groups.append((members, offset, width))
-        offset += width * (stop - start)
-    # Entry (row r, player p) lies at base[p] + r * stride[p]. Row 0 is p,
-    # and the k-th entry of its run, runs[start[p] + k], is row 1 + k.
-    entries = np.full(offset, n, np.intp)
-    entries[base] = np.arange(n)
     start = np.cumsum(degrees) - degrees
-    at = np.repeat(stride, degrees)
-    at *= np.arange(at.size)
-    at += np.repeat(base + (1 - start) * stride, degrees)
-    entries[at] = runs
-    return _graph(degrees, [(members, entries[offset:offset + width * len(members)]
-                             .reshape(width, len(members)))
-                            for members, offset, width in groups])
+    groups = []
+    for members in np.split(ids, np.flatnonzero(np.diff(group[ids])) + 1):
+        size = degrees[members]
+        first = np.cumsum(size) - size
+        rank = np.arange(size.sum()) - np.repeat(first, size)
+        table = np.full((size.max() + 1, members.size), n, np.intp)
+        table[0] = members
+        table[1 + rank, np.repeat(np.arange(members.size), size)] = \
+            runs[np.repeat(start[members], size) + rank]
+        groups.append((members, table))
+    return PlayerGraph(degrees, tuple(groups))
 
 
 def player_graph(player_count: int, edges) -> PlayerGraph:
@@ -254,12 +212,11 @@ def player_graph(player_count: int, edges) -> PlayerGraph:
         ends = np.empty((0, 2), np.intp)
     if ends.ndim != 2 or ends.shape[1] != 2:
         raise ValueError(f"edges must be (a, b) pairs, got shape {ends.shape}")
-    # Pair i is the directed pairs 2i (a, b) and 2i + 1 (b, a), keyed
-    # source * player_count + target. One stable sort of the keys lays
-    # out every player's run of targets, and puts equal keys in input
-    # order, so every later copy of a pair is marked. Keys of
-    # out-of-range pairs may collide with others, but such a pair is
-    # itself an earlier or higher-ranked fault than the copy it marks.
+    # Pair i is the directed pairs 2i (a, b) and 2i + 1 (b, a). One stable
+    # sort of their keys lays out every player's run, and marks every
+    # later copy of a key. Keys of out-of-range pairs may collide with
+    # others, but such a pair is itself an earlier or higher-ranked fault
+    # than the copy it marks.
     source, target = ends.ravel(), ends[:, ::-1].ravel()
     keys = source * player_count + target
     order = np.argsort(keys, kind="stable")
@@ -282,7 +239,8 @@ def player_graph(player_count: int, edges) -> PlayerGraph:
 def complete_graph(n: int) -> PlayerGraph:
     if n < 1:
         raise ValueError("player_count must be at least 1")
-    table = _table(n, n - 1)
+    table = np.empty((n, n), np.intp)
+    table[0] = np.arange(n)
     # Player p's k-th neighbor is k below p and k + 1 from p on.
     k = np.arange(n - 1)[:, None]
     np.greater_equal(k, table[0], out=table[1:])
@@ -296,16 +254,14 @@ def cycle_graph(n: int) -> PlayerGraph:
     return torus_graph(n, 1)
 
 
-def _wrap_classes(size: int, step: int):
-    """(positions, offsets) along one torus axis of ``size`` positions
-    ``step`` players apart: the first, the inner and the last positions,
-    each with the set of offsets to its wrapped neighbors on that axis.
-    A wrap onto the position itself, or onto its other neighbor (size
-    <= 2), is no further neighbor."""
-    for i, part in ((0, slice(0, 1)), (1, slice(1, size - 1)),
-                    (size - 1, slice(max(size - 1, 1), size))):
-        if part.start < part.stop:
-            yield part, {((i + s) % size - i) * step for s in (-1, 1)} - {0}
+def _wrap_classes(size: int, step: int) -> list[tuple[slice, set[int]]]:
+    """The first, inner and last of ``size`` positions ``step`` players
+    apart on a torus axis, each with the offsets to its wrapped neighbors
+    there: a wrap onto itself or its other neighbor adds none."""
+    return [(part, {((i + s) % size - i) * step for s in (-1, 1)} - {0})
+            for i, part in ((0, slice(0, 1)), (1, slice(1, size - 1)),
+                            (size - 1, slice(max(size - 1, 1), size)))
+            if part.start < part.stop]
 
 
 def torus_graph(width: int, height: int) -> PlayerGraph:
@@ -313,18 +269,17 @@ def torus_graph(width: int, height: int) -> PlayerGraph:
     Wrap duplicates at width or height <= 2 collapse to single edges."""
     if width < 1 or height < 1:
         raise ValueError("torus dimensions must be at least 1")
-    rows = list(_wrap_classes(height, width))
-    cols = list(_wrap_classes(width, 1))
+    rows, cols = _wrap_classes(height, width), _wrap_classes(width, 1)
     degree = len(rows[0][1]) + len(cols[0][1])
-    table = _table(width * height, degree)
+    table = np.empty((degree + 1, width * height), np.intp)
     grid = table.reshape(degree + 1, height, width)
+    players = np.arange(width * height).reshape(height, width)
     for r, vertical in rows:
         for c, horizontal in cols:
-            cells = grid[0, r, c]
             # Vertical offsets are whole rows and horizontal ones stay in
-            # the row, so the sorted offsets give the run in order.
-            for row, offset in enumerate(sorted(vertical | horizontal), 1):
-                np.add(cells, offset, out=grid[row, r, c])
+            # the row, so sorted they give the run in order.
+            for row, offset in enumerate([0, *sorted(vertical | horizontal)]):
+                np.add(players[r, c], offset, out=grid[row, r, c])
     return _regular(table)
 
 
@@ -393,73 +348,64 @@ def random_population(graph: PlayerGraph, fraction: float,
 
 
 def _by_player(graph: PlayerGraph, parts: list[np.ndarray]) -> np.ndarray:
-    """Values given per table, in the order of its ids, as one array in
-    player order."""
-    groups = graph.closed_neighborhoods
-    if len(groups) == 1:
+    """Values given per table, in the order of its ids, in player order."""
+    if len(parts) == 1:
         return parts[0]  # the one table lists every player in order
     values = np.empty(graph.player_count, parts[0].dtype)
-    for (ids, _), part in zip(groups, parts):
+    for (ids, _), part in zip(graph.closed_neighborhoods, parts):
         values[ids] = part
     return values
 
 
 def _integer_scores(state: PopulationState,
-                    m: PayoffMatrix) -> tuple[np.ndarray, int, int]:
-    """(totals, scale, floor): each player's exact total payoff in units
-    of 1/scale, where scale is the payoffs' common binary denominator,
-    and a value below every total. The totals are int32 when the keys of
-    ``imitation_step`` fit in int32, int64 when they fit in int64, and
-    Python ints otherwise."""
+                    m: PayoffMatrix) -> tuple[np.ndarray, int]:
+    """(totals, scale): each player's exact total payoff in units of
+    1/scale, where scale is the payoffs' common binary denominator, then
+    the sentinel player's total, below every real one. The totals are
+    int32 when the keys of ``imitation_step`` fit in int32, int64 when
+    they fit in int64, and Python ints otherwise."""
     ratios = [v.as_integer_ratio() for v in (m.R, m.S, m.T, m.U)]
     scale = max(den for _, den in ratios)  # powers of two: this is the lcm
     R, S, T, U = (num * (scale // den) for num, den in ratios)
     graph = state.graph
-    big, degree = max(map(abs, (R, S, T, U))), graph._max_degree
+    big = max(map(abs, (R, S, T, U)))
+    degree = len(graph.closed_neighborhoods[-1][1]) - 1  # the largest
     # A key is total * 2 width + 2 (width - 1 - row) + strategy, width =
-    # degree + 1, and the floor is -big * degree - 1: every key lies
-    # within 2 big (degree + 2)^2 for big >= 1, and so does every term
-    # summed below.
+    # degree + 1, and the sentinel's total is -big * degree - 1: every
+    # key, and every term summed below, lies within 2 big (degree + 2)^2.
     bound = 2 * max(big, 1) * (degree + 2) ** 2
     dtype = np.int32 if bound < 2 ** 31 else np.int64 if bound < 2 ** 63 else object
     coop = state.cooperates
     cooperating = np.append(coop, False).view(np.int8)  # the sentinel plays D
     n_c = _by_player(graph, [cooperating[table[1:]].sum(axis=0, dtype=dtype)
                              for _, table in graph.closed_neighborhoods])
-    # slope[c] * n_c + base[c] * degree, with slope = (T - U, R - S) and
-    # base = (U, S) by strategy c, summed without a branch.
+    # slope[c] * n_c + base[c] * degree with slope (T - U, R - S) and base
+    # (U, S) by strategy c, taken without a branch.
     degrees = graph.degrees.astype(dtype)
-    totals = n_c * (T - U)
-    totals += degrees * U
-    cooperator = n_c * (R - S - T + U)
-    cooperator += degrees * (S - U)
-    cooperator *= coop
-    totals += cooperator
-    return totals, scale, -big * degree - 1
+    totals = n_c * (T - U) + degrees * U
+    totals += (n_c * (R - S - T + U) + degrees * (S - U)) * coop
+    return np.append(totals, np.array(-big * degree - 1, dtype)), scale
 
 
 def scores(state: PopulationState, m: PayoffMatrix) -> list[float]:
     """Each player's total stage payoff against all of its neighbors,
     correctly rounded from the exact total."""
-    totals, scale, _ = _integer_scores(state, m)
-    return (totals.astype(object) / scale).tolist()
+    totals, scale = _integer_scores(state, m)
+    return (totals[:-1].astype(object) / scale).tolist()
 
 
 def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
     """One synchronous update: adopt the strategy of the best scorer in
     the closed neighborhood; ties keep the current strategy, then go to
     the lowest player index. That player is the first maximum down a
-    column [self, neighbors ascending, pads] of the tables. With width
-    the largest closed size, each entry's key total * 2 width +
-    2 (width - 1 - row) + strategy makes it the one column maximum, and
-    the maximum's low bit is the strategy adopted."""
-    totals, _, floor = _integer_scores(state, m)
+    column [self, neighbors ascending, pads] of the tables, and the one
+    maximum of the key total * 2 width + 2 (width - 1 - row) + strategy,
+    width the largest closed size; its low bit is the strategy adopted."""
+    totals, _ = _integer_scores(state, m)
     graph = state.graph
-    top = 2 * graph._max_degree  # 2 (width - 1)
-    keys = np.empty(totals.size + 1, totals.dtype)
-    np.multiply(totals, top + 2, out=keys[:-1])
+    top = 2 * len(graph.closed_neighborhoods[-1][1]) - 2  # 2 (width - 1)
+    keys = totals * (top + 2)
     keys[:-1] += state.cooperates
-    keys[-1] = floor * (top + 2)  # the sentinel's
     parts = []
     for _, table in graph.closed_neighborhoods:
         best = keys[table]
