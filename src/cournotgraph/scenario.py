@@ -58,20 +58,20 @@ from .pdgame import (PayoffMatrix, PlayerGraph, PopulationState,
 from .stability import CanonicalParams
 
 
-# A [pd] graph is held in arrays of a few int32 per player and per
+# A [pd] graph is held in tables of a few intp per player and per
 # edge, and the sizes a scenario may ask for are bounded so that text
 # cannot ask for unbounded memory (complete 1414 and torus 707 707
 # still fit).
 MAX_PLAYERS = 1_000_000
 MAX_PLAYER_EDGES = 1_000_000
 # An imitation step reads every closed neighborhood, players + 2 * edges
-# entries, at some 13-17 ns each (100 x 100 and 500 x 500 tori on a
+# entries, at some 6-8 ns each (100 x 100 and 500 x 500 tori on a
 # 2-core Xeon, Python 3.11, numpy 2.4), and has a fixed cost of about
-# 40 us besides (a 4 x 4 torus). A step is charged as its entries plus
+# 30 us besides (a 4 x 4 torus). A step is charged as its entries plus
 # PD_STEP_READS more for the fixed cost, and the reads of a run are
-# bounded. Both values date from steps about twice as slow (36 ns an
-# entry, 84 us a step, so 2 400 entries), and are kept: a run is now
-# bounded to a minute or two. So no graph runs more than about 2 * 10^6
+# bounded. Both values date from steps several times as slow (36 ns
+# an entry, 84 us a step, so 2 400 entries), and are kept: a run is now
+# bounded to about a minute. So no graph runs more than about 2 * 10^6
 # steps, and the one cooperation fraction a run keeps and writes per
 # step stays bounded too. A run that reaches a fixed point stops
 # stepping there, but how soon is not known when the scenario is read,

@@ -609,8 +609,9 @@ class TestCommandRoutes:
 
     def test_pd_makes_no_per_player_or_per_edge_objects(self, monkeypatch,
                                                         tmp_path, capsys):
-        # The tuple view is kept for the benchmark's tracer: with it made
-        # to raise, pd must still run and write the same bytes.
+        # The tuple view is kept for the benchmark's tracer and the edge
+        # array is read off the tables on demand: with both made to
+        # raise, pd must still run and write the same bytes.
         from cournotgraph import pdgame
 
         def forbidden(self):
@@ -627,8 +628,9 @@ class TestCommandRoutes:
         outputs = []
         for patched in (False, True):
             if patched:
-                monkeypatch.setattr(pdgame.PlayerGraph, "neighbors",
-                                    property(forbidden))
+                for name in ("neighbors", "ends"):
+                    monkeypatch.setattr(pdgame.PlayerGraph, name,
+                                        property(forbidden))
             for path in scenarios:
                 out = path.with_suffix(f".{patched}.csv")
                 assert run("pd", "--scenario", path, "--out", out) == 0
@@ -769,6 +771,43 @@ class TestStreamedSimulate:
         assert (f"limit of {MAX_MARCHED_VALUES} marched values"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+
+class TestPinnedPD:
+    """``pd`` writes the same bytes as the kernel of nine passes per step
+    that the one key gather and column max replaced."""
+
+    # sha256 of the CSV and of stdout, taken from that kernel; None runs
+    # the shipped gas_transit_pd.
+    PINNED = {
+        None: ("e4935f5236df83da8a859ad02d908f232ada42cdbba9858648f8cb90a4894db8",
+               "f1b5bd8dcae7a3e9fc10c8ad7e0fabea4a7eed7ba05a09ab74fa0119f1bc00a5"),
+        "payoff = 3, 0, 3.5, 0.5\ngraph = torus 100 100\ninit = random 0.5 414\n"
+        "steps = 20\n":
+            ("2b9114a26226ad2a6d42280a8481c955ca2e1599b26281c70da0b3e7c5d8807a",
+             "5c1db3b7877da24f2fdcea4951e2078820143d60e046ac15359fbc5473ec6fdd"),
+        "payoff = 0.2, 0.05, 0.3, 0.1\ngraph = torus 40 40\ninit = random 0.6 1\n"
+        "steps = 30\n":
+            ("bae05ffb26a77cac0bdd99d6b552fc04adfd1d02239adaa6f09c4e5bb45fa8d7",
+             "8e27da097cd3c0d2ae58d3041645b7d1b7cc5e48a1456230aea07b96e23928e4"),
+        "payoff = 3, 0, 5, 1\ngraph = complete 400\ninit = random 0.5 27\n"
+        "steps = 5\nside_payment = 2.5\n":
+            ("8efffc2542bb1d9c5a617b65f0dc6f72915f53e542852fc6cb1edb26ec5ccf7d",
+             "2f931872b210cf4b5ac163605540f8d6762f45290787ec2b799a8ace03e249c0"),
+    }
+
+    @pytest.mark.parametrize("text", PINNED, ids=["gas_transit", "torus100",
+                                                  "torus40", "complete400"])
+    def test_pd_csv_and_stdout_bytes_are_pinned(self, text, tmp_path, capsys):
+        scenario = PD
+        if text is not None:
+            scenario = tmp_path / "pd.scenario"
+            scenario.write_text("[pd]\n" + text)
+        out = tmp_path / "pd.csv"
+        assert run("pd", "--scenario", scenario, "--out", out) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(stdout).hexdigest()) == self.PINNED[text]
 
 
 class TestOutputFiles:

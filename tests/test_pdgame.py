@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +21,15 @@ from helpers import (closed_neighborhoods_by_loop, complete_edges_by_loop,
                      random_strategies_by_loop, torus_edges_by_loop)
 
 CLASSIC = PayoffMatrix(R=3, S=0, T=5, U=1)
+
+# An imitation step takes at most this many times one key gather and one
+# column max over its table (test_step_costs_a_few_gathers_of_its_table).
+# On a 2-core x86-64 host the ratio of per-step minima read 2.9-3.2,
+# alone and beside two more such runs, and a kernel that makes nine
+# passes over the table (counts, where-totals, keys, max, remainder and
+# winner gather) read 6.6-6.9. Totals of whole 20-step runs, rather than
+# per-step minima, read 2.3-9.0 under that load.
+STEP_RATIO = 4.5
 
 
 def random_dilemma(rng) -> PayoffMatrix:
@@ -331,6 +341,61 @@ class TestImitationDynamics:
                     brute_force_step(state, m)
 
 
+    @pytest.mark.parametrize("m, width", [
+        (PayoffMatrix(R=3, S=-2, T=7, U=1), np.int32),
+        (PayoffMatrix(R=0.2, S=0.05, T=0.3, U=0.1), np.int64),
+        (PayoffMatrix(R=1e200, S=-1e-200, T=2e200, U=1e-300), object)])
+    def test_matches_brute_force_at_every_key_width(self, m, width):
+        # Keys are int32 while 2 big (degree + 2)^2 < 2^31, int64 while
+        # it is below 2^63, and Python ints past that.
+        rng = np.random.default_rng(53)
+        graphs = [torus_graph(5, 4), cycle_graph(7), complete_graph(6),
+                  player_graph(9, [(4, k) for k in range(9) if k != 4]),
+                  player_graph(8, [(0, 1), (1, 2), (2, 0), (5, 6)])]
+        for graph in graphs:
+            for _ in range(10):
+                state = random_population(graph, rng.uniform(0.2, 0.8),
+                                          seed=int(rng.integers(1 << 30)))
+                assert pdgame._integer_scores(state, m)[0].dtype == width
+                assert letters(imitation_step(state, m)) == \
+                    brute_force_step(state, m)
+
+    def test_complete_graph_and_a_step_stay_near_the_table_size(self):
+        # The builder fills its one table in place, and a step's keys
+        # are int32 here: building and one step peak at about 1.5 times
+        # the table's bytes. A runs array beside the table, or int64
+        # keys, would reach twice them.
+        tracemalloc.start()
+        try:
+            graph = complete_graph(1000)
+            imitation_step(random_population(graph, 0.5, seed=5), CLASSIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (_, table), = graph.closed_neighborhoods
+        assert peak < 1.75 * table.nbytes
+
+    def test_step_costs_a_few_gathers_of_its_table(self):
+        # Three runs of 20 steps of a 100 x 100 torus, each step timed in
+        # turn with one int32 key gather and one column max over the same
+        # table; the bound is on the ratio of the minima over all 60.
+        graph = torus_graph(100, 100)
+        (_, table), = graph.closed_neighborhoods
+        keys = np.arange(graph.player_count + 1, dtype=np.int32)
+        m = PayoffMatrix(R=3, S=0, T=3.5, U=0.5)
+        package, reference = [], []
+        for _ in range(3):
+            state = random_population(graph, 0.5, seed=7)
+            for _ in range(20):
+                start = time.perf_counter()
+                state = imitation_step(state, m)
+                package.append(time.perf_counter() - start)
+                start = time.perf_counter()
+                keys[table].max(axis=0)
+                reference.append(time.perf_counter() - start)
+        assert min(package) < STEP_RATIO * min(reference)
+
+
 class TestRunSpatial:
     def test_zero_steps_returns_initial_fraction(self):
         graph = complete_graph(4)
@@ -496,14 +561,17 @@ class TestGraphBuilders:
         assert errors == {"self-loop", "edge", "duplicate"}
 
     def test_builders_match_loop_oracles(self):
+        # The builders write their one table by index arithmetic, and
+        # player_graph lays out the same edges, given in any order and
+        # either way round, by one sort and a reshape.
+        rng = np.random.default_rng(51)
         cases = [(complete_graph(n), complete_edges_by_loop(n))
                  for n in (*range(1, 9), 40)]
         cases += [(cycle_graph(n), cycle_edges_by_loop(n))
                   for n in (*range(3, 9), 41)]
         cases += [(torus_graph(w, h), torus_edges_by_loop(w, h))
-                  for w in range(1, 6) for h in range(1, 6)]
-        cases += [(torus_graph(7, 3), torus_edges_by_loop(7, 3)),
-                  (torus_graph(12, 10), torus_edges_by_loop(12, 10))]
+                  for w in (*range(1, 6), 7) for h in (*range(1, 6), 7)]
+        cases += [(torus_graph(12, 10), torus_edges_by_loop(12, 10))]
         for graph, want in cases:
             assert pairs(graph) == want
             assert graph.ends.dtype == np.int32
@@ -513,6 +581,13 @@ class TestGraphBuilders:
             assert len(graph.closed_neighborhoods) == 1
             assert graph.neighbors == tuple(
                 tuple(flat[a + 1:b]) for a, b in zip(runs, [*runs[1:], len(flat)]))
+            given = [pair[::-1] if rng.random() < 0.5 else pair for pair in want]
+            rng.shuffle(given)
+            listed = player_graph(graph.player_count, given)
+            assert np.array_equal(listed.degrees, graph.degrees)
+            (ids, table), = listed.closed_neighborhoods
+            assert np.array_equal(ids, graph.closed_neighborhoods[0][0])
+            assert np.array_equal(table, graph.closed_neighborhoods[0][1])
 
     def test_graph_arrays_are_read_only(self):
         # The edge array is read off the tables only when asked for, as a
