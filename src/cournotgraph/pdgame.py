@@ -233,7 +233,8 @@ def player_graph(player_count: int, edges) -> PlayerGraph:
         if not (0 <= x < player_count and 0 <= y < player_count):
             raise ValueError(f"edge {x}-{y} out of range for {player_count} players")
         raise ValueError(f"duplicate edge {min(x, y)}-{max(x, y)}")
-    return _padded(np.bincount(source, minlength=player_count), target[order])
+    source, target = source.astype(np.intp), target[order].astype(np.intp)
+    return _padded(np.bincount(source, minlength=player_count), target)
 
 
 def complete_graph(n: int) -> PlayerGraph:
@@ -375,15 +376,14 @@ def _integer_scores(state: PopulationState,
     # key, and every term summed below, lies within 2 big (degree + 2)^2.
     bound = 2 * max(big, 1) * (degree + 2) ** 2
     dtype = np.int32 if bound < 2 ** 31 else np.int64 if bound < 2 ** 63 else object
-    coop = state.cooperates
-    cooperating = np.append(coop, False).view(np.int8)  # the sentinel plays D
+    cooperating = np.append(state.cooperates, False).view(np.int8)  # the sentinel plays D
     n_c = _by_player(graph, [cooperating[table[1:]].sum(axis=0, dtype=dtype)
                              for _, table in graph.closed_neighborhoods])
     # slope[c] * n_c + base[c] * degree with slope (T - U, R - S) and base
     # (U, S) by strategy c, taken without a branch.
     degrees = graph.degrees.astype(dtype)
     totals = n_c * (T - U) + degrees * U
-    totals += (n_c * (R - S - T + U) + degrees * (S - U)) * coop
+    totals += (n_c * (R - S - T + U) + degrees * (S - U)) * state.cooperates
     return np.append(totals, np.array(-big * degree - 1, dtype)), scale
 
 

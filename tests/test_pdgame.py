@@ -591,8 +591,11 @@ class TestGraphBuilders:
 
     def test_graph_arrays_are_read_only(self):
         # The edge array is read off the tables only when asked for, as a
-        # read-only int32 array.
-        for graph in (torus_graph(4, 4), player_graph(4, [(2, 1), (0, 1)])):
+        # read-only int32 array. Pairs of any number type make intp
+        # tables, which table_runs checks.
+        for graph in (torus_graph(4, 4), player_graph(4, [(2, 1), (0, 1)]),
+                      player_graph(4, [(2.0, 1.0), (0.0, 1.0)]),
+                      player_graph(3, np.array([[0, 1], [1, 2], [2, 0]], np.uint64))):
             assert "ends" not in vars(graph)
             arrays = [graph.degrees, graph.ends,
                       *itertools.chain.from_iterable(graph.closed_neighborhoods)]
@@ -600,6 +603,8 @@ class TestGraphBuilders:
                 with pytest.raises(ValueError, match="read-only"):
                     values[0] = 1
             assert graph.ends.dtype == np.int32
+            assert table_runs(graph) == closed_neighborhoods_by_loop(
+                graph.player_count, pairs(graph))
 
     def test_random_population_draws_as_random_module(self):
         for seed in (0, 1, 7, 2 ** 40 + 3, -5):
