@@ -340,7 +340,6 @@ class TestImitationDynamics:
                 assert letters(imitation_step(state, m)) == \
                     brute_force_step(state, m)
 
-
     @pytest.mark.parametrize("m, width", [
         (PayoffMatrix(R=3, S=-2, T=7, U=1), np.int32),
         (PayoffMatrix(R=0.2, S=0.05, T=0.3, U=0.1), np.int64),
