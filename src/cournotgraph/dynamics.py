@@ -2,12 +2,13 @@
 
 The integrator marches from t=0 to t_end with a constant step (the
 final step is shortened to land exactly on t_end) and keeps every
-``thin``-th state and the last. Only the kept states are held: the
-states are made a block at a time in a scratch buffer, and each block
-starts from the last row of the one before, so a kept state has the
-bits of the same step of a run that keeps them all. If a state goes
+``thin``-th state and the last, as the rows (t, q1, ..., qn) of one
+table, the run's CSV rows. Only they are held: the states are made a
+block at a time in a scratch buffer, and each block starts from the
+last row of the one before, so a kept state has the bits of the same
+step of a run that keeps them all. If a state goes
 non-finite or its magnitude passes ``STATE_LIMIT`` the run aborts with
-:class:`IntegrationBlowUp`, which carries the kept states before it and
+:class:`IntegrationBlowUp`, which carries the kept rows before it and
 the last finite state -- that is how divergence of unstable systems
 shows up in practice.
 
@@ -72,22 +73,24 @@ _BLOCK_VALUES = 1 << 16     # about the most state values per blow-up check
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States kept at times 0, thin dt, 2 thin dt, ..., and t_end (see
-    ``integrate``). The arrays are kept read-only; a caller's writeable
-    array is copied, not frozen."""
+    """The states kept at times 0, thin dt, 2 thin dt, ..., and t_end
+    (see ``integrate``), as one table of rows (t, q1, ..., qn): the rows
+    of the run's CSV. ``times`` and ``states`` are its columns. The table
+    is kept read-only; a caller's writeable array is copied, not frozen."""
 
-    times: np.ndarray
-    states: np.ndarray
+    table: np.ndarray
     method: str
     step: float
 
     def __post_init__(self):
-        t = _frozen(self.times)
-        s = _frozen(self.states)
-        if len(t) != len(s) or len(t) < 1:
-            raise ValueError("times and states must have equal length >= 1")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
+        table = _frozen(self.table)
+        if table.ndim != 2 or len(table) < 1 or table.shape[1] < 2:
+            raise ValueError(f"table must have rows (t, q1, ...), at least "
+                             f"one, got shape {table.shape}")
+        object.__setattr__(self, "table", table)
+
+    times = property(lambda self: self.table[:, 0])
+    states = property(lambda self: self.table[:, 1:])
 
 
 class Outcome(Enum):
@@ -314,13 +317,14 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
 
     ``system`` is a vector field q -> dq/dt or an :class:`AffineSystem`,
     which is stepped through its propagator Phi_h when that pays (see
-    the module docstring). Only the kept states are held, beside a
-    scratch block of at most ``_BLOCK_ROWS`` states, and each kept state
-    has the bits of the same step of a run at ``thin`` = 1. Rejected
-    before anything is allocated: a run that would keep more than
-    ``MAX_STORED_VALUES`` numbers, one that would march more than
-    ``MAX_MARCHED_VALUES`` (steps x variables), and a q0 that is not
-    finite or passes ``STATE_LIMIT``.
+    the module docstring). Only the kept rows are held, in the table
+    the Trajectory gets, beside a scratch block of at most ``_BLOCK_ROWS``
+    states; each has the bits of the same step of a run at ``thin`` = 1.
+    Rejected before anything is allocated: a run that would keep more
+    than ``MAX_STORED_VALUES`` numbers or march more than
+    ``MAX_MARCHED_VALUES`` (steps x variables), and a q0 that is not a
+    vector of at least one value, or is not finite or passes
+    ``STATE_LIMIT``.
     """
     if method not in _STEPPERS:
         raise ValueError(f"unknown method '{method}' (expected rk4 or euler)")
@@ -331,7 +335,10 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
     if thin < 1:
         raise ValueError("thin must be at least 1")
     q = np.asarray(q0, dtype=float)
-    peak = float(np.max(np.abs(q), initial=0.0))
+    if q.ndim != 1 or not q.size:
+        raise ValueError(f"q0 must be a vector of at least one value, got "
+                         f"shape {q.shape}")
+    peak = float(np.max(np.abs(q)))
     if not peak <= STATE_LIMIT:  # NaN fails too
         raise ValueError(f"q0 must be finite with max |q| at most "
                          f"{STATE_LIMIT!r}, got {peak!r}")
@@ -354,28 +361,24 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
     # Any thin past the last step keeps the first and last state alone.
     thin = min(thin, n_steps + 1)
     index = _kept_index(n_steps, thin)
-    kept = np.empty((len(index), len(q)))
-    kept[0] = q
+    table = np.empty((len(index), 1 + len(q)))
+    table[0, 1:] = q
     if (isinstance(system, AffineSystem)
             and not _affine_pays(system, method)):
         system = system.field_at
-    filled, bad = _march(system, method, kept, segments, thin)
-    # Handed over read-only, so the Trajectory keeps them uncopied; the
-    # prefix view of a blow-up is copied.
-    kept.setflags(write=False)
+    filled, bad = _march(system, method, table[:, 1:], segments, thin)
     if bad is not None:
         first_bad, peak = bad
         time = t_end if first_bad == n_steps else dt * first_bad
-        partial = Trajectory(dt * _kept_index(first_bad - 1, thin),
-                             kept[:filled], method, dt)
+        table[:filled, 0] = dt * _kept_index(first_bad - 1, thin)
         raise IntegrationBlowUp(
             f"state blew up at t={time!r} (max |q| = {peak!r}); "
-            f"last finite state {kept[filled - 1].tolist()!r}",
-            partial, time)
-    times = dt * index
-    times[-1] = t_end
-    times.setflags(write=False)
-    return Trajectory(times, kept, method, dt)
+            f"last finite state {table[filled - 1, 1:].tolist()!r}",
+            Trajectory(table[:filled], method, dt), time)  # copied: a view
+    np.multiply(dt, index, out=table[:, 0])
+    table[-1, 0] = t_end
+    table.setflags(write=False)  # so the Trajectory keeps it uncopied
+    return Trajectory(table, method, dt)
 
 
 def classify(trajectory: Trajectory, field: Field, q_star, tol: float,

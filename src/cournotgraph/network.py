@@ -59,12 +59,21 @@ def _as_float_tuple(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _as_index(value):
+    """``value`` as the int it equals, else as given, for ``validate``."""
+    try:
+        return int(value) if int(value) == value else value
+    except (TypeError, ValueError, OverflowError):
+        return value
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """A firm-market supply graph with its economic parameters.
 
     Indices are 1-based to match the q_ij notation used in scenario
-    files and reports. ``speed`` may be passed empty, in which case
+    files and reports; an end that is not a whole number is kept for
+    ``validate`` to name. ``speed`` may be passed empty, in which case
     every firm gets the default adjustment speed 1.
     """
 
@@ -77,8 +86,8 @@ class NetworkSpec:
     speed: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges",
-                           tuple((int(i), int(j)) for i, j in self.edges))
+        object.__setattr__(self, "edges", tuple(
+            (_as_index(i), _as_index(j)) for i, j in self.edges))
         object.__setattr__(self, "alpha", _as_float_tuple(self.alpha))
         object.__setattr__(self, "beta", _as_float_tuple(self.beta))
         object.__setattr__(self, "gamma", _as_float_tuple(self.gamma))
@@ -121,6 +130,9 @@ class NetworkSpec:
 
         seen: set[Edge] = set()
         for i, j in self.edges:
+            if not (isinstance(i, int) and isinstance(j, int)):
+                problems.append(f"edge ({i},{j}) has an end that is not an integer")
+                continue
             if not 1 <= i <= self.market_count:
                 problems.append(f"edge ({i},{j}) references unknown market {i}")
             if not 1 <= j <= self.firm_count:

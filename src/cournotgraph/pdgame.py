@@ -31,9 +31,9 @@ ceiling of log2, padded with a sentinel player that plays D and scores
 below every real total. ``torus_graph``, ``cycle_graph`` and
 ``complete_graph`` write their one table in place by index arithmetic;
 ``player_graph`` validates given pairs and lays out the runs with one
-sort of the directed pairs. The edge array ``ends`` and the tuple view
-``neighbors``, kept for the benchmark's tracer, are read off the tables
-on first use; building a graph and running the dynamics make neither.
+sort of the directed pairs. The tuple view ``neighbors``, kept for the
+benchmark's tracer, is read off the tables on first use; building a
+graph and running the dynamics never make it.
 A step counts cooperating neighbors down the table rows, totals every
 player at once, and takes one gather of integer keys and one maximum
 down each column (see :func:`imitation_step`). A
@@ -148,18 +148,6 @@ class PlayerGraph:
         return self.degrees.size
 
     @cached_property
-    def ends(self) -> np.ndarray:
-        """Read-only (edges, 2) int32 array of one row (lower, higher) per
-        edge, rows ascending, read off the tables on first use."""
-        parts = []
-        for ids, table in self.closed_neighborhoods:
-            runs = table[1:]
-            player, row = np.nonzero(((ids < runs) & (runs < self.player_count)).T)
-            parts.append(np.stack((ids[player], runs[row, player]), axis=1))
-        ends = np.concatenate(parts)
-        return _frozen(ends[np.argsort(ends[:, 0], kind="stable")], np.int32)
-
-    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each player's neighbors in ascending order."""
         runs: list[tuple[int, ...]] = [()] * self.player_count
@@ -201,22 +189,30 @@ def _padded(degrees: np.ndarray, runs: np.ndarray) -> PlayerGraph:
 
 
 def player_graph(player_count: int, edges) -> PlayerGraph:
-    """Build a validated PlayerGraph from (a, b) pairs. The first pair in
-    input order that is a self-loop, has an end out of range or repeats
-    an earlier pair (either way round) is reported, in that order of
-    checks."""
+    """Build a validated PlayerGraph from (a, b) pairs of whole numbers,
+    of any number type. The first pair in input order with an end that
+    is not a whole number is reported; then the first pair that is a
+    self-loop, has an end out of range or repeats an earlier pair
+    (either way round), in that order of checks."""
     if player_count < 1:
         raise ValueError("player_count must be at least 1")
-    ends = np.asarray(edges)
-    if ends.size == 0:
-        ends = np.empty((0, 2), np.intp)
-    if ends.ndim != 2 or ends.shape[1] != 2:
-        raise ValueError(f"edges must be (a, b) pairs, got shape {ends.shape}")
-    # Pair i is the directed pairs 2i (a, b) and 2i + 1 (b, a). One stable
-    # sort of their keys lays out every player's run, and marks every
-    # later copy of a key. Keys of out-of-range pairs may collide with
-    # others, but such a pair is itself an earlier or higher-ranked fault
-    # than the copy it marks.
+    given = np.asarray(edges)
+    if given.size == 0:
+        given = np.empty((0, 2), np.intp)
+    if given.ndim != 2 or given.shape[1] != 2:
+        raise ValueError(f"edges must be (a, b) pairs, got shape {given.shape}")
+    with np.errstate(invalid="ignore"):
+        whole = (given % 1 == 0).all(axis=1)  # NaN and inf fail
+    if not whole.all():
+        a, b = given[whole.argmin()].tolist()
+        raise ValueError(f"edge {a}-{b} has an end that is not an integer")
+    # Ends clipped to -1 or player_count stay out of range and fit one
+    # intp array; messages name the ends given. Pair i is the directed
+    # pairs 2i (a, b) and 2i + 1 (b, a). One stable sort of their keys
+    # lays out every player's run, and marks every later copy of a key.
+    # Keys of out-of-range pairs may collide with others, but such a pair
+    # is itself an earlier or higher-ranked fault than the copy it marks.
+    ends = np.clip(given, -1, player_count).astype(np.intp, copy=False)
     source, target = ends.ravel(), ends[:, ::-1].ravel()
     keys = source * player_count + target
     order = np.argsort(keys, kind="stable")
@@ -227,14 +223,13 @@ def player_graph(player_count: int, edges) -> PlayerGraph:
     bad = ((a == b) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= player_count)
            | repeat)
     if bad.any():
-        x, y = (int(v) for v in ends[bad.argmax()])
+        x, y = (int(v) for v in given[bad.argmax()].tolist())
         if x == y:
             raise ValueError(f"self-loop {x}-{y} not allowed")
         if not (0 <= x < player_count and 0 <= y < player_count):
             raise ValueError(f"edge {x}-{y} out of range for {player_count} players")
         raise ValueError(f"duplicate edge {min(x, y)}-{max(x, y)}")
-    source, target = source.astype(np.intp), target[order].astype(np.intp)
-    return _padded(np.bincount(source, minlength=player_count), target)
+    return _padded(np.bincount(source, minlength=player_count), target[order])
 
 
 def complete_graph(n: int) -> PlayerGraph:

@@ -10,9 +10,11 @@ binary writing. CSV rows of floats -- trajectories, and sweeps with
 their verdict label column -- are rendered by
 :class:`cournotgraph.csvtext.CsvRows` without ``repr``, in flat blocks
 of ``_BLOCK_VALUES`` values that may begin and end mid-row, each
-written to the output file as it is made. A sweep is arrays (values,
-margins, verdict codes), evaluated in chunks of ``_SWEEP_CHUNK`` grid
-points. A PD series is written a block of rows at a time.
+written to the output file as it is made; a trajectory's blocks are
+slices of its table, which holds the CSV's rows. A sweep is arrays
+(values, margins, verdict codes), evaluated in chunks of
+``_SWEEP_CHUNK`` grid points. A PD series is written a block of rows at
+a time.
 """
 
 from __future__ import annotations
@@ -37,42 +39,23 @@ _SWEEP_CHUNK = 1 << 16        # grid points per canonical_margins call
 _SERIES_ROWS = 8192           # rows per block of a PD series
 
 
-def _gather(block: np.ndarray, times: np.ndarray, states: np.ndarray,
-            lo: int) -> None:
-    """``block`` = the table of rows (time, state) read flat from index
-    ``lo``: the rest of a row begun before, whole rows, a row's head."""
-    width = states.shape[1] + 1
-    row, column = divmod(lo, width)
-    done = min(len(block), -column % width)
-    block[:done] = states[row, column - 1:column - 1 + done]
-    row += column > 0
-    rows, tail = divmod(len(block) - done, width)
-    table = block[done:done + rows * width].reshape(rows, width)
-    table[:, 0] = times[row:row + rows]
-    table[:, 1:] = states[row:row + rows]
-    if tail:
-        block[-tail] = times[row + rows]
-        block[len(block) - tail + 1:] = states[row + rows, :tail - 1]
-
-
 def write_trajectory(trajectory: Trajectory, names, out) -> None:
     """Write the CSV of every kept state of ``trajectory`` to the binary
-    file ``out``: header ``t,<name1>,...``, then one row per state.
+    file ``out``: header ``t,<name1>,...``, then the rows of its table.
     Thinning is ``integrate``'s.
 
-    The rows are rendered and written in flat blocks of ``_BLOCK_VALUES``
-    values by ``CsvRows``, rows of any width filling whole blocks, so
-    only one block's text is held.
+    The table, read flat, is rendered and written in blocks of
+    ``_BLOCK_VALUES`` values by ``CsvRows``, rows of any width filling
+    whole blocks, so only one block's text is held.
     """
-    times, states = trajectory.times, trajectory.states
-    width = states.shape[1] + 1
+    width = trajectory.table.shape[1]
+    flat = trajectory.table.reshape(-1)
     out.write(("t," + ",".join(names) + "\n").encode("ascii"))
-    total = len(times) * width
-    render = CsvRows(max(1, min(_BLOCK_VALUES, total)))
-    for lo in range(0, total, _BLOCK_VALUES):
-        n = min(_BLOCK_VALUES, total - lo)
-        _gather(render.values[:n], times, states, lo)
-        out.write(render(n, width, lo % width))
+    render = CsvRows(max(1, min(_BLOCK_VALUES, flat.size)))
+    for lo in range(0, flat.size, _BLOCK_VALUES):
+        block = flat[lo:lo + _BLOCK_VALUES]
+        render.values[:block.size] = block
+        out.write(render(block.size, width, lo % width))
 
 
 def pd_series_csv(fractions, out) -> None:

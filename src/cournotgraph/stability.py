@@ -208,9 +208,11 @@ def _s_solver(st: EdgeIncidence):
     firm_degree, market_degree = st.supplies(np.ones(n))
     # S has no negative entry, so its largest row sum bounds its largest
     # eigenvalue, and S >= diag(beta_e) bounds its smallest one below.
-    rows = (st.firm_gamma * firm_degree)[st.firm] + st.beta * (
-        market_degree[st.market] + 1.0)
-    bound = float(np.max(rows) / np.min(st.beta))
+    # A bound past the float range is inf, and refused below.
+    with np.errstate(over="ignore"):
+        rows = (st.firm_gamma * firm_degree)[st.firm] + st.beta * (
+            market_degree[st.market] + 1.0)
+        bound = float(np.max(rows) / np.min(st.beta))
     if not bound <= _COND_LIMIT:
         raise NoUniqueEquilibriumError(
             f"no unique equilibrium: matrix condition number bound "
@@ -356,11 +358,13 @@ def equilibrium(sys: AffineSystem) -> np.ndarray:
     residual = c - st.apply(q)
     # A tiny beta_e makes D^-1 large, and the solve then cancels away
     # digits; corrections from the matrix-free residual win them back.
+    # One that overflows leaves a non-finite residual, refused below.
     for _ in range(_REFINE_STEPS):
         if np.max(np.abs(residual)) <= tolerance:
             break
-        q = q + solve(residual / st.speed)
-        residual = c - st.apply(q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = q + solve(residual / st.speed)
+            residual = c - st.apply(q)
     worst = float(np.max(np.abs(residual)))
     if not worst <= tolerance:  # NaN fails
         raise NoUniqueEquilibriumError(

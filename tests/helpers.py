@@ -224,8 +224,12 @@ def trajectory_csv_by_value(trajectory, names, thin: int = 1) -> str:
 
 
 def pairs(graph) -> tuple[tuple[int, int], ...]:
-    """A player graph's ``ends`` rows as (lower, higher) tuples."""
-    return tuple(map(tuple, graph.ends.tolist()))
+    """A player graph's edges as (lower, higher) tuples, ascending, read
+    off its closed-neighborhood tables."""
+    n = graph.player_count
+    return tuple(sorted((p, q) for ids, table in graph.closed_neighborhoods
+                        for p, run in zip(ids.tolist(), table[1:].T.tolist())
+                        for q in run if p < q < n))
 
 
 def letters(state) -> tuple[str, ...]:

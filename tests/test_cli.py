@@ -71,8 +71,7 @@ class TestParser:
 
 class TestWriters:
     def test_trajectory_rows_and_thinning(self):
-        traj = Trajectory(times=np.array([0.0, 0.1, 0.2]),
-                          states=np.array([[1.0], [2.0], [3.0]]),
+        traj = Trajectory(np.array([[0.0, 1.0], [0.1, 2.0], [0.2, 3.0]]),
                           method="rk4", step=0.1)
         text = csv_of(traj, ("q11",))
         assert text.splitlines() == ["t,q11", "0.0,1.0", "0.1,2.0", "0.2,3.0"]
@@ -91,8 +90,7 @@ class TestWriters:
             assert [float(line.split(",")[0]) for line in lines[1:]] == times
 
     def test_two_state_trajectory_gives_three_lines(self):
-        traj = Trajectory(times=np.array([0.0, 0.1]),
-                          states=np.array([[1.0], [0.9]]),
+        traj = Trajectory(np.array([[0.0, 1.0], [0.1, 0.9]]),
                           method="rk4", step=0.1)
         assert len(csv_of(traj, ("q11",)).splitlines()) == 3
 
@@ -206,10 +204,10 @@ class TestWriters:
         states = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
             -300, 300, (rows, width))
         states[0, 0] = -0.0
-        traj = Trajectory(times=np.arange(rows) * 0.01, states=states,
+        traj = Trajectory(np.column_stack((np.arange(rows) * 0.01, states)),
                           method="rk4", step=0.01)
         index = sorted(set(range(0, rows, thin)) | {rows - 1})
-        kept = Trajectory(traj.times[index], traj.states[index], "rk4", 0.01)
+        kept = Trajectory(traj.table[index], "rk4", 0.01)
         names = tuple(f"q{k}" for k in range(width))
         assert csv_of(kept, names) == trajectory_csv_by_value(traj, names, thin)
 
@@ -217,8 +215,8 @@ class TestWriters:
                                                                   tmp_path):
         import tracemalloc
         rng = np.random.default_rng(5)
-        traj = Trajectory(times=np.arange(20001) * 0.01,
-                          states=rng.standard_normal((20001, 3)),
+        traj = Trajectory(np.column_stack((np.arange(20001) * 0.01,
+                                           rng.standard_normal((20001, 3)))),
                           method="euler", step=0.01)
         names = ("q11", "q22", "q21")
         peaks = []
@@ -628,9 +626,8 @@ class TestCommandRoutes:
         outputs = []
         for patched in (False, True):
             if patched:
-                for name in ("neighbors", "ends"):
-                    monkeypatch.setattr(pdgame.PlayerGraph, name,
-                                        property(forbidden))
+                monkeypatch.setattr(pdgame.PlayerGraph, "neighbors",
+                                    property(forbidden))
             for path in scenarios:
                 out = path.with_suffix(f".{patched}.csv")
                 assert run("pd", "--scenario", path, "--out", out) == 0
@@ -687,6 +684,22 @@ class TestStreamedSimulate:
         assert run("simulate", "--scenario", SCENARIO_DIR / f"{name}.scenario",
                    "--method", method, *flags, "--out", out) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[key]
+
+    # sha256 of the partial CSV of canonical_stable at --dt 3 --t-end 40,
+    # which blows up at step 9, by --thin; taken from the release that
+    # held the times and the states as two arrays.
+    BLOWUP_PINNED = {
+        1: "4bb293fa469189ff8130ed6a51bfe9fb3b47273b475bdd81f622a65509b67539",
+        7: "77b20cc26619009cf0382a1ce1617b63dffd67f104aca1633c2c69166df1fd96",
+    }
+
+    @pytest.mark.parametrize("thin", BLOWUP_PINNED)
+    def test_blowup_csv_bytes_are_pinned(self, thin, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--scenario", STABLE, "--dt", 3, "--t-end", 40,
+                   "--thin", thin, "--out", out) == 3
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == self.BLOWUP_PINNED[thin])
 
     @pytest.mark.parametrize("t_end, steps", [("200", 20000), ("0.105", 11)])
     def test_stderr_counts_the_steps_taken_not_the_rows(self, t_end, steps,
@@ -914,6 +927,23 @@ class TestNetworkRoutes:
             assert captured.out == ""
             assert captured.err.startswith(
                 "error: no unique equilibrium: matrix condition number bound ")
+
+    @pytest.mark.parametrize("beta, gamma, reason", [
+        ("1e-308", "1e308", "matrix condition number bound inf exceeds 1e+12"),
+        ("5e-324", "5e-324", "solve residual nan too large")],
+        ids=["bound_overflows", "refinement_goes_nan"])
+    def test_extreme_one_edge_network_exits_3_with_one_error_line(
+            self, beta, gamma, reason, tmp_path, capsys):
+        # The bound's division overflows, or the refinement adds inf to
+        # -inf; neither may print a numpy warning (tier-1 makes one an
+        # error) before the refusal.
+        path = tmp_path / "extreme.scenario"
+        path.write_text(f"[network]\nmarkets = 1\nfirms = 1\nedges = 1:1\n"
+                        f"alpha = 1\nbeta = {beta}\ngamma = {gamma}\nq0 = 0\n")
+        for command in ("equilibrium", "stability"):
+            assert run(command, "--scenario", path) == 3
+            assert capsys.readouterr() == (
+                "", f"error: no unique equilibrium: {reason}\n")
 
     def test_matching_network_with_spread_speeds_solves_on_s(self, monkeypatch,
                                                              tmp_path, capsys):

@@ -142,6 +142,18 @@ class TestIntegrate:
                 f"got {peak!r}")):
             integrate(decay, np.array(q0), 1.0, 0.1)
 
+    @pytest.mark.parametrize("q0", [[], [[1.0, 2.0]], 1.0, np.zeros((2, 0))],
+                             ids=["empty", "row", "scalar", "no_columns"])
+    def test_q0_that_is_not_a_vector_is_refused_before_allocating(
+            self, monkeypatch, q0):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("np.empty reached")
+        monkeypatch.setattr(np, "empty", unreachable)
+        with pytest.raises(ValueError, match=re.escape(
+                f"q0 must be a vector of at least one value, got shape "
+                f"{np.shape(q0)}")):
+            integrate(lambda q: -q, q0, 1.0, 0.1)
+
     def test_q0_at_the_state_limit_is_marched(self):
         got = integrate(decay, np.array([1e9, -1e9]), 1.0, 0.1)
         assert np.all(np.abs(got.states[1:]) < 1e9)
@@ -201,24 +213,31 @@ class TestIntegrate:
         assert float(np.linalg.norm(end_euler - end_rk4)) < 1e-6
 
     def test_trajectory_copies_a_writeable_array_and_keeps_a_frozen_one(self):
-        times, states = np.array([0.0, 1.0]), np.zeros((2, 1))
-        traj = Trajectory(times, states, "rk4", 1.0)
-        times[1] = 2.0
-        states[0] = 1.0
+        table = np.array([[0.0, 0.0], [1.0, 0.0]])
+        traj = Trajectory(table, "rk4", 1.0)
+        table[1, 0] = 2.0
+        table[0, 1] = 1.0
         assert traj.times.tolist() == [0.0, 1.0]
         assert traj.states.tolist() == [[0.0], [0.0]]
-        assert not traj.states.flags.writeable
-        assert Trajectory(traj.times, traj.states, "rk4", 1.0).states \
-            is traj.states
+        for values in (traj.table, traj.times, traj.states):
+            assert not values.flags.writeable
+        assert Trajectory(traj.table, "rk4", 1.0).table is traj.table
 
-    @pytest.mark.parametrize("times, states", [
-        (np.array([0.0, 1.0]), np.zeros((1, 1))),
-        (np.array([0.0]), np.zeros((2, 1))),
-        (np.zeros(0), np.zeros((0, 1)))])
-    def test_trajectory_refuses_unequal_or_empty_arrays(self, times, states):
+    def test_trajectory_columns_are_views_of_its_table(self):
+        traj = integrate(decay, Q0, 1.0, 0.1, thin=3)
+        assert traj.table.shape == (5, 1 + len(Q0))
+        assert np.shares_memory(traj.times, traj.table)
+        assert np.shares_memory(traj.states, traj.table)
+        assert traj.times.tolist() == [0.1 * k for k in (0, 3, 6, 9)] + [1.0]
+
+    @pytest.mark.parametrize("table", [
+        np.zeros((0, 2)), np.zeros((2, 1)), np.zeros(3), np.zeros((1, 2, 2))],
+        ids=["no_rows", "no_state_column", "one_axis", "three_axes"])
+    def test_trajectory_refuses_a_table_without_rows(self, table):
         with pytest.raises(ValueError, match=re.escape(
-                "times and states must have equal length >= 1")):
-            Trajectory(times, states, "rk4", 1.0)
+                "table must have rows (t, q1, ...), at least one, got shape "
+                f"{table.shape}")):
+            Trajectory(table, "rk4", 1.0)
 
     def test_integrate_hands_its_states_over_uncopied(self, monkeypatch):
         from cournotgraph import dynamics
@@ -226,13 +245,15 @@ class TestIntegrate:
 
         class Recording(Trajectory):
             def __post_init__(self):
-                handed.append(self.states)
+                handed.append(self.table)
                 super().__post_init__()
         monkeypatch.setattr(dynamics, "Trajectory", Recording)
         for system in (canonical_affine(STABLE), decay):
             traj = integrate(system, Q0, 1.0, 0.1)
-            assert np.shares_memory(handed.pop(), traj.states)
-            assert not traj.states.flags.writeable
+            given = handed.pop()
+            assert given is traj.table
+            assert np.shares_memory(given, traj.states)
+            assert not traj.table.flags.writeable
 
 
 class TestThinning:
@@ -334,21 +355,19 @@ class TestClassify:
 
     def test_single_state_at_equilibrium_converges(self):
         q_star = np.array([1.0, 2.0])
-        traj = Trajectory(times=np.array([0.0]), states=np.array([[1.0, 2.0]]),
-                          method="rk4", step=1.0)
+        traj = Trajectory(np.array([[0.0, 1.0, 2.0]]), method="rk4", step=1.0)
         verdict = classify(traj, lambda q: np.zeros(2), q_star, tol=1e-12)
         assert verdict.outcome is Outcome.CONVERGED
 
     def test_blew_up_flag_forces_diverged(self):
-        traj = Trajectory(times=np.array([0.0]), states=np.array([[1.0]]),
-                          method="rk4", step=1.0)
+        traj = Trajectory(np.array([[0.0, 1.0]]), method="rk4", step=1.0)
         verdict = classify(traj, lambda q: np.zeros(1), np.array([1.0]),
                            tol=1e-12, blew_up=True)
         assert verdict.outcome is Outcome.DIVERGED
 
     def test_negative_excursion_flag(self):
         states = np.array([[0.5], [0.2], [-0.1], [0.05]])
-        traj = Trajectory(times=np.array([0.0, 1.0, 2.0, 3.0]), states=states,
+        traj = Trajectory(np.column_stack((np.arange(4.0), states)),
                           method="euler", step=1.0)
         verdict = classify(traj, lambda q: np.zeros(1), np.array([0.0]),
                            tol=1e-12, blew_up=False)

@@ -60,6 +60,27 @@ class TestValidate:
                            gamma=(1, 1))
         assert "edge (1,3) references unknown firm 3" in validate(spec)
 
+    def test_edge_end_that_is_not_an_integer_is_named(self):
+        # Not truncated to the edges ((1, 1), (2, 1)): each is named, and
+        # the markets are then used by no edge.
+        spec = NetworkSpec(2, 1, ((1.5, 1), (2.9, 1)), (1, 1), (1, 1), (1,))
+        assert validate(spec) == [
+            "edge (1.5,1) has an end that is not an integer",
+            "edge (2.9,1) has an end that is not an integer",
+            "market 1 appears in no edge", "market 2 appears in no edge"]
+        with pytest.raises(ValueError, match=r"edge \(1\.5,1\) has an end"):
+            to_affine(spec)
+        for end in (float("nan"), float("inf"), "1"):
+            spec = NetworkSpec(1, 1, ((1, 1), (1, end)), (1,), (1,), (1,))
+            assert validate(spec) == [
+                f"edge (1,{end}) has an end that is not an integer"]
+        # Whole numbers of any type are the ints they equal.
+        spec = NetworkSpec(2, 1, ((np.float64(2.0), np.int64(1)), (1.0, 1)),
+                           (1, 1), (1, 1), (1,))
+        assert spec.edges == ((2, 1), (1, 1))
+        assert all(type(end) is int for edge in spec.edges for end in edge)
+        assert validate(spec) == []
+
     def test_wrong_parameter_length(self):
         spec = NetworkSpec(2, 1, ((1, 1), (2, 1)), alpha=(1,), beta=(1, 1),
                            gamma=(1,))

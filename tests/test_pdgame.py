@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -77,7 +78,7 @@ def table_runs(graph: PlayerGraph) -> tuple[list[int], list[int]]:
         last_binade = (sizes[0] - 1).bit_length()
         assert table.shape[0] == max(sizes)
         entries += table.size
-    assert entries < 2 * (n + 2 * len(graph.ends))
+    assert entries < 2 * (n + 2 * len(pairs(graph)))
     members = [q for run in runs for q in run]
     starts = list(itertools.accumulate((len(r) for r in runs[:-1]), initial=0))
     return members, starts
@@ -573,8 +574,6 @@ class TestGraphBuilders:
         cases += [(torus_graph(12, 10), torus_edges_by_loop(12, 10))]
         for graph, want in cases:
             assert pairs(graph) == want
-            assert graph.ends.dtype == np.int32
-            assert not graph.ends.flags.writeable
             flat, runs = closed_neighborhoods_by_loop(graph.player_count, want)
             assert table_runs(graph) == (flat, runs)
             assert len(graph.closed_neighborhoods) == 1
@@ -589,19 +588,16 @@ class TestGraphBuilders:
             assert np.array_equal(table, graph.closed_neighborhoods[0][1])
 
     def test_graph_arrays_are_read_only(self):
-        # The edge array is read off the tables only when asked for, as a
-        # read-only int32 array. Pairs of any number type make intp
-        # tables, which table_runs checks.
+        # Whole-number pairs of any number type make intp tables, which
+        # table_runs checks.
         for graph in (torus_graph(4, 4), player_graph(4, [(2, 1), (0, 1)]),
                       player_graph(4, [(2.0, 1.0), (0.0, 1.0)]),
                       player_graph(3, np.array([[0, 1], [1, 2], [2, 0]], np.uint64))):
-            assert "ends" not in vars(graph)
-            arrays = [graph.degrees, graph.ends,
+            arrays = [graph.degrees,
                       *itertools.chain.from_iterable(graph.closed_neighborhoods)]
             for values in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     values[0] = 1
-            assert graph.ends.dtype == np.int32
             assert table_runs(graph) == closed_neighborhoods_by_loop(
                 graph.player_count, pairs(graph))
 
@@ -671,6 +667,30 @@ class TestGraphBuilders:
             player_graph(0, [])
         with pytest.raises(ValueError, match=r"\(a, b\) pairs, got shape \(1, 3\)"):
             player_graph(3, np.array([[0, 1, 2]]))
+
+    def test_ends_that_are_not_integers_are_refused(self):
+        # Not truncated: (0.5, 1.5) and (0.2, 1.9) would both be edge 0-1.
+        # A NaN or infinite end is refused the same way, with no warning,
+        # and before a fault of an earlier pair.
+        for given, named in (([(0.5, 1.5), (0.2, 1.9)], "0.5-1.5"),
+                             ([(0, 1), (1, np.nan)], "1.0-nan"),
+                             ([(0, 1), (np.inf, 2)], "inf-2.0"),
+                             ([(0, 0), (1, Fraction(5, 2))], "1-5/2")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"edge {named} has an end that is not an integer")):
+                player_graph(3, given)
+
+    def test_ends_past_intp_are_out_of_range(self):
+        for end in (3, -10 ** 23, 10 ** 30, 1e30):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"edge 0-{int(end)} out of range for 3 players")):
+                player_graph(3, [(0, 1), (0, end)])
+        with pytest.raises(ValueError, match=re.escape(
+                f"edge 0-{2 ** 64 - 1} out of range for 3 players")):
+            player_graph(3, np.array([[0, 1], [0, 2 ** 64 - 1]], np.uint64))
+        with pytest.raises(ValueError, match=re.escape(
+                f"self-loop {10 ** 30}-{10 ** 30} not allowed")):
+            player_graph(3, [(10 ** 30, 10 ** 30)])
 
     def test_population_builders(self):
         graph = cycle_graph(4)

@@ -12,7 +12,7 @@ from cournotgraph import (CanonicalScenario, NetworkScenario, PDScenario,
 from cournotgraph.pdgame import (all_cooperate, all_defect, complete_graph,
                                  cycle_graph, player_graph, random_population,
                                  single_defector, torus_graph)
-from helpers import letters
+from helpers import letters, pairs
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -122,7 +122,7 @@ class TestForms:
         expected = GRAPH_FORMS[graph]()
         built = sc.build_graph()
         assert built.player_count == expected.player_count
-        assert np.array_equal(built.ends, expected.ends)
+        assert pairs(built) == pairs(expected)
         assert np.array_equal(sc.build_population(built).cooperates,
                               INIT_FORMS[init](expected).cooperates)
 
