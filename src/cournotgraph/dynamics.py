@@ -79,8 +79,6 @@ class Trajectory:
     is kept read-only; a caller's writeable array is copied, not frozen."""
 
     table: np.ndarray
-    method: str
-    step: float
 
     def __post_init__(self):
         table = _frozen(self.table)
@@ -374,11 +372,11 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
         raise IntegrationBlowUp(
             f"state blew up at t={time!r} (max |q| = {peak!r}); "
             f"last finite state {table[filled - 1, 1:].tolist()!r}",
-            Trajectory(table[:filled], method, dt), time)  # copied: a view
+            Trajectory(table[:filled]), time)  # copied: a view
     np.multiply(dt, index, out=table[:, 0])
     table[-1, 0] = t_end
     table.setflags(write=False)  # so the Trajectory keeps it uncopied
-    return Trajectory(table, method, dt)
+    return Trajectory(table)
 
 
 def classify(trajectory: Trajectory, field: Field, q_star, tol: float,

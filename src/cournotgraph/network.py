@@ -23,11 +23,10 @@ k x k capacitance matrix where k < n, :mod:`cournotgraph.stability`).
 A is filled on first access and then kept. Three things still read
 it: the Phi_h propagator that :mod:`cournotgraph.dynamics` uses up to
 300 edges, ``char_poly`` (at most 3 edges) and the tests' oracles. The
-eigenvalues of a ``stability`` report, hence its characteristic
-coefficients, come from the symmetric H = D_b^1/2 S D_b^1/2
-(``dense_symmetric``), filled in place of A. Past ``MAX_DENSE_VALUES``
-entries A, S and H are refused before they are allocated, and
-``stability`` works on k x k matrices alone. Every
+eigenvalue margin of a ``stability`` report comes from the symmetric
+H = D_b^1/2 S D_b^1/2 (``dense_symmetric``), filled in place of A.
+Past ``MAX_DENSE_VALUES`` entries A, S and H are refused before they
+are allocated, and ``stability`` works on k x k matrices alone. Every
 coordinate follows the canonical edge order, which every other module
 and file format shares as its coordinate system.
 

@@ -74,9 +74,22 @@ def pd_series_csv(fractions, out) -> None:
         out.write("".join(rows).encode("ascii"))
 
 
-def _check_lines(a1: float, a2: float, a3: float) -> list[str]:
-    return [f"    {label:<13}{'PASS' if holds else 'FAIL'}"
-            for label, holds in _hurwitz_checks(a1, a2, a3)]
+def _coefficient_lines(heading: str, coeffs) -> list[str]:
+    """The lines of one block of characteristic coefficients: the
+    heading, a1 .. an, then a cubic's Routh-Hurwitz checks or, for any
+    other system (which past 3 variables has no coefficients), an
+    ``n/a`` line. A block with a coefficient that is not finite prints
+    its ``n/a`` line alone."""
+    if not np.all(np.isfinite(coeffs)):
+        return [heading, "  Routh-Hurwitz checks: n/a (coefficients are not "
+                "finite; verdict rests on the eigenvalue margin)"]
+    lines = [heading, *(f"  a{k+1} = {fmt(c)}" for k, c in enumerate(coeffs))]
+    if len(coeffs) != 3:
+        return lines + ["  Routh-Hurwitz checks: n/a (system is not cubic; "
+                        "verdict rests on the eigenvalue margin)"]
+    return lines + ["  Routh-Hurwitz checks:", *(
+        f"    {label:<13}{'PASS' if holds else 'FAIL'}"
+        for label, holds in _hurwitz_checks(*coeffs))]
 
 
 def render_stability_report(report: StabilityReport) -> str:
@@ -86,28 +99,14 @@ def render_stability_report(report: StabilityReport) -> str:
     lines = ["equilibrium:"]
     lines.extend(f"  {name} = {fmt(v)}"
                  for name, v in zip(names, report.equilibrium))
-    coeffs = report.char_coeffs or ()
-    lines.append("characteristic coefficients (Jacobian):")
-    lines.extend(f"  a{k+1} = {fmt(c)}" for k, c in enumerate(coeffs))
-    if len(coeffs) == 3:
-        lines.append("  Routh-Hurwitz checks:")
-        lines.extend(_check_lines(*coeffs))
-    else:
-        route = (f"{report.coefficient_route}; " if report.coefficient_route
-                 else "")
-        lines.append(f"  Routh-Hurwitz checks: n/a (system is not cubic; "
-                     f"{route}verdict rests on the eigenvalue margin)")
+    lines.extend(_coefficient_lines("characteristic coefficients (Jacobian):",
+                                    report.char_coeffs or ()))
     lines.append(f"eigenvalue margin (max Re): {fmt(report.eigen_margin)}")
     lines.append(f"verdict: {report.verdict.value}")
     if report.closed_form is not None:
-        a1, a2, a3 = report.closed_form
-        lines.append("closed-form coefficients (r-parameter formulas; "
-                     "exact when r1 = r2):")
-        lines.append(f"  a1 = {fmt(a1)}")
-        lines.append(f"  a2 = {fmt(a2)}")
-        lines.append(f"  a3 = {fmt(a3)}")
-        lines.append("  Routh-Hurwitz checks:")
-        lines.extend(_check_lines(a1, a2, a3))
+        lines.extend(_coefficient_lines(
+            "closed-form coefficients (r-parameter formulas; exact when "
+            "r1 = r2):", report.closed_form))
     return "\n".join(lines) + "\n"
 
 

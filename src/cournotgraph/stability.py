@@ -52,17 +52,13 @@ per kind of matrix.
   negative, and the spectrum complex).
 
 The characteristic coefficients (a1..an of det(lambda I - J) =
-lambda^n + a1 lambda^(n-1) + ... + an) come from one of two routes:
-
-* for n <= 3, from the matrix (``char_poly``: the trace, the sum of the
-  principal 2 x 2 minors and the determinant), independent of the
-  eigenvalues; for cubic systems the Routh-Hurwitz inequalities
-  (a1 > 0, a3 > 0, a1 a2 > a3) then decide stability a second way, and
-  the two must agree away from the marginal band |margin| <= MARGIN_EPS;
-* for n > 3, as the elementary symmetric functions of the eigenvalues
-  (``np.poly``); coefficients that are not finite are dropped rather
-  than reported, and past the dense limit there are none.
-  ``StabilityReport.coefficient_route`` says which.
+lambda^n + a1 lambda^(n-1) + ... + an) of a system of at most 3
+variables come from the matrix (``char_poly``: the trace, the sum of the
+principal 2 x 2 minors and the determinant), independent of the
+eigenvalues. For cubic systems the Routh-Hurwitz inequalities (a1 > 0,
+a3 > 0, a1 a2 > a3) then decide stability a second way, and the two must
+agree away from the marginal band |margin| <= MARGIN_EPS. Larger systems
+get no coefficients: their verdict rests on the margin alone.
 
 The module also implements the rescaled three-variable normal form of
 the two-firm, two-market network,
@@ -142,14 +138,11 @@ class StabilityReport:
     """Everything the stability command reports for one system."""
 
     equilibrium: np.ndarray
-    char_coeffs: tuple[float, ...] | None  # None: past the dense limit
+    char_coeffs: tuple[float, ...] | None  # None past CHAR_POLY_MAX_N
     closed_form: tuple[float, float, float] | None  # r-formula coefficients
     eigen_margin: float
     verdict: Stability
     variable_order: tuple[Edge, ...]
-    # Where char_coeffs of a system of more than CHAR_POLY_MAX_N
-    # variables come from, or why there are none; "" for ``char_poly``.
-    coefficient_route: str
 
 
 def _solve(a: np.ndarray, c: np.ndarray):
@@ -170,10 +163,9 @@ def _solve(a: np.ndarray, c: np.ndarray):
 
 
 def _spectrum(a: np.ndarray):
-    """(eigenvalues of J = -A, margin max Re of them), of one matrix or
+    """The margin, max Re of the eigenvalues of J = -A, of one matrix or
     of each matrix of a stack."""
-    eigvals = np.linalg.eigvals(-a)
-    return eigvals, np.max(eigvals.real, axis=-1)
+    return np.max(np.linalg.eigvals(-a).real, axis=-1)
 
 
 def _gram(st: EdgeIncidence, weight: np.ndarray) -> np.ndarray:
@@ -300,20 +292,6 @@ def _check_size(st: EdgeIncidence) -> None:
         f"limit of {network.MAX_DENSE_VALUES} values")
 
 
-def _system_spectrum(sys: AffineSystem):
-    """(eigenvalues of J = -A, or None where they are not computed, and
-    the margin max Re of them), by the route of the module docstring."""
-    st = sys.structure
-    if st is None:
-        eigvals, margin = _spectrum(sys.matrix)
-        return eigvals, float(margin)
-    if st.dense_allowed:
-        eigvals = -np.linalg.eigvalsh(st.dense_symmetric())
-        return eigvals, float(eigvals[0])
-    _check_size(st)
-    return None, -_lowest_eigenvalue(st)
-
-
 def _hurwitz_checks(a1: float, a2: float, a3: float):
     """The three Routh-Hurwitz inequalities of a cubic, labelled."""
     return (("a1 > 0", a1 > 0.0), ("a3 > 0", a3 > 0.0),
@@ -403,13 +381,21 @@ def routh_hurwitz_cubic(a1: float, a2: float, a3: float) -> bool:
 
 def eigen_margin(sys: AffineSystem) -> float:
     """Max real part over the eigenvalues of J = -A, the margin that
-    ``analyze`` reports.
+    decides ``analyze``'s verdict, by the route of the module docstring:
+    the general ``eigvals`` of a matrix system's A; for a network,
+    -lambda_min of H from one ``eigvalsh`` while the dense matrix is
+    allowed, else from the inertia bisection (``_lowest_eigenvalue``).
 
-    Computed by LAPACK from the matrix, or for a network from its
-    structure, deliberately not via ``char_poly``, so the Routh-Hurwitz
-    route and this one stay independent of each other.
+    Deliberately not via ``char_poly``, so the Routh-Hurwitz route and
+    this one stay independent of each other.
     """
-    return _system_spectrum(sys)[1]
+    st = sys.structure
+    if st is None:
+        return float(_spectrum(sys.matrix))
+    if st.dense_allowed:
+        return float(-np.linalg.eigvalsh(st.dense_symmetric())[0])
+    _check_size(st)
+    return -_lowest_eigenvalue(st)
 
 
 def canonical_field(r: CanonicalParams, q) -> tuple[float, float, float]:
@@ -457,7 +443,7 @@ def canonical_margins(r) -> np.ndarray:
     _, ok, _, _ = _solve(matrices,
                          np.broadcast_to(constant, matrices.shape[:-1]))
     margins = np.full(len(matrices), np.nan)
-    margins[ok] = _spectrum(matrices[ok])[1]
+    margins[ok] = _spectrum(matrices[ok])
     return margins
 
 
@@ -506,31 +492,15 @@ def symmetric_conditions(r: CanonicalParams) -> bool:
 
 def analyze(sys: AffineSystem,
             r: CanonicalParams | None = None) -> StabilityReport:
-    """Bundle equilibrium, characteristic coefficients, eigenvalue margin
-    and the verdict (Routh-Hurwitz reads the coefficients of a cubic);
-    for canonical systems pass r to include the closed-form coefficients."""
+    """Bundle equilibrium, characteristic coefficients (of a system of
+    at most CHAR_POLY_MAX_N variables), eigenvalue margin and the verdict,
+    which the margin decides; for canonical systems pass r to include the
+    closed-form coefficients."""
     eq = equilibrium(sys)
-    eigvals, margin = _system_spectrum(sys)
-    route = ""
-    if sys.dimension <= CHAR_POLY_MAX_N:
-        coeffs = char_poly(sys)
-    elif eigvals is None:
-        coeffs = None
-        route = (f"{sys.dimension} variables are past the dense limit of "
-                 f"{network.MAX_DENSE_VALUES} matrix values, so no "
-                 f"eigenvalues and no coefficients are computed, and the "
-                 f"margin comes from an inertia bisection")
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = tuple(float(v) for v in np.poly(eigvals).real[1:])
-        route = ("coefficients are the elementary symmetric functions of "
-                 "the eigenvalues")
-        if not all(np.isfinite(coeffs)):
-            coeffs = ()
-            route = "coefficients from the eigenvalues are not finite, none printed"
+    margin = eigen_margin(sys)
+    coeffs = char_poly(sys) if sys.dimension <= CHAR_POLY_MAX_N else None
     return StabilityReport(equilibrium=eq, char_coeffs=coeffs,
                            closed_form=closed_form_coeffs(r) if r is not None else None,
-                           eigen_margin=float(margin),
+                           eigen_margin=margin,
                            verdict=verdict_of(margin),
-                           variable_order=sys.variable_order,
-                           coefficient_route=route)
+                           variable_order=sys.variable_order)

@@ -71,7 +71,8 @@ def test_traced_stability_and_simulate_reach_the_wrapped_layers(tmp_path):
     assert metrics["stability.analyze_calls"] == 1
     for name in ("cli.self_s", "scenario.parse_s", "stability.analyze_s",
                  "stability.equilibrium_s", "stability.char_poly_s",
-                 "reports.render_s", "dynamics.integrate_s",
+                 "stability.eigen_margin_s", "reports.render_s",
+                 "dynamics.integrate_s",
                  "reports.write_trajectory_s"):
         assert metrics[name] > 0.0, name
     # Five steps of a 304-edge network take the matrix-free field route:
@@ -91,5 +92,6 @@ def test_traced_network_run_reaches_assembly_and_field(tmp_path):
     metrics = record["metrics"]
     assert metrics["stability.analyze_calls"] == 1
     for name in ("network.to_affine_s", "cournot.vector_field_s",
-                 "stability.analyze_s", "reports.render_s"):
+                 "stability.analyze_s", "stability.eigen_margin_s",
+                 "reports.render_s"):
         assert metrics[name] > 0.0, name

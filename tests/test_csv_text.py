@@ -161,8 +161,7 @@ def test_trajectory_rows_around_a_block_match_per_value_rendering(variables):
         if count < 1:
             continue
         states = rng.uniform(-2.0, 2.0, (count, variables))
-        traj = Trajectory(np.column_stack((np.arange(count) * 0.01, states)),
-                          method="rk4", step=0.01)
+        traj = Trajectory(np.column_stack((np.arange(count) * 0.01, states)))
         names = tuple(f"q{k}" for k in range(variables))
         assert (written(write_trajectory, traj, names)
                 == trajectory_csv_by_value(traj, names))
@@ -182,7 +181,7 @@ def test_odd_values_at_block_edges_and_row_ends(variables):
     ends = list(range(width - 1, flat.size, width))[::7]
     for k, i in enumerate(edges + ends):
         flat[i] = ODD_VALUES[k % len(ODD_VALUES)]
-    traj = Trajectory(table, method="euler", step=0.5)
+    traj = Trajectory(table)
     names = tuple(f"q{k}" for k in range(variables))
     assert (written(write_trajectory, traj, names)
             == trajectory_csv_by_value(traj, names))

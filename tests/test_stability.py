@@ -334,8 +334,10 @@ class TestCoefficientRoutes:
                 assert analyze(sys).char_coeffs == char_poly(sys)
 
     def test_network_coefficients_are_eigenvalue_symmetric_functions(self):
-        # det(lambda I + A) = prod (lambda + mu) over the eigenvalues mu of
-        # A = D_b S, taken here from the symmetric D_b^1/2 S D_b^1/2.
+        # Past 3 variables no coefficients are computed: the report's one
+        # n/a line says the verdict rests on the margin, -lambda_min of
+        # the symmetric D_b^1/2 S D_b^1/2 similar to A.
+        from cournotgraph.reports import render_stability_report
         rng = np.random.default_rng(51)
         checked = 0
         for _ in range(60):
@@ -344,25 +346,37 @@ class TestCoefficientRoutes:
             if sys.dimension <= 3:
                 continue
             checked += 1
-            coeffs = np.array(analyze(sys).char_coeffs)
-            assert len(coeffs) == sys.dimension
-            assert np.all(np.isfinite(coeffs)) and np.all(coeffs > 0.0)
+            report = analyze(sys)
+            assert report.char_coeffs is None
             root_b = np.sqrt([spec.speed[j - 1] for _, j in sys.variable_order])
             s = sys.matrix / (root_b * root_b)[:, None]
             mu = np.linalg.eigvalsh(root_b[:, None] * (s + s.T) / 2.0 * root_b)
-            assert np.allclose(coeffs, np.poly(-mu)[1:], rtol=1e-9, atol=0.0)
+            assert np.isclose(report.eigen_margin, -mu[0], rtol=1e-9, atol=0.0)
+            lines = render_stability_report(report).splitlines()
+            heading = lines.index("characteristic coefficients (Jacobian):")
+            assert lines[heading + 1:-2] == [
+                "  Routh-Hurwitz checks: n/a (system is not cubic; verdict "
+                "rests on the eigenvalue margin)"]
         assert checked > 40
 
     def test_overflowing_coefficients_are_not_reported(self):
+        # r1 r2 and r1 r2 r3 overflow: a2 and a3 are inf in both blocks,
+        # and neither prints them or Routh-Hurwitz marks read from them.
         from cournotgraph.reports import render_stability_report
-        sys = AffineSystem(constant=np.ones(400),
-                           matrix=np.diag(np.full(400, 1e3)))
-        report = analyze(sys)
-        assert report.char_coeffs == ()
+        r = CanonicalParams(1e200, 1e200, 1e200, 0.5, 0.5)
+        report = analyze(canonical_affine(r), r)
+        assert not np.all(np.isfinite(report.char_coeffs))
+        assert not np.all(np.isfinite(report.closed_form))
         assert report.verdict is Stability.STABLE
-        text = render_stability_report(report)
-        assert "not finite, none printed" in text
-        assert "  a1 = " not in text
+        na = ("  Routh-Hurwitz checks: n/a (coefficients are not finite; "
+              "verdict rests on the eigenvalue margin)")
+        lines = render_stability_report(report).splitlines()
+        assert lines[4:] == [
+            "characteristic coefficients (Jacobian):", na,
+            f"eigenvalue margin (max Re): {report.eigen_margin!r}",
+            "verdict: STABLE",
+            "closed-form coefficients (r-parameter formulas; exact when "
+            "r1 = r2):", na]
 
 
 def _network_specs(seed: int, count: int):
