@@ -24,9 +24,11 @@ A is filled on first access and then kept. Three things still read
 it: the Phi_h propagator that :mod:`cournotgraph.dynamics` uses up to
 300 edges, ``char_poly`` (at most 3 edges) and the tests' oracles. The
 eigenvalue margin of a ``stability`` report comes from the symmetric
-H = D_b^1/2 S D_b^1/2 (``dense_symmetric``), filled in place of A.
-Past ``MAX_DENSE_VALUES`` entries A, S and H are refused before they
-are allocated, and ``stability`` works on k x k matrices alone. Every
+H = D_b^1/2 S D_b^1/2, which ``dense_symmetric`` fills in place of A
+only while n <= k; with more edges than firms and markets the margin
+is computed on k x k matrices alone, as the equilibrium is. Past
+``MAX_DENSE_VALUES`` entries A, S and H are refused before they are
+allocated. Every
 coordinate follows the canonical edge order, which every other module
 and file format shares as its coordinate system.
 
@@ -49,8 +51,8 @@ Edge = tuple[int, int]  # (market index, firm index), 1-based
 # Every float matrix a network route fills or factors, n x n (A, S or H)
 # or k x k (k firms and markets), holds at most this many float64 values,
 # 8 bytes each, and LAPACK works on a few copies of it. An n x n one is
-# refused past it (more than 3162 edges) before it is allocated, and
-# ``stability`` then works on k x k ones alone.
+# refused past it (more than 3162 edges) before it is allocated;
+# ``stability`` fills none where n > k.
 MAX_DENSE_VALUES = 10_000_000
 
 
@@ -228,11 +230,6 @@ class EdgeIncidence:
                              + (self.market_beta * c)[self.market]
                              + self.beta * q)
 
-    @property
-    def dense_allowed(self) -> bool:
-        """Whether ``dense`` may fill A: n^2 <= ``MAX_DENSE_VALUES``."""
-        return len(self.speed) ** 2 <= MAX_DENSE_VALUES
-
     def _filled(self) -> np.ndarray:
         """S = diag(beta_i(e)) + F Gamma F^T + M B M^T as a writeable
         n x n array: gamma_j + 2 beta_i on the diagonal of row (i, j),
@@ -241,7 +238,7 @@ class EdgeIncidence:
         (i, j), never both). Refused past ``MAX_DENSE_VALUES`` entries,
         before anything is allocated."""
         n = len(self.speed)
-        if not self.dense_allowed:
+        if n * n > MAX_DENSE_VALUES:
             raise ValueError(
                 f"a network of {n} edges needs a dense {n}x{n} matrix, more "
                 f"than the limit of {MAX_DENSE_VALUES} values "

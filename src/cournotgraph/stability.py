@@ -24,24 +24,38 @@ per kind of matrix.
     beta_e cost the solve digits, corrections solved from it (iterative
     refinement) win them back.
   - A is similar to the symmetric H = D_b^1/2 S D_b^1/2, so its
-    spectrum is real. While the dense matrix is allowed
-    (n^2 <= ``network.MAX_DENSE_VALUES``), one ``eigvalsh`` of H, filled
-    in place of A, gives every eigenvalue. Past that, only the margin
-    -lambda_min(H) is computed, with no n x n array, by bisection on
-    whether H - lam I is positive definite. Call b_e beta_e the pole of
-    edge e, and split the edges into the near ones, whose pole lies
-    below lam or just above it, and the far ones, whose pole lies above.
-    H - lam I = diag(b_e beta_e - lam) + V W V^T with V = D_b^1/2 U;
-    eliminating the far edges' diagonal, which is positive, and then
-    their capacitance matrix K_far = W^-1 + V_far^T
-    diag(1 / (b_e beta_e - lam))_far V_far, also positive definite,
-    leaves T = diag(b_e beta_e - lam)_near + V_near K_far^-1 V_near^T,
-    so by Haynsworth's inertia theorem H - lam I is positive definite
-    iff T is, which Cholesky tells. V W V^T has rank at most k, so
-    lambda_min lies in [p_(1), p_(k+1)], p_(m) the m-th least pole, and
-    below min b_e (gamma_j + 2 beta_i), the least diagonal entry of H;
-    under p_(k+1) at most k poles lie below lam, so T stays k x k, and a
-    step costs O(n + k^3).
+    spectrum is real, and only the margin -lambda_min(H) is computed,
+    on the smaller side, as for the equilibrium. While n <= k one
+    ``eigvalsh`` of H, filled in place of A, gives it. Otherwise no
+    n x n array is made. Call b_e beta_e the pole of edge e; with
+    V = D_b^1/2 U, H = diag(b_e beta_e) + V W V^T. V W V^T has rank at
+    most k, so lambda_min lies in [p_(1), p_(k+1)], p_(m) the m-th least
+    pole, and below min b_e (gamma_j + 2 beta_i), the least diagonal
+    entry of H. Whether H - lam I is positive definite, that is whether
+    lam < lambda_min, is told in O(n + k^3) by an inertia test. Split
+    the edges into the near ones, whose pole lies below lam or just
+    above it, and the far ones, whose pole lies above. H - lam I =
+    diag(b_e beta_e - lam) + V W V^T; eliminating the far edges'
+    diagonal, which is positive, and then their capacitance matrix
+    K_far = W^-1 + V_far^T diag(1 / (b_e beta_e - lam))_far V_far, also
+    positive definite, leaves T = diag(b_e beta_e - lam)_near +
+    V_near K_far^-1 V_near^T, so by Haynsworth's inertia theorem
+    H - lam I is positive definite iff T is, which Cholesky tells.
+    Under p_(k+1) at most k poles lie below lam, so T stays k x k.
+    The bracket is first narrowed by a spectral transformation
+    (Ericsson & Ruhe 1980): at the shift s = p_(1)(1 - 2^-10), below
+    every pole, (H - s I)^-1 = D^-1 - D^-1 V K^-1 V^T D^-1 with
+    D = diag(b_e beta_e - s) and the capacitance matrix
+    K = W^-1 + V^T D^-1 V, inverted once, so inverse iteration costs
+    O(n + k^2) a step. Its Rayleigh quotient theta bounds lambda_min
+    above; the inertia test just below theta bounds it below, and is
+    moved down toward p_(1) while it fails. Where the iteration
+    converged slowly, so that bound lies far below theta, the iteration
+    runs again shifted to it: H - s I stays positive definite (K and D
+    need not be), so it still converges to lambda_min, and faster, the
+    nearer the shift. Bisection on the inertia test closes the bracket,
+    so the margin is certified to the bisection's tolerance whatever
+    the iteration did.
   - Every float matrix a network route fills or factors, n x n or
     k x k, is bounded by ``network.MAX_DENSE_VALUES``, so a network is
     refused (exit 2) exactly when min(n, k)^2 passes it.
@@ -95,6 +109,9 @@ _REFINE_STEPS = 3       # residual corrections a network equilibrium may take
 _SYMMETRY_TOL = 1e-12   # |r1 - r2| tolerance for the symmetric closed forms
 _BISECT_TOL = 2.0 ** -46  # relative bracket width where the margin bisection stops
 _POLE_GAP = 2.0 ** -10    # relative distance above lam within which an edge is near
+_CERTIFY_GAP = 2.0 ** -40  # relative distance below theta of the first inertia test
+_ITERATIONS = 256          # inverse iterations at most, per shift
+_SHIFTS = 3                # shifts the inverse iteration runs at, at most
 
 CANONICAL_ORDER: tuple[Edge, ...] = ((1, 1), (2, 2), (2, 1))
 
@@ -261,16 +278,82 @@ def _definite_below(st: EdgeIncidence, order: np.ndarray,
     return True
 
 
+def _rayleigh_bound(st: EdgeIncidence, shift: float) -> tuple[float, float]:
+    """(theta, tail) for a shift below lambda_min and off every pole:
+    theta >= lambda_min, the Rayleigh quotient of inverse iteration on
+    (H - shift I)^-1 through the Woodbury identity of the module
+    docstring, and tail, an estimate of theta - lambda_min (0 where it
+    has none). The iteration starts from a fixed equidistributed vector
+    (a golden-ratio Weyl sequence) and stops once tail is under
+    theta * _CERTIFY_GAP / 16, or after _ITERATIONS steps. The result is
+    only a hint, which the inertia tests check, so rounding that leaves
+    no finite quotient gives (inf, inf)."""
+    firms, root = len(st.firm_gamma), np.sqrt(st.speed)
+    poles = st.speed * st.beta
+    weight = np.concatenate((st.firm_gamma, st.market_beta))
+
+    def spread(z: np.ndarray) -> np.ndarray:  # V z
+        return root * (z[:firms][st.firm] + z[firms:][st.market])
+
+    def gather(x: np.ndarray) -> np.ndarray:  # V^T x
+        return np.concatenate(st.supplies(root * x))
+    x = np.arange(len(poles)) * 0.6180339887498949 % 1.0 - 0.5
+    theta = step = np.nan
+    with np.errstate(all="ignore"):
+        diagonal = poles - shift
+        try:
+            inverse = np.linalg.inv(_capacitance(st, st.speed / diagonal))
+        except np.linalg.LinAlgError:
+            return np.inf, np.inf
+        for _ in range(_ITERATIONS):
+            y = x / diagonal
+            x = y - spread(inverse @ gather(y)) / diagonal
+            x /= np.linalg.norm(x)
+            last, theta = theta, float(x @ (poles * x + spread(weight * gather(x))))
+            if not theta < np.inf:
+                return np.inf, np.inf
+            last_step, step = step, last - theta
+            if step <= 0.0:  # the quotients never rise but by rounding
+                return theta, 0.0
+            # They fall about geometrically, by step / last_step a step, so
+            # step^2 / (last_step - step) is what is left to fall.
+            fall = last_step - step
+            tail = step * step / fall if fall > 0.0 else np.inf
+            if tail <= _CERTIFY_GAP / 16.0 * theta:
+                break
+    return theta, tail if tail < np.inf else 0.0
+
+
 def _lowest_eigenvalue(st: EdgeIncidence) -> float:
-    """lambda_min of H = D_b^1/2 S D_b^1/2 without an n x n array, by
-    bisection on ``_definite_below`` over the bracket of the module
-    docstring, to a relative width of _BISECT_TOL."""
+    """lambda_min of H = D_b^1/2 S D_b^1/2 without an n x n array, to a
+    relative bracket width of _BISECT_TOL. The bracket of the module
+    docstring has its top cut to the Rayleigh quotient theta of
+    ``_rayleigh_bound``. Its bottom is raised to a point below theta
+    that ``_definite_below`` certifies: first max(theta * _CERTIFY_GAP,
+    2 tail) below it, then, while that fails, 16 times further down each
+    time. Where the certified point lies more than theta * _CERTIFY_GAP
+    below, the iteration runs again, shifted to it, up to _SHIFTS
+    shifts in all; bisection on ``_definite_below`` closes the rest."""
     order = np.argsort(st.speed * st.beta, kind="stable")
     poles = (st.speed * st.beta)[order]
     size = len(st.firm_gamma) + len(st.market_beta)
     lo = float(poles[0])
     hi = float(np.min(np.append(poles[size:size + 1], st.speed * (
         st.firm_gamma[st.firm] + 2.0 * st.beta))))
+    shift = lo * (1.0 - _POLE_GAP)
+    for _ in range(_SHIFTS):
+        theta, tail = _rayleigh_bound(st, shift)
+        if theta < hi:
+            hi = max(theta, lo)
+        gap = max(_CERTIFY_GAP * hi, 2.0 * tail)
+        while hi - gap > lo and not _definite_below(st, order, poles, hi - gap):
+            hi -= gap
+            gap *= 16.0
+        if not hi - gap > lo:
+            break
+        lo = shift = hi - gap
+        if gap <= _CERTIFY_GAP * hi:
+            break
     while hi - lo > _BISECT_TOL * hi:
         lam = 0.5 * (lo + hi)
         if _definite_below(st, order, poles, lam):
@@ -383,8 +466,8 @@ def eigen_margin(sys: AffineSystem) -> float:
     """Max real part over the eigenvalues of J = -A, the margin that
     decides ``analyze``'s verdict, by the route of the module docstring:
     the general ``eigvals`` of a matrix system's A; for a network,
-    -lambda_min of H from one ``eigvalsh`` while the dense matrix is
-    allowed, else from the inertia bisection (``_lowest_eigenvalue``).
+    -lambda_min of H, from one ``eigvalsh`` while n <= k, else from the
+    certified bracket of ``_lowest_eigenvalue``.
 
     Deliberately not via ``char_poly``, so the Routh-Hurwitz route and
     this one stay independent of each other.
@@ -392,9 +475,9 @@ def eigen_margin(sys: AffineSystem) -> float:
     st = sys.structure
     if st is None:
         return float(_spectrum(sys.matrix))
-    if st.dense_allowed:
-        return float(-np.linalg.eigvalsh(st.dense_symmetric())[0])
     _check_size(st)
+    if len(st.speed) <= len(st.firm_gamma) + len(st.market_beta):
+        return float(-np.linalg.eigvalsh(st.dense_symmetric())[0])
     return -_lowest_eigenvalue(st)
 
 

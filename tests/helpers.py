@@ -54,6 +54,26 @@ def network_spec_of_shape(rng: np.random.Generator, k1: int,
         speed=tuple(rng.uniform(0.5, 2.0, k2)))
 
 
+def network_spec_with_edges(rng: np.random.Generator, k1: int, k2: int,
+                            edge_count: int) -> NetworkSpec:
+    """Random valid spec on k1 markets and k2 firms with exactly
+    ``edge_count`` edges, shaped as the benchmark's networks are: each
+    firm on a random market, each market still without an edge on a
+    random firm, then random edges up to the count; alpha in [1, 2],
+    beta in [0.2, 1], gamma in [0.1, 0.5] and speeds in [0.5, 1.5]."""
+    edges = {(int(rng.integers(1, k1 + 1)), j) for j in range(1, k2 + 1)}
+    for i in sorted(set(range(1, k1 + 1)) - {i for i, _ in edges}):
+        edges.add((i, int(rng.integers(1, k2 + 1))))
+    while len(edges) < edge_count:
+        edges.add((int(rng.integers(1, k1 + 1)), int(rng.integers(1, k2 + 1))))
+    return NetworkSpec(
+        market_count=k1, firm_count=k2, edges=tuple(sorted(edges)),
+        alpha=tuple(rng.uniform(1.0, 2.0, k1)),
+        beta=tuple(rng.uniform(0.2, 1.0, k1)),
+        gamma=tuple(rng.uniform(0.1, 0.5, k2)),
+        speed=tuple(rng.uniform(0.5, 1.5, k2)))
+
+
 def matching_spec(rng: np.random.Generator, pairs: int, cross: int = 3,
                   speed=None) -> NetworkSpec:
     """Random valid spec on ``pairs`` markets and as many firms: edge
@@ -307,7 +327,7 @@ def record_factored_sizes(monkeypatch) -> list[int]:
     """Patch numpy's solvers and factorisations to record the order of
     every matrix passed to them."""
     sizes: list[int] = []
-    for name in ("solve", "cholesky", "eigvalsh", "eigh", "eigvals"):
+    for name in ("solve", "cholesky", "inv", "eigvalsh", "eigh", "eigvals"):
         def recorded(a, *args, _call=getattr(np.linalg, name), **kwargs):
             sizes.append(np.shape(a)[-1])
             return _call(a, *args, **kwargs)

@@ -859,15 +859,16 @@ def _network_scenario(path, markets: int, firms: int, seed: int,
 class TestNetworkRoutes:
     """Networks past 300 edges simulate on the incidence structure, and
     every network solves its equilibrium there; A itself is never
-    filled, and only the eigenvalues of a stability report fill the
-    symmetric H, once, while it is allowed."""
+    filled, and the margin of a stability report fills the symmetric H,
+    once, only where the network has no more edges than firms and
+    markets (n <= k)."""
 
     def test_simulate_never_fills_the_dense_matrix(self, monkeypatch,
                                                    tmp_path, capsys):
         from cournotgraph.network import EdgeIncidence
         path = tmp_path / "net.scenario"
-        _network_scenario(path, 20, 30, seed=3)
-        fill = EdgeIncidence.dense_symmetric
+        scenario = _network_scenario(path, 20, 30, seed=3)
+        assert len(scenario.q0) > 50  # n > k: the margin takes no H either
 
         def forbidden(self):
             raise AssertionError("dense matrix filled")
@@ -877,14 +878,45 @@ class TestNetworkRoutes:
             assert run("simulate", "--scenario", path, "--t-end", 1,
                        "--method", method, "--out", tmp_path / "t.csv") == 0
         assert run("equilibrium", "--scenario", path) == 0
-        calls = []
-
-        def counted(self):
-            calls.append(1)
-            return fill(self)
-        monkeypatch.setattr(EdgeIncidence, "dense_symmetric", counted)
         assert run("stability", "--scenario", path) == 0
-        assert calls == [1]
+
+    # sha256 of `stability`'s stdout on matching networks (n <= k; the
+    # second has n = k = 80), taken before the margin moved to the k side
+    # where k < n: a network with n <= k keeps eigvalsh of H, bit for bit.
+    SMALL_PINNED = {
+        (12, 3): "48ec7472a60768f04a62eaa3cd6cc1a296e15bd9f89f78890297c9e29e3191bd",
+        (40, 40): "ae1347ac3674bf0ba8cd8d496d6cfd2177b283419ed22d0182ca43aa5f96e6c3",
+    }
+
+    def test_networks_up_to_k_edges_keep_their_report_bytes(self, tmp_path,
+                                                           capsys):
+        from cournotgraph import NetworkScenario, render_scenario
+        from helpers import matching_spec
+        assert run("stability", "--scenario", NETWORK) == 0
+        assert capsys.readouterr().out == (
+            "equilibrium:\n"
+            "  q11 = 1.8305084745762707\n"
+            "  q21 = 0.8474576271186445\n"
+            "  q22 = 0.7457627118644067\n"
+            "characteristic coefficients (Jacobian):\n"
+            "  a1 = 2.2\n"
+            "  a2 = 1.45\n"
+            "  a3 = 0.295\n"
+            "  Routh-Hurwitz checks:\n"
+            "    a1 > 0       PASS\n"
+            "    a3 > 0       PASS\n"
+            "    a1*a2 > a3   PASS\n"
+            "eigenvalue margin (max Re): -0.4199390510070074\n"
+            "verdict: STABLE\n")
+        rng = np.random.default_rng(74)
+        for (pairs, cross), digest in self.SMALL_PINNED.items():
+            spec = matching_spec(rng, pairs, cross)
+            path = tmp_path / "matching.scenario"
+            path.write_text(render_scenario(NetworkScenario(
+                spec, (0.0,) * (pairs + cross))), encoding="utf-8")
+            assert run("stability", "--scenario", path) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_past_the_dense_limit_on_the_structure(self, monkeypatch, tmp_path,
                                                    capsys):

@@ -15,9 +15,9 @@ from cournotgraph import (AffineSystem, CanonicalParams,
 from cournotgraph.stability import (MARGIN_EPS, VERDICTS, verdict_codes,
                                     verdict_of)
 from helpers import (charpoly_by_determinant, matching_spec,
-                     network_spec_of_shape, random_canonical,
-                     random_network_spec, record_factored_sizes,
-                     to_affine_by_loop)
+                     network_spec_of_shape, network_spec_with_edges,
+                     random_canonical, random_network_spec,
+                     record_factored_sizes, to_affine_by_loop)
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
 UNSTABLE = CanonicalParams(0.01, 0.1, 1.1, -0.3, 0.4)
@@ -404,20 +404,17 @@ def _edges_and_size(spec) -> tuple[int, int]:
     return len(set(spec.edges)), spec.market_count + spec.firm_count
 
 
-def _force_bisection(monkeypatch) -> None:
-    """Send every network's spectrum to the bisection. The one size limit
-    bounds the k x k matrices too, so patching it would reach the
-    bisection only where k < n."""
-    from cournotgraph.network import EdgeIncidence
-    monkeypatch.setattr(EdgeIncidence, "dense_allowed",
-                        property(lambda self: False))
+def _n_above_k(spec) -> bool:
+    n, k = _edges_and_size(spec)
+    return n > k
 
 
 class TestNetworkRoute:
     """Network systems are solved and analysed on their incidence
-    structure: a Cholesky solve of S, or of the k x k capacitance matrix
-    where k < n, eigvalsh of the symmetric H, and past the dense limit an
-    inertia bisection."""
+    structure, on the smaller side: where n <= k, a Cholesky solve of S
+    and eigvalsh of the symmetric H; where k < n, a Cholesky solve of
+    the k x k capacitance matrix and a margin bracketed by inverse
+    iteration and certified by inertia tests, then bisected."""
 
     def test_s_route_matches_dense_solve(self, monkeypatch):
         rng = np.random.default_rng(68)
@@ -462,18 +459,23 @@ class TestNetworkRoute:
                 assert np.max(np.abs(got - q)) <= 1e-12 * np.max(np.abs(q))
 
     def test_bisection_margin_matches_dense_eigenvalues(self, monkeypatch):
+        # The fallback: with no bound from the iteration, the bisection
+        # runs over the whole bracket, on every shape, n <= k as well.
+        from cournotgraph import stability
         specs = list(_network_specs(63, 80))
         want = [-float(np.linalg.eigvalsh(_dense_h(spec))[0]) for spec in specs]
-        _force_bisection(monkeypatch)
+        monkeypatch.setattr(stability, "_rayleigh_bound",
+                            lambda st, shift: (np.inf, np.inf))
         for spec, margin in zip(specs, want):
-            got = eigen_margin(to_affine(spec))
+            got = -stability._lowest_eigenvalue(to_affine(spec).structure)
             assert abs(got - margin) <= 1e-12 * abs(margin)
 
-    def test_bisection_near_repeated_poles(self, monkeypatch):
+    def test_bisection_near_repeated_poles(self):
         # Round parameters repeat the values b_e beta_e, and some sit on
         # or next to the lowest eigenvalue of H; the count keeps the edges
         # near the bisection point in its matrix instead of dividing by
-        # the small differences.
+        # the small differences. The default route: eigvalsh where n <= k,
+        # the certified bracket where k < n.
         from cournotgraph import NetworkSpec
         rng = np.random.default_rng(64)
         specs = []
@@ -492,8 +494,8 @@ class TestNetworkRoute:
         for beta in ((0.5,) * 6, (0.999,) + (1.0,) * 5, (0.9999,) + (1.0,) * 5):
             specs.append(NetworkSpec(6, 8, complete, (1.0,) * 6, beta,
                                      tuple(rng.uniform(0.1, 2.0, 8)), (1.0,) * 8))
+        assert sum(map(_n_above_k, specs)) >= 40
         want = [-float(np.linalg.eigvalsh(_dense_h(spec))[0]) for spec in specs]
-        _force_bisection(monkeypatch)
         for spec, margin in zip(specs, want):
             got = eigen_margin(to_affine(spec))
             assert abs(got - margin) <= 1e-12 * abs(margin)
@@ -502,9 +504,9 @@ class TestNetworkRoute:
         # Many distinct poles b_e beta_e close together: two markets whose
         # slopes differ by 1e-9 to 1e-3 on every firm (each value on fewer
         # edges than there are firms and markets), and complete networks
-        # whose slopes and speeds spread by 1e-12 to 1e-3. The margin stays
-        # within 1e-12 of the dense one, and no matrix the bisection
-        # factors is larger than k x k.
+        # whose slopes and speeds spread by 1e-12 to 1e-3. On the default
+        # route the margin stays within 1e-12 of the dense one, and no
+        # matrix it factors or inverts is larger than k x k.
         from cournotgraph import NetworkSpec
         rng = np.random.default_rng(67)
         specs = []
@@ -522,14 +524,82 @@ class TestNetworkRoute:
                 (1.0,) * m, tuple(1.0 + spread * rng.uniform(0.0, 1.0, m)),
                 tuple(rng.uniform(0.1, 2.0, f)),
                 tuple(1.0 + spread * rng.uniform(0.0, 1.0, f))))
+        assert sum(map(_n_above_k, specs)) >= 30
         want = [-float(np.linalg.eigvalsh(_dense_h(spec))[0]) for spec in specs]
-        _force_bisection(monkeypatch)
         sizes = record_factored_sizes(monkeypatch)
         for spec, margin in zip(specs, want):
             sizes.clear()
             got = eigen_margin(to_affine(spec))
             assert abs(got - margin) <= 1e-12 * abs(margin)
             assert max(sizes) <= spec.market_count + spec.firm_count
+
+    def test_margin_past_k_edges_stays_on_the_k_side(self, monkeypatch):
+        # Where k < n the margin takes no eigensolver call and no matrix
+        # larger than k x k: random 20 x 30 and 40 x 60 networks, and a
+        # complete 57 x 57 one whose 3249 poles lie within 2e-6 of each
+        # other.
+        from cournotgraph import NetworkSpec
+        rng = np.random.default_rng(72)
+        w = 57
+        specs = [*(network_spec_of_shape(rng, 20, 30) for _ in range(3)),
+                 *(network_spec_of_shape(rng, 40, 60) for _ in range(2)),
+                 NetworkSpec(w, w, tuple((i, j) for i in range(1, w + 1)
+                                         for j in range(1, w + 1)),
+                             (1.0,) * w, tuple(1.0 + 1e-6 * i / w for i in range(w)),
+                             (1.0,) * w, tuple(1.0 + 1e-7 * j / w for j in range(w)))]
+        want = [-float(np.linalg.eigvalsh(_dense_h(spec))[0]) for spec in specs[:-1]]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+        sizes = record_factored_sizes(monkeypatch)
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for spec, margin in zip(specs, [*want, None]):
+            assert _n_above_k(spec)
+            sizes.clear()
+            got = eigen_margin(to_affine(spec))
+            assert sizes and max(sizes) <= spec.market_count + spec.firm_count
+            if margin is not None:
+                assert abs(got - margin) <= 1e-12 * abs(margin)
+        assert -1.000001 < got < -1.0
+
+    @staticmethod
+    def _shared_least_pole(rng):
+        """Two markets shared by 100 firms, every speed 1: the 100 edges
+        of the cheaper market share the least pole."""
+        from cournotgraph import NetworkSpec
+        shape = network_spec_of_shape(rng, 2, 100)
+        return NetworkSpec(2, 100, tuple((i, j) for i in (1, 2)
+                                         for j in range(1, 101)),
+                           shape.alpha, shape.beta, shape.gamma, (1.0,) * 100)
+
+    @pytest.mark.parametrize("shape", ["241_edges", "960_edges",
+                                       "shared_least_pole"])
+    def test_inertia_tests_at_the_bench_shapes(self, shape, monkeypatch):
+        # The benchmark's shapes, 20 x 30 with 241 edges and 40 x 60 with
+        # 960, and one where the first iteration converges slowly, so
+        # that a second one runs at the certified shift: the bracket from
+        # the iteration leaves a few inertia tests where the bisection
+        # over the whole bracket took about 47.
+        from cournotgraph import stability
+        make = {"241_edges": lambda rng: network_spec_with_edges(rng, 20, 30, 241),
+                "960_edges": lambda rng: network_spec_with_edges(rng, 40, 60, 960),
+                "shared_least_pole": self._shared_least_pole}[shape]
+        calls = []
+        test = stability._definite_below
+
+        def counted(*args):
+            calls.append(1)
+            return test(*args)
+        monkeypatch.setattr(stability, "_definite_below", counted)
+        rng = np.random.default_rng(73)
+        for _ in range(4):
+            spec = make(rng)
+            calls.clear()
+            got = eigen_margin(to_affine(spec))
+            assert 1 <= len(calls) <= 12
+            want = -float(np.linalg.eigvalsh(_dense_h(spec))[0])
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_one_matrix_size_limit(self, monkeypatch):
         # Every matrix a network route fills or factors is S or H (n x n)
