@@ -25,20 +25,22 @@ units of the payoffs' common binary denominator these totals are
 integers, and ties are ties whatever order a float sum would take.
 
 Graphs and populations are arrays, from graph to series. A
-:class:`PlayerGraph` is its players' degrees and closed neighborhoods
-in padded tables, one per group of players whose closed sizes share a
-ceiling of log2, padded with a sentinel player that plays D and scores
-below every real total. ``torus_graph``, ``cycle_graph`` and
-``complete_graph`` write their one table in place by index arithmetic;
-``player_graph`` validates given pairs and lays out the runs with one
-sort of the directed pairs. The tuple view ``neighbors``, kept for the
-benchmark's tracer, is read off the tables on first use; building a
-graph and running the dynamics never make it.
-A step counts cooperating neighbors down the table rows, totals every
-player at once, and takes one gather of integer keys and one maximum
-down each column (see :func:`imitation_step`). A
-:class:`PopulationState` holds one read-only bool array, True where the
-player cooperates.
+:class:`PlayerGraph` is its players' degrees and the form its builder
+knows, and a step is two primitives of that form: count each player's
+cooperating neighbors, and take the best integer key (exact total, rank
+in the closed neighborhood, strategy) over each closed neighborhood
+(see :func:`imitation_step`). ``torus_graph`` and ``cycle_graph`` make a
+torus, stepped on wrapped shifted views of its (height, width) state
+grid; ``complete_graph`` makes a complete graph, stepped in closed form
+from the count of cooperators and the best total. ``player_graph``
+validates given pairs and lays out the closed neighborhoods in padded
+tables, one per group of players whose closed sizes share a ceiling of
+log2, with one sort of the directed pairs; a step gathers keys through
+them. A torus or a complete graph builds such a table only when
+``closed_neighborhoods`` is read, and the tuple view ``neighbors``, kept
+for the benchmark's tracer, is read off the tables on first use; running
+the dynamics makes neither. A :class:`PopulationState` holds one
+read-only bool array, True where the player cooperates.
 
 The dynamics are deterministic, so once a step returns the state it was
 given (a fixed point), every later state is that one: ``run_spatial``
@@ -54,6 +56,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,28 +127,43 @@ def min_side_payment(m: PayoffMatrix) -> float:
 @dataclass(frozen=True, eq=False)
 class PlayerGraph:
     """Simple undirected graph over players 0..player_count-1: an intp
-    array of their ``degrees``, and ``closed_neighborhoods``, each
-    player's run [self, neighbors ascending] in padded tables, one
-    ``(ids, table)`` pair per group of players whose closed sizes share
-    a ceiling of log2. ``table`` is a (width, len(ids)) intp array,
-    width the group's largest closed size; column j holds player ids[j]'s
-    run, then pads of the sentinel index ``player_count``. The pads take
-    fewer entries than the runs, so the tables hold under 2 (players +
-    2 edges) entries. Players ascend within a group, groups ascend in
-    size. The arrays are made read-only. The builders below make them;
-    a PlayerGraph constructed directly is not checked."""
+    array of their ``degrees``, and the ``form`` its builder knows, which
+    steps the dynamics: a torus (a cycle is a torus one row high), a
+    complete graph, or the padded tables of an edge list. A form counts
+    each player's cooperating neighbors and takes the best key over each
+    closed neighborhood (see :func:`imitation_step`).
+
+    ``closed_neighborhoods`` holds each player's run [self, neighbors
+    ascending] in padded tables, one ``(ids, table)`` pair per group of
+    players whose closed sizes share a ceiling of log2. ``table`` is a
+    (width, len(ids)) intp array, width the group's largest closed size;
+    column j holds player ids[j]'s run, then pads of the sentinel index
+    ``player_count``. The pads take fewer entries than the runs, so the
+    tables hold under 2 (players + 2 edges) entries. Players ascend
+    within a group, groups ascend in size. An edge list is stepped on
+    its tables; a torus or a complete graph builds its one table from
+    the form only when it is read, and keeps it. The arrays are made
+    read-only. The builders below make the forms; a PlayerGraph
+    constructed directly is not checked."""
 
     degrees: np.ndarray
-    closed_neighborhoods: tuple[tuple[np.ndarray, np.ndarray], ...]
+    form: _Torus | _Complete | _Tables
 
     def __post_init__(self):
-        for values in (self.degrees,
-                       *itertools.chain.from_iterable(self.closed_neighborhoods)):
-            values.setflags(write=False)
+        self.degrees.setflags(write=False)
+        if isinstance(self.form, _Tables):
+            self.closed_neighborhoods  # an edge list's, made read-only now
 
     @property
     def player_count(self) -> int:
         return self.degrees.size
+
+    @cached_property
+    def closed_neighborhoods(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        groups = self.form.tables()
+        for values in itertools.chain.from_iterable(groups):
+            values.setflags(write=False)
+        return groups
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -158,10 +176,42 @@ class PlayerGraph:
         return tuple(runs)
 
 
+class _Tables(NamedTuple):
+    """An edge list's form: its padded closed-neighborhood tables."""
+
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def tables(self):
+        return self.groups
+
+    def _by_player(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Values given per table, in the order of its ids, in player order."""
+        if len(parts) == 1:
+            return parts[0]  # the one table lists every player in order
+        values = np.empty(sum(part.size for part in parts), parts[0].dtype)
+        for (ids, _), part in zip(self.groups, parts):
+            values[ids] = part
+        return values
+
+    def count(self, cooperates: np.ndarray, dtype) -> np.ndarray:
+        cooperating = np.append(cooperates, False).view(np.int8)  # the sentinel plays D
+        return self._by_player([cooperating[table[1:]].sum(axis=0, dtype=dtype)
+                                for _, table in self.groups])
+
+    def adopt(self, keys: np.ndarray, top: int) -> np.ndarray:
+        # Row k of a column is the k-th of the run and gains top - 2k.
+        parts = []
+        for _, table in self.groups:
+            best = keys[table]
+            best += np.arange(top, top - 2 * len(table), -2, dtype=keys.dtype)[:, None]
+            parts.append(best.max(axis=0) & 1 == 1)
+        return self._by_player(parts)
+
+
 def _regular(table: np.ndarray) -> PlayerGraph:
     """The regular graph whose one table is ``table``."""
     width, n = table.shape
-    return PlayerGraph(np.full(n, width - 1), ((table[0], table),))
+    return PlayerGraph(np.full(n, width - 1), _Tables(((table[0], table),)))
 
 
 def _padded(degrees: np.ndarray, runs: np.ndarray) -> PlayerGraph:
@@ -185,7 +235,7 @@ def _padded(degrees: np.ndarray, runs: np.ndarray) -> PlayerGraph:
         table[1 + rank, np.repeat(np.arange(members.size), size)] = \
             runs[np.repeat(start[members], size) + rank]
         groups.append((members, table))
-    return PlayerGraph(degrees, tuple(groups))
+    return PlayerGraph(degrees, _Tables(tuple(groups)))
 
 
 def player_graph(player_count: int, edges) -> PlayerGraph:
@@ -232,16 +282,37 @@ def player_graph(player_count: int, edges) -> PlayerGraph:
     return _padded(np.bincount(source, minlength=player_count), target[order])
 
 
+class _Complete(NamedTuple):
+    """The complete graph's form: every player sees all n players."""
+
+    n: int
+
+    def tables(self):
+        n = self.n
+        table = np.empty((n, n), np.intp)
+        table[0] = np.arange(n)
+        # Player p's k-th neighbor is k below p and k + 1 from p on.
+        k = np.arange(n - 1)[:, None]
+        np.greater_equal(k, table[0], out=table[1:])
+        table[1:] += k
+        return ((table[0], table),)
+
+    def count(self, cooperates: np.ndarray, dtype) -> np.ndarray:
+        return int(np.count_nonzero(cooperates)) - cooperates.astype(dtype)
+
+    def adopt(self, keys: np.ndarray, top: int) -> np.ndarray:
+        # A player whose total is the largest keeps its strategy (its own
+        # key gains the most); every other player takes the strategy of
+        # the first player with that total. keys >> 1 is total * width.
+        totals = keys[:-1] >> 1
+        first = int(np.argmax(totals))
+        return np.where(totals == totals[first], keys[:-1] & 1, keys[first] & 1) == 1
+
+
 def complete_graph(n: int) -> PlayerGraph:
     if n < 1:
         raise ValueError("player_count must be at least 1")
-    table = np.empty((n, n), np.intp)
-    table[0] = np.arange(n)
-    # Player p's k-th neighbor is k below p and k + 1 from p on.
-    k = np.arange(n - 1)[:, None]
-    np.greater_equal(k, table[0], out=table[1:])
-    table[1:] += k
-    return _regular(table)
+    return PlayerGraph(np.full(n, n - 1), _Complete(n))
 
 
 def cycle_graph(n: int) -> PlayerGraph:
@@ -250,14 +321,81 @@ def cycle_graph(n: int) -> PlayerGraph:
     return torus_graph(n, 1)
 
 
-def _wrap_classes(size: int, step: int) -> list[tuple[slice, set[int]]]:
-    """The first, inner and last of ``size`` positions ``step`` players
-    apart on a torus axis, each with the offsets to its wrapped neighbors
-    there: a wrap onto itself or its other neighbor adds none."""
-    return [(part, {((i + s) % size - i) * step for s in (-1, 1)} - {0})
-            for i, part in ((0, slice(0, 1)), (1, slice(1, size - 1)),
-                            (size - 1, slice(max(size - 1, 1), size)))
-            if part.start < part.stop]
+def _wrap_classes(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions 0, 1 and size - 1 of a torus axis (those that exist),
+    each standing for the positions from it to the next, and the counts
+    of those: the first, the inner and the last, which wrap alike."""
+    first = np.array(sorted({0, min(1, size - 1), size - 1}))
+    return first, np.diff(first, append=size)
+
+
+class _Torus:
+    """A width x height torus's form, on its (height, width) player grid.
+
+    Each direction to a neighbor is a view of the grid copied inside a
+    wrapped border (``_wrapped``), and the offset from a player to its
+    neighbor that way is set by the player's wrap class, kept in
+    ``offsets``. A direction that reaches the player itself (a side of
+    1) or the player the opposite direction reaches (a side of 2) is
+    left out, so wrap duplicates collapse to single edges. A neighbor's
+    row in the closed run [self, neighbors ascending] is 1 + the number
+    of smaller offsets, and ``gains`` is the player grid of the
+    2 (degree - row) that its key gains."""
+
+    def __init__(self, width: int, height: int):
+        self.shape = (height, width)
+        (rows, row_counts), (cols, col_counts) = _wrap_classes(height), _wrap_classes(width)
+        self.counts = (row_counts, col_counts)
+        rows = rows[:, None]
+        directions = [((slice(1 + s, 1 + s + height), slice(1, -1)),
+                       ((rows + s) % height - rows) * width)
+                      for s in (-1, 1)][:height - 1]
+        directions += [((slice(1, -1), slice(1 + s, 1 + s + width)),
+                        (cols + s) % width - cols) for s in (-1, 1)][:width - 1]
+        self.views = [view for view, _ in directions]
+        self.offsets = [offset for _, offset in directions]
+        self.degree = degree = len(directions)
+        self.gains = [self._spread(2 * (degree - 1 - sum(o < d for o in self.offsets)),
+                                   np.int32) for d in self.offsets]
+
+    def _spread(self, values, dtype) -> np.ndarray:
+        """The player grid of ``values`` given by wrap class."""
+        rows, cols = self.counts
+        values = np.broadcast_to(values, (rows.size, cols.size)).astype(dtype)
+        return np.repeat(np.repeat(values, cols, axis=1), rows, axis=0)
+
+    def tables(self):
+        n = self.shape[0] * self.shape[1]
+        table = np.empty((self.degree + 1, n), np.intp)
+        table[0] = players = np.arange(n)
+        for offset, gain in zip(self.offsets, self.gains):
+            table[self.degree - gain.ravel() // 2, players] = \
+                players + self._spread(offset, np.intp).ravel()
+        return ((table[0], table),)
+
+    def _wrapped(self, values: np.ndarray) -> np.ndarray:
+        """The grid of ``values`` inside a border that repeats the
+        opposite edge (corners unset)."""
+        height, width = self.shape
+        grid = np.empty((height + 2, width + 2), values.dtype)
+        grid[1:-1, 1:-1] = values.reshape(self.shape)
+        grid[0, 1:-1], grid[-1, 1:-1] = grid[-2, 1:-1], grid[1, 1:-1]
+        grid[1:-1, 0], grid[1:-1, -1] = grid[1:-1, -2], grid[1:-1, 1]
+        return grid
+
+    def count(self, cooperates: np.ndarray, dtype) -> np.ndarray:
+        grid = self._wrapped(cooperates.view(np.int8))
+        n_c = np.zeros(self.shape, np.int8)
+        for view in self.views:
+            n_c += grid[view]
+        return n_c.astype(dtype).ravel()
+
+    def adopt(self, keys: np.ndarray, top: int) -> np.ndarray:
+        grid = self._wrapped(keys[:-1])
+        best = grid[1:-1, 1:-1] + top
+        for view, gain in zip(self.views, self.gains):
+            np.maximum(best, grid[view] + gain, out=best)
+        return (best & 1 == 1).ravel()
 
 
 def torus_graph(width: int, height: int) -> PlayerGraph:
@@ -265,18 +403,8 @@ def torus_graph(width: int, height: int) -> PlayerGraph:
     Wrap duplicates at width or height <= 2 collapse to single edges."""
     if width < 1 or height < 1:
         raise ValueError("torus dimensions must be at least 1")
-    rows, cols = _wrap_classes(height, width), _wrap_classes(width, 1)
-    degree = len(rows[0][1]) + len(cols[0][1])
-    table = np.empty((degree + 1, width * height), np.intp)
-    grid = table.reshape(degree + 1, height, width)
-    players = np.arange(width * height).reshape(height, width)
-    for r, vertical in rows:
-        for c, horizontal in cols:
-            # Vertical offsets are whole rows and horizontal ones stay in
-            # the row, so sorted they give the run in order.
-            for row, offset in enumerate([0, *sorted(vertical | horizontal)]):
-                np.add(players[r, c], offset, out=grid[row, r, c])
-    return _regular(table)
+    form = _Torus(width, height)
+    return PlayerGraph(np.full(width * height, form.degree), form)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,16 +471,6 @@ def random_population(graph: PlayerGraph, fraction: float,
     return PopulationState(graph, draws < fraction)
 
 
-def _by_player(graph: PlayerGraph, parts: list[np.ndarray]) -> np.ndarray:
-    """Values given per table, in the order of its ids, in player order."""
-    if len(parts) == 1:
-        return parts[0]  # the one table lists every player in order
-    values = np.empty(graph.player_count, parts[0].dtype)
-    for (ids, _), part in zip(graph.closed_neighborhoods, parts):
-        values[ids] = part
-    return values
-
-
 def _integer_scores(state: PopulationState,
                     m: PayoffMatrix) -> tuple[np.ndarray, int]:
     """(totals, scale): each player's exact total payoff in units of
@@ -365,15 +483,13 @@ def _integer_scores(state: PopulationState,
     R, S, T, U = (num * (scale // den) for num, den in ratios)
     graph = state.graph
     big = max(map(abs, (R, S, T, U)))
-    degree = len(graph.closed_neighborhoods[-1][1]) - 1  # the largest
+    degree = int(graph.degrees.max())
     # A key is total * 2 width + 2 (width - 1 - row) + strategy, width =
     # degree + 1, and the sentinel's total is -big * degree - 1: every
     # key, and every term summed below, lies within 2 big (degree + 2)^2.
     bound = 2 * max(big, 1) * (degree + 2) ** 2
     dtype = np.int32 if bound < 2 ** 31 else np.int64 if bound < 2 ** 63 else object
-    cooperating = np.append(state.cooperates, False).view(np.int8)  # the sentinel plays D
-    n_c = _by_player(graph, [cooperating[table[1:]].sum(axis=0, dtype=dtype)
-                             for _, table in graph.closed_neighborhoods])
+    n_c = graph.form.count(state.cooperates, dtype)
     # slope[c] * n_c + base[c] * degree with slope (T - U, R - S) and base
     # (U, S) by strategy c, taken without a branch.
     degrees = graph.degrees.astype(dtype)
@@ -392,21 +508,18 @@ def scores(state: PopulationState, m: PayoffMatrix) -> list[float]:
 def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
     """One synchronous update: adopt the strategy of the best scorer in
     the closed neighborhood; ties keep the current strategy, then go to
-    the lowest player index. That player is the first maximum down a
-    column [self, neighbors ascending, pads] of the tables, and the one
-    maximum of the key total * 2 width + 2 (width - 1 - row) + strategy,
-    width the largest closed size; its low bit is the strategy adopted."""
+    the lowest player index. That player is the first maximum of the
+    closed neighborhood in the order [self, neighbors ascending], and
+    the one maximum of the key total * 2 width + 2 (width - 1 - row) +
+    strategy, row its place in that order and width the largest closed
+    size. The graph's form takes that maximum for every player at once
+    (``adopt``); its low bit is the strategy adopted."""
     totals, _ = _integer_scores(state, m)
     graph = state.graph
-    top = 2 * len(graph.closed_neighborhoods[-1][1]) - 2  # 2 (width - 1)
+    top = 2 * int(graph.degrees.max())  # 2 (width - 1)
     keys = totals * (top + 2)
     keys[:-1] += state.cooperates
-    parts = []
-    for _, table in graph.closed_neighborhoods:
-        best = keys[table]
-        best += np.arange(top, top - 2 * len(table), -2, dtype=keys.dtype)[:, None]
-        parts.append(best.max(axis=0) & 1 == 1)
-    stepped = _by_player(graph, parts)
+    stepped = graph.form.adopt(keys, top)
     stepped.setflags(write=False)
     return PopulationState(graph, stepped)
 

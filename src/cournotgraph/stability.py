@@ -162,13 +162,44 @@ class StabilityReport:
     variable_order: tuple[Edge, ...]
 
 
+def _condition(a: np.ndarray) -> np.ndarray:
+    """cond(A) of each matrix of a (P, n, n) stack, or, for a 3 x 3
+    matrix, the Frobenius bound ||A||_F ||adj A||_F / |det A| >= cond(A)
+    where it is at most _COND_LIMIT / 4, so that no SVD is taken there.
+    The bound is trusted only where ||A||_F^3 <= _COND_LIMIT / 4 |det A|
+    too, which holds the rounding of det A, and so of the bound, under
+    1e-4 of it; what passes has cond(A) <= _COND_LIMIT whichever way it
+    is computed. Each matrix is scaled to entries of at most 1 first, so
+    nothing overflows; a zero or non-finite one fails and gets an SVD."""
+    cond = np.full(a.shape[:-2], np.nan)
+    if a.shape[-2:] == (3, 3):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = a / np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+        r0, r1, r2 = rows = np.moveaxis(unit, 0, -1)  # entry (i, j) of each
+        # The columns of adj A are the cross products r1 x r2, r2 x r0
+        # and r0 x r1 of the rows r0, r1, r2 of A, and det A = r0 . r1 x r2.
+        turn, back = [1, 2, 0], [2, 0, 1]
+        adjugate = [u[turn] * v[back] - u[back] * v[turn]
+                    for u, v in ((r1, r2), (r2, r0), (r0, r1))]
+        det2 = np.sum(r0 * adjugate[0], axis=0) ** 2
+        frob2 = np.sum(rows * rows, axis=(0, 1))
+        bound2 = frob2 * sum(np.sum(column * column, axis=0) for column in adjugate)
+        limit2 = (_COND_LIMIT / 4) ** 2
+        fast = (bound2 <= limit2 * det2) & (frob2 ** 3 <= limit2 * det2)
+        cond[fast] = np.sqrt(bound2[fast] / det2[fast])
+    slow = np.isnan(cond)
+    if slow.any():
+        cond[slow] = np.linalg.cond(a[slow])
+    return cond
+
+
 def _solve(a: np.ndarray, c: np.ndarray):
     """Guarded solves of A q = c for a (P, n, n) stack ``a`` and (P, n)
-    constants ``c``: (q, ok, cond, residual), one entry per system. A
-    system whose condition number is not finite or passes _COND_LIMIT is
-    not solved (q and residual NaN); ``ok`` marks the solves whose
-    residual max |c - A q| is within 1e-10 max |c|."""
-    cond = np.linalg.cond(a)
+    constants ``c``: (q, ok, cond, residual), one entry per system, cond
+    from ``_condition``. A system whose condition number is not finite or
+    passes _COND_LIMIT is not solved (q and residual NaN); ``ok`` marks
+    the solves whose residual max |c - A q| is within 1e-10 max |c|."""
+    cond = _condition(a)
     solved = cond <= _COND_LIMIT  # inf and NaN fail as well
     # The solvable systems are copied out only when some are not.
     a_s, c_s = (a, c) if solved.all() else (a[solved], c[solved])

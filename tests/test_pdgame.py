@@ -24,12 +24,13 @@ from helpers import (closed_neighborhoods_by_loop, complete_edges_by_loop,
 CLASSIC = PayoffMatrix(R=3, S=0, T=5, U=1)
 
 # An imitation step takes at most this many times one key gather and one
-# column max over its table (test_step_costs_a_few_gathers_of_its_table).
-# On a 2-core x86-64 host the ratio of per-step minima read 2.9-3.2,
-# alone and beside two more such runs, and a kernel that makes nine
-# passes over the table (counts, where-totals, keys, max, remainder and
-# winner gather) read 6.6-6.9. Totals of whole 20-step runs, rather than
-# per-step minima, read 2.3-9.0 under that load.
+# column max over its table (test_torus_step_costs_under_a_few_table_gathers).
+# On a 2-core x86-64 host the ratio of per-step minima read 2.9-3.2 for
+# the kernel that gathered through the table, alone and beside two more
+# such runs, and a kernel that makes nine passes over the table (counts,
+# where-totals, keys, max, remainder and winner gather) read 6.6-6.9.
+# Totals of whole 20-step runs, rather than per-step minima, read 2.3-9.0
+# under that load.
 STEP_RATIO = 4.5
 
 
@@ -360,25 +361,37 @@ class TestImitationDynamics:
                 assert letters(imitation_step(state, m)) == \
                     brute_force_step(state, m)
 
-    def test_complete_graph_and_a_step_stay_near_the_table_size(self):
-        # The builder fills its one table in place, and a step's keys
-        # are int32 here: building and one step peak at about 1.5 times
-        # the table's bytes. A runs array beside the table, or int64
-        # keys, would reach twice them.
+    @pytest.mark.parametrize("build", [lambda: complete_graph(1000),
+                                       lambda: torus_graph(300, 300)],
+                             ids=["complete1000", "torus300"])
+    def test_complete_and_torus_steps_build_no_table(self, build):
+        # A complete graph and a torus are stepped on their own structure:
+        # building one, drawing a population and one step peak at a few
+        # arrays of the players (the draws alone take 16 bytes a player),
+        # and the step itself at fewer. The table kernel's table alone
+        # held 8 bytes a closed-neighborhood entry: 1000 a player on
+        # complete_graph(1000), and 5 on a torus, where the build, draws
+        # and a step peaked at 10.6 x players x 8 bytes.
         tracemalloc.start()
         try:
-            graph = complete_graph(1000)
-            imitation_step(random_population(graph, 0.5, seed=5), CLASSIC)
-            peak = tracemalloc.get_traced_memory()[1]
+            graph = build()
+            state = random_population(graph, 0.5, seed=5)
+            built, first = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            imitation_step(state, CLASSIC)
+            stepped = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (_, table), = graph.closed_neighborhoods
-        assert peak < 1.75 * table.nbytes
+        size = graph.player_count * 8
+        assert stepped - built < 4.5 * size and max(first, stepped) < 8 * size
+        run_spatial(state, CLASSIC, 10)
+        assert not {"closed_neighborhoods", "neighbors"} & set(vars(graph))
 
-    def test_step_costs_a_few_gathers_of_its_table(self):
+    def test_torus_step_costs_under_a_few_table_gathers(self):
         # Three runs of 20 steps of a 100 x 100 torus, each step timed in
-        # turn with one int32 key gather and one column max over the same
-        # table; the bound is on the ratio of the minima over all 60.
+        # turn with one int32 key gather and one column max over the
+        # torus's table, which the step itself never reads; the bound is
+        # on the ratio of the minima over all 60.
         graph = torus_graph(100, 100)
         (_, table), = graph.closed_neighborhoods
         keys = np.arange(graph.player_count + 1, dtype=np.int32)
@@ -394,6 +407,90 @@ class TestImitationDynamics:
                 keys[table].max(axis=0)
                 reference.append(time.perf_counter() - start)
         assert min(package) < STEP_RATIO * min(reference)
+
+
+def table_twin(graph: PlayerGraph) -> PlayerGraph:
+    """The same graph, stepped through its padded tables, which a torus
+    or a complete graph builds only here, when they are read."""
+    assert "closed_neighborhoods" not in vars(graph)
+    return PlayerGraph(graph.degrees, pdgame._Tables(graph.closed_neighborhoods))
+
+
+# The three key widths of test_matches_brute_force_at_every_key_width,
+# then payoffs whose totals tie often. With R = T a cooperator and a
+# defector of the same counts differ by S - U a defecting neighbor, so
+# R = T, S = U ties them at every count; R = T = 3, S = 2, U = 1 ties
+# every cooperator with every defector of a complete graph that holds
+# exactly two defectors.
+KERNEL_PAYOFFS = [PayoffMatrix(R=3, S=-2, T=7, U=1),
+                  PayoffMatrix(R=0.2, S=0.05, T=0.3, U=0.1),
+                  PayoffMatrix(R=1e200, S=-1e-200, T=2e200, U=1e-300),
+                  PayoffMatrix(R=2, S=0.5, T=2, U=0.5),
+                  PayoffMatrix(R=3, S=2, T=3, U=1)]
+
+
+class TestStructuralKernels:
+    """Tori (and cycles, tori one row high) step on shifted views of
+    their state grid and complete graphs in closed form; both must agree
+    with the table kernel and the brute-force rule step for step."""
+
+    def steps_agree(self, twin, m, state, steps, brute=False):
+        for _ in range(steps):
+            mirrored = PopulationState(twin, state.cooperates)
+            (got, scale), (want, twin_scale) = (pdgame._integer_scores(state, m),
+                                                pdgame._integer_scores(mirrored, m))
+            assert got.dtype == want.dtype and scale == twin_scale
+            assert np.array_equal(got, want)
+            stepped = imitation_step(state, m)
+            assert np.array_equal(stepped.cooperates,
+                                  imitation_step(mirrored, m).cooperates)
+            if brute:
+                assert letters(stepped) == brute_force_step(state, m)
+            state = stepped
+
+    @pytest.mark.parametrize("m", KERNEL_PAYOFFS)
+    def test_small_graphs_match_tables_and_brute_force(self, m):
+        rng = np.random.default_rng(59)
+        graphs = [torus_graph(w, h) for w in range(1, 7) for h in range(1, 7)]
+        graphs += [cycle_graph(n) for n in range(3, 10)]
+        graphs += [complete_graph(n) for n in range(1, 41)]
+        for graph in graphs:
+            assert type(graph.form) in (pdgame._Torus, pdgame._Complete)
+            twin = table_twin(graph)
+            for _ in range(2):
+                state = random_population(graph, rng.uniform(0.1, 0.9),
+                                          seed=int(rng.integers(1 << 30)))
+                self.steps_agree(twin, m, state, 3, brute=graph.player_count <= 24)
+
+    @pytest.mark.parametrize("m", KERNEL_PAYOFFS)
+    @pytest.mark.parametrize("side", [40, 100])
+    def test_large_tori_match_tables(self, side, m):
+        graph = torus_graph(side, side)
+        twin = table_twin(graph)
+        for seed, fraction in ((1, 0.6), (414, 0.5)):
+            self.steps_agree(twin, m, random_population(graph, fraction, seed), 4)
+
+    def test_uniform_and_sparse_states_on_every_form(self):
+        # One or two defectors anywhere, or all alike.
+        for graph in (torus_graph(5, 3), cycle_graph(4), complete_graph(7),
+                      complete_graph(12), torus_graph(1, 1), complete_graph(1)):
+            twin = table_twin(graph)
+            n = graph.player_count
+            states = [all_cooperate(graph), all_defect(graph)]
+            states += [PopulationState(graph, ~np.isin(np.arange(n), pair))
+                       for pair in itertools.combinations_with_replacement(range(n), 2)]
+            for state in states:
+                for m in KERNEL_PAYOFFS:
+                    self.steps_agree(twin, m, state, 2, brute=True)
+
+    def test_run_spatial_series_match_tables(self):
+        graph = torus_graph(30, 30)
+        twin = table_twin(graph)
+        for m in KERNEL_PAYOFFS:
+            for seed in (3, 8):
+                state = random_population(graph, 0.5, seed)
+                assert run_spatial(state, m, 50) == run_spatial(
+                    PopulationState(twin, state.cooperates), m, 50)
 
 
 class TestRunSpatial:

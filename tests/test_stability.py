@@ -67,6 +67,79 @@ class TestEquilibrium:
             assert residual < 1e-9 * max(1.0, np.max(np.abs(sys.constant)))
 
 
+def _with_singular_values(rng, count: int, values) -> np.ndarray:
+    """(count, 3, 3) random rotations of diag(values), scaled per matrix
+    by a random power of ten."""
+    q1, _ = np.linalg.qr(rng.normal(size=(count, 3, 3)))
+    q2, _ = np.linalg.qr(rng.normal(size=(count, 3, 3)))
+    scale = 10.0 ** rng.uniform(-100, 100, (count, 1, 1))
+    return scale * (q1 * np.asarray(values, float)[..., None, :]) @ q2
+
+
+class TestConditionGuard:
+    """``_condition`` passes well-conditioned 3 x 3 systems on a
+    Frobenius bound instead of an SVD; every solved/unsolved decision
+    must be the one ``np.linalg.cond(a) <= _COND_LIMIT`` makes."""
+
+    def check(self, a: np.ndarray) -> np.ndarray:
+        from cournotgraph import stability
+        cond = stability._condition(a)
+        svd = np.linalg.cond(a)
+        limit = stability._COND_LIMIT
+        assert np.array_equal(cond <= limit, svd <= limit)
+        fast = cond != svd
+        # Where no SVD was taken the bound stands: at least cond(A), at
+        # most a quarter of the limit.
+        assert np.all(cond[fast] >= svd[fast] * (1 - 1e-9))
+        assert np.all(cond[fast] <= limit / 4)
+        return fast
+
+    def test_random_and_scaled_stacks(self):
+        rng = np.random.default_rng(67)
+        a = rng.normal(size=(4000, 3, 3))
+        a *= 10.0 ** rng.uniform(-150, 150, (4000, 1, 1))
+        a[:20, 1:] = 0.0  # rank 1
+        a[20:40] = 0.0
+        a[40:60, 2] = a[40:60, 0] + a[40:60, 1]  # rank 2
+        a[60:80, 0, 0] = 1e300  # scaled down before it overflows
+        fast = self.check(a)
+        assert fast.mean() > 0.9 and not fast[:60].any()
+
+    def test_stacks_within_2_to_the_minus_20_of_singular(self):
+        rng = np.random.default_rng(71)
+        a = rng.normal(size=(3000, 3, 3))
+        u, s, vt = np.linalg.svd(a)
+        s[:, 2] = 0.0
+        singular = (u * s[:, None, :]) @ vt
+        nudge = rng.normal(size=a.shape)
+        nudge *= 2.0 ** -20 * (np.linalg.norm(singular, axis=(1, 2))
+                               / np.linalg.norm(nudge, axis=(1, 2)))[:, None, None]
+        det = np.linalg.det(singular + nudge)
+        assert np.all(np.abs(det) <= 2.0 ** -18 * np.linalg.norm(singular, axis=(1, 2)) ** 3)
+        assert self.check(singular + nudge).any()
+
+    def test_condition_numbers_at_the_limit(self):
+        # Near the limit and near its quarter, with the two small singular
+        # values apart and together: with both tiny, det A is below its
+        # own rounding, and a bound trusted there could pass what the
+        # SVD refuses.
+        rng = np.random.default_rng(73)
+        for kappa in (2.4e11, 2.5e11, 2.6e11, 9.9e11, 1e12, 1.01e12, 1e13):
+            for middle in (0.5, 1e-3, 10.0 / kappa, 1.0 / kappa):
+                self.check(_with_singular_values(rng, 400, (1.0, middle, 1.0 / kappa)))
+
+    def test_a_canonical_sweep_takes_no_svd(self, monkeypatch):
+        from cournotgraph import stability
+
+        def refused(a, p=None):
+            raise AssertionError("an SVD was taken")
+        r = np.tile(STABLE.as_tuple(), (2000, 1))
+        r[:, 2] = np.linspace(0.1, 1.5, 2000)
+        want = stability.canonical_margins(r)
+        monkeypatch.setattr(np.linalg, "cond", refused)
+        assert np.array_equal(stability.canonical_margins(r), want)
+
+
 class TestCharPoly:
     def test_identity_gives_cubed_root(self):
         sys = AffineSystem(constant=np.zeros(3), matrix=np.eye(3))
