@@ -159,6 +159,10 @@ class PlayerGraph:
         return self.degrees.size
 
     @cached_property
+    def max_degree(self) -> int:
+        return int(self.degrees.max())
+
+    @cached_property
     def closed_neighborhoods(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         groups = self.form.tables()
         for values in itertools.chain.from_iterable(groups):
@@ -221,7 +225,9 @@ def _padded(degrees: np.ndarray, runs: np.ndarray) -> PlayerGraph:
     n = degrees.size
     degree = int(degrees[0])
     if np.all(degrees == degree):
-        return _regular(np.vstack((np.arange(n), runs.reshape(n, degree).T)))
+        table = np.empty((degree + 1, n), np.intp)  # row-major, as gathered
+        table[0], table[1:] = np.arange(n), runs.reshape(n, degree).T
+        return _regular(table)
     group = np.frexp(degrees)[1]  # the bit length of the degree
     ids = np.argsort(group, kind="stable")
     start = np.cumsum(degrees) - degrees
@@ -483,7 +489,7 @@ def _integer_scores(state: PopulationState,
     R, S, T, U = (num * (scale // den) for num, den in ratios)
     graph = state.graph
     big = max(map(abs, (R, S, T, U)))
-    degree = int(graph.degrees.max())
+    degree = graph.max_degree
     # A key is total * 2 width + 2 (width - 1 - row) + strategy, width =
     # degree + 1, and the sentinel's total is -big * degree - 1: every
     # key, and every term summed below, lies within 2 big (degree + 2)^2.
@@ -516,7 +522,7 @@ def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
     (``adopt``); its low bit is the strategy adopted."""
     totals, _ = _integer_scores(state, m)
     graph = state.graph
-    top = 2 * int(graph.degrees.max())  # 2 (width - 1)
+    top = 2 * graph.max_degree  # 2 (width - 1)
     keys = totals * (top + 2)
     keys[:-1] += state.cooperates
     stepped = graph.form.adopt(keys, top)

@@ -58,24 +58,28 @@ from .pdgame import (PayoffMatrix, PlayerGraph, PopulationState,
 from .stability import CanonicalParams
 
 
-# A [pd] graph is held in tables of a few intp per player and per
-# edge, and the sizes a scenario may ask for are bounded so that text
-# cannot ask for unbounded memory (complete 1414 and torus 707 707
-# still fit).
+# A [pd] graph is held in a few arrays of its players (an edge list
+# also in tables of a few intp per player and per edge), and the sizes a
+# scenario may ask for are bounded so that text cannot ask for unbounded
+# memory (complete 1414 and torus 707 707 still fit).
 MAX_PLAYERS = 1_000_000
 MAX_PLAYER_EDGES = 1_000_000
-# An imitation step reads every closed neighborhood, players + 2 * edges
-# entries, at some 6-8 ns each (100 x 100 and 500 x 500 tori on a
-# 2-core Xeon, Python 3.11, numpy 2.4), and has a fixed cost of about
-# 30 us besides (a 4 x 4 torus). A step is charged as its entries plus
-# PD_STEP_READS more for the fixed cost, and the reads of a run are
-# bounded. Both values date from steps several times as slow (36 ns
-# an entry, 84 us a step, so 2 400 entries), and are kept: a run is now
-# bounded to about a minute. So no graph runs more than about 2 * 10^6
-# steps, and the one cooperation fraction a run keeps and writes per
-# step stays bounded too. A run that reaches a fixed point stops
-# stepping there, but how soon is not known when the scenario is read,
-# so the bound counts every declared step.
+# A step is charged as its closed-neighborhood entries, players +
+# 2 * edges, plus PD_STEP_READS more for the fixed cost of a step, and
+# the reads of a run are bounded. An edge list's step reads every entry
+# through its tables, at some 3-5 ns each (10 000 and 20 000 players of
+# degree 4 on a 2-core Xeon, Python 3.11, numpy 2.4). A torus steps on
+# shifted views of its state grid at some 2-4 ns an entry (100 x 100
+# and 500 x 500), and a complete graph in closed form, a few arrays of
+# its players, so it costs far less than its charge. A step has a fixed
+# cost of about 40 us besides (a 4 x 4 torus). Both values date from
+# steps several times as slow (36 ns an entry, 84 us a step, so 2 400
+# entries), and are kept: a run is now bounded to a minute or two. So
+# no graph runs more than about 2 * 10^6 steps, and the one cooperation
+# fraction a run keeps and writes per step stays bounded too. A run
+# that reaches a fixed point stops stepping there, but how soon is not
+# known when the scenario is read, so the bound counts every declared
+# step.
 PD_STEP_READS = 2_400
 MAX_PD_READS = 5_000_000_000
 
