@@ -105,6 +105,7 @@ from .network import AffineSystem, Edge, EdgeIncidence
 MARGIN_EPS = 1e-9       # band around 0 where the verdict is MARGINAL
 CHAR_POLY_MAX_N = 3     # largest system whose coefficients char_poly gives
 _COND_LIMIT = 1e12      # condition-number guard for the equilibrium solve
+_BOUND_STACK = 32       # 3 x 3 stacks this tall or more try the bound before an SVD
 _REFINE_STEPS = 3       # residual corrections a network equilibrium may take
 _SYMMETRY_TOL = 1e-12   # |r1 - r2| tolerance for the symmetric closed forms
 _BISECT_TOL = 2.0 ** -46  # relative bracket width where the margin bisection stops
@@ -170,9 +171,12 @@ def _condition(a: np.ndarray) -> np.ndarray:
     too, which holds the rounding of det A, and so of the bound, under
     1e-4 of it; what passes has cond(A) <= _COND_LIMIT whichever way it
     is computed. Each matrix is scaled to entries of at most 1 first, so
-    nothing overflows; a zero or non-finite one fails and gets an SVD."""
+    nothing overflows; a zero or non-finite one fails and gets an SVD.
+    The bound costs about 70 us however many matrices it takes, and the
+    SVD about 12 us + 2.5 us a matrix, so a stack shorter than
+    _BOUND_STACK (one ``equilibrium``) takes the SVD alone."""
     cond = np.full(a.shape[:-2], np.nan)
-    if a.shape[-2:] == (3, 3):
+    if a.shape[-2:] == (3, 3) and len(a) >= _BOUND_STACK:
         with np.errstate(divide="ignore", invalid="ignore"):
             unit = a / np.max(np.abs(a), axis=(-2, -1), keepdims=True)
         r0, r1, r2 = rows = np.moveaxis(unit, 0, -1)  # entry (i, j) of each

@@ -104,6 +104,10 @@ class TestConditionGuard:
         a[60:80, 0, 0] = 1e300  # scaled down before it overflows
         fast = self.check(a)
         assert fast.mean() > 0.9 and not fast[:60].any()
+        # A short stack, such as one equilibrium's, takes the SVD alone.
+        from cournotgraph import stability
+        short = a[60:60 + stability._BOUND_STACK - 1]
+        assert np.array_equal(stability._condition(short), np.linalg.cond(short))
 
     def test_stacks_within_2_to_the_minus_20_of_singular(self):
         rng = np.random.default_rng(71)
