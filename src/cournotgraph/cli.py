@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: simulate, equilibrium, stability, pd, sweep. Data goes to
-``--out`` files, opened for binary writing and written as ASCII bytes
-(reports go to stdout); progress notes go to stderr so data streams
-stay byte-reproducible. Exit codes: 0 success, 2 bad usage,
+``--out`` files, created on their first write and written as ASCII
+bytes (reports go to stdout); progress notes go to stderr so data
+streams stay byte-reproducible. Exit codes: 0 success, 2 bad usage,
 scenario problems or an output file that cannot be written, 3 numerical
 failures.
 """
@@ -16,15 +16,17 @@ import functools
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import stability
 from .dynamics import IntegrationBlowUp, integrate, step_count
 from .network import to_affine, variable_names
-from .reports import (SWEEP_PARAMS, pd_series_csv, render_equilibrium,
-                      render_side_payment, render_stability_report, sweep,
-                      sweep_csv, write_trajectory)
+from .reports import (_BLOCK_VALUES, SWEEP_PARAMS, pd_series_csv,
+                      render_equilibrium, render_side_payment,
+                      render_stability_report, sweep, sweep_csv,
+                      write_trajectory)
 from .scenario import (CanonicalScenario, NetworkScenario, PDScenario,
                        ScenarioError, parse_scenario)
 from .stability import NoUniqueEquilibriumError, analyze, canonical_affine
@@ -41,10 +43,21 @@ class OutputError(Exception):
 
 @contextlib.contextmanager
 def _output(path: str):
-    """The ``--out`` file, open for writing bytes."""
+    """The ``--out`` file as a writer of bytes that creates the file on
+    its first write, so a run refused before it writes leaves none."""
+    file = None
+
+    def write(data) -> None:
+        nonlocal file
+        if file is None:
+            file = Path(path).open("wb")
+        file.write(data)
     try:
-        with Path(path).open("wb") as out:
-            yield out
+        try:
+            yield SimpleNamespace(write=write)
+        finally:
+            if file is not None:
+                file.close()
     except OSError as exc:
         raise OutputError(f"cannot write output file: {exc}") from None
 
@@ -70,16 +83,21 @@ def cmd_simulate(args) -> int:
     scenario = _load(args.scenario)
     system, q0, _ = _dynamical(scenario, "simulate")
     names = variable_names(system.variable_order)
-    blowup = None
+    header = names
+
+    def emit(rows):
+        # Each buffer of kept rows is written as integrate hands it on,
+        # the first after the header.
+        nonlocal header
+        write_trajectory(rows, header, out)
+        header = None
+
     try:
-        trajectory = integrate(system, q0, args.t_end, args.dt, args.method,
-                               args.thin)
+        with _output(args.out) as out:
+            integrate(system, q0, args.t_end, args.dt, args.method, args.thin,
+                      emit, max(1, _BLOCK_VALUES // (1 + len(names))))
     except IntegrationBlowUp as exc:
-        blowup, trajectory = exc, exc.trajectory
-    with _output(args.out) as out:
-        write_trajectory(trajectory, names, out)
-    if blowup is not None:
-        print(f"error: {blowup}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         print(f"wrote partial trajectory to {args.out}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"simulate: {step_count(args.t_end, args.dt)} {args.method} steps "

@@ -3,13 +3,16 @@
 The integrator marches from t=0 to t_end with a constant step (the
 final step is shortened to land exactly on t_end) and keeps every
 ``thin``-th state and the last, as the rows (t, q1, ..., qn) of one
-table, the run's CSV rows. Only they are held: the states are made a
-block at a time in a scratch buffer, and each block starts from the
-last row of the one before, so a kept state has the bits of the same
-step of a run that keeps them all. If a state goes
-non-finite or its magnitude passes ``STATE_LIMIT`` the run aborts with
-:class:`IntegrationBlowUp`, which carries the kept rows before it and
-the last finite state -- that is how divergence of unstable systems
+table, the run's CSV rows. Only they are written, into a buffer of
+rows that the caller sizes: the whole table of a :class:`Trajectory`,
+or a block that is handed to the caller's ``emit`` each time it fills,
+so that a run streamed to its CSV holds one block, never its table.
+The states are made a block at a time in a scratch buffer, and each
+block starts from the last state of the one before, so a kept state
+has the bits of the same step of a run that keeps them all. If a state
+goes non-finite or its magnitude passes ``STATE_LIMIT`` the run aborts
+with :class:`IntegrationBlowUp`, which carries the kept rows before it
+and the last finite state -- that is how divergence of unstable systems
 shows up in practice.
 
 ``integrate`` takes a vector field or an :class:`AffineSystem`, and
@@ -65,7 +68,10 @@ Field = Callable[[np.ndarray], np.ndarray]
 
 STATE_LIMIT = 1e9           # abort threshold on max |q|
 DIVERGENCE_FACTOR = 10.0    # "left a 10x ball" distance criterion
-MAX_STORED_VALUES = 10_000_000  # kept states x dimension: 80 MB of states
+# Kept states x dimension: 80 MB of a Trajectory's table. A run streamed
+# to its CSV holds one block of rows whatever its length, so for it the
+# limit bounds the CSV's size (at most 25 bytes a value), not memory.
+MAX_STORED_VALUES = 10_000_000
 MAX_MARCHED_VALUES = 1_000_000_000  # steps x dimension: the work of a run
 _BLOCK_ROWS = 256           # most steps per blow-up check
 _BLOCK_VALUES = 1 << 16     # about the most state values per blow-up check
@@ -108,7 +114,8 @@ class LongRunVerdict:
 
 class IntegrationBlowUp(RuntimeError):
     """State went non-finite or past STATE_LIMIT; carries the kept states
-    before it, ending at the last finite state."""
+    before it, ending at the last finite state (of a run that hands its
+    rows to an ``emit``, the last buffer of them)."""
 
     def __init__(self, message: str, trajectory: Trajectory, time: float):
         super().__init__(message)
@@ -210,13 +217,18 @@ def _first_bad(rows: np.ndarray) -> int | None:
     return int(bad[0]) // rows.shape[1] if bad.size else None
 
 
-def _march(system: Field | AffineSystem, method: str, kept: np.ndarray,
-           segments, thin: int) -> tuple[int, tuple[int, float] | None]:
-    """Step from kept[0] through the (h, count) segments of equal steps,
-    keeping state k in kept when k % thin == 0, and the last state.
-    Return (rows kept, None), or on a blow-up (rows kept, (k, peak)) with
-    k the index of the first bad state (see ``_first_bad``) and peak its
-    max |q|; the rows kept then end at state k - 1, the last finite one.
+def _march(system: Field | AffineSystem, method: str, out: np.ndarray,
+           segments, dt: float, thin: int,
+           emit) -> tuple[int, tuple[int, float] | None]:
+    """Step from out[0, 1:] through the (h, count) segments of equal steps,
+    writing state k as the row (dt k, state) of ``out`` when k % thin ==
+    0, and the last state. ``out`` is a buffer of rows: when a row is due
+    and it is full, it is handed to ``emit`` and filled again from its
+    first row. Return (rows of out filled, None), or on a blow-up (rows
+    filled, (k, peak)) with k the index of the first bad state (see
+    ``_first_bad``) and peak its max |q|; the rows then end at state
+    k - 1, the last finite one. The rows left in ``out`` are the caller's
+    to hand on: a full ``out`` is emitted only when another row is due.
 
     States are made and checked in a scratch buffer, a block of at most
     ``_BLOCK_ROWS`` steps and about ``_BLOCK_VALUES`` values at a time;
@@ -227,7 +239,10 @@ def _march(system: Field | AffineSystem, method: str, kept: np.ndarray,
     segment's ``_block_table`` was cut): the m states after q_lo are
     q_lo + Psi_j (c - A q_lo), j = 1..m, one product with the whole
     table, of which a block cut short keeps its leading rows (BLAS may
-    round a product of fewer rows differently).
+    round a product of fewer rows differently). So where m > 1 the
+    scratch length decides where each product starts, and it depends on
+    n alone; where m is 1 every state is one step from the one before,
+    and the scratch holds at most as many steps as ``out`` holds rows.
 
     A run that blows up computes at most one block past its first bad
     state; the overflow and NaN arithmetic of those states is silenced,
@@ -238,11 +253,32 @@ def _march(system: Field | AffineSystem, method: str, kept: np.ndarray,
     if affine:
         a, c = system.matrix, system.constant
     stepper = _STEPPERS[method]
-    n = kept.shape[1]
+    n = out.shape[1] - 1
     rows = min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // n))
+    if _block_length(n) == 1:
+        rows = min(rows, len(out))
     buf = np.empty((rows + 1, n))  # buf[i] is state lo + i
-    buf[0] = kept[0]
-    k, filled = 0, 1
+    buf[0] = out[0, 1:]
+    filled = 1
+
+    def keep(states: np.ndarray, first: int) -> None:
+        """Write states first, first + thin, ... as rows of out."""
+        nonlocal filled
+        done = 0
+        while done < len(states):
+            if filled == len(out):
+                emit(out)
+                filled = 0
+            take = min(len(states) - done, len(out) - filled)
+            block = out[filled:filled + take]
+            block[:, 1:] = states[done:done + take]
+            k = first + done * thin
+            np.multiply(dt, np.arange(k, k + take * thin, thin),
+                        out=block[:, 0])
+            filled += take
+            done += take
+
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for h, count in segments:
             if affine:
@@ -266,13 +302,11 @@ def _march(system: Field | AffineSystem, method: str, kept: np.ndarray,
                 last = hi if bad is None else lo + bad
                 # States lo + 1 .. last on the thin grid, then the last
                 # finite state of a blow-up off it.
-                picks = buf[(lo // thin + 1) * thin - lo:last - lo + 1:thin]
-                kept[filled:filled + len(picks)] = picks
-                filled += len(picks)
+                first = (lo // thin + 1) * thin
+                keep(buf[first - lo:last - lo + 1:thin], first)
                 if bad is not None:
                     if last % thin:
-                        kept[filled] = buf[last - lo]
-                        filled += 1
+                        keep(buf[last - lo:last - lo + 1], last)
                     return filled, (last + 1, float(np.max(np.abs(
                         buf[last - lo + 1]))))
                 if failure is not None:
@@ -280,8 +314,7 @@ def _march(system: Field | AffineSystem, method: str, kept: np.ndarray,
                 buf[0] = buf[hi - lo]
             k += count
     if k % thin:
-        kept[filled] = buf[0]
-        filled += 1
+        keep(buf[:1], k)
     return filled, None
 
 
@@ -302,22 +335,28 @@ def step_count(t_end: float, dt: float) -> int:
     return sum(count for _, count in _segments(t_end, dt))
 
 
-def _kept_index(last: int, thin: int) -> np.ndarray:
-    """Indices of the states kept from a run whose last state is
-    ``last``: every ``thin``-th, and the last."""
-    index = np.arange(0, last + 1, thin)
-    return index if index[-1] == last else np.append(index, last)
-
-
 def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
-              method: str = "rk4", thin: int = 1) -> Trajectory:
+              method: str = "rk4", thin: int = 1,
+              emit: Callable[[np.ndarray], None] | None = None,
+              emit_rows: int = 1) -> Trajectory | None:
     """March from 0 to t_end, keeping every ``thin``-th step and the last.
 
     ``system`` is a vector field q -> dq/dt or an :class:`AffineSystem`,
     which is stepped through its propagator Phi_h when that pays (see
-    the module docstring). Only the kept rows are held, in the table
-    the Trajectory gets, beside a scratch block of at most ``_BLOCK_ROWS``
-    states; each has the bits of the same step of a run at ``thin`` = 1.
+    the module docstring). Each kept state has the bits of the same step
+    of a run at ``thin`` = 1. The rows (t, q1, ..., qn) kept have
+    t = dt k for state k, and t_end on the last row of a run that is not
+    cut short by a blow-up.
+
+    Without ``emit`` only the kept rows are held, in the table of the
+    Trajectory returned, beside a scratch block of at most
+    ``_BLOCK_ROWS`` states. With ``emit``, they are written into a
+    buffer of ``emit_rows`` rows (fewer if the run keeps fewer), which is
+    handed to ``emit`` each time it is full and, its filled rows, at the
+    end; ``emit`` must not keep it. Nothing is returned then, and a
+    blow-up's Trajectory holds the last rows handed on. ``emit`` is
+    first called after every check below has passed.
+
     Rejected before anything is allocated: a run that would keep more
     than ``MAX_STORED_VALUES`` numbers or march more than
     ``MAX_MARCHED_VALUES`` (steps x variables), and a q0 that is not a
@@ -358,25 +397,31 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
     n_steps = step_count(t_end, dt)
     # Any thin past the last step keeps the first and last state alone.
     thin = min(thin, n_steps + 1)
-    index = _kept_index(n_steps, thin)
-    table = np.empty((len(index), 1 + len(q)))
-    table[0, 1:] = q
+    kept = n_steps // thin + 1 + (n_steps % thin > 0)
+    out = np.empty((kept if emit is None else min(kept, emit_rows),
+                    1 + len(q)))
+    out[0, 0] = 0.0
+    out[0, 1:] = q
     if (isinstance(system, AffineSystem)
             and not _affine_pays(system, method)):
         system = system.field_at
-    filled, bad = _march(system, method, table[:, 1:], segments, thin)
+    filled, bad = _march(system, method, out, segments, dt, thin, emit)
+    rows = out[:filled]
     if bad is not None:
         first_bad, peak = bad
         time = t_end if first_bad == n_steps else dt * first_bad
-        table[:filled, 0] = dt * _kept_index(first_bad - 1, thin)
+        if emit is not None:
+            emit(rows)
         raise IntegrationBlowUp(
             f"state blew up at t={time!r} (max |q| = {peak!r}); "
-            f"last finite state {table[filled - 1, 1:].tolist()!r}",
-            Trajectory(table[:filled]), time)  # copied: a view
-    np.multiply(dt, index, out=table[:, 0])
-    table[-1, 0] = t_end
-    table.setflags(write=False)  # so the Trajectory keeps it uncopied
-    return Trajectory(table)
+            f"last finite state {rows[-1, 1:].tolist()!r}",
+            Trajectory(rows), time)  # copied: a view
+    rows[-1, 0] = t_end
+    if emit is not None:
+        emit(rows)
+        return None
+    out.setflags(write=False)  # so the Trajectory keeps it uncopied
+    return Trajectory(out)
 
 
 def classify(trajectory: Trajectory, field: Field, q_star, tol: float,

@@ -41,8 +41,10 @@ n x n array is kept on a spec; each system fills its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -126,7 +128,7 @@ class NetworkSpec:
                 problems.append(f"{name} must have {count} entries, got {len(values)}")
                 continue
             for k, v in enumerate(values, start=1):
-                if not (np.isfinite(v) and v > 0.0):
+                if not (math.isfinite(v) and v > 0.0):
                     problems.append(f"{name}[{k}] must be strictly positive, got {v}")
 
         seen: set[Edge] = set()
@@ -159,7 +161,9 @@ class NetworkSpec:
     @cached_property
     def _incidence(self) -> tuple[EdgeIncidence, np.ndarray]:
         """``to_affine``'s structure and constant; valid specs only."""
-        market, firm = np.array(self._order, dtype=np.intp).T - 1
+        order = np.fromiter(chain.from_iterable(self._order), np.intp,
+                            2 * len(self._order))
+        market, firm = order.reshape(-1, 2).T - 1
         market_beta, b = np.array(self.beta), np.array(self.speed)[firm]
         structure = EdgeIncidence(market=market, firm=firm, speed=b,
                                   beta=market_beta[market], market_beta=market_beta,

@@ -11,8 +11,9 @@ their verdict label column -- are rendered by
 :class:`cournotgraph.csvtext.CsvRows` without ``repr``, in flat blocks
 of ``_BLOCK_VALUES`` values that may begin and end mid-row, each
 written to the output file as it is made; a trajectory's blocks are
-slices of its table, which holds the CSV's rows. A sweep is arrays
-(values, margins, verdict codes), evaluated in chunks of
+slices of its table, which holds the CSV's rows, or of each buffer of
+rows that ``integrate`` hands ``simulate`` as it marches. A sweep is
+arrays (values, margins, verdict codes), evaluated in chunks of
 ``_SWEEP_CHUNK`` grid points. A PD series is written a block of rows at
 a time.
 """
@@ -39,18 +40,23 @@ _SWEEP_CHUNK = 1 << 16        # grid points per canonical_margins call
 _SERIES_ROWS = 8192           # rows per block of a PD series
 
 
-def write_trajectory(trajectory: Trajectory, names, out) -> None:
-    """Write the CSV of every kept state of ``trajectory`` to the binary
-    file ``out``: header ``t,<name1>,...``, then the rows of its table.
-    Thinning is ``integrate``'s.
+def write_trajectory(trajectory, names, out) -> None:
+    """Write the CSV rows of ``trajectory`` -- a Trajectory, or a block of
+    rows (t, q1, ..., qn) that ``integrate`` hands on as it marches -- to
+    the binary file ``out``, after the header ``t,<name1>,...`` unless
+    ``names`` is None (a block that continues a CSV). Thinning is
+    ``integrate``'s.
 
-    The table, read flat, is rendered and written in blocks of
+    The rows, read flat, are rendered and written in blocks of
     ``_BLOCK_VALUES`` values by ``CsvRows``, rows of any width filling
     whole blocks, so only one block's text is held.
     """
-    width = trajectory.table.shape[1]
-    flat = trajectory.table.reshape(-1)
-    out.write(("t," + ",".join(names) + "\n").encode("ascii"))
+    table = (trajectory.table if isinstance(trajectory, Trajectory)
+             else trajectory)
+    width = table.shape[1]
+    flat = table.reshape(-1)
+    if names is not None:
+        out.write(("t," + ",".join(names) + "\n").encode("ascii"))
     render = CsvRows(max(1, min(_BLOCK_VALUES, flat.size)))
     for lo in range(0, flat.size, _BLOCK_VALUES):
         block = flat[lo:lo + _BLOCK_VALUES]

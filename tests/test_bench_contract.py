@@ -1,10 +1,11 @@
 """The benchmark's oracle (``bench/oracles.py``) parses every line of a
-``stability`` report and refuses one it does not know, and replays the
-imitation rule of every ``pd`` run in exact arithmetic. This runs the
-``stability`` and ``pd`` operations of the benchmark's own plans through
-the CLI and checks each output with that oracle, so a report change the
-oracle refuses, or a PD kernel that leaves the rule, fails here and not
-only in a benchmark run. It runs in a subprocess, as
+``stability`` report and refuses one it does not know, replays the
+imitation rule of every ``pd`` run in exact arithmetic, and checks each
+row of a ``simulate`` CSV against its own integration. This runs the
+``stability``, ``pd`` and trajectory operations of the benchmark's own
+plans through the CLI and checks each output with that oracle, so a
+report change the oracle refuses, a PD kernel that leaves the rule, or a
+CSV that loses or moves rows fails here and not only in a benchmark run. It runs in a subprocess, as
 ``test_bench_bindings`` does, so that the benchmark's modules stay off
 this process's import path."""
 
@@ -70,3 +71,15 @@ def test_pd_runs_pass_the_bench_oracle(tmp_path):
     for name, result in checked.items():
         assert result[0] == 0 and result[2] is None, (name, result)
         assert result[1].startswith("pd: wrote "), name
+
+
+@pytest.mark.parametrize("workload, names", [
+    ("canonical", ["simulate_stable_rk4", "simulate_unstable_euler"]),
+    ("network", ["simulate_960"]),
+])
+def test_trajectories_pass_the_bench_oracle(workload, names, tmp_path):
+    checked = contract_run(workload, "_trajectory", tmp_path)
+    assert sorted(checked) == sorted(names)
+    for name, result in checked.items():
+        assert result[0] == 0 and result[2] is None, (name, result)
+        assert result[1].startswith("simulate: "), name

@@ -755,6 +755,145 @@ class TestStreamedSimulate:
             assert len(out.read_text().splitlines()) == 102
         assert max(peaks) - min(peaks) <= 12_288, peaks
 
+    # A run of (scenario, method, t_end, dt, thin) writes ``rows`` rows;
+    # simulate hands them to the CSV in buffers of R = _BLOCK_VALUES //
+    # (1 + n) rows. Three routes: Phi_h in blocks of more than one state
+    # (the shipped three-variable scenarios, R = 1024); Phi_h one state
+    # at a time (rk4 on a 200-edge network, R = 20); the matrix-free
+    # field (euler on the 200-edge network, R = 20, and rk4 on a 320-edge
+    # one, R = 12). On each: row counts one below, at and one above a
+    # multiple of R, a shortened last step, and blow-ups in the first
+    # buffer, with the buffer full or just emptied, and off the thin grid.
+    FLUSH_CASES = [
+        ("canonical_stable", "rk4", "127.875", "0.0625", 1, 2047),
+        ("canonical_stable", "rk4", "127.9375", "0.0625", 1, 2048),
+        ("canonical_stable", "euler", "128", "0.0625", 1, 2049),
+        ("two_firm_network", "euler", "192", "0.0625", 3, 1025),
+        ("canonical_stable", "rk4", "63.96875", "0.0625", 1, 1025),
+        ("canonical_stable", "rk4", "40", "3", 1, 9),
+        ("canonical_stable", "rk4", "40", "3", 7, 3),
+        ("two_firm_network", "rk4", "5000", "2.35306", 1, 1024),
+        ("two_firm_network", "rk4", "5000", "2.35305", 1, 1025),
+        ("net200", "rk4", "0.59375", "0.015625", 1, 39),
+        ("net200", "rk4", "0.609375", "0.015625", 1, 40),
+        ("net200", "rk4", "0.625", "0.015625", 1, 41),
+        ("net200", "rk4", "0.6171875", "0.015625", 1, 41),
+        ("net200", "rk4", "100", "0.25", 1, None),
+        ("net200", "rk4", "100", "0.16", 2, 20),
+        ("net200", "rk4", "100", "0.18", 1, 21),
+        ("net200", "rk4", "100", "0.16", 7, 7),
+        ("net200", "euler", "0.59375", "0.015625", 1, 39),
+        ("net200", "euler", "0.625", "0.015625", 3, 15),
+        ("net200", "euler", "100", "0.105", 2, 120),
+        ("net200", "euler", "100", "0.105", 3, 81),
+        ("net320", "rk4", "0.359375", "0.015625", 1, 24),
+        ("net320", "rk4", "0.375", "0.015625", 1, 25),
+        ("net320", "rk4", "0.3671875", "0.015625", 1, 25),
+        ("net320", "rk4", "100", "0.2", 1, None),
+        ("net320", "rk4", "100", "0.1", 2, 48),
+        ("net320", "rk4", "100", "0.11", 3, 13),
+    ]
+
+    @pytest.mark.parametrize("case", FLUSH_CASES,
+                             ids=lambda case: "-".join(map(str, case[:5])))
+    def test_streamed_csv_is_the_csv_of_the_held_run(self, case, tmp_path,
+                                                     capsys):
+        from cournotgraph import (IntegrationBlowUp, NetworkScenario,
+                                  NetworkSpec, canonical_affine,
+                                  render_scenario, to_affine, variable_names)
+        from cournotgraph.dynamics import _affine_pays, _block_length
+        from cournotgraph.reports import _BLOCK_VALUES
+        from helpers import network_spec_with_edges
+        name, method, t_end, dt, thin, rows = case
+        if name.startswith("net"):
+            edges = int(name[3:])
+            rng = np.random.default_rng(edges)
+            markets, firms = {200: (10, 30), 320: (12, 40)}[edges]
+            spec = network_spec_with_edges(rng, markets, firms, edges)
+            path = tmp_path / f"{name}.scenario"
+            path.write_text(render_scenario(NetworkScenario(
+                spec, tuple(rng.uniform(0.0, 0.2, edges)))), encoding="utf-8")
+        else:
+            path = SCENARIO_DIR / f"{name}.scenario"
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        system = (to_affine(scenario.spec)
+                  if isinstance(scenario, NetworkScenario)
+                  else canonical_affine(scenario.r))
+        names = variable_names(system.variable_order)
+        assert (_affine_pays(system, method),
+                _block_length(system.dimension) > 1) == {
+            "net200": (method == "rk4", False),
+            "net320": (False, False)}.get(name, (True, True))
+        try:
+            want = integrate(system, scenario.q0, float(t_end), float(dt),
+                             method, thin)
+        except IntegrationBlowUp as exc:
+            want = exc.trajectory
+        out = tmp_path / "t.csv"
+        code = run("simulate", "--scenario", path, "--method", method,
+                   "--t-end", t_end, "--dt", dt, "--thin", thin, "--out", out)
+        assert code == (0 if want.times[-1] == float(t_end) else 3)
+        assert out.read_text(encoding="ascii") == csv_of(want, names)
+        if rows is None:    # a blow-up within the first buffer
+            rows = len(want.times)
+            assert rows < _BLOCK_VALUES // (1 + len(names))
+        assert len(want.times) == rows
+
+    @pytest.mark.parametrize("name, method, t_end", [
+        ("canonical_unstable", "euler", 1000), ("net361", "rk4", 10)])
+    def test_a_run_holds_one_buffer_of_rows(self, name, method, t_end,
+                                            tmp_path, capsys):
+        # Every state kept: 10^5 euler steps of canonical_unstable (a
+        # table of 3.2 MB) and 1000 rk4 steps of a 361-edge network on
+        # the matrix-free field (2.9 MB). Beside its scenario and system,
+        # a run holds at most: the renderer of a block of B =
+        # _BLOCK_VALUES values, 8 + 8 * WORK_ROWS + 25 + 16 bytes a value
+        # (see test_renderer_working_set_per_value_of_capacity); the
+        # buffer of whole rows, at most B values; the march's scratch of
+        # rows + 1 states, where a Psi block is one state no more rows
+        # than the buffer holds; and the Psi table, m n x n matrices.
+        import tracemalloc
+        from cournotgraph import NetworkScenario, canonical_affine, to_affine
+        from cournotgraph.dynamics import (_BLOCK_ROWS, _affine_pays,
+                                           _block_length)
+        from cournotgraph.dynamics import _BLOCK_VALUES as MARCH_VALUES
+        from cournotgraph.reports import _BLOCK_VALUES as B
+        from cournotgraph.shortest import WORK_ROWS
+        if name == "net361":
+            path = tmp_path / "net.scenario"
+            _network_scenario(path, 20, 30, seed=3)
+        else:
+            path = SCENARIO_DIR / f"{name}.scenario"
+        out = tmp_path / "t.csv"
+        # A first run leaves the one-time caches of the process behind.
+        assert run("simulate", "--scenario", path, "--t-end", 0.01,
+                   "--out", out) == 0
+        peaks = []
+        for steps in (0, 100 * t_end):
+            tracemalloc.start()
+            try:
+                if steps:
+                    assert run("simulate", "--scenario", path, "--method",
+                               method, "--t-end", steps / 100, "--thin", 1,
+                               "--out", out) == 0
+                else:
+                    scenario = parse_scenario(path.read_text(encoding="utf-8"))
+                    system = (to_affine(scenario.spec)
+                              if isinstance(scenario, NetworkScenario)
+                              else canonical_affine(scenario.r))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 2 + 100 * t_end
+        n, m = system.dimension, _block_length(system.dimension)
+        rows = min(_BLOCK_ROWS, MARCH_VALUES // n)
+        if m == 1:
+            rows = min(rows, B // (1 + n))
+        psi = m * n * n if _affine_pays(system, method) else 0
+        held = ((8 + 8 * WORK_ROWS + 25 + 16) * B + 8 * B
+                + 8 * (rows + 1) * n + 8 * psi)
+        assert peaks[1] <= peaks[0] + held, (peaks, held)
+
     def test_stored_limit_counts_the_rows_kept(self, monkeypatch, tmp_path,
                                                capsys):
         # 1001 states of 3 variables pass a limit of 1000 values; the
