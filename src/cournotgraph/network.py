@@ -97,8 +97,9 @@ class NetworkSpec:
         speed = self.speed
         # More firms than edges is invalid, and ``validate`` says so
         # without the default tuple, which would grow with the count.
-        if not len(speed) and int(self.firm_count) <= len(self.edges):
-            speed = (1.0,) * int(self.firm_count)
+        if (not len(speed) and isinstance(self.firm_count, int)
+                and self.firm_count <= len(self.edges)):
+            speed = (1.0,) * self.firm_count
         object.__setattr__(self, "speed", _as_float_tuple(speed))
 
     @cached_property
@@ -198,7 +199,9 @@ class EdgeIncidence:
     of each edge, the edge's speed b_j(e) and slope beta_i(e), and the
     per-firm gamma and per-market beta. Read-only arrays, held by the
     rule of ``_frozen``; the float ones must be finite, and so must the
-    entries b_j gamma_j, b_j beta_i and b_j (gamma_j + 2 beta_i) of A."""
+    entries b_j gamma_j, b_j beta_i and b_j (gamma_j + 2 beta_i) of A.
+    The network routes' products with U = [F | M] are written here once:
+    ``gather``, ``spread``, ``capacitance``, ``diagonal`` and ``k_side``."""
 
     market: np.ndarray
     firm: np.ndarray
@@ -215,16 +218,47 @@ class EdgeIncidence:
                 values = _frozen(values)
                 _require_finite(name, values)
             object.__setattr__(self, name, values)
-        gamma = self.firm_gamma[self.firm]
         with np.errstate(over="ignore"):
-            entries = self.speed * np.stack((gamma, self.beta,
-                                             gamma + 2.0 * self.beta))
+            entries = self.speed * np.stack((self.firm_gamma[self.firm],
+                                             self.beta, self.diagonal))
         _require_finite("matrix", entries)
+
+    @property
+    def size(self) -> int:  # k, U's columns: firms, then markets
+        return len(self.firm_gamma) + len(self.market_beta)
+
+    @property
+    def column(self) -> np.ndarray:  # U's column of each edge's market
+        return self.market + len(self.firm_gamma)
+
+    @property
+    def diagonal(self) -> np.ndarray:  # S's: gamma_j + 2 beta_i of (i, j)
+        return self.firm_gamma[self.firm] + 2.0 * self.beta
+
+    @property
+    def k_side(self) -> bool:  # k < n: the routes factor k x k, not n x n
+        return self.size < len(self.speed)
 
     def supplies(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Firm outputs s = F^T q and market supplies c = M^T q."""
         return (np.bincount(self.firm, q, len(self.firm_gamma)),
                 np.bincount(self.market, q, len(self.market_beta)))
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """U^T x, firms first: the ``supplies`` of x, joined."""
+        return np.concatenate(self.supplies(x))
+
+    def spread(self, z: np.ndarray, edges=slice(None)) -> np.ndarray:
+        """U z, or its rows ``edges``: z_j + z_i of edge (i, j), firms first."""
+        return z[self.firm[edges]] + z[self.column[edges]]
+
+    def capacitance(self, weight: np.ndarray) -> np.ndarray:
+        """K = W^-1 + U^T diag(weight) U, W = diag(gamma, beta): the k x k
+        matrix of the Woodbury identity for diag(1 / weight) + U W U^T."""
+        k = np.diag(self.gather(weight))  # U^T diag(weight) U's diagonal
+        k[self.firm, self.column] = k[self.column, self.firm] = weight
+        k.flat[::self.size + 1] += 1.0 / np.append(self.firm_gamma, self.market_beta)
+        return k
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         """A q in O(n + k): ``supplies`` s and c by ``np.bincount``, then
@@ -252,7 +286,7 @@ class EdgeIncidence:
         s = np.zeros((n, n))
         np.copyto(s, gamma[:, None], where=firm[:, None] == firm[None, :])
         np.copyto(s, self.beta[:, None], where=market[:, None] == market[None, :])
-        np.fill_diagonal(s, gamma + 2.0 * self.beta)
+        np.fill_diagonal(s, self.diagonal)
         return s
 
     def dense(self) -> np.ndarray:

@@ -10,7 +10,8 @@ per kind of matrix.
   A = D_b S with S = diag(beta_i(e)) + U W U^T symmetric positive
   definite, where U = [F | M] is the n x k edge incidence matrix
   (k firms and markets) and W = diag(gamma, beta). Everything is
-  computed from that :class:`~cournotgraph.network.EdgeIncidence`:
+  computed from that :class:`~cournotgraph.network.EdgeIncidence` by
+  its ``gather`` (U^T x), ``spread`` (U z), ``capacitance`` and ``k_side``:
 
   - The equilibrium solves S q = r, r = c / b_e = alpha_i(e), so it
     does not depend on the speeds, by Cholesky on the smaller of two
@@ -220,27 +221,6 @@ def _spectrum(a: np.ndarray):
     return np.max(np.linalg.eigvals(-a).real, axis=-1)
 
 
-def _gram(st: EdgeIncidence, weight: np.ndarray) -> np.ndarray:
-    """U^T diag(weight) U for the n x k incidence U = [F | M], firms
-    first. Edge (i, j) adds its weight to the entries (j, i) and (i, j),
-    which no other edge shares, and to the diagonal entries (j, j) and
-    (i, i), which are the sums F^T w and M^T w."""
-    market = st.market + len(st.firm_gamma)
-    gram = np.diag(np.concatenate(st.supplies(weight)))
-    gram[st.firm, market] = weight
-    gram[market, st.firm] = weight
-    return gram
-
-
-def _capacitance(st: EdgeIncidence, weight: np.ndarray) -> np.ndarray:
-    """K = W^-1 + U^T diag(weight) U, with W = diag(gamma, beta): the
-    k x k matrix of the Woodbury identity for diag(1 / weight) + U W U^T."""
-    k = _gram(st, weight)
-    k.flat[::len(k) + 1] += 1.0 / np.concatenate((st.firm_gamma,
-                                                   st.market_beta))
-    return k
-
-
 def _s_solver(st: EdgeIncidence):
     """The solver r -> S^-1 r of the module docstring, with S (while
     n <= k) or the capacitance matrix K factored once by Cholesky;
@@ -248,8 +228,7 @@ def _s_solver(st: EdgeIncidence):
     NoUniqueEquilibriumError when cond(S) may pass _COND_LIMIT or the
     matrix is not positive definite."""
     _check_size(st)
-    n, k = len(st.speed), len(st.firm_gamma) + len(st.market_beta)
-    firm_degree, market_degree = st.supplies(np.ones(n))
+    firm_degree, market_degree = st.supplies(np.ones(len(st.speed)))
     # S has no negative entry, so its largest row sum bounds its largest
     # eigenvalue, and S >= diag(beta_e) bounds its smallest one below.
     # A bound past the float range is inf, and refused below.
@@ -261,26 +240,23 @@ def _s_solver(st: EdgeIncidence):
         raise NoUniqueEquilibriumError(
             f"no unique equilibrium: matrix condition number bound "
             f"{bound:.3g} exceeds {_COND_LIMIT:.0e}")
-    woodbury = k < n
     try:
-        lower = np.linalg.cholesky(_capacitance(st, 1.0 / st.beta)
-                                   if woodbury else st._filled())
+        lower = np.linalg.cholesky(st.capacitance(1.0 / st.beta)
+                                   if st.k_side else st._filled())
     except np.linalg.LinAlgError:
         raise NoUniqueEquilibriumError(
             f"no unique equilibrium: the "
-            f"{'capacitance matrix' if woodbury else 'matrix S'} is not "
+            f"{'capacitance matrix' if st.k_side else 'matrix S'} is not "
             f"positive definite") from None
 
     def factored(b: np.ndarray) -> np.ndarray:
         return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
-    if not woodbury:
+    if not st.k_side:
         return factored
-    firms = len(st.firm_gamma)
 
     def solve(r: np.ndarray) -> np.ndarray:
         y = r / st.beta
-        z = factored(np.concatenate(st.supplies(y)))
-        return y - (z[:firms][st.firm] + z[firms:][st.market]) / st.beta
+        return y - st.spread(factored(st.gather(y))) / st.beta
     return solve
 
 
@@ -293,18 +269,15 @@ def _definite_below(st: EdgeIncidence, order: np.ndarray,
     them, whose pole lies below lam(1 + _POLE_GAP): keeping an edge with
     a pole just above lam out of K_far keeps 1 / (b_e beta_e - lam),
     which would swamp the rest of K_far in rounding, out of it."""
-    size = len(st.firm_gamma) + len(st.market_beta)
-    m = min(int(np.searchsorted(poles, lam * (1.0 + _POLE_GAP))), size)
+    m = min(int(np.searchsorted(poles, lam * (1.0 + _POLE_GAP))), st.size)
     near, far = order[:m], order[m:]
     weight = np.zeros(len(order))
     weight[far] = st.speed[far] / (poles[m:] - lam)
-    v = np.zeros((size, m))  # V_near^T
+    v = np.zeros((st.size, m))  # V_near^T
     root = np.sqrt(st.speed[near])
-    firm, market = st.firm[near], len(st.firm_gamma) + st.market[near]
-    v[firm, np.arange(m)] = root
-    v[market, np.arange(m)] = root
-    y = np.linalg.solve(_capacitance(st, weight), v)  # K_far^-1 V_near^T
-    t = root[:, None] * (y[firm] + y[market])         # V_near K_far^-1 V_near^T
+    v[st.firm[near], np.arange(m)] = v[st.column[near], np.arange(m)] = root
+    y = np.linalg.solve(st.capacitance(weight), v)  # K_far^-1 V_near^T
+    t = root[:, None] * st.spread(y, near)          # V_near K_far^-1 V_near^T
     t.flat[::m + 1] += poles[:m] - lam
     try:
         np.linalg.cholesky(t)
@@ -323,28 +296,22 @@ def _rayleigh_bound(st: EdgeIncidence, shift: float) -> tuple[float, float]:
     theta * _CERTIFY_GAP / 16, or after _ITERATIONS steps. The result is
     only a hint, which the inertia tests check, so rounding that leaves
     no finite quotient gives (inf, inf)."""
-    firms, root = len(st.firm_gamma), np.sqrt(st.speed)
-    poles = st.speed * st.beta
+    root, poles = np.sqrt(st.speed), st.speed * st.beta
     weight = np.concatenate((st.firm_gamma, st.market_beta))
-
-    def spread(z: np.ndarray) -> np.ndarray:  # V z
-        return root * (z[:firms][st.firm] + z[firms:][st.market])
-
-    def gather(x: np.ndarray) -> np.ndarray:  # V^T x
-        return np.concatenate(st.supplies(root * x))
     x = np.arange(len(poles)) * 0.6180339887498949 % 1.0 - 0.5
     theta = step = np.nan
     with np.errstate(all="ignore"):
         diagonal = poles - shift
         try:
-            inverse = np.linalg.inv(_capacitance(st, st.speed / diagonal))
+            inverse = np.linalg.inv(st.capacitance(st.speed / diagonal))
         except np.linalg.LinAlgError:
             return np.inf, np.inf
         for _ in range(_ITERATIONS):
             y = x / diagonal
-            x = y - spread(inverse @ gather(y)) / diagonal
+            x = y - root * st.spread(inverse @ st.gather(root * y)) / diagonal
             x /= np.linalg.norm(x)
-            last, theta = theta, float(x @ (poles * x + spread(weight * gather(x))))
+            v = root * st.spread(weight * st.gather(root * x))  # V W V^T x
+            last, theta = theta, float(x @ (poles * x + v))
             if not theta < np.inf:
                 return np.inf, np.inf
             last_step, step = step, last - theta
@@ -371,10 +338,8 @@ def _lowest_eigenvalue(st: EdgeIncidence) -> float:
     shifts in all; bisection on ``_definite_below`` closes the rest."""
     order = np.argsort(st.speed * st.beta, kind="stable")
     poles = (st.speed * st.beta)[order]
-    size = len(st.firm_gamma) + len(st.market_beta)
-    lo = float(poles[0])
-    hi = float(np.min(np.append(poles[size:size + 1], st.speed * (
-        st.firm_gamma[st.firm] + 2.0 * st.beta))))
+    lo, k = float(poles[0]), st.size
+    hi = float(np.min(np.append(poles[k:k + 1], st.speed * st.diagonal)))
     shift = lo * (1.0 - _POLE_GAP)
     for _ in range(_SHIFTS):
         theta, tail = _rayleigh_bound(st, shift)
@@ -401,7 +366,7 @@ def _lowest_eigenvalue(st: EdgeIncidence) -> float:
 def _check_size(st: EdgeIncidence) -> None:
     """Raise ValueError for a network whose smaller matrix, n x n or
     k x k, passes ``network.MAX_DENSE_VALUES``."""
-    n, k = len(st.speed), len(st.firm_gamma) + len(st.market_beta)
+    n, k = len(st.speed), st.size
     if min(n, k) ** 2 <= network.MAX_DENSE_VALUES:
         return
     raise ValueError(
@@ -511,7 +476,7 @@ def eigen_margin(sys: AffineSystem) -> float:
     if st is None:
         return float(_spectrum(sys.matrix))
     _check_size(st)
-    if len(st.speed) <= len(st.firm_gamma) + len(st.market_beta):
+    if not st.k_side:
         return float(-np.linalg.eigvalsh(st.dense_symmetric())[0])
     return -_lowest_eigenvalue(st)
 

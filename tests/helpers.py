@@ -117,6 +117,28 @@ def to_affine_by_loop(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
     return c, a
 
 
+def incidence_by_loop(spec: NetworkSpec) -> np.ndarray:
+    """The dense n x k edge incidence U = [F | M] of a valid spec, firms
+    first, entry by entry: the row of edge (i, j), in canonical order,
+    holds a 1 in firm j's column j - 1 and in market i's column
+    firm_count + i - 1."""
+    order = sorted(set(spec.edges))
+    u = np.zeros((len(order), spec.firm_count + spec.market_count))
+    for row, (i, j) in enumerate(order):
+        u[row, j - 1] = 1.0
+        u[row, spec.firm_count + i - 1] = 1.0
+    return u
+
+
+def sum_in_edge_order(terms: np.ndarray) -> np.ndarray:
+    """The sum of ``terms`` over its first axis, one edge's term after
+    another, as ``np.bincount`` adds its weights."""
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
+
+
 def dense_field(system):
     """The field c - A q of an affine system as one dense matrix-vector
     product on ``system.matrix``: the oracle for the matrix-free field of

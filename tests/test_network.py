@@ -6,8 +6,10 @@ import pytest
 from cournotgraph import (AffineSystem, NetworkSpec, canonical_edge_order,
                           to_affine, two_firms_two_markets, validate,
                           variable_names, vector_field)
-from helpers import (network_spec_of_shape, random_network_spec,
-                     to_affine_by_loop, two_firm_rhs_literal)
+from helpers import (incidence_by_loop, network_spec_of_shape,
+                     network_spec_with_edges, random_network_spec,
+                     sum_in_edge_order, to_affine_by_loop,
+                     two_firm_rhs_literal)
 
 
 def two_firm_spec():
@@ -92,6 +94,14 @@ class TestValidate:
         spec = NetworkSpec(1, 0, (), alpha=(1,), beta=(1,), gamma=())
         assert validate(spec) == ["firm_count must be a positive integer, "
                                   "got 0"]
+
+    def test_count_that_is_not_an_integer_is_named(self):
+        # The default speeds are sized from an int count only, so such a
+        # count reaches validate's message instead of raising here.
+        for count in ("x", None):
+            spec = NetworkSpec(1, count, ((1, 1),), (1,), (1,), (1,))
+            assert validate(spec) == [
+                f"firm_count must be a positive integer, got {count}"]
 
     def test_nan_gamma_rejected(self):
         spec = NetworkSpec(1, 1, ((1, 1),), alpha=(1,), beta=(1,),
@@ -385,6 +395,41 @@ class TestMatrixFreeOperator:
         with pytest.raises(ValueError,
                            match=r"matrix must be square, got shape \(2, 3\)"):
             AffineSystem(np.ones(2), np.ones((2, 3)))
+
+
+class TestIncidenceOperators:
+    """EdgeIncidence's products with U = [F | M] against the dense U of
+    ``incidence_by_loop``, bit for bit: the oracle adds each sum over
+    edges in edge order, as ``np.bincount`` does, and a row of U z has
+    two nonzero terms, which add the same in any order."""
+
+    @pytest.mark.parametrize("markets, firms, edges, k_side",
+                             [(20, 30, 241, True), (4, 6, 15, True),
+                              (6, 6, 9, False), (8, 12, 20, False)])
+    def test_products_match_the_dense_incidence(self, markets, firms, edges,
+                                                 k_side):
+        rng = np.random.default_rng(83)
+        for _ in range(4):
+            spec = network_spec_with_edges(rng, markets, firms, edges)
+            st = to_affine(spec).structure
+            u = incidence_by_loop(spec)
+            n, k = u.shape
+            assert (st.size, st.k_side) == (k, k_side)
+            assert np.array_equal(u[np.arange(n), st.column], np.ones(n))
+            x, weight = rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 2.0, n)
+            assert np.array_equal(st.gather(x),
+                                  sum_in_edge_order(u * x[:, None]))
+            z = rng.uniform(-1.0, 1.0, (k, 3))
+            assert np.array_equal(st.spread(z[:, 0]), u @ z[:, 0])
+            assert np.array_equal(st.spread(z), u @ z)
+            near = rng.permutation(n)[:min(n, k)]
+            assert np.array_equal(st.spread(z, near), u[near] @ z)
+            w = np.concatenate((spec.gamma, spec.beta))
+            want = sum_in_edge_order(weight[:, None, None] * u[:, :, None]
+                                     * u[:, None, :]) + np.diag(1.0 / w)
+            assert np.array_equal(st.capacitance(weight), want)
+            _, a = to_affine_by_loop(spec)
+            assert np.array_equal(st.speed * st.diagonal, np.diag(a))
 
 
 class TestDerivedOncePerSpec:

@@ -777,6 +777,18 @@ class TestGraphBuilders:
                     f"edge {named} has an end that is not an integer")):
                 player_graph(3, given)
 
+    def test_ends_that_are_not_numbers_are_refused(self):
+        # A str or None end is named as given, by the first such pair in
+        # input order, with the message of a fraction and not numpy's own
+        # error; a fraction before it is named first.
+        for given, named in (([(0, "1")], "0-1"),
+                             ([(0, 1), (1, None)], "1-None"),
+                             ([(0, 0), (2, "x"), (1, None)], "2-x"),
+                             ([(0, 1), (0.5, 2), (None, 1)], "0.5-2")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"edge {named} has an end that is not an integer")):
+                player_graph(3, given)
+
     def test_ends_past_intp_are_out_of_range(self):
         for end in (3, -10 ** 23, 10 ** 30, 1e30):
             with pytest.raises(ValueError, match=re.escape(
