@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,6 +36,12 @@ from .pdgame import run_spatial
 EXIT_OK = 0
 EXIT_SCENARIO = 2
 EXIT_NUMERICAL = 3
+
+# argparse reads an argument that starts with "-" as an option unless it
+# matches its negative-number pattern, which has no exponent: "--from
+# -1e-3" would lose its value. Each subcommand takes this pattern, which
+# matches every negative float literal, in its place.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 class OutputError(Exception):
@@ -219,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, type=int)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_sweep)
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

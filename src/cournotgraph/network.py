@@ -319,7 +319,7 @@ class AffineSystem:
     Made from a dense ``matrix``, or, for a network, from its
     :class:`EdgeIncidence` ``structure``: then ``field_at`` runs on the
     structure and ``matrix`` is filled on first access. Both and the
-    constant must be finite. ``variable_order``
+    constant must be finite, with at least one variable. ``variable_order``
     records which (market, firm) edge each coordinate belongs to; for
     systems assembled from a :class:`NetworkSpec` it is the canonical
     edge order.
@@ -345,6 +345,8 @@ class AffineSystem:
             object.__setattr__(self, "matrix", a)  # in place of the lazy fill
         else:
             size = len(structure.speed)
+        if size == 0:
+            raise ValueError("an affine system needs at least one variable")
         if c.shape != (size,):
             raise ValueError(
                 f"constant has length {c.shape}, matrix is {size}x{size}")

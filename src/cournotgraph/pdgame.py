@@ -33,14 +33,12 @@ in the closed neighborhood, strategy) over each closed neighborhood
 torus, stepped on wrapped shifted views of its (height, width) state
 grid; ``complete_graph`` makes a complete graph, stepped in closed form
 from the count of cooperators and the best total. ``player_graph``
-validates given pairs and lays out the closed neighborhoods in padded
-tables, one per group of players whose closed sizes share a ceiling of
-log2, with one sort of the directed pairs; a step gathers keys through
-them. A torus or a complete graph builds such a table only when
-``closed_neighborhoods`` is read, and the tuple view ``neighbors``, kept
-for the benchmark's tracer, is read off the tables on first use; running
-the dynamics makes neither. A :class:`PopulationState` holds one
-read-only bool array, True where the player cooperates.
+validates given pairs and sorts them once into each player's
+neighbors, which ``_padded``, the one writer of a closed-neighborhood
+table, lays out in the padded tables its steps gather through. A torus
+or a complete graph hands ``_padded`` its neighbors only when
+``closed_neighborhoods`` or ``neighbors`` is read, so no step builds a
+table. A :class:`PopulationState` holds one read-only bool array.
 
 The dynamics are deterministic, so once a step returns the state it was
 given (a fixed point), every later state is that one: ``run_spatial``
@@ -140,19 +138,17 @@ class PlayerGraph:
     column j holds player ids[j]'s run, then pads of the sentinel index
     ``player_count``. The pads take fewer entries than the runs, so the
     tables hold under 2 (players + 2 edges) entries. Players ascend
-    within a group, groups ascend in size. An edge list is stepped on
-    its tables; a torus or a complete graph builds its one table from
-    the form only when it is read, and keeps it. The arrays are made
-    read-only. The builders below make the forms; a PlayerGraph
-    constructed directly is not checked."""
+    within a group, groups ascend in size. ``_padded`` writes every such
+    table, read-only: an edge list's as it is built, to step on, and a
+    torus's or a complete graph's from its form's ``runs`` when first
+    read. The builders below make the forms; a PlayerGraph constructed
+    directly is not checked."""
 
     degrees: np.ndarray
     form: _Torus | _Complete | _Tables
 
     def __post_init__(self):
         self.degrees.setflags(write=False)
-        if isinstance(self.form, _Tables):
-            self.closed_neighborhoods  # an edge list's, made read-only now
 
     @property
     def player_count(self) -> int:
@@ -164,10 +160,9 @@ class PlayerGraph:
 
     @cached_property
     def closed_neighborhoods(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        groups = self.form.tables()
-        for values in itertools.chain.from_iterable(groups):
-            values.setflags(write=False)
-        return groups
+        if isinstance(self.form, _Tables):
+            return self.form.groups
+        return _padded(self.degrees, self.form.runs())
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -184,9 +179,6 @@ class _Tables(NamedTuple):
     """An edge list's form: its padded closed-neighborhood tables."""
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def tables(self):
-        return self.groups
 
     def _by_player(self, parts: list[np.ndarray]) -> np.ndarray:
         """Values given per table, in the order of its ids, in player order."""
@@ -212,36 +204,35 @@ class _Tables(NamedTuple):
         return self._by_player(parts)
 
 
-def _regular(table: np.ndarray) -> PlayerGraph:
-    """The regular graph whose one table is ``table``."""
-    width, n = table.shape
-    return PlayerGraph(np.full(n, width - 1), _Tables(((table[0], table),)))
-
-
-def _padded(degrees: np.ndarray, runs: np.ndarray) -> PlayerGraph:
-    """The graph of ``runs``, player p's degrees[p] neighbors ascending,
-    laid end to end by player. A regular graph's runs are read down its
-    table's rows 1..; other runs are scattered into padded tables."""
+def _padded(degrees: np.ndarray,
+            runs: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The read-only padded tables of ``runs``, player p's degrees[p]
+    neighbors ascending, laid end to end by player: the one writer of a
+    closed-neighborhood table. A regular graph's runs are read down its
+    one table's rows 1..; other runs are scattered into padded tables."""
     n = degrees.size
     degree = int(degrees[0])
     if np.all(degrees == degree):
         table = np.empty((degree + 1, n), np.intp)  # row-major, as gathered
         table[0], table[1:] = np.arange(n), runs.reshape(n, degree).T
-        return _regular(table)
-    group = np.frexp(degrees)[1]  # the bit length of the degree
-    ids = np.argsort(group, kind="stable")
-    start = np.cumsum(degrees) - degrees
-    groups = []
-    for members in np.split(ids, np.flatnonzero(np.diff(group[ids])) + 1):
-        size = degrees[members]
-        first = np.cumsum(size) - size
-        rank = np.arange(size.sum()) - np.repeat(first, size)
-        table = np.full((size.max() + 1, members.size), n, np.intp)
-        table[0] = members
-        table[1 + rank, np.repeat(np.arange(members.size), size)] = \
-            runs[np.repeat(start[members], size) + rank]
-        groups.append((members, table))
-    return PlayerGraph(degrees, _Tables(tuple(groups)))
+        groups = [(table[0], table)]
+    else:
+        group = np.frexp(degrees)[1]  # the bit length of the degree
+        ids = np.argsort(group, kind="stable")
+        start = np.cumsum(degrees) - degrees
+        groups = []
+        for members in np.split(ids, np.flatnonzero(np.diff(group[ids])) + 1):
+            size = degrees[members]
+            first = np.cumsum(size) - size
+            rank = np.arange(size.sum()) - np.repeat(first, size)
+            table = np.full((size.max() + 1, members.size), n, np.intp)
+            table[0] = members
+            table[1 + rank, np.repeat(np.arange(members.size), size)] = \
+                runs[np.repeat(start[members], size) + rank]
+            groups.append((members, table))
+    for values in itertools.chain.from_iterable(groups):
+        values.setflags(write=False)
+    return tuple(groups)
 
 
 def _whole(end) -> bool:
@@ -300,7 +291,8 @@ def player_graph(player_count: int, edges) -> PlayerGraph:
         if not (0 <= x < player_count and 0 <= y < player_count):
             raise ValueError(f"edge {x}-{y} out of range for {player_count} players")
         raise ValueError(f"duplicate edge {min(x, y)}-{max(x, y)}")
-    return _padded(np.bincount(source, minlength=player_count), target[order])
+    degrees = np.bincount(source, minlength=player_count)
+    return PlayerGraph(degrees, _Tables(_padded(degrees, target[order])))
 
 
 class _Complete(NamedTuple):
@@ -308,15 +300,9 @@ class _Complete(NamedTuple):
 
     n: int
 
-    def tables(self):
-        n = self.n
-        table = np.empty((n, n), np.intp)
-        table[0] = np.arange(n)
-        # Player p's k-th neighbor is k below p and k + 1 from p on.
-        k = np.arange(n - 1)[:, None]
-        np.greater_equal(k, table[0], out=table[1:])
-        table[1:] += k
-        return ((table[0], table),)
+    def runs(self) -> np.ndarray:
+        """Every player's neighbors, all the others, laid end to end."""
+        return np.nonzero(~np.eye(self.n, dtype=bool))[1]
 
     def count(self, cooperates: np.ndarray, dtype) -> np.ndarray:
         return int(np.count_nonzero(cooperates)) - cooperates.astype(dtype)
@@ -385,14 +371,11 @@ class _Torus:
         values = np.broadcast_to(values, (rows.size, cols.size)).astype(dtype)
         return np.repeat(np.repeat(values, cols, axis=1), rows, axis=0)
 
-    def tables(self):
+    def runs(self) -> np.ndarray:
+        """Every player's neighbors, ascending, laid end to end."""
         n = self.shape[0] * self.shape[1]
-        table = np.empty((self.degree + 1, n), np.intp)
-        table[0] = players = np.arange(n)
-        for offset, gain in zip(self.offsets, self.gains):
-            table[self.degree - gain.ravel() // 2, players] = \
-                players + self._spread(offset, np.intp).ravel()
-        return ((table[0], table),)
+        near = np.array([self._spread(o, np.intp).ravel() for o in self.offsets], np.intp)
+        return np.sort(near.reshape(-1, n).T + np.arange(n)[:, None]).ravel()
 
     def _wrapped(self, values: np.ndarray) -> np.ndarray:
         """The grid of ``values`` inside a border that repeats the
@@ -492,31 +475,36 @@ def random_population(graph: PlayerGraph, fraction: float,
     return PopulationState(graph, draws < fraction)
 
 
-def _integer_scores(state: PopulationState,
-                    m: PayoffMatrix) -> tuple[np.ndarray, int]:
-    """(totals, scale): each player's exact total payoff in units of
-    1/scale, where scale is the payoffs' common binary denominator, then
-    the sentinel player's total, below every real one. The totals are
-    int32 when the keys of ``imitation_step`` fit in int32, int64 when
-    they fit in int64, and Python ints otherwise."""
+def integer_payoffs(m: PayoffMatrix, degree: int) -> tuple[list[int], int, type]:
+    """(R, S, T, U) in units of 1/scale, scale the payoffs' common binary
+    denominator, and the type of :func:`imitation_step`'s keys on graphs of
+    largest degree ``degree``: int32 or int64 while they fit (see below;
+    big is the largest of |R|, |S|, |T|, |U|), else object (Python ints)."""
     ratios = [v.as_integer_ratio() for v in (m.R, m.S, m.T, m.U)]
     scale = max(den for _, den in ratios)  # powers of two: this is the lcm
-    R, S, T, U = (num * (scale // den) for num, den in ratios)
+    values = [num * (scale // den) for num, den in ratios]
+    # A key is total * 2 width + 2 (width - 1 - row) + strategy, width = degree + 1.
+    # With the sentinel's total -big * degree - 1, keys and terms lie in 2 big (degree + 2)^2.
+    bound = 2 * max(*map(abs, values), 1) * (degree + 2) ** 2
+    return values, scale, (np.int32 if bound < 2 ** 31 else
+                           np.int64 if bound < 2 ** 63 else object)
+
+
+def _integer_scores(state: PopulationState,
+                    m: PayoffMatrix) -> tuple[np.ndarray, int]:
+    """(totals, scale): each player's exact total payoff in units of 1/scale,
+    then the sentinel's, below every real one, in the key type of
+    :func:`integer_payoffs`."""
     graph = state.graph
-    big = max(map(abs, (R, S, T, U)))
-    degree = graph.max_degree
-    # A key is total * 2 width + 2 (width - 1 - row) + strategy, width =
-    # degree + 1, and the sentinel's total is -big * degree - 1: every
-    # key, and every term summed below, lies within 2 big (degree + 2)^2.
-    bound = 2 * max(big, 1) * (degree + 2) ** 2
-    dtype = np.int32 if bound < 2 ** 31 else np.int64 if bound < 2 ** 63 else object
+    (R, S, T, U), scale, dtype = integer_payoffs(m, graph.max_degree)
     n_c = graph.form.count(state.cooperates, dtype)
     # slope[c] * n_c + base[c] * degree with slope (T - U, R - S) and base
     # (U, S) by strategy c, taken without a branch.
     degrees = graph.degrees.astype(dtype)
     totals = n_c * (T - U) + degrees * U
     totals += (n_c * (R - S - T + U) + degrees * (S - U)) * state.cooperates
-    return np.append(totals, np.array(-big * degree - 1, dtype)), scale
+    sentinel = -max(map(abs, (R, S, T, U))) * graph.max_degree - 1
+    return np.append(totals, np.array(sentinel, dtype)), scale
 
 
 def scores(state: PopulationState, m: PayoffMatrix) -> list[float]:

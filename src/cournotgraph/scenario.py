@@ -39,12 +39,15 @@ commands' ``to_affine`` reads them from there. A ``[pd]`` graph with
 more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES`` edges, or a
 run that counts more than ``MAX_PD_READS`` reads in all (its
 neighborhood entries, plus ``PD_STEP_READS`` a step for the fixed cost
-of a step) is rejected before anything is built.
+of a step, each charged ``PD_PYTHON_INT_READS`` times where the step's
+keys pass int64) is rejected before anything is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -53,8 +56,8 @@ from .csvtext import fmt
 from .network import NetworkSpec, canonical_edge_order, validate
 from .pdgame import (PayoffMatrix, PlayerGraph, PopulationState,
                      all_cooperate, all_defect, complete_graph, cycle_graph,
-                     player_graph, random_population, single_defector,
-                     torus_graph)
+                     integer_payoffs, player_graph, random_population,
+                     single_defector, torus_graph)
 from .stability import CanonicalParams
 
 
@@ -82,6 +85,13 @@ MAX_PLAYER_EDGES = 1_000_000
 # step.
 PD_STEP_READS = 2_400
 MAX_PD_READS = 5_000_000_000
+# A step whose keys pass int64 (``pdgame.integer_payoffs``) works on
+# Python ints: on a 2-core Xeon a step of torus 707 707 took 0.5-1.6 s
+# against 0.008-0.010 s with int32 keys (payoffs of 3 beside 2^-60,
+# 1e-300 or 5e-324), up to 160 times as long, and one of torus 100 100
+# 50-100 times. So each of its reads is charged PD_PYTHON_INT_READS
+# reads, which keeps such a run to about a minute too.
+PD_PYTHON_INT_READS = 160
 
 
 class ScenarioError(ValueError):
@@ -125,12 +135,14 @@ class PDScenario:
             return player_graph(self.graph_size()[0], *args)
         return _GRAPHS[kind].make(*args)
 
-    def graph_size(self) -> tuple[int, int]:
-        """(players, edges at most) of the graph form, without building
-        it. Negative sizes count as 0; the builders reject them."""
+    def graph_size(self) -> tuple[int, int, int]:
+        """(players, edges at most, largest degree at most) of the graph
+        form, without building it. Negative sizes count as 0; the
+        builders reject them."""
         kind, *args = self.graph
         if kind == "edges":
-            return max(map(max, args[0])) + 1, len(args[0])
+            ends = Counter(itertools.chain.from_iterable(args[0]))
+            return max(ends) + 1, len(args[0]), max(ends.values())
         return _GRAPHS[kind].size(*(max(a, 0) for a in args))
 
     def build_population(self, graph: PlayerGraph) -> PopulationState:
@@ -199,7 +211,8 @@ def _pairs(value: str, sep: str, line: int, key: str) -> tuple[tuple[int, int], 
 class _Form(NamedTuple):
     """A ``[pd]`` form: its arguments (name as written: token parser),
     its maker (an init form's takes the graph first), which calls the
-    builder by its module name, and a graph's (players, edges at most)."""
+    builder by its module name, and a graph's (players, edges at most,
+    largest degree at most)."""
     args: dict[str, Callable]
     make: Callable
     size: Callable | None = None
@@ -207,10 +220,10 @@ class _Form(NamedTuple):
 
 _GRAPHS = {
     "complete": _Form({"N": _int}, lambda n: complete_graph(n),
-                      lambda n: (n, n * (n - 1) // 2)),
-    "cycle": _Form({"N": _int}, lambda n: cycle_graph(n), lambda n: (n, n)),
+                      lambda n: (n, n * (n - 1) // 2, max(n - 1, 0))),
+    "cycle": _Form({"N": _int}, lambda n: cycle_graph(n), lambda n: (n, n, 2)),
     "torus": _Form({"W": _int, "H": _int}, lambda w, h: torus_graph(w, h),
-                   lambda w, h: (w * h, 2 * w * h)),
+                   lambda w, h: (w * h, 2 * w * h, 4)),
 }
 _INITS = {
     "all_c": _Form({}, lambda graph: all_cooperate(graph)),
@@ -329,7 +342,7 @@ def _build_pd(entries) -> PDScenario:
 
     scenario = PDScenario(payoff=payoff, graph=graph, init=init, steps=steps,
                           side_payment=side_payment)
-    players, edges = scenario.graph_size()
+    players, edges, degree = scenario.graph_size()
     if edges > MAX_PLAYER_EDGES:
         raise ScenarioError(f"graph: '{graph_value}' has up to {edges} edges, "
                             f"more than the limit of {MAX_PLAYER_EDGES}",
@@ -339,12 +352,16 @@ def _build_pd(entries) -> PDScenario:
                             f"more than the limit of {MAX_PLAYERS}", graph_line)
     entries_read = players + 2 * edges
     reads = (entries_read + PD_STEP_READS) * steps
+    charged = ""
+    if integer_payoffs(payoff, degree)[2] is object:
+        reads *= PD_PYTHON_INT_READS
+        charged = f", each charged {PD_PYTHON_INT_READS} times for keys past int64"
     if reads > MAX_PD_READS:
         raise ScenarioError(f"steps: {steps} steps of '{graph_value}' count as "
                             f"{reads} reads (up to {entries_read} neighborhood "
                             f"entries and {PD_STEP_READS} for the fixed cost of "
-                            f"each step), more than the limit of {MAX_PD_READS}",
-                            entries["steps"][1])
+                            f"each step{charged}), more than the limit of "
+                            f"{MAX_PD_READS}", entries["steps"][1])
     try:
         scenario.build_graph()  # surfaces range/duplicate/self-loop problems
     except ValueError as exc:

@@ -80,7 +80,10 @@ def matching_spec(rng: np.random.Generator, pairs: int, cross: int = 3,
     (i, i) for each pair, then ``cross`` more distinct edges (at most
     pairs^2 - pairs). It has n = pairs + cross edges and k = 2 pairs
     firms and markets, so n <= k while cross <= pairs. ``speed`` defaults
-    to random speeds in [0.5, 2]."""
+    to random speeds in [0.5, 2]. A ``cross`` past pairs^2 - pairs is a
+    ValueError, as no spec has that many distinct edges."""
+    if cross > pairs * pairs - pairs:
+        raise ValueError(f"{cross} cross edges need more than {pairs} pairs")
     edges = {(i, i) for i in range(1, pairs + 1)}
     while len(edges) < pairs + cross:
         edges.add(tuple(int(v) for v in rng.integers(1, pairs + 1, 2)))

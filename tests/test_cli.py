@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +373,17 @@ class TestCommands:
         assert lines[1].startswith("0.1,UNSTABLE,")
         assert lines[2].startswith("1.5,STABLE,")
 
+    def test_sweep_takes_negative_bounds_in_exponent_form(self, tmp_path):
+        # argparse's own negative-number pattern has no exponent; with the
+        # parser's wider one "--from -5e-1" reads as "--from=-0.5".
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        for bounds, out in ((("--from", "-5e-1", "--to", "-1e-1"), spaced),
+                            (("--from=-0.5", "--to=-0.1"), joined)):
+            assert run("sweep", "--scenario", STABLE, "--param", "r4", *bounds,
+                       "--points", 5, "--out", out) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert spaced.read_text().splitlines()[1].startswith("-0.5,")
+
     def test_sweep_bad_grid_exits_2(self, tmp_path, capsys):
         code = run("sweep", "--scenario", STABLE, "--param", "r3",
                    "--from", 1.0, "--to", 1.0, "--points", 2,
@@ -585,6 +597,41 @@ class TestCommandRoutes:
             f"the fixed cost of each step), more than the limit of "
             f"{scenario.MAX_PD_READS}\n")
         assert not out.exists()
+
+    def test_pd_python_int_keys_exit_2_before_any_work(self, monkeypatch,
+                                                       tmp_path, capsys):
+        # At U = 1e-300 the keys of a torus pass int64 and a step works on
+        # Python ints, about 160 times the cost of an int32 step, so 1998
+        # steps of torus 707 707, which U = 0.5 would run, are refused.
+        from cournotgraph import cli, scenario
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may be built or run")
+        for name in ("complete_graph", "cycle_graph", "torus_graph",
+                     "player_graph"):
+            monkeypatch.setattr(scenario, name, forbidden)
+        monkeypatch.setattr(cli, "run_spatial", forbidden)
+        path = tmp_path / "tiny_u.scenario"
+        text = (PD.read_text()
+                .replace("graph = edges 0-1, 0-2", "graph = torus 707 707")
+                .replace("steps = 20", "steps = 1998"))
+        path.write_text(text.replace("payoff = 3, 0, 5, 1",
+                                     "payoff = 3, 0, 3.5, 1e-300"))
+        out = tmp_path / "pd.csv"
+        assert run("pd", "--scenario", path, "--out", out) == 2
+        entries = 707 * 707 + 4 * 707 * 707
+        reads = (entries + 2400) * 1998 * 160
+        assert capsys.readouterr().err == (
+            f"error: line 10: steps: 1998 steps of 'torus 707 707' count as "
+            f"{reads} reads (up to {entries} neighborhood entries and 2400 "
+            f"for the fixed cost of each step, each charged 160 times for "
+            f"keys past int64), more than the limit of "
+            f"{scenario.MAX_PD_READS}\n")
+        assert not out.exists()
+        monkeypatch.undo()
+        narrow = parse_scenario(text.replace("payoff = 3, 0, 5, 1",
+                                             "payoff = 3, 0, 3.5, 0.5"))
+        assert narrow.steps == 1998
 
     def test_pd_builds_the_player_graph_once(self, monkeypatch, tmp_path, capsys):
         from cournotgraph import scenario
@@ -1268,6 +1315,25 @@ class TestReadmeLimits:
             got = getattr(importlib.import_module(f"cournotgraph.{module}"),
                           constant)
             assert int(re.sub(r"\s", "", value)) == got, name
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # Every command of README's "CLI" block, its backslash continuations
+    # joined, exits 0 as written, with scenarios/ made absolute, from an
+    # empty directory that takes the files it writes. One sweep has a
+    # negative bound in exponent form.
+    section = ((SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+               .split("## CLI\n", 1)[1].split("\n## ", 1)[0])
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("cournotgraph ")]
+    assert len(commands) >= 6 and any("-1e-3" in command for command in commands)
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = [arg.replace("scenarios/", f"{SCENARIO_DIR}/", 1)
+                if arg.startswith("scenarios/") else arg for arg in command[1:]]
+        assert main(argv) == 0, command
+    capsys.readouterr()
 
 
 def test_readme_library_example_runs():

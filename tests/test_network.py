@@ -396,6 +396,12 @@ class TestMatrixFreeOperator:
                            match=r"matrix must be square, got shape \(2, 3\)"):
             AffineSystem(np.ones(2), np.ones((2, 3)))
 
+    def test_zero_variables_rejected(self):
+        # Refused as integrate refuses an empty q0: analyze and
+        # eigen_margin have no matrix to work on.
+        with pytest.raises(ValueError, match="at least one variable"):
+            AffineSystem(constant=[], matrix=np.zeros((0, 0)))
+
 
 class TestIncidenceOperators:
     """EdgeIncidence's products with U = [F | M] against the dense U of

@@ -658,9 +658,9 @@ class TestGraphBuilders:
         assert errors == {"self-loop", "edge", "duplicate"}
 
     def test_builders_match_loop_oracles(self):
-        # The builders write their one table by index arithmetic, and
-        # player_graph lays out the same edges, given in any order and
-        # either way round, by one sort and a reshape.
+        # A torus or a complete graph hands its neighbor runs to _padded
+        # when its table is read, and player_graph hands it the same edges,
+        # given in any order and either way round, after one sort.
         rng = np.random.default_rng(51)
         cases = [(complete_graph(n), complete_edges_by_loop(n))
                  for n in (*range(1, 9), 40)]

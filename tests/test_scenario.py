@@ -9,8 +9,9 @@ import pytest
 from cournotgraph import (CanonicalScenario, NetworkScenario, PDScenario,
                           ScenarioError, parse_scenario, render_scenario,
                           scenario)
-from cournotgraph.pdgame import (all_cooperate, all_defect, complete_graph,
-                                 cycle_graph, player_graph, random_population,
+from cournotgraph.pdgame import (PayoffMatrix, all_cooperate, all_defect,
+                                 complete_graph, cycle_graph, integer_payoffs,
+                                 player_graph, random_population,
                                  single_defector, torus_graph)
 from helpers import letters, pairs
 
@@ -259,6 +260,22 @@ class TestParseErrors:
                 rf"the fixed cost of each step\), more than the limit of "
                 rf"{scenario.MAX_PD_READS}$")):
             parse_scenario(pd_text("torus 10 25", steps=steps + 1))
+
+    def test_key_width_charge_reads_the_largest_degree(self):
+        # With T = 2^58 the bound 2 big (degree + 2)^2 reaches 2^63 at
+        # degree 2: a path's keys are Python ints, a matching's int64.
+        # 20 000 steps of up to 8 entries and 2400 are about 4.8e7 reads,
+        # 7.7e9 when charged 160 times.
+        m = PayoffMatrix(R=2.0 ** 57, S=0, T=2.0 ** 58, U=1)
+        assert [integer_payoffs(m, d)[2] for d in (1, 2)] == [np.int64, object]
+        for graph, refused in (("edges 0-1, 2-3", False), ("edges 0-1, 1-2", True)):
+            text = pd_text(graph, init="all_c", steps=20000).replace(
+                "payoff = 3, 0, 5, 1", f"payoff = {2 ** 57}, 0, {2 ** 58}, 1")
+            if refused:
+                with pytest.raises(ScenarioError, match="each charged 160 times"):
+                    parse_scenario(text)
+            else:
+                assert parse_scenario(text).payoff == m
 
     @pytest.mark.parametrize("graph, steps", [  # the pd benchmark's runs
         ("torus 100 100", 20), ("torus 40 40", 30), ("complete 400", 5)])

@@ -493,6 +493,15 @@ class TestNetworkRoute:
     the k x k capacitance matrix and a margin bracketed by inverse
     iteration and certified by inertia tests, then bisected."""
 
+    def test_matching_spec_refuses_cross_edges_past_the_grid(self):
+        # pairs markets and firms hold pairs^2 edges, pairs of them on the
+        # diagonal: two pairs take at most 2 cross edges, not the default 3.
+        rng = np.random.default_rng(70)
+        with pytest.raises(ValueError, match="3 cross edges need more than 2 pairs"):
+            matching_spec(rng, 2)
+        assert len(matching_spec(rng, 2, cross=2).edges) == 4
+        assert len(matching_spec(rng, 1, cross=0).edges) == 1
+
     def test_s_route_matches_dense_solve(self, monkeypatch):
         rng = np.random.default_rng(68)
         specs = [*(random_network_spec(rng) for _ in range(120)),
