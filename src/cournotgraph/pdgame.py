@@ -22,13 +22,16 @@ Scores are compared exactly. A player with n_C cooperating and n_D
 defecting neighbors scores R*n_C + S*n_D as a cooperator and
 T*n_C + U*n_D as a defector. Every double is a dyadic rational, so in
 units of the payoffs' common binary denominator these totals are
-integers, and ties are ties whatever order a float sum would take.
+integers, and ties are ties whatever order a float sum would take. A
+total depends only on degree, strategy and n_C, so a graph ranks its
+2 * sum(d + 1) totals over its distinct degrees d once per payoff matrix
+(:class:`_KeyTable`; Nowak & May 1992), and steps on ranks.
 
 Graphs and populations are arrays, from graph to series. A
 :class:`PlayerGraph` is its players' degrees and the form its builder
 knows, and a step is two primitives of that form: count each player's
-cooperating neighbors, and take the best integer key (exact total, rank
-in the closed neighborhood, strategy) over each closed neighborhood
+cooperating neighbors, and take the best integer key (total's rank,
+place in the closed neighborhood, strategy) over each closed neighborhood
 (see :func:`imitation_step`). ``torus_graph`` and ``cycle_graph`` make a
 torus, stepped on wrapped shifted views of its (height, width) state
 grid; ``complete_graph`` makes a complete graph, stepped in closed form
@@ -38,7 +41,7 @@ neighbors, which ``_padded``, the one writer of a closed-neighborhood
 table, lays out in the padded tables its steps gather through. A torus
 or a complete graph hands ``_padded`` its neighbors only when
 ``closed_neighborhoods`` or ``neighbors`` is read, so no step builds a
-table. A :class:`PopulationState` holds one read-only bool array.
+padded table. A :class:`PopulationState` holds one read-only bool array.
 
 The dynamics are deterministic, so once a step returns the state it was
 given (a fixed point), every later state is that one: ``run_spatial``
@@ -154,9 +157,11 @@ class PlayerGraph:
     def player_count(self) -> int:
         return self.degrees.size
 
-    @cached_property
-    def max_degree(self) -> int:
-        return int(self.degrees.max())
+    def _key_table(self, m: PayoffMatrix) -> _KeyTable:
+        """The :class:`_KeyTable` of payoffs ``m``, kept for the next call."""
+        if getattr(self, "_keys", None) is None or self._keys.payoff != m:
+            object.__setattr__(self, "_keys", _KeyTable(self, m))
+        return self._keys
 
     @cached_property
     def closed_neighborhoods(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -189,13 +194,14 @@ class _Tables(NamedTuple):
             values[ids] = part
         return values
 
-    def count(self, cooperates: np.ndarray, dtype) -> np.ndarray:
+    def count(self, cooperates: np.ndarray) -> np.ndarray:
         cooperating = np.append(cooperates, False).view(np.int8)  # the sentinel plays D
-        return self._by_player([cooperating[table[1:]].sum(axis=0, dtype=dtype)
+        return self._by_player([cooperating[table[1:]].sum(axis=0, dtype=np.intp)
                                 for _, table in self.groups])
 
     def adopt(self, keys: np.ndarray, top: int) -> np.ndarray:
         # Row k of a column is the k-th of the run and gains top - 2k.
+        keys = np.append(keys, np.array(-2 - top, keys.dtype))
         parts = []
         for _, table in self.groups:
             best = keys[table]
@@ -304,16 +310,16 @@ class _Complete(NamedTuple):
         """Every player's neighbors, all the others, laid end to end."""
         return np.nonzero(~np.eye(self.n, dtype=bool))[1]
 
-    def count(self, cooperates: np.ndarray, dtype) -> np.ndarray:
-        return int(np.count_nonzero(cooperates)) - cooperates.astype(dtype)
+    def count(self, cooperates: np.ndarray) -> np.ndarray:
+        return np.subtract(int(np.count_nonzero(cooperates)), cooperates, dtype=np.intp)
 
     def adopt(self, keys: np.ndarray, top: int) -> np.ndarray:
         # A player whose total is the largest keeps its strategy (its own
         # key gains the most); every other player takes the strategy of
-        # the first player with that total. keys >> 1 is total * width.
-        totals = keys[:-1] >> 1
-        first = int(np.argmax(totals))
-        return np.where(totals == totals[first], keys[:-1] & 1, keys[first] & 1) == 1
+        # the first player with that total, whose keys reach rank * 2 width.
+        best = keys >= (int(keys.max()) & ~1)
+        first = int(np.argmax(best))
+        return np.where(best, keys & 1 == 1, keys[first] & 1 == 1)
 
 
 def complete_graph(n: int) -> PlayerGraph:
@@ -387,15 +393,15 @@ class _Torus:
         grid[1:-1, 0], grid[1:-1, -1] = grid[1:-1, -2], grid[1:-1, 1]
         return grid
 
-    def count(self, cooperates: np.ndarray, dtype) -> np.ndarray:
+    def count(self, cooperates: np.ndarray) -> np.ndarray:
         grid = self._wrapped(cooperates.view(np.int8))
         n_c = np.zeros(self.shape, np.int8)
         for view in self.views:
             n_c += grid[view]
-        return n_c.astype(dtype).ravel()
+        return n_c.astype(np.intp).ravel()
 
     def adopt(self, keys: np.ndarray, top: int) -> np.ndarray:
-        grid = self._wrapped(keys[:-1])
+        grid = self._wrapped(keys)
         best = grid[1:-1, 1:-1] + top
         for view, gain in zip(self.views, self.gains):
             np.maximum(best, grid[view] + gain, out=best)
@@ -475,43 +481,63 @@ def random_population(graph: PlayerGraph, fraction: float,
     return PopulationState(graph, draws < fraction)
 
 
-def integer_payoffs(m: PayoffMatrix, degree: int) -> tuple[list[int], int, type]:
-    """(R, S, T, U) in units of 1/scale, scale the payoffs' common binary
-    denominator, and the type of :func:`imitation_step`'s keys on graphs of
-    largest degree ``degree``: int32 or int64 while they fit (see below;
-    big is the largest of |R|, |S|, |T|, |U|), else object (Python ints)."""
-    ratios = [v.as_integer_ratio() for v in (m.R, m.S, m.T, m.U)]
-    scale = max(den for _, den in ratios)  # powers of two: this is the lcm
-    values = [num * (scale // den) for num, den in ratios]
-    # A key is total * 2 width + 2 (width - 1 - row) + strategy, width = degree + 1.
-    # With the sentinel's total -big * degree - 1, keys and terms lie in 2 big (degree + 2)^2.
-    bound = 2 * max(*map(abs, values), 1) * (degree + 2) ** 2
-    return values, scale, (np.int32 if bound < 2 ** 31 else
-                           np.int64 if bound < 2 ** 63 else object)
+class _KeyTable:
+    """A graph's keys under one payoff matrix. ``totals(d, s, c)`` is the
+    exact total of players of degree d, strategy s (1 for C) and c
+    cooperating neighbors in units of 1/``scale``, the payoffs' common
+    binary denominator (int64 while every term fits, else Python ints).
+    Such a player reads entry base(d) + 2 c + s of ``keys``, in blocks of
+    2 (d + 1) by distinct degree d, ascending; ``base`` is each player's
+    base(d), or a regular graph's. An entry is rank * 2 width + s, rank
+    the number of entries of smaller total, width the largest closed
+    size: int32 while a key plus its gain up to 2 (width - 1) fits."""
 
+    def __init__(self, graph: PlayerGraph, m: PayoffMatrix):
+        ratios = [v.as_integer_ratio() for v in (m.R, m.S, m.T, m.U)]
+        self.scale = max(den for _, den in ratios)  # powers of two: this is the lcm
+        R, S, T, U = (num * (self.scale // den) for num, den in ratios)
+        self.payoff, self.width = m, int(graph.degrees.max()) + 1
+        dtype = np.int64 if 2 * max(map(abs, (R, S, T, U))) * self.width < 2 ** 63 else object
+        slope, level = np.array([T - U, R - S], dtype), np.array([U, S], dtype)
+        self.totals = lambda d, s, c: c.astype(dtype, copy=False) * slope[s] + d * level[s]
+        present = (np.flatnonzero(np.bincount(graph.degrees))  # the distinct degrees
+                   if graph.degrees.min() + 1 < self.width else np.array([self.width - 1]))
+        end = np.cumsum(2 * present + 2)
+        base, entries = end - 2 * present - 2, int(end[-1])
+        piece = max(-(-entries // 32), 64)  # so the build holds little besides ranked, keys
 
-def _integer_scores(state: PopulationState,
-                    m: PayoffMatrix) -> tuple[np.ndarray, int]:
-    """(totals, scale): each player's exact total payoff in units of 1/scale,
-    then the sentinel's, below every real one, in the key type of
-    :func:`integer_payoffs`."""
-    graph = state.graph
-    (R, S, T, U), scale, dtype = integer_payoffs(m, graph.max_degree)
-    n_c = graph.form.count(state.cooperates, dtype)
-    # slope[c] * n_c + base[c] * degree with slope (T - U, R - S) and base
-    # (U, S) by strategy c, taken without a branch.
-    degrees = graph.degrees.astype(dtype)
-    totals = n_c * (T - U) + degrees * U
-    totals += (n_c * (R - S - T + U) + degrees * (S - U)) * state.cooperates
-    sentinel = -max(map(abs, (R, S, T, U))) * graph.max_degree - 1
-    return np.append(totals, np.array(sentinel, dtype)), scale
+        def pieces():
+            for d, start in zip(present.tolist(), base.tolist()):
+                for c in range(0, d + 1, piece):
+                    count = np.arange(c, min(c + piece, d + 1))
+                    for s in (0, 1):
+                        at = slice(start + 2 * c + s, start + 2 * (c + count.size), 2)
+                        yield at, s, self.totals(d, s, count)
+
+        ranked = np.empty(entries, dtype)
+        for at, _, totals in pieces():
+            ranked[at] = totals
+        ranked.sort(kind="stable")
+        self.keys = np.empty(entries, np.int32 if entries * 2 * self.width <= 2 ** 31 else np.int64)
+        for at, s, totals in pieces():
+            self.keys[at] = ranked.searchsorted(totals) * (2 * self.width) + s
+        self.base = base[np.searchsorted(present, graph.degrees) if present.size > 1 else 0]
+
+    def index(self, state: PopulationState) -> np.ndarray:
+        index = state.graph.form.count(state.cooperates)
+        index <<= 1
+        index += state.cooperates
+        index += self.base
+        return index
 
 
 def scores(state: PopulationState, m: PayoffMatrix) -> list[float]:
     """Each player's total stage payoff against all of its neighbors,
     correctly rounded from the exact total."""
-    totals, scale = _integer_scores(state, m)
-    return (totals[:-1].astype(object) / scale).tolist()
+    graph, table = state.graph, state.graph._key_table(m)
+    totals = table.totals(graph.degrees, state.cooperates.view(np.int8),
+                          graph.form.count(state.cooperates))
+    return (totals.astype(object) / table.scale).tolist()
 
 
 def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
@@ -519,16 +545,12 @@ def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:
     the closed neighborhood; ties keep the current strategy, then go to
     the lowest player index. That player is the first maximum of the
     closed neighborhood in the order [self, neighbors ascending], and
-    the one maximum of the key total * 2 width + 2 (width - 1 - row) +
-    strategy, row its place in that order and width the largest closed
-    size. The graph's form takes that maximum for every player at once
+    the one maximum of the key rank * 2 width + 2 (width - 1 - row) +
+    strategy (:class:`_KeyTable`), row its place in that order. The
+    graph's form takes that maximum for every player at once
     (``adopt``); its low bit is the strategy adopted."""
-    totals, _ = _integer_scores(state, m)
-    graph = state.graph
-    top = 2 * graph.max_degree  # 2 (width - 1)
-    keys = totals * (top + 2)
-    keys[:-1] += state.cooperates
-    stepped = graph.form.adopt(keys, top)
+    graph, table = state.graph, state.graph._key_table(m)
+    stepped = graph.form.adopt(table.keys[table.index(state)], 2 * (table.width - 1))
     stepped.setflags(write=False)
     return PopulationState(graph, stepped)
 

@@ -95,3 +95,36 @@ def test_traced_network_run_reaches_assembly_and_field(tmp_path):
                  "stability.analyze_s", "stability.eigen_margin_s",
                  "reports.render_s"):
         assert metrics[name] > 0.0, name
+
+
+# The pd path: cli.cmd_pd builds the graph through PDScenario.build_graph,
+# and run_spatial calls the module-level pdgame.imitation_step each step.
+TRACED_PD_RUN = """
+import json, sys
+root, torus, out = sys.argv[1:]
+sys.path[:0] = [root + "/src", root + "/bench"]
+import tracing
+tracer = tracing.Tracer()
+main = tracing.install(tracer)
+codes = [main(["pd", "--scenario", root + "/scenarios/gas_transit_pd.scenario",
+               "--out", out]),
+         main(["pd", "--scenario", torus, "--out", out])]
+print(json.dumps({"codes": codes, "metrics": tracer.metrics(0)}))
+"""
+
+
+def test_traced_pd_run_reaches_the_step_and_graph_spans(tmp_path):
+    torus = tmp_path / "torus.scenario"
+    torus.write_text("[pd]\npayoff = 3, 0, 5, 1\ngraph = torus 10 10\n"
+                     "init = random 0.5 7\nsteps = 5\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_PD_RUN, str(ROOT), str(torus),
+         str(tmp_path / "pd.csv")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout.splitlines()[-1])
+    assert record["codes"] == [0, 0]
+    metrics = record["metrics"]
+    for name in ("pdgame.imitation_step_s", "pdgame.player_updates",
+                 "pdgame.graph_build_s"):
+        assert metrics[name] > 0, name

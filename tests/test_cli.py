@@ -598,11 +598,12 @@ class TestCommandRoutes:
             f"{scenario.MAX_PD_READS}\n")
         assert not out.exists()
 
-    def test_pd_python_int_keys_exit_2_before_any_work(self, monkeypatch,
-                                                       tmp_path, capsys):
-        # At U = 1e-300 the keys of a torus pass int64 and a step works on
-        # Python ints, about 160 times the cost of an int32 step, so 1998
-        # steps of torus 707 707, which U = 0.5 would run, are refused.
+    def test_pd_extreme_payoffs_pay_the_ordinary_charge(self, monkeypatch,
+                                                        tmp_path, capsys):
+        # A step compares ranks of the exact totals, so at U = 1e-300 a
+        # step of torus 707 707 costs what it does at U = 0.5: both take
+        # the 1998 steps its size allows, and 1999 are refused before any
+        # work with the same count of reads.
         from cournotgraph import cli, scenario
 
         def forbidden(*args, **kwargs):
@@ -614,24 +615,25 @@ class TestCommandRoutes:
         path = tmp_path / "tiny_u.scenario"
         text = (PD.read_text()
                 .replace("graph = edges 0-1, 0-2", "graph = torus 707 707")
-                .replace("steps = 20", "steps = 1998"))
+                .replace("steps = 20", "steps = 1999"))
         path.write_text(text.replace("payoff = 3, 0, 5, 1",
                                      "payoff = 3, 0, 3.5, 1e-300"))
         out = tmp_path / "pd.csv"
         assert run("pd", "--scenario", path, "--out", out) == 2
         entries = 707 * 707 + 4 * 707 * 707
-        reads = (entries + 2400) * 1998 * 160
+        reads = (entries + 2400) * 1999
         assert capsys.readouterr().err == (
-            f"error: line 10: steps: 1998 steps of 'torus 707 707' count as "
+            f"error: line 10: steps: 1999 steps of 'torus 707 707' count as "
             f"{reads} reads (up to {entries} neighborhood entries and 2400 "
-            f"for the fixed cost of each step, each charged 160 times for "
-            f"keys past int64), more than the limit of "
+            f"for the fixed cost of each step), more than the limit of "
             f"{scenario.MAX_PD_READS}\n")
         assert not out.exists()
         monkeypatch.undo()
-        narrow = parse_scenario(text.replace("payoff = 3, 0, 5, 1",
-                                             "payoff = 3, 0, 3.5, 0.5"))
-        assert narrow.steps == 1998
+        for u in ("1e-300", "0.5"):
+            admitted = parse_scenario(text.replace("steps = 1999", "steps = 1998")
+                                      .replace("payoff = 3, 0, 5, 1",
+                                               f"payoff = 3, 0, 3.5, {u}"))
+            assert admitted.steps == 1998
 
     def test_pd_builds_the_player_graph_once(self, monkeypatch, tmp_path, capsys):
         from cournotgraph import scenario

@@ -145,28 +145,36 @@ class TestSidePayments:
             assert not transit_cooperation_dominant(m, max(threshold - 0.001, 0.0))
 
 
+def exact_neighborhoods(state: PopulationState,
+                        m: PayoffMatrix) -> tuple[list[Fraction], list[list[int]]]:
+    """(totals, closed): each player's total, accumulated pair by pair
+    over the adjacency set in exact rationals, so summation order cannot
+    decide a tie, and its closed neighborhood [self, neighbors]."""
+    strategies = letters(state)
+    totals = [Fraction(0)] * state.graph.player_count
+    closed = [[p] for p in range(state.graph.player_count)]
+    for a, b in pairs(state.graph):
+        pa, pb = payoffs(m, strategies[a], strategies[b])
+        totals[a] += Fraction(pa)
+        totals[b] += Fraction(pb)
+        closed[a].append(b)
+        closed[b].append(a)
+    return totals, closed
+
+
 def brute_force_step(state: PopulationState, m: PayoffMatrix) -> tuple[str, ...]:
     """Re-derivation of one synchronous update from the adjacency set,
     structured differently from the library (pairwise accumulation of
     exact rational totals, so summation order cannot decide a tie)."""
-    n = state.graph.player_count
-    adjacency = set(pairs(state.graph))
     strategies = letters(state)
-    totals = [Fraction(0)] * n
-    for a in range(n):
-        for b in range(n):
-            if a != b and (min(a, b), max(a, b)) in adjacency:
-                totals[a] += Fraction(payoffs(m, strategies[a],
-                                              strategies[b])[0])
+    totals, closed = exact_neighborhoods(state, m)
     updated = []
-    for p in range(n):
-        closed = [p] + [q for q in range(n)
-                        if (min(p, q), max(p, q)) in adjacency]
-        best = max(totals[q] for q in closed)
+    for p, run in enumerate(closed):
+        best = max(totals[q] for q in run)
         if totals[p] == best:
             updated.append(strategies[p])
         else:
-            winner = min(q for q in closed if totals[q] == best)
+            winner = min(q for q in run if totals[q] == best)
             updated.append(strategies[winner])
     return tuple(updated)
 
@@ -343,12 +351,13 @@ class TestImitationDynamics:
                     brute_force_step(state, m)
 
     @pytest.mark.parametrize("m, width", [
-        (PayoffMatrix(R=3, S=-2, T=7, U=1), np.int32),
+        (PayoffMatrix(R=3, S=-2, T=7, U=1), np.int64),
         (PayoffMatrix(R=0.2, S=0.05, T=0.3, U=0.1), np.int64),
         (PayoffMatrix(R=1e200, S=-1e-200, T=2e200, U=1e-300), object)])
     def test_matches_brute_force_at_every_key_width(self, m, width):
-        # Keys are int32 while 2 big (degree + 2)^2 < 2^31, int64 while
-        # it is below 2^63, and Python ints past that.
+        # A step's keys are ranks of the exact totals, int32 on graphs
+        # this small whatever the payoffs; the totals they rank are int64
+        # while 2 big (degree + 1) < 2^63, and Python ints past that.
         rng = np.random.default_rng(53)
         graphs = [torus_graph(5, 4), cycle_graph(7), complete_graph(6),
                   player_graph(9, [(4, k) for k in range(9) if k != 4]),
@@ -357,7 +366,9 @@ class TestImitationDynamics:
             for _ in range(10):
                 state = random_population(graph, rng.uniform(0.2, 0.8),
                                           seed=int(rng.integers(1 << 30)))
-                assert pdgame._integer_scores(state, m)[0].dtype == width
+                table = graph._key_table(m)
+                assert table.keys.dtype == np.int32
+                assert table.totals(0, 0, np.arange(1)).dtype == width
                 assert letters(imitation_step(state, m)) == \
                     brute_force_step(state, m)
 
@@ -416,7 +427,7 @@ def table_twin(graph: PlayerGraph) -> PlayerGraph:
     return PlayerGraph(graph.degrees, pdgame._Tables(graph.closed_neighborhoods))
 
 
-# The three key widths of test_matches_brute_force_at_every_key_width,
+# The three total widths of test_matches_brute_force_at_every_key_width,
 # then payoffs whose totals tie often. With R = T a cooperator and a
 # defector of the same counts differ by S - U a defecting neighbor, so
 # R = T, S = U ties them at every count; R = T = 3, S = 2, U = 1 ties
@@ -437,10 +448,12 @@ class TestStructuralKernels:
     def steps_agree(self, twin, m, state, steps, brute=False):
         for _ in range(steps):
             mirrored = PopulationState(twin, state.cooperates)
-            (got, scale), (want, twin_scale) = (pdgame._integer_scores(state, m),
-                                                pdgame._integer_scores(mirrored, m))
-            assert got.dtype == want.dtype and scale == twin_scale
-            assert np.array_equal(got, want)
+            table, twin_table = state.graph._key_table(m), twin._key_table(m)
+            index = table.index(state)
+            assert np.array_equal(index, twin_table.index(mirrored))
+            got, want = table.keys[index], twin_table.keys[index]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert scores(state, m) == scores(mirrored, m)
             stepped = imitation_step(state, m)
             assert np.array_equal(stepped.cooperates,
                                   imitation_step(mirrored, m).cooperates)
@@ -483,6 +496,24 @@ class TestStructuralKernels:
                 for m in KERNEL_PAYOFFS:
                     self.steps_agree(twin, m, state, 2, brute=True)
 
+    def test_bench_torus_reaches_the_tie_rule(self):
+        # The benchmark's 100 x 100 torus and seed at payoff 3, 0, 5, 1:
+        # before the first update, 191 closed neighborhoods hold a C and
+        # a D that share the best total, so the tie rule decides steps at
+        # this scale; five updates agree with the tables and the rule.
+        graph = torus_graph(100, 100)
+        twin = table_twin(graph)
+        m = PayoffMatrix(R=3, S=0, T=5, U=1)
+        state = random_population(graph, 0.5, 7)
+        totals, closed = exact_neighborhoods(state, m)
+        strategies = letters(state)
+        tied = 0
+        for run in closed:
+            best = max(totals[q] for q in run)
+            tied += {strategies[q] for q in run if totals[q] == best} == {C, D}
+        assert tied == 191
+        self.steps_agree(twin, m, state, 5, brute=True)
+
     def test_run_spatial_series_match_tables(self):
         graph = torus_graph(30, 30)
         twin = table_twin(graph)
@@ -491,6 +522,60 @@ class TestStructuralKernels:
                 state = random_population(graph, 0.5, seed)
                 assert run_spatial(state, m, 50) == run_spatial(
                     PopulationState(twin, state.cooperates), m, 50)
+
+
+def random_dyadic_payoffs(rng) -> PayoffMatrix:
+    """R, S, T, U as small integers times powers of two, within a few
+    binades (totals tie often) or 500 apart, in any order, with R = T
+    and S = U now and then."""
+    spread = 2 if rng.random() < 0.5 else 250
+    R, S, T, U = (float(rng.integers(-7, 8)) * 2.0 ** int(rng.integers(-spread, spread + 1))
+                  for _ in range(4))
+    return PayoffMatrix(R=R, S=S, T=R if rng.random() < 0.25 else T,
+                        U=S if rng.random() < 0.25 else U)
+
+
+class TestKeyTable:
+    def test_keys_order_entries_as_their_exact_totals(self):
+        # Each distinct degree d, ascending, has a block of 2 (d + 1)
+        # entries, and a player of strategy s and c cooperating neighbors
+        # reads entry 2 c + s of its degree's block. Sorted by exact total,
+        # the keys without their strategy bit rise exactly where the total
+        # does, so any two entries compare alike by key and by total.
+        rng = np.random.default_rng(61)
+        n = int(rng.integers(3, 9))
+        graphs = [torus_graph(1, n), torus_graph(2, n), torus_graph(n, 1),
+                  torus_graph(n, 2), torus_graph(*rng.integers(1, 12, 2).tolist()),
+                  complete_graph(1), complete_graph(2), complete_graph(int(rng.integers(3, 40))),
+                  player_graph(9, [(4, k) for k in range(9) if k != 4]),
+                  player_graph(24002, [(0, k) for k in range(1, 24002)])]
+        for _ in range(4):
+            players = int(rng.integers(2, 30))
+            graphs.append(player_graph(players + int(rng.integers(1, 4)),  # isolated players
+                                       [pair for pair in itertools.combinations(range(players), 2)
+                                        if rng.random() < 0.3]))
+        for graph in graphs:
+            cells = [(d, s, c) for d in sorted(set(graph.degrees.tolist()))
+                     for c in range(d + 1) for s in (0, 1)]
+            for trial in range(1 if graph.player_count > 1000 else 12):
+                m = random_dyadic_payoffs(rng)
+                table = graph._key_table(m)
+                keys = table.keys.tolist()
+                assert len(keys) == len(cells)
+                assert table.keys.dtype == (np.int64 if graph.player_count > 1000 else np.int32)
+                hi, lo = (Fraction(m.T), Fraction(m.R)), (Fraction(m.U), Fraction(m.S))
+                exact = [c * hi[s] + (d - c) * lo[s] for d, s, c in cells]
+                ranked = sorted(zip(exact, [key >> 1 for key in keys]))
+                for (total, key), (above, next_key) in zip(ranked, ranked[1:]):
+                    assert key < next_key if total < above else key == next_key
+                assert [key & 1 for key in keys] == [s for _, s, _ in cells]
+                assert table.width == cells[-1][0] + 1
+                assert max(keys) + 2 * table.width <= np.iinfo(table.keys.dtype).max
+                state = random_population(graph, 0.5, seed=trial)
+                entry = {cell: i for i, cell in enumerate(cells)}
+                assert table.index(state).tolist() == [
+                    entry[len(run), int(cooperates), int(state.cooperates[list(run)].sum())]
+                    for run, cooperates in zip(graph.neighbors, state.cooperates)]
 
 
 class TestRunSpatial:
