@@ -23,9 +23,9 @@ defecting neighbors scores R*n_C + S*n_D as a cooperator and
 T*n_C + U*n_D as a defector. Every double is a dyadic rational, so in
 units of the payoffs' common binary denominator these totals are
 integers, and ties are ties whatever order a float sum would take. A
-total depends only on degree, strategy and n_C, so a graph ranks its
-2 * sum(d + 1) totals over its distinct degrees d once per payoff matrix
-(:class:`_KeyTable`; Nowak & May 1992), and steps on ranks.
+total depends only on degree, strategy and n_C, so a graph ranks the
+2 * sum(d + 1) totals of its degrees d once per payoff matrix, and a
+step reads ranks (:class:`_KeyTable`; Nowak & May 1992).
 
 Graphs and populations are arrays, from graph to series. A
 :class:`PlayerGraph` is its players' degrees and the form its builder
@@ -481,27 +481,29 @@ def random_population(graph: PlayerGraph, fraction: float,
     return PopulationState(graph, draws < fraction)
 
 
+def _exact_totals(m: PayoffMatrix, width: int):
+    """(scale, dtype, totals): ``totals(d, s, c)`` exact in units of 1/scale, the
+    payoffs' binary denominator; int64 if it fits at closed size ``width``, else object."""
+    ratios = [v.as_integer_ratio() for v in (m.R, m.S, m.T, m.U)]
+    scale = max(den for _, den in ratios)  # powers of two: this is the lcm
+    R, S, T, U = (num * (scale // den) for num, den in ratios)
+    dtype = np.int64 if 2 * max(map(abs, (R, S, T, U))) * width < 2 ** 63 else object
+    slope, level = np.array([T - U, R - S], dtype), np.array([U, S], dtype)
+    return scale, dtype, lambda d, s, c: c.astype(dtype, copy=False) * slope[s] + d * level[s]
+
+
 class _KeyTable:
-    """A graph's keys under one payoff matrix. ``totals(d, s, c)`` is the
-    exact total of players of degree d, strategy s (1 for C) and c
-    cooperating neighbors in units of 1/``scale``, the payoffs' common
-    binary denominator (int64 while every term fits, else Python ints).
-    Such a player reads entry base(d) + 2 c + s of ``keys``, in blocks of
-    2 (d + 1) by distinct degree d, ascending; ``base`` is each player's
-    base(d), or a regular graph's. An entry is rank * 2 width + s, rank
-    the number of entries of smaller total, width the largest closed
-    size: int32 while a key plus its gain up to 2 (width - 1) fits."""
+    """A graph's keys under one payoff matrix. A player of degree d,
+    strategy s (1 for C) and c cooperating neighbors reads entry
+    base(d) + 2 c + s of ``keys``, in blocks of 2 (d + 1) by distinct
+    degree d ascending (``base``: per player, or a regular graph's), of
+    rank * 2 width + s: rank the number of entries of smaller ``totals``,
+    width the largest closed size; int32 while a key plus 2 (width - 1) fits."""
 
     def __init__(self, graph: PlayerGraph, m: PayoffMatrix):
-        ratios = [v.as_integer_ratio() for v in (m.R, m.S, m.T, m.U)]
-        self.scale = max(den for _, den in ratios)  # powers of two: this is the lcm
-        R, S, T, U = (num * (self.scale // den) for num, den in ratios)
         self.payoff, self.width = m, int(graph.degrees.max()) + 1
-        dtype = np.int64 if 2 * max(map(abs, (R, S, T, U))) * self.width < 2 ** 63 else object
-        slope, level = np.array([T - U, R - S], dtype), np.array([U, S], dtype)
-        self.totals = lambda d, s, c: c.astype(dtype, copy=False) * slope[s] + d * level[s]
-        present = (np.flatnonzero(np.bincount(graph.degrees))  # the distinct degrees
-                   if graph.degrees.min() + 1 < self.width else np.array([self.width - 1]))
+        self.scale, dtype, self.totals = _exact_totals(m, self.width)
+        present = np.flatnonzero(np.bincount(graph.degrees))  # the distinct degrees
         end = np.cumsum(2 * present + 2)
         base, entries = end - 2 * present - 2, int(end[-1])
         piece = max(-(-entries // 32), 64)  # so the build holds little besides ranked, keys
@@ -534,10 +536,10 @@ class _KeyTable:
 def scores(state: PopulationState, m: PayoffMatrix) -> list[float]:
     """Each player's total stage payoff against all of its neighbors,
     correctly rounded from the exact total."""
-    graph, table = state.graph, state.graph._key_table(m)
-    totals = table.totals(graph.degrees, state.cooperates.view(np.int8),
-                          graph.form.count(state.cooperates))
-    return (totals.astype(object) / table.scale).tolist()
+    degrees, form = state.graph.degrees, state.graph.form
+    scale, _, exact = _exact_totals(m, int(degrees.max()) + 1)
+    totals = exact(degrees, state.cooperates.view(np.int8), form.count(state.cooperates))
+    return (totals.astype(object) / scale).tolist()
 
 
 def imitation_step(state: PopulationState, m: PayoffMatrix) -> PopulationState:

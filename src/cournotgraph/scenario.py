@@ -66,11 +66,10 @@ MAX_PLAYERS = 1_000_000
 MAX_PLAYER_EDGES = 1_000_000
 # A step is charged as its closed-neighborhood entries, players +
 # 2 * edges, plus PD_STEP_READS for its fixed cost, whatever the payoffs
-# (a step compares ranks of exact totals taken once a run), and the
-# reads of a run, and so the fractions it keeps, are bounded. An edge
-# list's step reads its entries at some 3-5 ns each, a torus or complete
-# graph steps for less, and a step costs about 30 us besides (4 x 4
-# torus; 2-core Xeon). The charges date from slower steps and are kept:
+# (steps compare ranks of exact totals), so a run's reads and kept
+# fractions are bounded. An edge list's step reads its entries at some
+# 3-5 ns each, a torus or complete graph steps for less, plus about 30 us
+# a step (4 x 4 torus; 2-core Xeon). The charges date from slower steps:
 # the 2 016 129 steps torus 4 4 may take ran in 83 s, the 1998 of torus
 # 707 707 at payoff 3, 0, 3.5, 1e-300 in 11 s. Every declared step
 # counts, as a run's fixed point is not known when the scenario is read.
@@ -334,11 +333,10 @@ def _build_pd(entries) -> PDScenario:
     entries_read = players + 2 * edges
     reads = (entries_read + PD_STEP_READS) * steps
     if reads > MAX_PD_READS:
-        raise ScenarioError(f"steps: {steps} steps of '{graph_value}' count as "
-                            f"{reads} reads (up to {entries_read} neighborhood "
-                            f"entries and {PD_STEP_READS} for the fixed cost of "
-                            f"each step), more than the limit of {MAX_PD_READS}",
-                            entries["steps"][1])
+        raise ScenarioError(f"steps: {steps} steps of '{graph_value}' count as {reads} reads "
+                            f"(up to {entries_read} neighborhood entries and {PD_STEP_READS} "
+                            f"for the fixed cost of each step), more than the limit of "
+                            f"{MAX_PD_READS}", entries["steps"][1])
     try:
         scenario.build_graph()  # surfaces range/duplicate/self-loop problems
     except ValueError as exc:

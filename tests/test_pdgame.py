@@ -149,11 +149,12 @@ def exact_neighborhoods(state: PopulationState,
                         m: PayoffMatrix) -> tuple[list[Fraction], list[list[int]]]:
     """(totals, closed): each player's total, accumulated pair by pair
     over the adjacency set in exact rationals, so summation order cannot
-    decide a tie, and its closed neighborhood [self, neighbors]."""
+    decide a tie, and its closed neighborhood [self, neighbors]. A pair
+    that a table repeats counts once."""
     strategies = letters(state)
     totals = [Fraction(0)] * state.graph.player_count
     closed = [[p] for p in range(state.graph.player_count)]
-    for a, b in pairs(state.graph):
+    for a, b in sorted(set(pairs(state.graph))):
         pa, pb = payoffs(m, strategies[a], strategies[b])
         totals[a] += Fraction(pa)
         totals[b] += Fraction(pb)
@@ -576,6 +577,17 @@ class TestKeyTable:
                 assert table.index(state).tolist() == [
                     entry[len(run), int(cooperates), int(state.cooperates[list(run)].sum())]
                     for run, cooperates in zip(graph.neighbors, state.cooperates)]
+
+    def test_scores_build_no_table(self):
+        # scores reads the exact totals the build ranks, not the table, so
+        # scoring at other payoffs keeps the table a run steps on.
+        graph = torus_graph(6, 5)
+        state = random_population(graph, 0.5, seed=4)
+        table = graph._key_table(CLASSIC)
+        for m in KERNEL_PAYOFFS:
+            assert scores(state, m) == [float(total) for total in
+                                        exact_neighborhoods(state, m)[0]]
+        assert graph._key_table(CLASSIC) is table
 
 
 class TestRunSpatial:

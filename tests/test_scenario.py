@@ -260,7 +260,7 @@ class TestParseErrors:
                 rf"{scenario.MAX_PD_READS}$")):
             parse_scenario(pd_text("torus 10 25", steps=steps + 1))
 
-    def test_key_width_charge_reads_the_largest_degree(self):
+    def test_wide_payoffs_pay_the_ordinary_charge(self):
         # A step compares ranks of the exact totals, whatever their size,
         # so the payoffs do not enter the reads bound: with T = 2^58 a
         # path and a matching both take 20 000 steps of up to 8 entries
