@@ -8,13 +8,14 @@ Report lines format their few numbers one ``repr`` at a time
 (``csvtext.fmt``). The CSV writers write ASCII bytes to a file open for
 binary writing. CSV rows of floats -- trajectories, and sweeps with
 their verdict label column -- are rendered by
-:class:`cournotgraph.csvtext.CsvRows` without ``repr``, in flat blocks
-of ``_BLOCK_VALUES`` values that may begin and end mid-row, each
+:func:`cournotgraph.csvtext.render_block` without ``repr``, in flat
+blocks of ``_BLOCK_VALUES`` values that may begin and end mid-row, each
 written to the output file as it is made; a trajectory's blocks are
-slices of its table, which holds the CSV's rows, or of each buffer of
-rows that ``integrate`` hands ``simulate`` as it marches. A sweep is
-arrays (values, margins, verdict codes), evaluated in chunks of
-``_SWEEP_CHUNK`` grid points. A PD series is written a block of rows at
+slices of the rows it is given (a Trajectory's table, or each buffer of
+rows that ``integrate`` hands ``simulate`` as it marches), read and
+never copied. A sweep is arrays (values, margins, verdict codes),
+evaluated in chunks of ``_SWEEP_CHUNK`` grid points, and each block of
+its CSV is built from them. A PD series is written a block of rows at
 a time.
 """
 
@@ -24,8 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .csvtext import CsvRows, fmt
-from .dynamics import Trajectory
+from .csvtext import fmt, render_block
 from .network import variable_names
 from .pdgame import PayoffMatrix, apply_side_payment, dominant_strategy, \
     min_side_payment
@@ -40,28 +40,24 @@ _SWEEP_CHUNK = 1 << 16        # grid points per canonical_margins call
 _SERIES_ROWS = 8192           # rows per block of a PD series
 
 
-def write_trajectory(trajectory, names, out) -> None:
-    """Write the CSV rows of ``trajectory`` -- a Trajectory, or a block of
-    rows (t, q1, ..., qn) that ``integrate`` hands on as it marches -- to
-    the binary file ``out``, after the header ``t,<name1>,...`` unless
-    ``names`` is None (a block that continues a CSV). Thinning is
-    ``integrate``'s.
+def write_trajectory(table, names, out) -> None:
+    """Write the CSV rows of ``table`` -- rows (t, q1, ..., qn), the
+    ``table`` of a Trajectory or a block of them that ``integrate`` hands
+    on as it marches -- to the binary file ``out``, after the header
+    ``t,<name1>,...`` unless ``names`` is None (a block that continues a
+    CSV). Thinning is ``integrate``'s.
 
     The rows, read flat, are rendered and written in blocks of
-    ``_BLOCK_VALUES`` values by ``CsvRows``, rows of any width filling
-    whole blocks, so only one block's text is held.
+    ``_BLOCK_VALUES`` values, slices of the rows themselves, rows of any
+    width filling whole blocks, so only one block's text is held.
     """
-    table = (trajectory.table if isinstance(trajectory, Trajectory)
-             else trajectory)
     width = table.shape[1]
     flat = table.reshape(-1)
     if names is not None:
         out.write(("t," + ",".join(names) + "\n").encode("ascii"))
-    render = CsvRows(max(1, min(_BLOCK_VALUES, flat.size)))
     for lo in range(0, flat.size, _BLOCK_VALUES):
-        block = flat[lo:lo + _BLOCK_VALUES]
-        render.values[:block.size] = block
-        out.write(render(block.size, width, lo % width))
+        out.write(render_block(flat[lo:lo + _BLOCK_VALUES], width,
+                               lo % width))
 
 
 def pd_series_csv(fractions, out) -> None:
@@ -167,17 +163,18 @@ def sweep(scenario: CanonicalScenario, param: str, start: float, stop: float,
 
 def sweep_csv(result: Sweep, out) -> None:
     """Write the CSV of ``result``, header ``value,verdict,eigen_margin``,
-    to the binary file ``out``: rows rendered by ``CsvRows`` a block
-    at a time, the verdict the label of column 1."""
+    to the binary file ``out``: rows rendered a block at a time, each
+    block built with a placeholder 1.0 in column 1, whose text is the
+    row's verdict label."""
     out.write(b"value,verdict,eigen_margin\n")
-    count, rows = len(result.values), _BLOCK_VALUES // 3
-    render = CsvRows(3 * max(1, min(rows, count)), VERDICTS)
-    for lo in range(0, count, rows):
-        k = min(rows, count - lo)
-        table = render.values[:3 * k].reshape(k, 3)
-        table[:, 0] = result.values[lo:lo + k]
-        table[:, 2] = result.margins[lo:lo + k]
-        out.write(render(3 * k, 3, codes=result.codes[lo:lo + k]))
+    rows = _BLOCK_VALUES // 3
+    for lo in range(0, len(result.values), rows):
+        values = result.values[lo:lo + rows]
+        block = np.column_stack((values, np.ones(len(values)),
+                                 result.margins[lo:lo + rows]))
+        out.write(render_block(block.reshape(-1), 3,
+                               codes=result.codes[lo:lo + rows],
+                               labels=VERDICTS))
 
 
 def render_side_payment(m: PayoffMatrix, sigma: float) -> str:

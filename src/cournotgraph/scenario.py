@@ -39,7 +39,9 @@ commands' ``to_affine`` reads them from there. A ``[pd]`` graph with
 more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES`` edges, or a
 run that counts more than ``MAX_PD_READS`` reads in all (its
 neighborhood entries, plus ``PD_STEP_READS`` a step for the fixed cost
-of a step) is rejected before anything is built.
+of a step) is rejected before anything is built. The one-time rank
+table a run builds before its first step (``pdgame._KeyTable``, at
+most 2 (players + 2 edges) entries) is not charged.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ MAX_PLAYER_EDGES = 1_000_000
 # the 2 016 129 steps torus 4 4 may take ran in 83 s, the 1998 of torus
 # 707 707 at payoff 3, 0, 3.5, 1e-300 in 11 s. Every declared step
 # counts, as a run's fixed point is not known when the scenario is read.
+# The one-time build of the rank table (pdgame._KeyTable, at most
+# 2 * (players + 2 * edges) entries) is not charged: a 999 999-leaf star
+# at payoff 1e200, -1e-200, 2e200, 1e-300, whose exact totals outgrow
+# int64, built it in 5.6-8.2 s before its first step, against
+# 0.11-0.14 s where they fit int64 (2-core host).
 PD_STEP_READS = 2_400
 MAX_PD_READS = 5_000_000_000
 

@@ -34,9 +34,9 @@ def run(*argv) -> int:
 
 
 def csv_of(trajectory, names) -> str:
-    """What ``write_trajectory`` writes for ``trajectory``."""
+    """What ``write_trajectory`` writes for ``trajectory``'s table."""
     out = io.BytesIO()
-    write_trajectory(trajectory, names, out)
+    write_trajectory(trajectory.table, names, out)
     return out.getvalue().decode("ascii")
 
 
@@ -222,7 +222,7 @@ class TestWriters:
         peaks = []
         with (tmp_path / "t.csv").open("wb") as out:
             for render in (lambda: trajectory_csv_by_value(traj, names, 1),
-                           lambda: write_trajectory(traj, names, out)):
+                           lambda: write_trajectory(traj.table, names, out)):
                 tracemalloc.start()
                 try:
                     render()
@@ -896,8 +896,8 @@ class TestStreamedSimulate:
         # table of 3.2 MB) and 1000 rk4 steps of a 361-edge network on
         # the matrix-free field (2.9 MB). Beside its scenario and system,
         # a run holds at most: the renderer of a block of B =
-        # _BLOCK_VALUES values, 8 + 8 * WORK_ROWS + 25 + 16 bytes a value
-        # (see test_renderer_working_set_per_value_of_capacity); the
+        # _BLOCK_VALUES values, 153 bytes a value (see
+        # test_renderer_working_set_per_value_of_capacity); the
         # buffer of whole rows, at most B values; the march's scratch of
         # rows + 1 states, where a Psi block is one state no more rows
         # than the buffer holds; and the Psi table, m n x n matrices.
@@ -907,7 +907,6 @@ class TestStreamedSimulate:
                                            _block_length)
         from cournotgraph.dynamics import _BLOCK_VALUES as MARCH_VALUES
         from cournotgraph.reports import _BLOCK_VALUES as B
-        from cournotgraph.shortest import WORK_ROWS
         if name == "net361":
             path = tmp_path / "net.scenario"
             _network_scenario(path, 20, 30, seed=3)
@@ -939,7 +938,7 @@ class TestStreamedSimulate:
         if m == 1:
             rows = min(rows, B // (1 + n))
         psi = m * n * n if _affine_pays(system, method) else 0
-        held = ((8 + 8 * WORK_ROWS + 25 + 16) * B + 8 * B
+        held = (153 * B + 8 * B
                 + 8 * (rows + 1) * n + 8 * psi)
         assert peaks[1] <= peaks[0] + held, (peaks, held)
 

@@ -1,11 +1,11 @@
 """The CSV block renderer against ``repr``: the same text for every double.
 
-``csvtext.CsvRows`` computes shortest round-trip digits with integer
-array arithmetic and lays the characters out itself, in flat blocks that
-begin and end wherever the block size falls in a row; here every case is
-compared with ``repr`` of each value, one value at a time. The writers
-built on it (trajectories, sweeps with their verdict labels, PD series)
-are compared with per-row text in the same way.
+``csvtext.render_block`` computes shortest round-trip digits with
+integer array arithmetic and lays the characters out itself, in flat
+blocks that begin and end wherever the block size falls in a row; here
+every case is compared with ``repr`` of each value, one value at a
+time. The writers built on it (trajectories, sweeps with their verdict
+labels, PD series) are compared with per-row text in the same way.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 
 from cournotgraph import Trajectory, reports
-from cournotgraph.csvtext import CsvRows
+from cournotgraph.csvtext import render_block
 from cournotgraph.reports import (_BLOCK_VALUES, _SERIES_ROWS, Sweep,
                                   pd_series_csv, sweep, sweep_csv,
                                   write_trajectory)
 from cournotgraph.scenario import parse_scenario
-from cournotgraph.shortest import WORK_ROWS
 from cournotgraph.stability import VERDICTS, canonical_margins, verdict_of
 from helpers import (sweep_by_analyze, sweep_of, trajectory_csv_by_value,
                      written)
@@ -56,13 +55,8 @@ def render_flat(table: np.ndarray) -> str:
     """``table`` rendered in flat blocks of ``_BLOCK_VALUES`` values, a
     block ending wherever it falls in a row."""
     flat, width = table.ravel(), table.shape[1]
-    render = CsvRows(min(N, len(flat)))
-    texts = []
-    for lo in range(0, len(flat), N):
-        n = min(N, len(flat) - lo)
-        render.values[:n] = flat[lo:lo + n]
-        texts.append(bytes(render(n, width, lo % width)))
-    return b"".join(texts).decode("ascii")
+    return b"".join(bytes(render_block(flat[lo:lo + N], width, lo % width))
+                    for lo in range(0, len(flat), N)).decode("ascii")
 
 
 def assert_rendered_as_repr(values, width: int = 8) -> None:
@@ -142,10 +136,8 @@ def test_a_row_end_at_every_slot_offset_of_a_block(width):
     # row in turn: every slot of the block ends a row in one of them.
     rng = np.random.default_rng(width)
     values = rng.uniform(-1e3, 1e3, N)
-    render = CsvRows(N)
     for column in range(width):
-        render.values[:] = values
-        got = bytes(render(N, width, column)).decode("ascii")
+        got = bytes(render_block(values, width, column)).decode("ascii")
         assert got == repr_flat(values, width, column), column
 
 
@@ -163,7 +155,7 @@ def test_trajectory_rows_around_a_block_match_per_value_rendering(variables):
         states = rng.uniform(-2.0, 2.0, (count, variables))
         traj = Trajectory(np.column_stack((np.arange(count) * 0.01, states)))
         names = tuple(f"q{k}" for k in range(variables))
-        assert (written(write_trajectory, traj, names)
+        assert (written(write_trajectory, traj.table, names)
                 == trajectory_csv_by_value(traj, names))
 
 
@@ -183,7 +175,7 @@ def test_odd_values_at_block_edges_and_row_ends(variables):
         flat[i] = ODD_VALUES[k % len(ODD_VALUES)]
     traj = Trajectory(table)
     names = tuple(f"q{k}" for k in range(variables))
-    assert (written(write_trajectory, traj, names)
+    assert (written(write_trajectory, traj.table, names)
             == trajectory_csv_by_value(traj, names))
 
 
@@ -268,27 +260,64 @@ def test_pd_series_tells_equal_fractions_of_other_text_apart():
     assert written(pd_series_csv, fractions) == series_by_row(fractions)
 
 
-def test_renderer_working_set_per_value_of_capacity():
-    # A renderer holds its input buffer and one work array of WORK_ROWS
-    # rows, 8 + 8 * WORK_ROWS bytes per value of capacity, and a block
-    # makes its text: here 25 bytes a value for almost every value (17
-    # digits and a three-digit exponent, the longest text there is). On
-    # top of those, 16 bytes a value for temporaries: the exponent path
-    # keeps an int64 row index and two boolean masks, 10 bytes a value,
-    # until the text is made, and 6 more leave room for numpy's own
-    # scratch (about 1 byte a value, traced on numpy 2.4). One more
-    # array of a word per value, or another work row, must show here.
-    assert WORK_ROWS <= 13
-    capacity = 4096
-    values = -np.random.default_rng(1).uniform(1, 2, capacity) * 1e-100
-    CsvRows(1)(0, 1)                    # the constant tables, built once
+def test_a_read_only_block_from_mid_row_renders_and_stays_as_it_was():
+    # A block is read, never written: a read-only flat slice of a
+    # trajectory's table that starts in column 2 of its row, holding
+    # odd values, renders as repr does and keeps every bit.
+    rng = np.random.default_rng(11)
+    table = np.column_stack((np.arange(2000) * 0.01,
+                             rng.uniform(-2.0, 2.0, (2000, 3))))
+    table.ravel()[5::97] = np.resize(ODD_VALUES, table.ravel()[5::97].size)
+    traj = Trajectory(table)
+    traj.table.flags.writeable = False
+    block = traj.table.reshape(-1)[6:6 + N]
+    before = block.tobytes()
+    got = bytes(render_block(block, 4, 2)).decode("ascii")
+    assert got == repr_flat(block, 4, 2)
+    assert block.tobytes() == before
+    assert not block.flags.writeable and not traj.table.flags.writeable
+
+
+def _working_set_block(kind: str):
+    """A block of N values for the working-set test: (values, width,
+    codes)."""
+    rng = np.random.default_rng(1)
+    if kind == "positional":
+        return rng.uniform(-1e3, 1e3, N), 4, None
+    if kind == "exponent":
+        return -rng.uniform(1, 2, N) * 1e-100, 4, None
+    if kind == "sweep":
+        rows = N // 3
+        values = np.column_stack((rng.uniform(-2.0, 2.0, rows), np.ones(rows),
+                                  rng.standard_normal(rows) * 1e-3))
+        codes = rng.integers(0, len(VERDICTS), rows).astype(np.uint8)
+        return values.reshape(-1), 3, codes
+    values = rng.uniform(-2.0, 2.0, N)
+    values[::7] = np.resize(ODD_VALUES[:6], values[::7].size)
+    return values, 4, None
+
+
+@pytest.mark.parametrize("kind", ["positional", "exponent", "sweep", "odd"])
+def test_renderer_working_set_per_value_of_capacity(kind):
+    # The renderer holds only temporaries of its own. Its peak, about
+    # 123 bytes a value on every block here (traced on numpy 2.4), is
+    # in the Schubfach products: each value's power of ten (four words)
+    # and some eleven more words of operands, partial products and
+    # results. The text comes later, beside its slots, keep bits and
+    # byte flags: at most 25 bytes a value (17 digits and a three-digit
+    # exponent, the longest text there is: the exponent block). Four
+    # more words a value held through the peak would cross the bound of
+    # 153 bytes a value.
+    values, width, codes = _working_set_block(kind)
+    labels = VERDICTS if codes is not None else ()
+    render_block(values[:6], width, codes=None if codes is None
+                 else codes[:2], labels=labels)   # the tables, built once
     tracemalloc.start()
     try:
-        render = CsvRows(capacity)
-        render.values[:] = values
-        text = render(capacity, 4)
+        text = render_block(values, width, codes=codes, labels=labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(text) > 24.5 * capacity
-    assert peak <= (8 + 8 * WORK_ROWS + 25 + 16) * capacity, peak / capacity
+    if kind == "exponent":
+        assert len(text) > 24.5 * len(values)
+    assert peak <= 153 * len(values), peak / len(values)
