@@ -71,18 +71,19 @@ def profit(spec: NetworkSpec, q, j: int) -> float:
     system, qv, s, c = _supplies(spec, q)
     own = system.structure.firm == j - 1
     markets, q_j = system.structure.market[own], qv[own]
-    sales = (np.array(spec.alpha)[markets] * q_j
+    sales = (spec.alpha[markets] * q_j
              - system.structure.beta[own] * q_j * c[markets])
     s_j = float(s[j - 1])
-    return -spec.gamma[j - 1] * s_j * s_j / 2.0 + float(np.sum(sales))
+    return float(-spec.gamma[j - 1] * s_j * s_j / 2.0 + float(np.sum(sales)))
 
 
 def marginal_profit(spec: NetworkSpec, q, i: int, j: int) -> float:
     """dPi_j/dq_ij = alpha_i - gamma_j s_j - beta_i q_ij - beta_i c_i."""
     system, qv, s, c = _supplies(spec, q)
-    if (i, j) not in system.variable_order:
+    edge = np.flatnonzero((system.variable_order == (i, j)).all(axis=1))
+    if not edge.size:
         raise ValueError(f"({i},{j}) is not an edge of the network")
-    q_ij = qv[system.variable_order.index((i, j))]
+    q_ij = qv[edge[0]]
     return float(spec.alpha[i - 1] - spec.gamma[j - 1] * s[j - 1]
                  - spec.beta[i - 1] * q_ij - spec.beta[i - 1] * c[i - 1])
 

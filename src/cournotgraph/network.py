@@ -32,23 +32,26 @@ allocated. Every
 coordinate follows the canonical edge order, which every other module
 and file format shares as its coordinate system.
 
-A spec's fields are frozen, so everything derived from them is derived
-once per spec object, on first use, and kept on it: the problem list
-that ``validate`` returns, the canonical order, and the O(n + k)
-structure and constant that every ``to_affine`` of the spec shares. No
-n x n array is kept on a spec; each system fills its own.
+A spec holds its network once, as read-only arrays: the (n, 2) intp
+edges in the order given and the float64 parameter vectors. They are
+frozen, so everything derived from them is derived once per spec
+object, on first use, and kept on it: the problem list that
+``validate`` returns (array masks; only flagged entries are formatted),
+the canonical order (one stable argsort of the keys market (F + 1) +
+firm, an (n, 2) array that systems, reports and files share), and the
+O(n + k) structure and constant that every ``to_affine`` of the spec
+shares. No n x n array is kept on a spec; each system fills its own.
+Edge pairs are read by ``pair_ends``, which ``pdgame.player_graph``
+shares.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import contextlib
+from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
-
-Edge = tuple[int, int]  # (market index, firm index), 1-based
 
 # Every float matrix a network route fills or factors, n x n (A, S or H)
 # or k x k (k firms and markets), holds at most this many float64 values,
@@ -58,49 +61,55 @@ Edge = tuple[int, int]  # (market index, firm index), 1-based
 MAX_DENSE_VALUES = 10_000_000
 
 
-def _as_float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+def _equal_fields(a, b):
+    """``==`` of frozen dataclasses that hold arrays: the same type and
+    equal fields, arrays by shape and value and tuples entry by entry."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
-def _as_index(value):
-    """``value`` as the int it equals, else as given, for ``validate``."""
-    try:
-        return int(value) if int(value) == value else value
-    except (TypeError, ValueError, OverflowError):
-        return value
+def _same(a, b) -> bool:
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return np.array_equal(a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSpec:
     """A firm-market supply graph with its economic parameters.
 
     Indices are 1-based to match the q_ij notation used in scenario
-    files and reports; an end that is not a whole number is kept for
-    ``validate`` to name. ``speed`` may be passed empty, in which case
-    every firm gets the default adjustment speed 1.
+    files and reports. The fields are read-only arrays: ``edges`` an
+    (n, 2) intp array of (market, firm) in the order given, and alpha,
+    beta, gamma and speed float64. An end that is not a whole number
+    that fits intp makes ``edges`` an object array that keeps it as
+    given, for ``validate`` to name. ``speed`` may be passed empty, in
+    which case every firm gets the default adjustment speed 1. Specs
+    compare by value.
     """
 
     market_count: int
     firm_count: int
-    edges: tuple[Edge, ...]
-    alpha: tuple[float, ...]
-    beta: tuple[float, ...]
-    gamma: tuple[float, ...]
-    speed: tuple[float, ...] = ()
+    edges: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    speed: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(
-            (_as_index(i), _as_index(j)) for i, j in self.edges))
-        object.__setattr__(self, "alpha", _as_float_tuple(self.alpha))
-        object.__setattr__(self, "beta", _as_float_tuple(self.beta))
-        object.__setattr__(self, "gamma", _as_float_tuple(self.gamma))
+        object.__setattr__(self, "edges", _edge_array(self.edges))
         speed = self.speed
         # More firms than edges is invalid, and ``validate`` says so
-        # without the default tuple, which would grow with the count.
+        # without the default speeds, which would grow with the count.
         if (not len(speed) and isinstance(self.firm_count, int)
                 and self.firm_count <= len(self.edges)):
-            speed = (1.0,) * self.firm_count
-        object.__setattr__(self, "speed", _as_float_tuple(speed))
+            speed = np.ones(self.firm_count)
+        for name, values in (("alpha", self.alpha), ("beta", self.beta),
+                             ("gamma", self.gamma), ("speed", speed)):
+            object.__setattr__(self, name, _frozen(values))
+
+    __eq__ = _equal_fields
 
     @cached_property
     def _problems(self) -> list[str]:
@@ -111,66 +120,123 @@ class NetworkSpec:
             problems.append(f"firm_count must be a positive integer, got {self.firm_count}")
         if problems:
             return problems
+        n = len(self.edges)
+        edges, whole = self.edges, np.ones(self.edges.shape, bool)
+        if edges.dtype == object:
+            whole = pair_ends(edges)[1]
+            edges = np.where(whole, edges, 0)
+        # Ends clipped to 0 or count + 1 are out of range and fit intp;
+        # messages name the ends held. An end that is not whole is 0.
+        market, firm = (np.clip(edges[:, side], 0, min(count, n) + 1).astype(np.intp)
+                        for side, count in enumerate((self.market_count, self.firm_count)))
+        sides = (("market", self.market_count, market), ("firm", self.firm_count, firm))
         # Every market and firm needs an edge, so a count past the number of
         # edges is said once, before any work that grows with the count.
-        n = len(self.edges)
-        for kind, count, side in (("market", self.market_count, 0),
-                                  ("firm", self.firm_count, 1)):
+        for kind, count, ends in sides:
             if count > n:
-                unused = min(set(range(1, n + 2)) - {e[side] for e in self.edges})
-                return [f"{kind} {unused} appears in no edge: {count} {kind}s "
-                        f"need at least {count} edges, got {n}"]
+                return [f"{kind} {_unused(ends, n + 1)[0]} appears in no edge: "
+                        f"{count} {kind}s need at least {count} edges, got {n}"]
 
-        for name, values, count in (("alpha", self.alpha, self.market_count),
-                                    ("beta", self.beta, self.market_count),
-                                    ("gamma", self.gamma, self.firm_count),
-                                    ("speed", self.speed, self.firm_count)):
+        for name, count in (("alpha", self.market_count), ("beta", self.market_count),
+                            ("gamma", self.firm_count), ("speed", self.firm_count)):
+            values = getattr(self, name)
             if len(values) != count:
                 problems.append(f"{name} must have {count} entries, got {len(values)}")
                 continue
-            for k, v in enumerate(values, start=1):
-                if not (math.isfinite(v) and v > 0.0):
-                    problems.append(f"{name}[{k}] must be strictly positive, got {v}")
+            bad = ~(np.isfinite(values) & (values > 0.0))
+            problems += [f"{name}[{k}] must be strictly positive, got {v}" for k, v
+                         in zip((np.flatnonzero(bad) + 1).tolist(), values[bad].tolist())]
 
-        seen: set[Edge] = set()
-        for i, j in self.edges:
-            if not (isinstance(i, int) and isinstance(j, int)):
+        inside = (whole.all(axis=1) & (market >= 1) & (market <= self.market_count)
+                  & (firm >= 1) & (firm <= self.firm_count))
+        # A later copy of a pair inside the counts is found by a stable
+        # sort of their keys; of one outside them, by a set of those pairs.
+        keys = market * (self.firm_count + 1) + firm
+        rows = np.flatnonzero(inside)
+        rows = rows[np.argsort(keys[rows], kind="stable")]
+        repeat = np.zeros(n, bool)
+        repeat[rows[1:][keys[rows[1:]] == keys[rows[:-1]]]] = True
+        seen: set[tuple] = set()
+        for k in np.flatnonzero(~inside | repeat).tolist():
+            i, j = pair = tuple(self.edges[k].tolist())
+            if not whole[k].all():
                 problems.append(f"edge ({i},{j}) has an end that is not an integer")
                 continue
             if not 1 <= i <= self.market_count:
                 problems.append(f"edge ({i},{j}) references unknown market {i}")
             if not 1 <= j <= self.firm_count:
                 problems.append(f"edge ({i},{j}) references unknown firm {j}")
-            if (i, j) in seen:
+            if repeat[k] or pair in seen:
                 problems.append(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-
-        markets_used = {i for i, _ in self.edges}
-        firms_used = {j for _, j in self.edges}
-        for i in range(1, self.market_count + 1):
-            if i not in markets_used:
-                problems.append(f"market {i} appears in no edge")
-        for j in range(1, self.firm_count + 1):
-            if j not in firms_used:
-                problems.append(f"firm {j} appears in no edge")
+            seen.add(pair)
+        for kind, count, ends in sides:
+            problems += [f"{kind} {k} appears in no edge" for k in _unused(ends, count)]
         return problems
 
     @cached_property
-    def _order(self) -> tuple[Edge, ...]:
-        return tuple(sorted(set(self.edges)))
+    def _order(self) -> np.ndarray:
+        keys = self.edges @ (self.firm_count + 1, 1)
+        order = self.edges[np.argsort(keys, kind="stable")]
+        order.setflags(write=False)
+        return order
 
     @cached_property
     def _incidence(self) -> tuple[EdgeIncidence, np.ndarray]:
         """``to_affine``'s structure and constant; valid specs only."""
-        order = np.fromiter(chain.from_iterable(self._order), np.intp,
-                            2 * len(self._order))
-        market, firm = order.reshape(-1, 2).T - 1
-        market_beta, b = np.array(self.beta), np.array(self.speed)[firm]
+        market, firm = self._order.T - 1
+        b = self.speed[firm]
         structure = EdgeIncidence(market=market, firm=firm, speed=b,
-                                  beta=market_beta[market], market_beta=market_beta,
-                                  firm_gamma=np.array(self.gamma))
+                                  beta=self.beta[market], market_beta=self.beta,
+                                  firm_gamma=self.gamma)
         with np.errstate(over="ignore"):  # AffineSystem refuses an inf
-            return structure, _frozen(b * np.array(self.alpha)[market])
+            return structure, _frozen(b * self.alpha[market])
+
+
+def _unused(ends: np.ndarray, count: int) -> list[int]:
+    """The numbers 1..count that are not in ``ends`` (0..count + 1), ascending."""
+    return (np.flatnonzero(np.bincount(ends, minlength=count + 2)[1:-1] == 0) + 1).tolist()
+
+
+def _whole(end) -> bool:
+    """Whether one end of an object array is a whole number; a value
+    that takes no ``% 1``, such as None or a string, is not."""
+    try:
+        return bool(end % 1 == 0)
+    except TypeError:
+        return False
+
+
+def pair_ends(edges) -> tuple[np.ndarray, np.ndarray]:
+    """``edges`` as an (n, 2) array, and whether each of its ends is a
+    whole number (NaN and inf are not). Numbers are read as numpy reads
+    them; if any end is not a number, every end is kept as given, in an
+    object array."""
+    given = np.asarray(edges)
+    if given.dtype.kind not in "biuf":
+        given = np.asarray(edges, dtype=object)
+    if given.size == 0:
+        given = np.empty((0, 2), np.intp)
+    if given.ndim != 2 or given.shape[1] != 2:
+        raise ValueError(f"edges must be (a, b) pairs, got shape {given.shape}")
+    with np.errstate(invalid="ignore"):
+        if given.dtype == object:
+            return given, np.frompyfunc(_whole, 1, 1)(given).astype(bool)
+        return given, given % 1 == 0
+
+
+def _edge_array(edges) -> np.ndarray:
+    """``edges`` as a read-only (n, 2) intp array or, if an end is not a
+    whole number that fits intp, as an object array of the ends given,
+    the whole ones made ints."""
+    given, whole = pair_ends(edges)
+    with np.errstate(invalid="ignore"), \
+            contextlib.suppress(ValueError, TypeError, OverflowError):
+        ends = given.astype(np.intp, copy=False)
+        if whole.all() and (ends == given).all():
+            return _frozen(ends, np.intp)
+    kept = np.array(edges, dtype=object)
+    kept[whole] = [int(end) for end in kept[whole]]
+    return _frozen(kept, object)
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
@@ -319,14 +385,15 @@ class AffineSystem:
     Made from a dense ``matrix``, or, for a network, from its
     :class:`EdgeIncidence` ``structure``: then ``field_at`` runs on the
     structure and ``matrix`` is filled on first access. Both and the
-    constant must be finite, with at least one variable. ``variable_order``
-    records which (market, firm) edge each coordinate belongs to; for
+    constant must be finite, with at least one variable. ``variable_order``,
+    a read-only (n, 2) intp array, records which (market, firm) edge each
+    coordinate belongs to; for
     systems assembled from a :class:`NetworkSpec` it is the canonical
     edge order.
     """
 
     constant: np.ndarray
-    variable_order: tuple[Edge, ...]
+    variable_order: np.ndarray
     structure: EdgeIncidence | None
 
     def __init__(self, constant, matrix=None, variable_order=(), *,
@@ -351,7 +418,8 @@ class AffineSystem:
             raise ValueError(
                 f"constant has length {c.shape}, matrix is {size}x{size}")
         object.__setattr__(self, "constant", c)
-        object.__setattr__(self, "variable_order", tuple(variable_order))
+        object.__setattr__(self, "variable_order",
+                           np.reshape(_frozen(variable_order, np.intp), (-1, 2)))
         object.__setattr__(self, "structure", structure)
 
     @cached_property
@@ -381,15 +449,17 @@ def validate(spec: NetworkSpec) -> list[str]:
     return list(spec._problems)
 
 
-def canonical_edge_order(spec: NetworkSpec) -> tuple[Edge, ...]:
-    """Edges sorted by (market, firm); the shared coordinate order."""
+def canonical_edge_order(spec: NetworkSpec) -> np.ndarray:
+    """Edges sorted by (market, firm), as a read-only (n, 2) array; the
+    shared coordinate order."""
     return spec._order
 
 
-def variable_names(order: tuple[Edge, ...]) -> tuple[str, ...]:
-    """Column names q<i><j> for an edge order (q<i>_<j> past single digits)."""
+def variable_names(order) -> tuple[str, ...]:
+    """Column names q<i><j> for an (n, 2) edge order (q<i>_<j> past
+    single digits)."""
     return tuple(f"q{i}{j}" if i <= 9 and j <= 9 else f"q{i}_{j}"
-                 for i, j in order)
+                 for i, j in np.asarray(order).tolist())
 
 
 def two_firms_two_markets(alpha1: float, alpha2: float,

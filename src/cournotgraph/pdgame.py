@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import _frozen
+from .network import _frozen, pair_ends
 
 C = "C"
 D = "D"
@@ -241,15 +241,6 @@ def _padded(degrees: np.ndarray,
     return tuple(groups)
 
 
-def _whole(end) -> bool:
-    """Whether one end of an object array is a whole number; a value
-    that takes no ``% 1``, such as None, is not."""
-    try:
-        return bool(end % 1 == 0)
-    except TypeError:
-        return False
-
-
 def player_graph(player_count: int, edges) -> PlayerGraph:
     """Build a validated PlayerGraph from (a, b) pairs of whole numbers,
     of any number type. The first pair in input order with an end that
@@ -258,21 +249,9 @@ def player_graph(player_count: int, edges) -> PlayerGraph:
     an earlier pair (either way round), in that order of checks."""
     if player_count < 1:
         raise ValueError("player_count must be at least 1")
-    given = np.asarray(edges)
-    if given.dtype.kind not in "biuf":  # not all numbers: keep ends as given
-        given = np.asarray(edges, dtype=object)
-    if given.size == 0:
-        given = np.empty((0, 2), np.intp)
-    if given.ndim != 2 or given.shape[1] != 2:
-        raise ValueError(f"edges must be (a, b) pairs, got shape {given.shape}")
-    if given.dtype == object:
-        whole = np.array([_whole(a) and _whole(b) for a, b in given.tolist()],
-                         bool)
-    else:
-        with np.errstate(invalid="ignore"):
-            whole = (given % 1 == 0).all(axis=1)  # NaN and inf fail
+    given, whole = pair_ends(edges)
     if not whole.all():
-        a, b = given[whole.argmin()].tolist()
+        a, b = given[whole.all(axis=1).argmin()].tolist()
         raise ValueError(f"edge {a}-{b} has an end that is not an integer")
     # Ends clipped to -1 or player_count stay out of range and fit one
     # intp array; messages name the ends given. Pair i is the directed

@@ -96,7 +96,7 @@ def _coefficient_lines(heading: str, coeffs) -> list[str]:
 
 def render_stability_report(report: StabilityReport) -> str:
     """Fixed-layout plain-text report for one analyzed system."""
-    names = variable_names(report.variable_order) if report.variable_order \
+    names = variable_names(report.variable_order) if len(report.variable_order) \
         else tuple(f"q{k+1}" for k in range(len(report.equilibrium)))
     lines = ["equilibrium:"]
     lines.extend(f"  {name} = {fmt(v)}"

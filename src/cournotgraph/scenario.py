@@ -32,27 +32,36 @@ parsing, sizing, building and rendering all read.
 
 ``parse_scenario`` rejects unknown keys, duplicate keys and invariant
 violations with the offending line or field named;
-``render_scenario`` writes the normalized form back out. A
-``[network]`` spec is checked once: the problem list and the canonical
-edge order that q0 is counted against stay on the spec, and the
-commands' ``to_affine`` reads them from there. A ``[pd]`` graph with
-more than ``MAX_PLAYERS`` players or ``MAX_PLAYER_EDGES`` edges, or a
-run that counts more than ``MAX_PD_READS`` reads in all (its
-neighborhood entries, plus ``PD_STEP_READS`` a step for the fixed cost
-of a step) is rejected before anything is built. The one-time rank
+``render_scenario`` writes the normalized form back out. Number lists
+and pair lists (a network's ``edges``, a ``[pd]`` ``edges`` graph) are
+read into arrays by one ``int`` or ``float`` over all of their tokens,
+so they accept exactly what those accept; only a list that fails is
+read again token by token, to name its first bad token. Network and
+``[pd]`` scenarios compare by value. A ``[network]`` spec is checked
+once: the problem list and the canonical edge order that q0 is counted
+against stay on the spec, and the commands' ``to_affine`` reads them
+from there. A ``[pd]`` graph with more than ``MAX_PLAYERS`` players or
+``MAX_PLAYER_EDGES`` edges, or a run that counts more than
+``MAX_PD_READS`` reads in all (its neighborhood entries, plus
+``PD_STEP_READS`` a step for the fixed cost of a step) is rejected
+before anything is built. The one-time rank
 table a run builds before its first step (``pdgame._KeyTable``, at
 most 2 (players + 2 edges) entries) is not charged.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .csvtext import fmt
-from .network import NetworkSpec, canonical_edge_order, validate
+from .network import NetworkSpec, _equal_fields, canonical_edge_order, validate
 from .pdgame import (PayoffMatrix, PlayerGraph, PopulationState,
                      all_cooperate, all_defect, complete_graph, cycle_graph,
                      player_graph, random_population, single_defector,
@@ -92,10 +101,12 @@ class ScenarioError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkScenario:
     spec: NetworkSpec
-    q0: tuple[float, ...]
+    q0: np.ndarray
+
+    __eq__ = _equal_fields
 
 
 @dataclass(frozen=True)
@@ -104,13 +115,15 @@ class CanonicalScenario:
     q0: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PDScenario:
     payoff: PayoffMatrix
     graph: tuple          # (form, *arguments), e.g. ("torus", w, h) or ("edges", pairs)
     init: tuple           # (form, *arguments), e.g. ("all_c",) or ("random", frac, seed)
     steps: int
     side_payment: float | None = None
+
+    __eq__ = _equal_fields
 
     def build_graph(self) -> PlayerGraph:
         """The scenario's player graph. It is built on the first call and
@@ -130,7 +143,7 @@ class PDScenario:
         it. Negative sizes count as 0; the builders reject them."""
         kind, *args = self.graph
         if kind == "edges":
-            return max(map(max, args[0])) + 1, len(args[0])
+            return int(np.max(args[0])) + 1, len(args[0])
         return _GRAPHS[kind].size(*(max(a, 0) for a in args))
 
     def build_population(self, graph: PlayerGraph) -> PopulationState:
@@ -168,10 +181,19 @@ def _int(token: str, line: int, key: str) -> int:
 
 
 def _floats(value: str, line: int, key: str, count: int | None = None,
-            what: str = "") -> tuple[float, ...]:
-    """The numbers of ``value``; exactly ``count`` of them if given
-    (``what`` words that count in the error)."""
-    values = tuple(_float(t.strip(), line, key) for t in value.split(","))
+            what: str = "") -> np.ndarray:
+    """The numbers of ``value`` as a read-only array; exactly ``count`` of
+    them if given (``what`` words that count in the error). One ``float``
+    reads every token; a list that fails or holds a number that is not
+    finite is read again by ``_float``, token by token, which names the
+    first bad one."""
+    tokens = value.split(",")
+    values = None
+    with contextlib.suppress(ValueError):
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    if values is None or not np.isfinite(values).all():
+        values = np.array([_float(t.strip(), line, key) for t in tokens])
+    values.setflags(write=False)
     if count is not None and len(values) != count:
         raise ScenarioError(f"{key} must have {what or f'exactly {count} values'}"
                             f", got {len(values)}", line)
@@ -185,15 +207,31 @@ def _fraction(token: str, line: int, key: str) -> float:
     return v
 
 
-def _pairs(value: str, sep: str, line: int, key: str) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for token in value.split(","):
-        token = token.strip()
-        left, found, right = token.partition(sep)
-        if not found:
-            raise ScenarioError(f"{key}: expected '<a>{sep}<b>', got '{token}'", line)
-        pairs.append((_int(left.strip(), line, key), _int(right.strip(), line, key)))
-    return tuple(pairs)
+def _pair(token: str, sep: str, line: int, key: str) -> tuple[int, int]:
+    token = token.strip()
+    left, found, right = token.partition(sep)
+    if not found:
+        raise ScenarioError(f"{key}: expected '<a>{sep}<b>', got '{token}'", line)
+    return _int(left.strip(), line, key), _int(right.strip(), line, key)
+
+
+def _pairs(value: str, sep: str, line: int, key: str) -> np.ndarray:
+    """The '<a><sep><b>' pairs of ``value`` as a read-only (n, 2) array.
+    Where every token holds one ``sep``, one ``int`` reads every end into
+    intp; otherwise, or if that fails, ``_pair`` reads the list again
+    token by token, which names the first bad token, into an object
+    array of ints, so an end past intp keeps its value."""
+    tokens = value.split(",")
+    pairs = None
+    if (value.count(sep) == len(tokens)
+            and all(map(str.__contains__, tokens, repeat(sep)))):
+        ends = value.replace(sep, ",").split(",")
+        with contextlib.suppress(ValueError, OverflowError):
+            pairs = np.fromiter(map(int, ends), np.intp, len(ends)).reshape(-1, 2)
+    if pairs is None:
+        pairs = np.array([_pair(t, sep, line, key) for t in tokens], dtype=object)
+    pairs.setflags(write=False)
+    return pairs
 
 
 class _Form(NamedTuple):
@@ -270,15 +308,11 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _build_network(entries) -> NetworkScenario:
-    markets = _int(*entries["markets"], "markets")
-    firms = _int(*entries["firms"], "firms")
+    markets, firms = (_int(*entries[key], key) for key in ("markets", "firms"))
     edges = _pairs(entries["edges"][0], ":", entries["edges"][1], "edges")
-    alpha = _floats(*entries["alpha"], "alpha")
-    beta = _floats(*entries["beta"], "beta")
-    gamma = _floats(*entries["gamma"], "gamma")
-    speed = _floats(*entries["speed"], "speed") if "speed" in entries else ()
-    spec = NetworkSpec(market_count=markets, firm_count=firms, edges=edges,
-                       alpha=alpha, beta=beta, gamma=gamma, speed=speed)
+    spec = NetworkSpec(markets, firms, edges, *(
+        _floats(*entries[key], key)
+        for key in ("alpha", "beta", "gamma", "speed") if key in entries))
     problems = validate(spec)
     if problems:
         raise ScenarioError("invalid [network] values: " + "; ".join(problems))
@@ -288,13 +322,13 @@ def _build_network(entries) -> NetworkScenario:
 
 
 def _build_canonical(entries) -> CanonicalScenario:
-    r = _floats(*entries["r"], "r", 5)
-    q0 = _floats(*entries["q0"], "q0", 3)
+    r = _floats(*entries["r"], "r", 5).tolist()
+    q0 = tuple(_floats(*entries["q0"], "q0", 3).tolist())
     return CanonicalScenario(r=CanonicalParams(*r), q0=q0)
 
 
 def _build_pd(entries) -> PDScenario:
-    payoff = PayoffMatrix(*_floats(*entries["payoff"], "payoff", 4))
+    payoff = PayoffMatrix(*_floats(*entries["payoff"], "payoff", 4).tolist())
     if not payoff.is_strict_dilemma():
         raise ScenarioError("payoff must satisfy T > R > U > S",
                             entries["payoff"][1])
@@ -365,15 +399,13 @@ def render_scenario(scenario: Scenario) -> str:
     that order."""
     if isinstance(scenario, NetworkScenario):
         spec = scenario.spec
-        edges = ", ".join(f"{i}:{j}" for i, j in canonical_edge_order(spec))
+        edges = ", ".join(f"{i}:{j}" for i, j in canonical_edge_order(spec).tolist())
         lines = ["[network]",
                  f"markets = {spec.market_count}",
                  f"firms = {spec.firm_count}",
                  f"edges = {edges}",
-                 f"alpha = {_fmt_list(spec.alpha)}",
-                 f"beta = {_fmt_list(spec.beta)}",
-                 f"gamma = {_fmt_list(spec.gamma)}",
-                 f"speed = {_fmt_list(spec.speed)}",
+                 *(f"{key} = {_fmt_list(getattr(spec, key))}"
+                   for key in ("alpha", "beta", "gamma", "speed")),
                  f"q0 = {_fmt_list(scenario.q0)}"]
     elif isinstance(scenario, CanonicalScenario):
         lines = ["[canonical]",
@@ -382,7 +414,7 @@ def render_scenario(scenario: Scenario) -> str:
     else:
         graph = scenario.graph
         if graph[0] == "edges":
-            graph = ("edges", ", ".join(f"{a}-{b}" for a, b in graph[1]))
+            graph = ("edges", ", ".join(f"{a}-{b}" for a, b in np.asarray(graph[1]).tolist()))
         m = scenario.payoff
         lines = ["[pd]",
                  f"payoff = {_fmt_list((m.R, m.S, m.T, m.U))}",

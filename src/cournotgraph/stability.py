@@ -101,7 +101,7 @@ from enum import Enum
 import numpy as np
 
 from . import network
-from .network import AffineSystem, Edge, EdgeIncidence
+from .network import AffineSystem, EdgeIncidence, _frozen
 
 MARGIN_EPS = 1e-9       # band around 0 where the verdict is MARGINAL
 CHAR_POLY_MAX_N = 3     # largest system whose coefficients char_poly gives
@@ -115,7 +115,7 @@ _CERTIFY_GAP = 2.0 ** -40  # relative distance below theta of the first inertia 
 _ITERATIONS = 256          # inverse iterations at most, per shift
 _SHIFTS = 3                # shifts the inverse iteration runs at, at most
 
-CANONICAL_ORDER: tuple[Edge, ...] = ((1, 1), (2, 2), (2, 1))
+CANONICAL_ORDER = _frozen(((1, 1), (2, 2), (2, 1)), np.intp)
 
 
 class NoUniqueEquilibriumError(RuntimeError):
@@ -161,7 +161,7 @@ class StabilityReport:
     closed_form: tuple[float, float, float] | None  # r-formula coefficients
     eigen_margin: float
     verdict: Stability
-    variable_order: tuple[Edge, ...]
+    variable_order: np.ndarray  # (n, 2), as the system's
 
 
 def _condition(a: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from cournotgraph import (CanonicalParams, NetworkSpec,
 from cournotgraph.dynamics import _segments
 from cournotgraph.pdgame import C, D
 from cournotgraph.reports import Sweep
+from cournotgraph.scenario import ScenarioError
 from cournotgraph.stability import VERDICTS
 
 
@@ -96,13 +97,19 @@ def matching_spec(rng: np.random.Generator, pairs: int, cross: int = 3,
         gamma=tuple(rng.uniform(0.1, 2.0, pairs)), speed=tuple(speed))
 
 
+def as_pairs(order) -> tuple[tuple, ...]:
+    """An (n, 2) array of edges or pairs, such as an edge order, as a
+    tuple of tuples of Python values, for comparing with tuples."""
+    return tuple(map(tuple, np.asarray(order).tolist()))
+
+
 def to_affine_by_loop(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
     """(c, A) of the flow dynamics, entry by entry: row (i, j) holds
     b_j (gamma_j + 2 beta_i) on the diagonal, b_j gamma_j for every
     other edge of firm j and b_j beta_i for every other edge into
     market i. Same products as the library, organised as a double loop
     over edges instead of incidence index arrays."""
-    order = tuple(sorted(set(spec.edges)))
+    order = tuple(sorted(set(as_pairs(spec.edges))))
     n = len(order)
     c = np.zeros(n)
     a = np.zeros((n, n))
@@ -125,7 +132,7 @@ def incidence_by_loop(spec: NetworkSpec) -> np.ndarray:
     first, entry by entry: the row of edge (i, j), in canonical order,
     holds a 1 in firm j's column j - 1 and in market i's column
     firm_count + i - 1."""
-    order = sorted(set(spec.edges))
+    order = sorted(set(as_pairs(spec.edges)))
     u = np.zeros((len(order), spec.firm_count + spec.market_count))
     for row, (i, j) in enumerate(order):
         u[row, j - 1] = 1.0
@@ -358,3 +365,48 @@ def record_factored_sizes(monkeypatch) -> list[int]:
             return _call(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recorded)
     return sizes
+
+
+# The scenario list readers as they were before they read a list with one
+# ``int`` or ``float`` over all of its tokens: token by token, each token
+# stripped first. Kept as the oracle of the array readers' values and
+# error texts.
+
+def _float_by_token(token: str, line: int, key: str) -> float:
+    try:
+        v = float(token)
+    except ValueError:
+        raise ScenarioError(f"{key}: '{token}' is not a number", line) from None
+    if not math.isfinite(v):
+        raise ScenarioError(f"{key}: values must be finite, got {token}", line)
+    return v
+
+
+def _int_by_token(token: str, line: int, key: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ScenarioError(f"{key}: '{token}' is not an integer", line) from None
+
+
+def floats_by_token(value: str, line: int, key: str, count: int | None = None,
+                    what: str = "") -> tuple[float, ...]:
+    """The numbers of ``value``; exactly ``count`` of them if given
+    (``what`` words that count in the error)."""
+    values = tuple(_float_by_token(t.strip(), line, key) for t in value.split(","))
+    if count is not None and len(values) != count:
+        raise ScenarioError(f"{key} must have {what or f'exactly {count} values'}"
+                            f", got {len(values)}", line)
+    return values
+
+
+def pairs_by_token(value: str, sep: str, line: int, key: str) -> tuple[tuple[int, int], ...]:
+    pairs = []
+    for token in value.split(","):
+        token = token.strip()
+        left, found, right = token.partition(sep)
+        if not found:
+            raise ScenarioError(f"{key}: expected '<a>{sep}<b>', got '{token}'", line)
+        pairs.append((_int_by_token(left.strip(), line, key),
+                      _int_by_token(right.strip(), line, key)))
+    return tuple(pairs)

@@ -20,8 +20,8 @@ from cournotgraph.cli import main
 from cournotgraph.reports import (pd_series_csv, sweep, sweep_csv,
                                   write_trajectory)
 from cournotgraph.scenario import parse_scenario
-from helpers import (sweep_by_analyze, sweep_verdicts, trajectory_csv_by_value,
-                     written)
+from helpers import (as_pairs, sweep_by_analyze, sweep_verdicts,
+                     trajectory_csv_by_value, written)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 STABLE = SCENARIO_DIR / "canonical_stable.scenario"
@@ -1037,7 +1037,7 @@ def _network_scenario(path, markets: int, firms: int, seed: int,
                            tuple((i, j) for i in range(1, markets + 1)
                                  for j in range(1, firms + 1)),
                            spec.alpha, spec.beta, spec.gamma, spec.speed)
-    q0 = tuple(rng.uniform(0.0, 0.2, len(set(spec.edges))))
+    q0 = tuple(rng.uniform(0.0, 0.2, len(set(as_pairs(spec.edges)))))
     path.write_text(render_scenario(NetworkScenario(spec, q0)),
                     encoding="utf-8")
     return parse_scenario(path.read_text(encoding="utf-8"))
@@ -1280,7 +1280,7 @@ class TestNetworkRoutes:
         scenario = parse_scenario(path.read_text(encoding="utf-8"))
         if isinstance(scenario, NetworkScenario):
             c, a = to_affine_by_loop(scenario.spec)
-            order = tuple(sorted(set(scenario.spec.edges)))
+            order = tuple(sorted(set(as_pairs(scenario.spec.edges))))
             system = AffineSystem(c, a, order)
         else:
             system = canonical_affine(scenario.r)
@@ -1291,6 +1291,104 @@ class TestNetworkRoutes:
         assert run("simulate", "--scenario", path, "--method", method,
                    "--out", out) == 0
         assert out.read_text(encoding="utf-8") == want
+
+
+def _network_text(markets: int, firms: int, edge_count: int, seed: int) -> str:
+    """A [network] scenario written without the library: each firm on a
+    random market, each market still without an edge on a random firm,
+    random edges up to the count, all listed in a shuffled order."""
+    import random
+    rng = random.Random(seed)
+    edges = {(rng.randint(1, markets), j) for j in range(1, firms + 1)}
+    for i in sorted(set(range(1, markets + 1)) - {i for i, _ in edges}):
+        edges.add((i, rng.randint(1, firms)))
+    while len(edges) < edge_count:
+        edges.add((rng.randint(1, markets), rng.randint(1, firms)))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+
+    def values(count, low, high):
+        return ", ".join(repr(rng.uniform(low, high)) for _ in range(count))
+    return (f"[network]\nmarkets = {markets}\nfirms = {firms}\n"
+            f"edges = {', '.join(f'{i}:{j}' for i, j in edges)}\n"
+            f"alpha = {values(markets, 1.0, 2.0)}\n"
+            f"beta = {values(markets, 0.2, 1.0)}\n"
+            f"gamma = {values(firms, 0.1, 0.5)}\n"
+            f"speed = {values(firms, 0.5, 1.5)}\n"
+            f"q0 = {values(edge_count, 0.0, 0.1)}\n")
+
+
+class TestPinnedNetwork:
+    """Network outputs pinned by sha256 before a spec held its edges and
+    parameters as arrays: one network of at most 300 edges (``simulate``
+    steps Phi_h) and one past 300 (it steps the field)."""
+
+    NETWORKS = {200: (12, 20, 200, 31), 340: (15, 25, 340, 32)}
+    PINNED = {
+        (200, "equilibrium"):
+            "79e562c5bd24fb05ac18557e043dfc38c1c19bfe42957c2697c6c895b6a6d94d",
+        (200, "stability"):
+            "e70b773d27d3ffd8fbadd0cb55e66b2b31b32751796ceb7ac04f1f0e1a68b8cd",
+        (200, "simulate"):
+            "93808814232c00faed9fcbd34b1744aeeea5c53b1f716b2c5d61bfa87418e7a8",
+        (340, "equilibrium"):
+            "9ca674480cb29097bb79b0297c2074776ee57bcebe4c36f1091851b9c579ddfa",
+        (340, "stability"):
+            "fe42dad7fc5c24345fdc9b16b2e8feb9e98537d632a97e4925bd52712df3a079",
+        (340, "simulate"):
+            "81761895095e7794205b47324efa0c34210adbc626840e9ed8ae4a63dd5c399a",
+    }
+
+    @pytest.mark.parametrize("edges, command", list(PINNED))
+    def test_network_output_bytes_are_pinned(self, edges, command, tmp_path,
+                                             capsys):
+        path = tmp_path / "net.scenario"
+        path.write_text(_network_text(*self.NETWORKS[edges]), encoding="utf-8")
+        out = tmp_path / "t.csv"
+        argv = ["--t-end", 1, "--out", out] if command == "simulate" else []
+        assert run(command, "--scenario", path, *argv) == 0
+        data = out.read_bytes() if command == "simulate" else \
+            capsys.readouterr().out.encode()
+        assert hashlib.sha256(data).hexdigest() == self.PINNED[edges, command]
+
+    # The exact stderr of one invalid [network] scenario per kind of
+    # message, taken before a spec held its edges as an array.
+    INVALID = {
+        "edges = 1:1, 1.5:2": "error: line 4: edges: '1.5' is not an integer\n",
+        "edges = 1:1, 100000000000000000000:2":
+            "error: invalid [network] values: edge (100000000000000000000,2) "
+            "references unknown market 100000000000000000000; market 2 appears "
+            "in no edge\n",
+        "edges = 1:1, 3:2":
+            "error: invalid [network] values: edge (3,2) references unknown "
+            "market 3; market 2 appears in no edge\n",
+        "edges = 1:1, 2:3":
+            "error: invalid [network] values: edge (2,3) references unknown "
+            "firm 3; firm 2 appears in no edge\n",
+        "edges = 1:1, 2:2, 1:1":
+            "error: invalid [network] values: duplicate edge (1,1)\n",
+        "edges = 1:1, 1:2":
+            "error: invalid [network] values: market 2 appears in no edge\n",
+        "edges = 1:1, 2:1":
+            "error: invalid [network] values: firm 2 appears in no edge\n",
+        "markets = 3\nedges = 1:1, 2:2":
+            "error: invalid [network] values: market 3 appears in no edge: 3 "
+            "markets need at least 3 edges, got 2\n",
+    }
+
+    @pytest.mark.parametrize("edit", list(INVALID))
+    def test_invalid_network_stderr_is_pinned(self, edit, tmp_path, capsys):
+        text = ("[network]\nmarkets = 2\nfirms = 2\nedges = 1:1, 2:2\n"
+                "alpha = 1, 1\nbeta = 1, 1\ngamma = 1, 1\nq0 = 0, 0\n")
+        if edit.startswith("markets"):
+            text = text.replace("markets = 2\n", "").replace(
+                "edges = 1:1, 2:2", edit)
+        else:
+            text = text.replace("edges = 1:1, 2:2", edit)
+        path = tmp_path / "bad.scenario"
+        path.write_text(text, encoding="utf-8")
+        assert run("equilibrium", "--scenario", path) == 2
+        assert capsys.readouterr().err == self.INVALID[edit]
 
 
 class TestReadmeLimits:

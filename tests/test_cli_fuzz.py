@@ -9,7 +9,10 @@ and so is a shorter run of half its whole steps: the shorter CSV must be
 a line prefix of the longer. Every number in every CSV written is the
 text ``repr`` gives its float. Every value used keeps the work small: a
 simulation takes at most 4000 steps, and a mutated number is one of a
-few short tokens, so no graph or step count grows large.
+few short tokens, so no graph or step count grows large. A second case
+mutates the tokens of the scenario's number and pair lists and checks
+that the array readers give what the per-token readers of
+``tests/helpers.py`` give: the same values or the same error text.
 """
 
 from __future__ import annotations
@@ -200,3 +203,69 @@ def test_entry_point_reports_without_traceback(tmp_path, text_edit, args):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert "error: " in done.stderr
+
+
+# Bits of text a list token may gain or become: ASCII and Unicode
+# whitespace (U+001C-U+001F are whitespace to str.strip, not to int),
+# a zero-width space, signs, digit separators, non-ASCII digits, words
+# float reads, values past float and int64, empty tokens and separators.
+LIST_BITS = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+             "\u2003", "\u3000", "\u200b", "+", "-", "_", "1_0", "1__0", "_1",
+             "\u0661\u0662", "\uff13", "\u0966", "inf", "-inf", "nan", "1e400",
+             "1e-400", "0x10", "1.5", "9223372036854775808",
+             "100000000000000000000", "", ",", ":", "::", "1::2", "1:2:3",
+             "1-2-3", "--", "2")
+LISTS = {"edges": (":", "1:1, 2:1, 2:2"), "graph": ("-", "0-1, 0-2, 1-2"),
+         **{key: (None, "1, 0.2, 0.3")
+            for key in ("alpha", "beta", "gamma", "speed", "q0")}}
+
+
+def mutate_list(value: str, rng: random.Random) -> str:
+    tokens = value.split(",")
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(tokens))
+        bit = rng.choice(LIST_BITS)
+        op = rng.randrange(4)
+        if op == 0:
+            tokens[k] = bit
+        elif op == 1:
+            cut = rng.randint(0, len(tokens[k]))
+            tokens[k] = tokens[k][:cut] + bit + tokens[k][cut:]
+        elif op == 2:
+            tokens[k] = rng.choice(LIST_BITS[:11]) + tokens[k] + bit
+        else:
+            tokens.append("")  # a trailing comma
+    return ",".join(tokens)
+
+
+def read_or_error(read, *args):
+    from cournotgraph.scenario import ScenarioError
+    try:
+        return read(*args)
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}"
+
+
+def test_list_readers_match_the_per_token_oracle():
+    from cournotgraph import scenario
+    from helpers import as_pairs, floats_by_token, pairs_by_token
+    rng = random.Random(35)
+    outcomes = set()
+    for case in range(3000):
+        key = rng.choice(list(LISTS))
+        sep, value = LISTS[key]
+        value = mutate_list(value, rng)
+        if sep is None:
+            got = read_or_error(scenario._floats, value, 4, key)
+            want = read_or_error(floats_by_token, value, 4, key)
+            if not isinstance(got, str):
+                got = tuple(got.tolist())
+        else:
+            got = read_or_error(scenario._pairs, value, sep, 4, key)
+            want = read_or_error(pairs_by_token, value, sep, 4, key)
+            if not isinstance(got, str):
+                got = as_pairs(got)
+        assert got == want, f"case {case}: {key} = {value!r}"
+        outcomes.add((key, isinstance(got, str)))
+    # Every list was both read and refused.
+    assert outcomes == {(key, refused) for key in LISTS for refused in (0, 1)}

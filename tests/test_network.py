@@ -6,7 +6,7 @@ import pytest
 from cournotgraph import (AffineSystem, NetworkSpec, canonical_edge_order,
                           to_affine, two_firms_two_markets, validate,
                           variable_names, vector_field)
-from helpers import (incidence_by_loop, network_spec_of_shape,
+from helpers import (as_pairs, incidence_by_loop, network_spec_of_shape,
                      network_spec_with_edges, random_network_spec,
                      sum_in_edge_order, to_affine_by_loop,
                      two_firm_rhs_literal)
@@ -79,9 +79,24 @@ class TestValidate:
         # Whole numbers of any type are the ints they equal.
         spec = NetworkSpec(2, 1, ((np.float64(2.0), np.int64(1)), (1.0, 1)),
                            (1, 1), (1, 1), (1,))
-        assert spec.edges == ((2, 1), (1, 1))
-        assert all(type(end) is int for edge in spec.edges for end in edge)
+        assert as_pairs(spec.edges) == ((2, 1), (1, 1))
+        assert spec.edges.dtype == np.intp
         assert validate(spec) == []
+
+    @pytest.mark.parametrize("edges, problems", [
+        (((2.0, 1), (True, 2), ("1", 2)),
+         ["edge (1,2) has an end that is not an integer"]),
+        (((2.0, 1), (2, True), (1, 2.0), ("1", 2), (3, 1.0), (3.0, 1)),
+         ["duplicate edge (2,1)",
+          "edge (1,2) has an end that is not an integer",
+          "edge (3,1) references unknown market 3",
+          "edge (3,1) references unknown market 3",
+          "duplicate edge (3,1)"]),
+    ])
+    def test_whole_ends_of_any_type_and_a_string_end(self, edges, problems):
+        # The lists were taken before a spec held its edges as an array.
+        spec = NetworkSpec(2, 2, edges, (1, 1), (1, 1), (1, 1))
+        assert validate(spec) == problems
 
     def test_wrong_parameter_length(self):
         spec = NetworkSpec(2, 1, ((1, 1), (2, 1)), alpha=(1,), beta=(1, 1),
@@ -111,7 +126,7 @@ class TestValidate:
     def test_count_past_the_edges_is_one_message(self):
         spec = NetworkSpec(10 ** 6, 10 ** 9, ((1, 1), (2, 2)), alpha=(1, 1),
                            beta=(1, 1), gamma=(1, 1))
-        assert spec.speed == ()  # no default tuple of 10**9 speeds
+        assert spec.speed.size == 0  # no default array of 10**9 speeds
         assert validate(spec) == ["market 3 appears in no edge: 1000000 "
                                   "markets need at least 1000000 edges, got 2"]
         spec = NetworkSpec(2, 5, ((1, 1), (2, 1)), alpha=(1, 1), beta=(1, 1),
@@ -122,15 +137,15 @@ class TestValidate:
 
 class TestCanonicalEdgeOrder:
     def test_two_firm_graph(self):
-        assert canonical_edge_order(two_firm_spec()) == ((1, 1), (2, 1), (2, 2))
+        assert as_pairs(canonical_edge_order(two_firm_spec())) == ((1, 1), (2, 1), (2, 2))
 
     def test_single_edge(self):
-        assert canonical_edge_order(single_edge_spec()) == ((1, 1),)
+        assert as_pairs(canonical_edge_order(single_edge_spec())) == ((1, 1),)
 
     def test_input_order_irrelevant(self):
         spec = NetworkSpec(2, 2, ((2, 2), (1, 1), (2, 1)),
                            alpha=(1, 1), beta=(0.2, 0.3), gamma=(0.1, 0.4))
-        assert canonical_edge_order(spec) == ((1, 1), (2, 1), (2, 2))
+        assert as_pairs(canonical_edge_order(spec)) == ((1, 1), (2, 1), (2, 2))
 
     def test_variable_names(self):
         assert variable_names(((1, 1), (2, 1), (2, 2))) == ("q11", "q21", "q22")
@@ -141,8 +156,8 @@ class TestTwoFirmsTwoMarkets:
     def test_structure_and_default_speed(self):
         spec = two_firm_spec()
         assert spec.market_count == 2 and spec.firm_count == 2
-        assert set(spec.edges) == {(1, 1), (2, 1), (2, 2)}
-        assert spec.speed == (1.0, 1.0)
+        assert set(as_pairs(spec.edges)) == {(1, 1), (2, 1), (2, 2)}
+        assert spec.speed.tolist() == [1.0, 1.0]
 
     def test_field_at_origin_is_alpha(self):
         q0 = np.zeros(3)
@@ -184,7 +199,7 @@ class TestToAffine:
         # and to q22 through the shared market (beta_2).
         spec = two_firm_spec()
         sys = to_affine(spec)
-        assert sys.variable_order == ((1, 1), (2, 1), (2, 2))
+        assert as_pairs(sys.variable_order) == ((1, 1), (2, 1), (2, 2))
         row = sys.matrix[1]
         assert row[1] == pytest.approx(0.1 + 2 * 0.3)   # gamma_1 + 2 beta_2
         assert row[0] == pytest.approx(0.1)             # gamma_1
@@ -230,9 +245,9 @@ class TestToAffine:
         swapped = NetworkSpec(2, 2, ((2, 1), (1, 1), (1, 2)),
                               alpha=(1.3, 1.0), beta=(0.3, 0.2),
                               gamma=(0.1, 0.4), speed=(1.0, 1.5))
-        order = canonical_edge_order(spec)
+        order = as_pairs(canonical_edge_order(spec))
         relabel = {(i, j): (3 - i, j) for i, j in order}
-        swapped_order = canonical_edge_order(swapped)
+        swapped_order = as_pairs(canonical_edge_order(swapped))
         perm = [swapped_order.index(relabel[e]) for e in order]
         for _ in range(20):
             q = rng.uniform(-1.0, 2.0, 3)
@@ -470,7 +485,7 @@ class TestDerivedOncePerSpec:
         for q in np.eye(3):
             vector_field(spec, q)
         assert validate(spec) == []
-        assert canonical_edge_order(spec) == ((1, 1), (2, 1), (2, 2))
+        assert as_pairs(canonical_edge_order(spec)) == ((1, 1), (2, 1), (2, 2))
         assert derivations == {"_problems": 1, "_order": 1, "_incidence": 1}
         # An equal spec is another object with its own derivation.
         to_affine(NetworkSpec(*(getattr(spec, f) for f in (
@@ -511,8 +526,13 @@ class TestDerivedOncePerSpec:
                 todo.extend(value)
             elif hasattr(value, "__dict__"):
                 todo.extend(vars(value).values())
-        assert seen and all(values.ndim == 1 for values in seen)
-        assert max(values.size for values in seen) == len(spec.edges)
+        # One (n, 2) array of edges, as given and in canonical order, and
+        # vectors of at most n entries.
+        n = len(spec.edges)
+        assert seen and all(values.shape == (n, 2)
+                            or (values.ndim == 1 and values.size <= n)
+                            for values in seen)
+        assert max(values.size for values in seen if values.ndim == 1) == n
 
 
 class TestOverflow:

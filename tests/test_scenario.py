@@ -12,7 +12,7 @@ from cournotgraph import (CanonicalScenario, NetworkScenario, PDScenario,
 from cournotgraph.pdgame import (PayoffMatrix, all_cooperate, all_defect,
                                  complete_graph, cycle_graph, player_graph, random_population,
                                  single_defector, torus_graph)
-from helpers import letters, pairs
+from helpers import as_pairs, letters, pairs
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -55,9 +55,9 @@ class TestParse:
     def test_network_with_default_speed(self):
         sc = parse_scenario(NETWORK_TEXT)
         assert isinstance(sc, NetworkScenario)
-        assert sc.spec.speed == (1.0, 1.0)
-        assert set(sc.spec.edges) == {(1, 1), (2, 1), (2, 2)}
-        assert sc.q0 == (0.1, 0.3, 0.2)
+        assert sc.spec.speed.tolist() == [1.0, 1.0]
+        assert set(as_pairs(sc.spec.edges)) == {(1, 1), (2, 1), (2, 2)}
+        assert sc.q0.tolist() == [0.1, 0.3, 0.2]
 
     def test_pd(self):
         sc = parse_scenario(PD_TEXT)
@@ -71,7 +71,8 @@ class TestParse:
     def test_pd_explicit_edges(self):
         sc = parse_scenario("[pd]\npayoff = 3,0,5,1\ngraph = edges 0-1, 1-2\n"
                             "init = all_c\nsteps = 5\n")
-        assert sc.graph == ("edges", ((0, 1), (1, 2)))
+        assert sc.graph[0] == "edges"
+        assert as_pairs(sc.graph[1]) == ((0, 1), (1, 2))
         assert sc.build_graph().player_count == 3
         assert letters(sc.build_population(sc.build_graph())) == ("C",) * 3
 
@@ -315,6 +316,33 @@ class TestRoundTrip:
         rendered = render_scenario(scenario)
         assert parse_scenario(rendered) == scenario
         assert render_scenario(parse_scenario(rendered)) == rendered
+
+
+class TestListsAtScale:
+    def test_valid_lists_make_no_per_token_call(self, monkeypatch):
+        # A [network] of 200 000 edges reads and assembles with as many
+        # per-token calls as one of 6 edges: the two counts alone.
+        from cournotgraph import to_affine
+        calls = {}
+        for name in ("_int", "_float"):
+            def counted(*args, _name=name, _read=getattr(scenario, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _read(*args)
+            monkeypatch.setattr(scenario, name, counted)
+        counts = []
+        for markets, firms in ((2, 3), (400, 500)):
+            n = markets * firms
+            edges = ", ".join(f"{i}:{j}" for i in range(1, markets + 1)
+                              for j in range(1, firms + 1))
+            text = (f"[network]\nmarkets = {markets}\nfirms = {firms}\n"
+                    f"edges = {edges}\nalpha = {', '.join(['1.5'] * markets)}\n"
+                    f"beta = {', '.join(['0.5'] * markets)}\n"
+                    f"gamma = {', '.join(['0.25'] * firms)}\n"
+                    f"q0 = {', '.join(['0.1'] * n)}\n")
+            calls.clear()
+            assert to_affine(parse_scenario(text).spec).dimension == n
+            counts.append(dict(calls))
+        assert counts == [{"_int": 2}, {"_int": 2}]
 
 
 class TestReadme:

@@ -14,7 +14,7 @@ from cournotgraph import (AffineSystem, CanonicalParams,
                           two_firms_two_markets)
 from cournotgraph.stability import (MARGIN_EPS, VERDICTS, verdict_codes,
                                     verdict_of)
-from helpers import (charpoly_by_determinant, matching_spec,
+from helpers import (as_pairs, charpoly_by_determinant, matching_spec,
                      network_spec_of_shape, network_spec_with_edges,
                      random_canonical, random_network_spec,
                      record_factored_sizes, to_affine_by_loop)
@@ -471,14 +471,14 @@ def _network_specs(seed: int, count: int):
 def _dense_h(spec):
     """H = D_b^1/2 S D_b^1/2 from the loop-built A = D_b S."""
     _, a = to_affine_by_loop(spec)
-    order = sorted(set(spec.edges))
+    order = sorted(set(as_pairs(spec.edges)))
     root = np.sqrt([spec.speed[j - 1] for _, j in order])
     return a / (root * root)[:, None] * root[:, None] * root[None, :]
 
 
 def _edges_and_size(spec) -> tuple[int, int]:
     """(n, k): the spec's edges, and its firms and markets."""
-    return len(set(spec.edges)), spec.market_count + spec.firm_count
+    return len(set(as_pairs(spec.edges))), spec.market_count + spec.firm_count
 
 
 def _n_above_k(spec) -> bool:
@@ -720,7 +720,7 @@ class TestNetworkRoute:
         for markets, firms in ((1, 1), (2, 3), (20, 30), (70, 70)):
             spec = network_spec_of_shape(rng, markets, firms)
             q = equilibrium(to_affine(spec))
-            assert len(q) == len(set(spec.edges)) and np.all(np.isfinite(q))
+            assert len(q) == len(set(as_pairs(spec.edges))) and np.all(np.isfinite(q))
 
     def test_margin_is_the_symmetric_one(self):
         for spec in _network_specs(66, 30):
