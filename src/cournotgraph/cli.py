@@ -24,10 +24,9 @@ import numpy as np
 from . import stability
 from .dynamics import IntegrationBlowUp, integrate, step_count
 from .network import to_affine, variable_names
-from .reports import (_BLOCK_VALUES, SWEEP_PARAMS, pd_series_csv,
-                      render_equilibrium, render_side_payment,
-                      render_stability_report, sweep, sweep_csv,
-                      write_trajectory)
+from .reports import (SWEEP_PARAMS, pd_series_csv, render_equilibrium,
+                      render_side_payment, render_stability_report, sweep,
+                      sweep_csv, write_trajectory)
 from .scenario import (CanonicalScenario, NetworkScenario, PDScenario,
                        ScenarioError, parse_scenario)
 from .stability import NoUniqueEquilibriumError, analyze, canonical_affine
@@ -89,8 +88,7 @@ def _dynamical(scenario, command: str):
 def cmd_simulate(args) -> int:
     scenario = _load(args.scenario)
     system, q0, _ = _dynamical(scenario, "simulate")
-    names = variable_names(system.variable_order)
-    header = names
+    header = variable_names(system.variable_order)
 
     def emit(rows):
         # Each buffer of kept rows is written as integrate hands it on,
@@ -102,7 +100,7 @@ def cmd_simulate(args) -> int:
     try:
         with _output(args.out) as out:
             integrate(system, q0, args.t_end, args.dt, args.method, args.thin,
-                      emit, max(1, _BLOCK_VALUES // (1 + len(names))))
+                      emit)
     except IntegrationBlowUp as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"wrote partial trajectory to {args.out}", file=sys.stderr)

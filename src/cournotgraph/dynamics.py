@@ -4,9 +4,10 @@ The integrator marches from t=0 to t_end with a constant step (the
 final step is shortened to land exactly on t_end) and keeps every
 ``thin``-th state and the last, as the rows (t, q1, ..., qn) of one
 table, the run's CSV rows. Only they are written, into a buffer of
-rows that the caller sizes: the whole table of a :class:`Trajectory`,
-or a block that is handed to the caller's ``emit`` each time it fills,
-so that a run streamed to its CSV holds one block, never its table.
+rows: the whole table of a :class:`Trajectory`, or, for a run that
+hands its rows to an ``emit``, max(1, ``STREAM_VALUES`` // (1 + n))
+rows, handed on each time they fill, so that a run streamed to its CSV
+holds one buffer, never its table.
 The states are made a block at a time in a scratch buffer, and each
 block starts from the last state of the one before, so a kept state
 has the bits of the same step of a run that keeps them all. If a state
@@ -75,6 +76,9 @@ MAX_STORED_VALUES = 10_000_000
 MAX_MARCHED_VALUES = 1_000_000_000  # steps x dimension: the work of a run
 _BLOCK_ROWS = 256           # most steps per blow-up check
 _BLOCK_VALUES = 1 << 16     # about the most state values per blow-up check
+# Values in one buffer of rows that ``integrate`` hands an ``emit``, and
+# in one block of CSV text that ``reports`` renders.
+STREAM_VALUES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,8 +341,8 @@ def step_count(t_end: float, dt: float) -> int:
 
 def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
               method: str = "rk4", thin: int = 1,
-              emit: Callable[[np.ndarray], None] | None = None,
-              emit_rows: int = 1) -> Trajectory | None:
+              emit: Callable[[np.ndarray], None] | None = None
+              ) -> Trajectory | None:
     """March from 0 to t_end, keeping every ``thin``-th step and the last.
 
     ``system`` is a vector field q -> dq/dt or an :class:`AffineSystem`,
@@ -351,9 +355,10 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
     Without ``emit`` only the kept rows are held, in the table of the
     Trajectory returned, beside a scratch block of at most
     ``_BLOCK_ROWS`` states. With ``emit``, they are written into a
-    buffer of ``emit_rows`` rows (fewer if the run keeps fewer), which is
-    handed to ``emit`` each time it is full and, its filled rows, at the
-    end; ``emit`` must not keep it. Nothing is returned then, and a
+    buffer of max(1, ``STREAM_VALUES`` // (1 + n)) rows for n variables
+    (fewer if the run keeps fewer), which is handed to ``emit`` each time
+    it is full and, its filled rows, at the end; ``emit`` must not keep
+    it. Nothing is returned then, and a
     blow-up's Trajectory holds the last rows handed on. ``emit`` is
     first called after every check below has passed.
 
@@ -398,8 +403,8 @@ def integrate(system: Field | AffineSystem, q0, t_end: float, dt: float,
     # Any thin past the last step keeps the first and last state alone.
     thin = min(thin, n_steps + 1)
     kept = n_steps // thin + 1 + (n_steps % thin > 0)
-    out = np.empty((kept if emit is None else min(kept, emit_rows),
-                    1 + len(q)))
+    buffer = kept if emit is None else max(1, STREAM_VALUES // (1 + len(q)))
+    out = np.empty((min(kept, buffer), 1 + len(q)))
     out[0, 0] = 0.0
     out[0, 1:] = q
     if (isinstance(system, AffineSystem)

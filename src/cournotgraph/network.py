@@ -418,8 +418,10 @@ class AffineSystem:
             raise ValueError(
                 f"constant has length {c.shape}, matrix is {size}x{size}")
         object.__setattr__(self, "constant", c)
-        object.__setattr__(self, "variable_order",
-                           np.reshape(_frozen(variable_order, np.intp), (-1, 2)))
+        order = _frozen(variable_order, np.intp)
+        if order.shape[1:] != (2,):  # such as the empty default
+            order = _frozen(order.reshape(-1, 2), np.intp)
+        object.__setattr__(self, "variable_order", order)
         object.__setattr__(self, "structure", structure)
 
     @cached_property
@@ -459,7 +461,7 @@ def variable_names(order) -> tuple[str, ...]:
     """Column names q<i><j> for an (n, 2) edge order (q<i>_<j> past
     single digits)."""
     return tuple(f"q{i}{j}" if i <= 9 and j <= 9 else f"q{i}_{j}"
-                 for i, j in np.asarray(order).tolist())
+                 for i, j in zip(*np.reshape(order, (-1, 2)).T.tolist()))
 
 
 def two_firms_two_markets(alpha1: float, alpha2: float,

@@ -127,8 +127,10 @@ def min_side_payment(m: PayoffMatrix) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PlayerGraph:
-    """Simple undirected graph over players 0..player_count-1: an intp
-    array of their ``degrees``, and the ``form`` its builder knows, which
+    """Simple undirected graph over players 0..player_count-1: a
+    read-only intp array of their ``degrees``, held by the rule of
+    ``network._frozen`` (a caller's writeable array is copied, not
+    frozen), and the ``form`` its builder knows, which
     steps the dynamics: a torus (a cycle is a torus one row high), a
     complete graph, or the padded tables of an edge list. A form counts
     each player's cooperating neighbors and takes the best key over each
@@ -151,7 +153,7 @@ class PlayerGraph:
     form: _Torus | _Complete | _Tables
 
     def __post_init__(self):
-        self.degrees.setflags(write=False)
+        object.__setattr__(self, "degrees", _frozen(self.degrees, np.intp))
 
     @property
     def player_count(self) -> int:
@@ -277,6 +279,7 @@ def player_graph(player_count: int, edges) -> PlayerGraph:
             raise ValueError(f"edge {x}-{y} out of range for {player_count} players")
         raise ValueError(f"duplicate edge {min(x, y)}-{max(x, y)}")
     degrees = np.bincount(source, minlength=player_count)
+    degrees.setflags(write=False)  # handed over, so the graph holds it uncopied
     return PlayerGraph(degrees, _Tables(_padded(degrees, target[order])))
 
 
@@ -304,7 +307,7 @@ class _Complete(NamedTuple):
 def complete_graph(n: int) -> PlayerGraph:
     if n < 1:
         raise ValueError("player_count must be at least 1")
-    return PlayerGraph(np.full(n, n - 1), _Complete(n))
+    return PlayerGraph(_regular(n, n - 1), _Complete(n))
 
 
 def cycle_graph(n: int) -> PlayerGraph:
@@ -393,7 +396,15 @@ def torus_graph(width: int, height: int) -> PlayerGraph:
     if width < 1 or height < 1:
         raise ValueError("torus dimensions must be at least 1")
     form = _Torus(width, height)
-    return PlayerGraph(np.full(width * height, form.degree), form)
+    return PlayerGraph(_regular(width * height, form.degree), form)
+
+
+def _regular(n: int, degree: int) -> np.ndarray:
+    """The degrees of n players of one degree, read-only, so that the
+    PlayerGraph they are handed to holds them uncopied."""
+    degrees = np.full(n, degree, np.intp)
+    degrees.setflags(write=False)
+    return degrees
 
 
 @dataclass(frozen=True, eq=False)

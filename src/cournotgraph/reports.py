@@ -5,15 +5,19 @@ decimal that round-trips to the same double -- and no output embeds
 timestamps, so identical runs produce byte-identical files.
 
 Report lines format their few numbers one ``repr`` at a time
-(``csvtext.fmt``). The CSV writers write ASCII bytes to a file open for
-binary writing. CSV rows of floats -- trajectories, and sweeps with
-their verdict label column -- are rendered by
-:func:`cournotgraph.csvtext.render_block` without ``repr``, in flat
-blocks of ``_BLOCK_VALUES`` values that may begin and end mid-row, each
-written to the output file as it is made; a trajectory's blocks are
-slices of the rows it is given (a Trajectory's table, or each buffer of
-rows that ``integrate`` hands ``simulate`` as it marches), read and
-never copied. A sweep is arrays (values, margins, verdict codes),
+(``csvtext.fmt``). A system's variables are written as ``name = value``
+lines by one writer, ``_assignments``, which ``render_equilibrium`` and
+the ``equilibrium:`` block of a stability report share; it names them
+by their edge order, or q1 .. qn for a system without one. The CSV
+writers write ASCII bytes to a file open for binary writing. CSV rows
+of floats -- trajectories, and sweeps with their verdict label column
+-- are rendered by :func:`cournotgraph.csvtext.render_block` without
+``repr``, in flat blocks of ``dynamics.STREAM_VALUES`` values that may
+begin and end mid-row, each written to the output file as it is made;
+a trajectory's blocks are slices of the rows it is given (a
+Trajectory's table, or each buffer of rows that ``integrate``, sized by
+the same constant, hands ``simulate`` as it marches), read and never
+copied. A sweep is arrays (values, margins, verdict codes),
 evaluated in chunks of ``_SWEEP_CHUNK`` grid points, and each block of
 its CSV is built from them. A PD series is written a block of rows at
 a time.
@@ -26,7 +30,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .csvtext import fmt, render_block
-from .network import variable_names
+from .dynamics import STREAM_VALUES as _BLOCK_VALUES  # values per CSV block
+from .network import _frozen, variable_names
 from .pdgame import PayoffMatrix, apply_side_payment, dominant_strategy, \
     min_side_payment
 from .scenario import CanonicalScenario
@@ -35,7 +40,6 @@ from .stability import (VERDICTS, CanonicalParams, StabilityReport,
 
 SWEEP_PARAMS = tuple(field.name for field in fields(CanonicalParams))
 MAX_SWEEP_POINTS = 1_000_000  # grid points of one sweep, checked before any work
-_BLOCK_VALUES = 4096          # values per block of rendered CSV text
 _SWEEP_CHUNK = 1 << 16        # grid points per canonical_margins call
 _SERIES_ROWS = 8192           # rows per block of a PD series
 
@@ -94,38 +98,49 @@ def _coefficient_lines(heading: str, coeffs) -> list[str]:
         for label, holds in _hurwitz_checks(*coeffs))]
 
 
+def _assignments(values, order, indent: str = "") -> str:
+    """One ``name = value`` line per value, after ``indent``: named by
+    the edge ``order``, or q1 .. qn where the order is empty."""
+    names = (variable_names(order) if len(order)
+             else [f"q{k}" for k in range(1, len(values) + 1)])
+    return "".join(f"{indent}{name} = {fmt(v)}\n"
+                   for name, v in zip(names, values))
+
+
 def render_stability_report(report: StabilityReport) -> str:
     """Fixed-layout plain-text report for one analyzed system."""
-    names = variable_names(report.variable_order) if len(report.variable_order) \
-        else tuple(f"q{k+1}" for k in range(len(report.equilibrium)))
-    lines = ["equilibrium:"]
-    lines.extend(f"  {name} = {fmt(v)}"
-                 for name, v in zip(names, report.equilibrium))
-    lines.extend(_coefficient_lines("characteristic coefficients (Jacobian):",
-                                    report.char_coeffs or ()))
+    lines = _coefficient_lines("characteristic coefficients (Jacobian):",
+                               report.char_coeffs or ())
     lines.append(f"eigenvalue margin (max Re): {fmt(report.eigen_margin)}")
     lines.append(f"verdict: {report.verdict.value}")
     if report.closed_form is not None:
         lines.extend(_coefficient_lines(
             "closed-form coefficients (r-parameter formulas; exact when "
             "r1 = r2):", report.closed_form))
-    return "\n".join(lines) + "\n"
+    return ("equilibrium:\n" + _assignments(report.equilibrium,
+                                            report.variable_order, "  ")
+            + "\n".join(lines) + "\n")
 
 
 def render_equilibrium(values, order) -> str:
     """One ``name = value`` line per variable of the edge order."""
-    return "".join(f"{name} = {fmt(v)}\n"
-                   for name, v in zip(variable_names(order), values))
+    return _assignments(values, order)
 
 
 @dataclass(frozen=True)
 class Sweep:
     """A verdict map: grid values, their eigenvalue margins (NaN where
-    there is no unique equilibrium) and verdict codes into
-    ``stability.VERDICTS``."""
+    there is no unique equilibrium) and uint8 verdict codes into
+    ``stability.VERDICTS``; read-only arrays, held by the rule of
+    ``network._frozen``."""
     values: np.ndarray
     margins: np.ndarray
     codes: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("values", np.float64), ("margins", np.float64),
+                            ("codes", np.uint8)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
 
 
 def sweep(scenario: CanonicalScenario, param: str, start: float, stop: float,
@@ -158,7 +173,10 @@ def sweep(scenario: CanonicalScenario, param: str, start: float, stop: float,
         chunk = values[lo:lo + _SWEEP_CHUNK]
         r[:len(chunk), SWEEP_PARAMS.index(param)] = chunk
         margins[lo:lo + len(chunk)] = canonical_margins(r[:len(chunk)])
-    return Sweep(values, margins, verdict_codes(margins))
+    codes = verdict_codes(margins)
+    for array in (values, margins, codes):  # handed over uncopied
+        array.setflags(write=False)
+    return Sweep(values, margins, codes)
 
 
 def sweep_csv(result: Sweep, out) -> None:

@@ -217,19 +217,22 @@ def _pair(token: str, sep: str, line: int, key: str) -> tuple[int, int]:
 
 def _pairs(value: str, sep: str, line: int, key: str) -> np.ndarray:
     """The '<a><sep><b>' pairs of ``value`` as a read-only (n, 2) array.
-    Where every token holds one ``sep``, one ``int`` reads every end into
-    intp; otherwise, or if that fails, ``_pair`` reads the list again
-    token by token, which names the first bad token, into an object
-    array of ints, so an end past intp keeps its value."""
-    tokens = value.split(",")
+    Where every token holds one ``sep`` (as many as tokens, none
+    missing), one ``int`` reads every end into intp; otherwise, or if
+    that fails, ``_pair`` reads the list again token by token, which
+    names the first bad token, into an object array of ints, so an end
+    past intp keeps its value. One list of strings is held at a time:
+    the tokens are split for the check and dropped before the ends are."""
     pairs = None
-    if (value.count(sep) == len(tokens)
-            and all(map(str.__contains__, tokens, repeat(sep)))):
+    if (value.count(sep) == value.count(",") + 1
+            and all(map(str.__contains__, value.split(","), repeat(sep)))):
         ends = value.replace(sep, ",").split(",")
         with contextlib.suppress(ValueError, OverflowError):
             pairs = np.fromiter(map(int, ends), np.intp, len(ends)).reshape(-1, 2)
+        del ends
     if pairs is None:
-        pairs = np.array([_pair(t, sep, line, key) for t in tokens], dtype=object)
+        pairs = np.array([_pair(t, sep, line, key) for t in value.split(",")],
+                         dtype=object)
     pairs.setflags(write=False)
     return pairs
 

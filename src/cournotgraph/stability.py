@@ -154,7 +154,9 @@ class CanonicalParams:
 
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
-    """Everything the stability command reports for one system."""
+    """Everything the stability command reports for one system. The
+    equilibrium and the order are read-only arrays, held by the rule of
+    ``network._frozen``."""
 
     equilibrium: np.ndarray
     char_coeffs: tuple[float, ...] | None  # None past CHAR_POLY_MAX_N
@@ -162,6 +164,11 @@ class StabilityReport:
     eigen_margin: float
     verdict: Stability
     variable_order: np.ndarray  # (n, 2), as the system's
+
+    def __post_init__(self):
+        object.__setattr__(self, "equilibrium", _frozen(self.equilibrium))
+        object.__setattr__(self, "variable_order",
+                           _frozen(self.variable_order, np.intp))
 
 
 def _condition(a: np.ndarray) -> np.ndarray:
@@ -580,6 +587,7 @@ def analyze(sys: AffineSystem,
     which the margin decides; for canonical systems pass r to include the
     closed-form coefficients."""
     eq = equilibrium(sys)
+    eq.setflags(write=False)  # handed over, so the report holds it uncopied
     margin = eigen_margin(sys)
     coeffs = char_poly(sys) if sys.dimension <= CHAR_POLY_MAX_N else None
     return StabilityReport(equilibrium=eq, char_coeffs=coeffs,

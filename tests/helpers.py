@@ -103,6 +103,23 @@ def as_pairs(order) -> tuple[tuple, ...]:
     return tuple(map(tuple, np.asarray(order).tolist()))
 
 
+def names_by_edge(order) -> tuple[str, ...]:
+    """The column names of an (n, 2) edge order, one f-string per edge
+    read as a pair: q<i><j>, or q<i>_<j> past single digits."""
+    return tuple(f"q{i}{j}" if i <= 9 and j <= 9 else f"q{i}_{j}"
+                 for i, j in np.asarray(order).tolist())
+
+
+def assignments_by_repr(values, order, indent: str = "") -> str:
+    """One ``name = value`` line per value, after ``indent``, each value
+    by its own ``repr(float(v))``: named by ``names_by_edge``, or q1 ..
+    qn where the order is empty."""
+    names = (names_by_edge(order) if len(order)
+             else [f"q{k + 1}" for k in range(len(values))])
+    return "".join(f"{indent}{name} = {float(v)!r}\n"
+                   for name, v in zip(names, values))
+
+
 def to_affine_by_loop(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
     """(c, A) of the flow dynamics, entry by entry: row (i, j) holds
     b_j (gamma_j + 2 beta_i) on the diagonal, b_j gamma_j for every

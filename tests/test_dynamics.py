@@ -576,6 +576,48 @@ class TestMatrixFreeRoute:
             assert _gap(got.states, want.states) <= 1e-12
 
 
+class TestStreamedBuffers:
+    """With an ``emit``, ``integrate`` hands on its rows in buffers of
+    max(1, STREAM_VALUES // (1 + n)) rows, the last one shorter, and the
+    rows joined are the table of the same run held. Three routes: Phi_h
+    in blocks of states (3 variables, buffers of 1024 rows), Phi_h one
+    state at a time (rk4 on 200 edges, 20 rows) and the matrix-free
+    field (rk4 on 320 edges, 12 rows)."""
+
+    @pytest.mark.parametrize("name, method, t_end, dt, thin, rows", [
+        ("canonical", "rk4", 25.0, 0.01, 1, 2501),
+        ("canonical", "euler", 40.0, 0.01, 3, 1335),
+        ("net200", "rk4", 1.0, 0.01, 1, 101),
+        ("net320", "rk4", 1.0, 0.02, 1, 51),
+    ])
+    def test_buffers_of_the_stream_size_join_to_the_held_table(
+            self, name, method, t_end, dt, thin, rows):
+        from cournotgraph.dynamics import STREAM_VALUES
+        from helpers import network_spec_with_edges
+        if name == "canonical":
+            system, q0 = canonical_affine(STABLE), Q0
+        else:
+            edges = int(name[3:])
+            rng = np.random.default_rng(edges)
+            markets, firms = {200: (10, 30), 320: (12, 40)}[edges]
+            system = to_affine(network_spec_with_edges(rng, markets, firms,
+                                                       edges))
+            q0 = rng.uniform(0.0, 0.2, edges)
+        n = system.dimension
+        assert (_affine_pays(system, method), _block_length(n) > 1) == {
+            3: (True, True), 200: (True, False), 320: (False, False)}[n]
+        size = max(1, STREAM_VALUES // (1 + n))
+        assert size == {3: 1024, 200: 20, 320: 12}[n]
+        buffers = []
+        assert integrate(system, q0, t_end, dt, method, thin,
+                         emit=lambda block: buffers.append(block.copy())) is None
+        want = integrate(system, q0, t_end, dt, method, thin).table
+        assert len(want) == rows
+        assert [len(block) for block in buffers] \
+            == [size] * (rows // size) + [rows % size]
+        assert np.array_equal(np.concatenate(buffers), want)
+
+
 class TestBlockEdges:
     """The affine route propagates m = min(256, 2^16 // n^2) states per
     stacked product. Runs ending just before, at and past a block edge,

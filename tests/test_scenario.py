@@ -344,6 +344,23 @@ class TestListsAtScale:
             counts.append(dict(calls))
         assert counts == [{"_int": 2}, {"_int": 2}]
 
+    def test_a_pair_list_holds_one_list_of_strings_at_a_time(self):
+        # 6·10^4 pairs of ends up to 4 digits: the peak is the list of their
+        # 1.2·10^5 end strings (about 136 bytes a pair with the result); the
+        # token list kept beside it would add about 64 bytes a pair.
+        import tracemalloc
+        n = 60_000
+        value = ", ".join(f"{k % 997 + 1}:{k % 1093 + 1}" for k in range(n))
+        scenario._pairs("1:2, 3:4", ":", 1, "edges")
+        tracemalloc.start()
+        try:
+            pairs = scenario._pairs(value, ":", 1, "edges")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs.shape == (n, 2) and pairs.dtype == np.intp
+        assert peak < 160 * n, peak / n
+
 
 class TestReadme:
     """README's "Scenario files" section states the format as ``scenario``
