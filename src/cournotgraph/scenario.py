@@ -55,7 +55,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -91,6 +91,11 @@ MAX_PLAYER_EDGES = 1_000_000
 # 0.11-0.14 s where they fit int64 (2-core host).
 PD_STEP_READS = 2_400
 MAX_PD_READS = 5_000_000_000
+# A number list is split into token strings a slice of about this many
+# characters at a time, so a long q0 holds one slice's tokens (some
+# 70 bytes each for a 21-character number) beside its array, not every
+# token at once.
+_SLICE_CHARS = 1 << 19
 
 
 class ScenarioError(ValueError):
@@ -180,19 +185,32 @@ def _int(token: str, line: int, key: str) -> int:
         raise ScenarioError(f"{key}: '{token}' is not an integer", line) from None
 
 
+def _slices(value: str):
+    """``value`` in pieces of about ``_SLICE_CHARS`` characters, each cut
+    at a comma, the commas between them dropped."""
+    lo = 0
+    while (hi := value.find(",", lo + _SLICE_CHARS)) >= 0:
+        yield value[lo:hi]
+        lo = hi + 1
+    yield value[lo:]
+
+
 def _floats(value: str, line: int, key: str, count: int | None = None,
             what: str = "") -> np.ndarray:
     """The numbers of ``value`` as a read-only array; exactly ``count`` of
     them if given (``what`` words that count in the error). One ``float``
-    reads every token; a list that fails or holds a number that is not
-    finite is read again by ``_float``, token by token, which names the
-    first bad one."""
-    tokens = value.split(",")
+    reads every token into one array, splitting the list a slice at a
+    time (``_slices``), so only one slice's token strings are held; a
+    list that fails or holds a number that is not finite is read again
+    by ``_float``, token by token, which names the first bad one."""
     values = None
     with contextlib.suppress(ValueError):
-        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        values = np.fromiter(chain.from_iterable(
+            map(float, piece.split(",")) for piece in _slices(value)),
+            np.float64, value.count(",") + 1)
     if values is None or not np.isfinite(values).all():
-        values = np.array([_float(t.strip(), line, key) for t in tokens])
+        values = np.array([_float(t.strip(), line, key)
+                           for t in value.split(",")])
     values.setflags(write=False)
     if count is not None and len(values) != count:
         raise ScenarioError(f"{key} must have {what or f'exactly {count} values'}"

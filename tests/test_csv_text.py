@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +86,37 @@ def test_every_power_of_two_and_of_ten():
     assert_rendered_as_repr(powers + [-x for x in powers])
 
 
+def repr_layout(x: float) -> tuple[int, int]:
+    """The decimal point's position and the count of significant digits
+    of ``repr(x)``: (3, 5) for 123.45, (-6, 2) for 1.5e-07."""
+    _, digits, exponent = Decimal(repr(float(x))).normalize().as_tuple()
+    return len(digits) + exponent, len(digits)
+
+
+def layout_classes() -> np.ndarray:
+    """A positive double for every layout ``repr`` has: 1 to 17
+    significant digits with the point at each positional place (-3 ..
+    16: 0.000d .. 16 digits before it), and with an exponent of two and
+    of three digits of either sign. Digits past 15 are found by stepping
+    up from the 15-digit value until ``repr`` has as many."""
+    points = [*range(-3, 17), 17, 100, 101, 309, -4, -98, -99, -306]
+    values = []
+    for point in points:
+        for count in range(1, 18):
+            x = float(f"0.{'12345678912345678'[:count]}e{point}")
+            for _ in range(100):
+                if repr_layout(x) == (point, count):
+                    break
+                x = np.nextafter(x, np.inf)
+            assert repr_layout(x) == (point, count), (point, count)
+            values.append(x)
+    return np.array(values)
+
+
 def test_neighbours_of_powers_of_ten_and_of_the_format_switches():
     centres = np.array([float(f"1e{e}") for e in range(-307, 309)]
                        + [1e-4, 1e16, 1e-4 * 0.5, 1e16 * 2])
-    values = [centres]
+    values = [centres, layout_classes()]
     for direction in (0.0, np.inf):
         x = centres
         for _ in range(3):
@@ -303,11 +331,12 @@ def test_renderer_working_set_per_value_of_capacity(kind):
     # 123 bytes a value on every block here (traced on numpy 2.4), is
     # in the Schubfach products: each value's power of ten (four words)
     # and some eleven more words of operands, partial products and
-    # results. The text comes later, beside its slots, keep bits and
-    # byte flags: at most 25 bytes a value (17 digits and a three-digit
-    # exponent, the longest text there is: the exponent block). Four
-    # more words a value held through the peak would cross the bound of
-    # 153 bytes a value.
+    # results. The text comes later, beside its slots and the copy
+    # ``translate`` makes of them (32 bytes a value each) before it
+    # shrinks to the text: at most 25 bytes a value (17 digits and a
+    # three-digit exponent, the longest text there is: the exponent
+    # block). Four more words a value held through the peak would cross
+    # the bound of 153 bytes a value.
     values, width, codes = _working_set_block(kind)
     labels = VERDICTS if codes is not None else ()
     render_block(values[:6], width, codes=None if codes is None

@@ -361,6 +361,42 @@ class TestListsAtScale:
         assert pairs.shape == (n, 2) and pairs.dtype == np.intp
         assert peak < 160 * n, peak / n
 
+    def test_a_number_list_holds_one_slice_of_strings_at_a_time(self):
+        # 10^5 numbers of about 21 characters: the peak is the array and
+        # one slice's token strings, about 33 bytes a value; holding every
+        # token string at once made it about 86.
+        import tracemalloc
+        n = 100_000
+        rng = np.random.default_rng(5)
+        value = ", ".join(map(repr, rng.uniform(0, 0.1, n).tolist()))
+        scenario._floats("1, 2", 1, "q0")
+        tracemalloc.start()
+        try:
+            values = scenario._floats(value, 1, "q0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.tolist() == [float(t) for t in value.split(",")]
+        assert peak < 48 * n, peak / n
+
+    @pytest.mark.parametrize("chars", [1, 2, 5])
+    def test_a_number_list_in_short_slices_reads_as_token_by_token(
+            self, monkeypatch, chars):
+        # Slices of a few characters cut these lists at nearly every
+        # comma: the values, and each error with its first bad token,
+        # are those of the per-token oracle.
+        from helpers import floats_by_token
+        monkeypatch.setattr(scenario, "_SLICE_CHARS", chars)
+        for value in ("0.5", "1, 2.5,3 , -4e3,0.125", "1,,2", "1, 2, abc, 4",
+                      "1, 2, 3, inf", "1,2,", "", ",", " 7 ,8e-1, 1e400"):
+            try:
+                want = floats_by_token(value, 4, "q0")
+            except ScenarioError as exc:
+                with pytest.raises(ScenarioError, match=re.escape(str(exc))):
+                    scenario._floats(value, 4, "q0")
+            else:
+                assert scenario._floats(value, 4, "q0").tolist() == list(want)
+
 
 class TestReadme:
     """README's "Scenario files" section states the format as ``scenario``
