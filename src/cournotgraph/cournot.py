@@ -50,20 +50,6 @@ def _supplies(spec: NetworkSpec, q):
     return (system, qv) + system.structure.supplies(qv)
 
 
-def firm_supply(spec: NetworkSpec, q, j: int) -> float:
-    """Total output s_j of firm j: sum of q over all of its edges."""
-    if not 1 <= j <= spec.firm_count:
-        raise ValueError(f"unknown firm index {j}")
-    return float(_supplies(spec, q)[2][j - 1])
-
-
-def market_supply(spec: NetworkSpec, q, i: int) -> float:
-    """Total supply c_i into market i: sum of q over all edges into it."""
-    if not 1 <= i <= spec.market_count:
-        raise ValueError(f"unknown market index {i}")
-    return float(_supplies(spec, q)[3][i - 1])
-
-
 def profit(spec: NetworkSpec, q, j: int) -> float:
     """Firm j's profit at flow state q."""
     if not 1 <= j <= spec.firm_count:

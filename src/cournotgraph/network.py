@@ -464,22 +464,6 @@ def variable_names(order) -> tuple[str, ...]:
                  for i, j in zip(*np.reshape(order, (-1, 2)).T.tolist()))
 
 
-def two_firms_two_markets(alpha1: float, alpha2: float,
-                          beta1: float, beta2: float,
-                          gamma1: float, gamma2: float) -> NetworkSpec:
-    """The smallest interesting network: firm 1 supplies both markets,
-    firm 2 supplies only market 2. Adjustment speeds default to 1."""
-    args = {"alpha1": alpha1, "alpha2": alpha2, "beta1": beta1,
-            "beta2": beta2, "gamma1": gamma1, "gamma2": gamma2}
-    bad = [name for name, v in args.items() if not (np.isfinite(v) and v > 0)]
-    if bad:
-        raise ValueError(f"arguments must be strictly positive: {', '.join(bad)}")
-    return NetworkSpec(market_count=2, firm_count=2,
-                       edges=((1, 1), (2, 1), (2, 2)),
-                       alpha=(alpha1, alpha2), beta=(beta1, beta2),
-                       gamma=(gamma1, gamma2))
-
-
 def to_affine(spec: NetworkSpec) -> AffineSystem:
     """Assemble the flow dynamics into dq/dt = c - A q.
 

@@ -100,11 +100,17 @@ def _coefficient_lines(heading: str, coeffs) -> list[str]:
 
 def _assignments(values, order, indent: str = "") -> str:
     """One ``name = value`` line per value, after ``indent``: named by
-    the edge ``order``, or q1 .. qn where the order is empty."""
-    names = (variable_names(order) if len(order)
-             else [f"q{k}" for k in range(1, len(values) + 1)])
-    return "".join(f"{indent}{name} = {fmt(v)}\n"
-                   for name, v in zip(names, values))
+    the edge ``order``, or q1 .. qn where the order is empty. The lines
+    are made ``_BLOCK_VALUES`` variables at a time, so one slice's names
+    and lines are held beside the finished slices' text."""
+    slices = []
+    for lo in range(0, len(values), _BLOCK_VALUES):
+        hi = min(lo + _BLOCK_VALUES, len(values))
+        names = (variable_names(order[lo:hi]) if len(order)
+                 else [f"q{k}" for k in range(lo + 1, hi + 1)])
+        slices.append("".join(f"{indent}{name} = {fmt(v)}\n"
+                              for name, v in zip(names, values[lo:hi])))
+    return "".join(slices)
 
 
 def render_stability_report(report: StabilityReport) -> str:

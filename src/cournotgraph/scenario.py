@@ -28,11 +28,10 @@ files are bit-exact to specify and trivial to parse anywhere.
 
 The format is declared once: ``_KEYS`` per section, and one ``_Form``
 per ``[pd]`` graph and init form (an ``edges`` list aside), which
-parsing, sizing, building and rendering all read.
+parsing, sizing and building all read.
 
 ``parse_scenario`` rejects unknown keys, duplicate keys and invariant
-violations with the offending line or field named;
-``render_scenario`` writes the normalized form back out. Number lists
+violations with the offending line or field named. Number lists
 and pair lists (a network's ``edges``, a ``[pd]`` ``edges`` graph) are
 read into arrays by one ``int`` or ``float`` over all of their tokens,
 so they accept exactly what those accept; only a list that fails is
@@ -60,7 +59,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .csvtext import fmt
 from .network import NetworkSpec, _equal_fields, canonical_edge_order, validate
 from .pdgame import (PayoffMatrix, PlayerGraph, PopulationState,
                      all_cooperate, all_defect, complete_graph, cycle_graph,
@@ -404,44 +402,3 @@ def _build_pd(entries) -> PDScenario:
     except ValueError as exc:
         raise ScenarioError(f"graph: {exc}", graph_line) from None
     return scenario
-
-
-def _fmt_list(values) -> str:
-    return ", ".join(map(fmt, values))
-
-
-def render_scenario(scenario: Scenario) -> str:
-    """Normalized text form, with a network's edges in canonical order.
-
-    For a valid scenario, parse(render(s)) describes the same system
-    and renders back to the same text. It equals s when a network's
-    edges are listed in canonical order, as parsing keeps them in the
-    order written; for other edge orders the two specs differ only in
-    that order."""
-    if isinstance(scenario, NetworkScenario):
-        spec = scenario.spec
-        edges = ", ".join(f"{i}:{j}" for i, j in canonical_edge_order(spec).tolist())
-        lines = ["[network]",
-                 f"markets = {spec.market_count}",
-                 f"firms = {spec.firm_count}",
-                 f"edges = {edges}",
-                 *(f"{key} = {_fmt_list(getattr(spec, key))}"
-                   for key in ("alpha", "beta", "gamma", "speed")),
-                 f"q0 = {_fmt_list(scenario.q0)}"]
-    elif isinstance(scenario, CanonicalScenario):
-        lines = ["[canonical]",
-                 f"r = {_fmt_list(scenario.r.as_tuple())}",
-                 f"q0 = {_fmt_list(scenario.q0)}"]
-    else:
-        graph = scenario.graph
-        if graph[0] == "edges":
-            graph = ("edges", ", ".join(f"{a}-{b}" for a, b in np.asarray(graph[1]).tolist()))
-        m = scenario.payoff
-        lines = ["[pd]",
-                 f"payoff = {_fmt_list((m.R, m.S, m.T, m.U))}",
-                 f"graph = {' '.join(map(str, graph))}",
-                 f"init = {' '.join(map(str, scenario.init))}",
-                 f"steps = {scenario.steps}"]
-        if scenario.side_payment is not None:
-            lines.append(f"side_payment = {fmt(scenario.side_payment)}")
-    return "\n".join(lines) + "\n"

@@ -463,12 +463,6 @@ def char_poly(sys: AffineSystem) -> tuple[float, ...]:
             p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v))
 
 
-def routh_hurwitz_cubic(a1: float, a2: float, a3: float) -> bool:
-    """All roots of lambda^3 + a1 lambda^2 + a2 lambda + a3 lie strictly
-    in the left half-plane iff a1 > 0, a3 > 0 and a1 a2 > a3."""
-    return all(holds for _, holds in _hurwitz_checks(a1, a2, a3))
-
-
 def eigen_margin(sys: AffineSystem) -> float:
     """Max real part over the eigenvalues of J = -A, the margin that
     decides ``analyze``'s verdict, by the route of the module docstring:
@@ -486,14 +480,6 @@ def eigen_margin(sys: AffineSystem) -> float:
     if not st.k_side:
         return float(-np.linalg.eigvalsh(st.dense_symmetric())[0])
     return -_lowest_eigenvalue(st)
-
-
-def canonical_field(r: CanonicalParams, q) -> tuple[float, float, float]:
-    """Direct evaluation of the rescaled system at q = (q11, q22, q21)."""
-    q11, q22, q21 = (float(v) for v in q)
-    return (1.0 - r.r1 * q11 - q21,
-            1.0 - r.r2 * q22 - q21,
-            1.0 - r.r3 * q21 - r.r4 * q11 - r.r5 * q22)
 
 
 def _canonical_system(r) -> tuple[np.ndarray, np.ndarray]:

@@ -17,13 +17,27 @@ from fractions import Fraction
 
 import numpy as np
 
-from cournotgraph import (CanonicalParams, NetworkSpec,
-                          NoUniqueEquilibriumError, analyze, canonical_affine)
+from cournotgraph import (CanonicalParams, CanonicalScenario, NetworkScenario,
+                          NetworkSpec, NoUniqueEquilibriumError, analyze,
+                          canonical_affine, canonical_edge_order)
+from cournotgraph.csvtext import fmt
 from cournotgraph.dynamics import _segments
 from cournotgraph.pdgame import C, D
 from cournotgraph.reports import Sweep
-from cournotgraph.scenario import ScenarioError
+from cournotgraph.scenario import Scenario, ScenarioError
 from cournotgraph.stability import VERDICTS
+
+
+def two_firms_two_markets(alpha1: float, alpha2: float,
+                          beta1: float, beta2: float,
+                          gamma1: float, gamma2: float) -> NetworkSpec:
+    """The smallest interesting network: firm 1 supplies both markets,
+    firm 2 supplies only market 2. Adjustment speeds default to 1. The
+    values are checked by ``validate`` alone."""
+    return NetworkSpec(market_count=2, firm_count=2,
+                       edges=((1, 1), (2, 1), (2, 2)),
+                       alpha=(alpha1, alpha2), beta=(beta1, beta2),
+                       gamma=(gamma1, gamma2))
 
 
 def random_network_spec(rng: np.random.Generator,
@@ -211,6 +225,14 @@ def random_canonical(rng: np.random.Generator,
     return CanonicalParams(r1, r2, r3,
                            float(rng.uniform(-1.0, 1.0)),
                            float(rng.uniform(-1.0, 1.0)))
+
+
+def canonical_field(r: CanonicalParams, q) -> tuple[float, float, float]:
+    """Direct evaluation of the rescaled system at q = (q11, q22, q21)."""
+    q11, q22, q21 = (float(v) for v in q)
+    return (1.0 - r.r1 * q11 - q21,
+            1.0 - r.r2 * q22 - q21,
+            1.0 - r.r3 * q21 - r.r4 * q11 - r.r5 * q22)
 
 
 def two_firm_rhs_literal(alpha1, alpha2, beta1, beta2, gamma1, gamma2,
@@ -427,3 +449,44 @@ def pairs_by_token(value: str, sep: str, line: int, key: str) -> tuple[tuple[int
         pairs.append((_int_by_token(left.strip(), line, key),
                       _int_by_token(right.strip(), line, key)))
     return tuple(pairs)
+
+
+def _fmt_list(values) -> str:
+    return ", ".join(map(fmt, values))
+
+
+def render_scenario(scenario: Scenario) -> str:
+    """Normalized text form, with a network's edges in canonical order.
+
+    For a valid scenario, parse(render(s)) describes the same system
+    and renders back to the same text. It equals s when a network's
+    edges are listed in canonical order, as parsing keeps them in the
+    order written; for other edge orders the two specs differ only in
+    that order."""
+    if isinstance(scenario, NetworkScenario):
+        spec = scenario.spec
+        edges = ", ".join(f"{i}:{j}" for i, j in canonical_edge_order(spec).tolist())
+        lines = ["[network]",
+                 f"markets = {spec.market_count}",
+                 f"firms = {spec.firm_count}",
+                 f"edges = {edges}",
+                 *(f"{key} = {_fmt_list(getattr(spec, key))}"
+                   for key in ("alpha", "beta", "gamma", "speed")),
+                 f"q0 = {_fmt_list(scenario.q0)}"]
+    elif isinstance(scenario, CanonicalScenario):
+        lines = ["[canonical]",
+                 f"r = {_fmt_list(scenario.r.as_tuple())}",
+                 f"q0 = {_fmt_list(scenario.q0)}"]
+    else:
+        graph = scenario.graph
+        if graph[0] == "edges":
+            graph = ("edges", ", ".join(f"{a}-{b}" for a, b in np.asarray(graph[1]).tolist()))
+        m = scenario.payoff
+        lines = ["[pd]",
+                 f"payoff = {_fmt_list((m.R, m.S, m.T, m.U))}",
+                 f"graph = {' '.join(map(str, graph))}",
+                 f"init = {' '.join(map(str, scenario.init))}",
+                 f"steps = {scenario.steps}"]
+        if scenario.side_payment is not None:
+            lines.append(f"side_payment = {fmt(scenario.side_payment)}")
+    return "\n".join(lines) + "\n"

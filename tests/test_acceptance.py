@@ -27,10 +27,11 @@ from cournotgraph import (CanonicalParams, Outcome, PayoffMatrix, Stability,
                           dominant_strategy, eigen_margin, equilibrium,
                           imitation_step, integrate, marginal_profit,
                           min_side_payment, payoffs, PopulationState,
-                          profit, random_population, routh_hurwitz_cubic,
-                          run_spatial, symmetric_conditions,
-                          symmetric_equilibrium, torus_graph)
+                          profit, random_population, run_spatial,
+                          symmetric_conditions, symmetric_equilibrium,
+                          torus_graph)
 from cournotgraph.pdgame import C, D
+from cournotgraph.stability import _hurwitz_checks
 from helpers import (central_difference, letters, random_canonical,
                      random_network_spec)
 
@@ -126,7 +127,7 @@ def test_criterion_03_unstable_case_detected_by_all_routes():
         coeffs = char_poly(system)
         margin = eigen_margin(system)
         report = analyze(system, UNSTABLE)
-        assert routh_hurwitz_cubic(*coeffs) is False
+        assert all(holds for _, holds in _hurwitz_checks(*coeffs)) is False
         assert margin > 0
         assert report.verdict is Stability.UNSTABLE
         a3 = closed_form_coeffs(UNSTABLE)[2]
@@ -154,7 +155,8 @@ def test_criterion_04_hurwitz_and_eigenvalues_agree():
             if abs(margin) <= 1e-6:
                 continue
             checked += 1
-            assert routh_hurwitz_cubic(*char_poly(system)) == (margin < 0.0)
+            checks = _hurwitz_checks(*char_poly(system))
+            assert all(holds for _, holds in checks) == (margin < 0.0)
         assert checked >= 990
         assert time.perf_counter() - start < 5.0
 

@@ -36,10 +36,11 @@ sys.path[:0] = [root + "/src", root + "/bench"]
 import tracing
 tracer = tracing.Tracer()
 main = tracing.install(tracer)
-from cournotgraph import cournot, two_firms_two_markets
+from cournotgraph import NetworkSpec, cournot
 codes = [main(["stability", "--scenario",
                root + "/scenarios/two_firm_network.scenario"])]
-spec = two_firms_two_markets(1.0, 1.0, 0.2, 0.3, 0.1, 0.4)
+spec = NetworkSpec(2, 2, ((1, 1), (2, 1), (2, 2)), (1.0, 1.0), (0.2, 0.3),
+                   (0.1, 0.4))
 field = cournot.vector_field(spec, [0.1, 0.3, 0.2]).tolist()
 print(json.dumps({"codes": codes, "field": field,
                   "metrics": tracer.metrics(0)}))

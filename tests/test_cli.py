@@ -848,11 +848,11 @@ class TestStreamedSimulate:
     def test_streamed_csv_is_the_csv_of_the_held_run(self, case, tmp_path,
                                                      capsys):
         from cournotgraph import (IntegrationBlowUp, NetworkScenario,
-                                  NetworkSpec, canonical_affine,
-                                  render_scenario, to_affine, variable_names)
+                                  NetworkSpec, canonical_affine, to_affine,
+                                  variable_names)
         from cournotgraph.dynamics import _affine_pays, _block_length
         from cournotgraph.reports import _BLOCK_VALUES
-        from helpers import network_spec_with_edges
+        from helpers import network_spec_with_edges, render_scenario
         name, method, t_end, dt, thin, rows = case
         if name.startswith("net"):
             edges = int(name[3:])
@@ -1028,8 +1028,8 @@ class TestOutputFiles:
 def _network_scenario(path, markets: int, firms: int, seed: int,
                       complete: bool = False):
     """Write a random [network] scenario; return its parsed form."""
-    from cournotgraph import NetworkScenario, NetworkSpec, render_scenario
-    from helpers import network_spec_of_shape
+    from cournotgraph import NetworkScenario, NetworkSpec
+    from helpers import network_spec_of_shape, render_scenario
     rng = np.random.default_rng(seed)
     spec = network_spec_of_shape(rng, markets, firms)
     if complete:
@@ -1077,8 +1077,8 @@ class TestNetworkRoutes:
 
     def test_networks_up_to_k_edges_keep_their_report_bytes(self, tmp_path,
                                                            capsys):
-        from cournotgraph import NetworkScenario, render_scenario
-        from helpers import matching_spec
+        from cournotgraph import NetworkScenario
+        from helpers import matching_spec, render_scenario
         assert run("stability", "--scenario", NETWORK) == 0
         assert capsys.readouterr().out == (
             "equilibrium:\n"
@@ -1165,8 +1165,9 @@ class TestNetworkRoutes:
         # n = 43 <= k = 80, with the limit between n^2 and k^2: S is
         # factored, not A, so speeds of 1e-7 and 1e7 leave the solve
         # exact (a dense LU of A would find cond(A) past 1e12).
-        from cournotgraph import NetworkScenario, network, render_scenario
-        from helpers import matching_spec, record_factored_sizes, to_affine_by_loop
+        from cournotgraph import NetworkScenario, network
+        from helpers import (matching_spec, record_factored_sizes,
+                             render_scenario, to_affine_by_loop)
         rng = np.random.default_rng(17)
         spec = matching_spec(rng, 40, speed=10.0 ** rng.choice([-7, 7], 40))
         path = tmp_path / "matching.scenario"
@@ -1221,9 +1222,9 @@ class TestNetworkRoutes:
         # 3249 edges whose poles b_e beta_e are all distinct and within
         # 2e-6 of each other: the bisection factors nothing larger than
         # the 114 firms and markets.
-        from cournotgraph import NetworkScenario, NetworkSpec, render_scenario
+        from cournotgraph import NetworkScenario, NetworkSpec
         from cournotgraph.network import EdgeIncidence
-        from helpers import record_factored_sizes
+        from helpers import record_factored_sizes, render_scenario
         w = 57
         spec = NetworkSpec(w, w, tuple((i, j) for i in range(1, w + 1)
                                        for j in range(1, w + 1)),

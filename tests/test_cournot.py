@@ -6,10 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from cournotgraph import (NetworkSpec, canonical_edge_order, firm_supply,
-                          marginal_profit, market_supply, profit,
-                          two_firms_two_markets, vector_field)
-from helpers import central_difference, random_network_spec
+from cournotgraph import (NetworkSpec, canonical_edge_order, marginal_profit,
+                          profit, to_affine, vector_field)
+from helpers import (central_difference, random_network_spec,
+                     two_firms_two_markets)
 
 
 def two_firm_spec():
@@ -24,31 +24,33 @@ class TestSupplies:
     # Flow order on the two-firm graph is (q11, q21, q22).
     def test_firm_supply(self):
         q = np.array([1.0, 2.0, 3.0])
-        assert firm_supply(two_firm_spec(), q, 1) == 3.0
-        assert firm_supply(two_firm_spec(), q, 2) == 3.0
+        s, _ = to_affine(two_firm_spec()).structure.supplies(q)
+        assert s[0] == 3.0
+        assert s[1] == 3.0
 
     def test_market_supply(self):
         q = np.array([1.0, 2.0, 3.0])
-        assert market_supply(two_firm_spec(), q, 2) == 5.0
-        assert market_supply(two_firm_spec(), q, 1) == 1.0
+        _, c = to_affine(two_firm_spec()).structure.supplies(q)
+        assert c[1] == 5.0
+        assert c[0] == 1.0
 
     def test_zero_state(self):
         q = np.zeros(3)
-        assert firm_supply(two_firm_spec(), q, 1) == 0.0
-        assert market_supply(two_firm_spec(), q, 2) == 0.0
+        s, c = to_affine(two_firm_spec()).structure.supplies(q)
+        assert s[0] == 0.0
+        assert c[1] == 0.0
 
     def test_unknown_indices_rejected(self):
         q = np.zeros(3)
-        with pytest.raises(ValueError, match="unknown firm index 3"):
-            firm_supply(two_firm_spec(), q, 3)
-        with pytest.raises(ValueError, match="unknown market index 0"):
-            market_supply(two_firm_spec(), q, 0)
+        # One supply per firm and per market: there is no firm 3.
+        s, c = to_affine(two_firm_spec()).structure.supplies(q)
+        assert (len(s), len(c)) == (2, 2)
         with pytest.raises(ValueError, match="unknown firm index 3"):
             profit(two_firm_spec(), q, 3)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length 3"):
-            firm_supply(two_firm_spec(), np.zeros(2), 1)
+            profit(two_firm_spec(), np.zeros(2), 1)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -169,8 +171,7 @@ class TestInvalidSpecs:
     ])
     def test_every_function_refuses_the_spec(self, edges, q, problem):
         spec = NetworkSpec(1, 1, edges, alpha=(1.0,), beta=(0.5,), gamma=(1.0,))
-        calls = (lambda: firm_supply(spec, q, 1),
-                 lambda: market_supply(spec, q, 1),
+        calls = (lambda: to_affine(spec).structure.supplies(q),
                  lambda: profit(spec, q, 1),
                  lambda: marginal_profit(spec, q, 1, 1),
                  lambda: vector_field(spec, q))

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from cournotgraph import (AffineSystem, NetworkSpec, canonical_edge_order,
-                          to_affine, two_firms_two_markets, validate,
-                          variable_names, vector_field)
+                          to_affine, validate, variable_names, vector_field)
 from helpers import (as_pairs, incidence_by_loop, network_spec_of_shape,
                      network_spec_with_edges, random_network_spec,
                      sum_in_edge_order, to_affine_by_loop,
-                     two_firm_rhs_literal)
+                     two_firm_rhs_literal, two_firms_two_markets)
 
 
 def two_firm_spec():
@@ -167,8 +166,8 @@ class TestTwoFirmsTwoMarkets:
         assert to_affine(two_firm_spec()).dimension == 3
 
     def test_rejects_nonpositive_argument(self):
-        with pytest.raises(ValueError, match="beta1"):
-            two_firms_two_markets(1, 1, 0.0, 0.3, 0.1, 0.4)
+        spec = two_firms_two_markets(1, 1, 0.0, 0.3, 0.1, 0.4)
+        assert validate(spec) == ["beta[1] must be strictly positive, got 0.0"]
 
     def test_unit_parameters_match_literal_rhs(self):
         spec = two_firms_two_markets(1, 1, 1, 1, 1, 1)

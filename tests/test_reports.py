@@ -61,6 +61,24 @@ class TestAssignments:
             assert text.startswith("equilibrium:\n" + assignments_by_repr(
                 values, order, "  ") + heading)
 
+    def test_lines_are_made_a_slice_at_a_time(self):
+        # 10^5 variables span many slices of _BLOCK_VALUES: the text is the
+        # oracle's, with an order and without, and making it holds at most
+        # 100 bytes a variable (about 60, of which the text is about 30).
+        import tracemalloc
+        n = 10 ** 5
+        rng = np.random.default_rng(41)
+        values = _values(rng, n)
+        for order in (_order(rng, n, 1100), np.empty((0, 2), int)):
+            tracemalloc.start()
+            try:
+                text = render_equilibrium(values, order)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 100 * n
+            assert text == assignments_by_repr(values, order)
+
     def test_variable_names_match_the_per_edge_names(self):
         rng = np.random.default_rng(7)
         for top in (3, 9, 10, 40, 1100):

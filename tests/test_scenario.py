@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from cournotgraph import (CanonicalScenario, NetworkScenario, PDScenario,
-                          ScenarioError, parse_scenario, render_scenario,
-                          scenario)
+                          ScenarioError, parse_scenario, scenario)
 from cournotgraph.pdgame import (PayoffMatrix, all_cooperate, all_defect,
                                  complete_graph, cycle_graph, player_graph, random_population,
                                  single_defector, torus_graph)
-from helpers import as_pairs, letters, pairs
+from helpers import as_pairs, letters, pairs, render_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -316,6 +315,10 @@ class TestRoundTrip:
         rendered = render_scenario(scenario)
         assert parse_scenario(rendered) == scenario
         assert render_scenario(parse_scenario(rendered)) == rendered
+        # A value of another type is unequal, and comparing raises nothing.
+        assert scenario != rendered and not scenario == rendered
+        if isinstance(scenario, NetworkScenario):
+            assert scenario.spec != scenario and scenario != scenario.spec
 
 
 class TestListsAtScale:

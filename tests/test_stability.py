@@ -7,17 +7,16 @@ import pytest
 
 from cournotgraph import (AffineSystem, CanonicalParams,
                           NoUniqueEquilibriumError, Stability, analyze,
-                          canonical_affine, canonical_field, char_poly,
-                          closed_form_coeffs, eigen_margin, equilibrium,
-                          routh_hurwitz_cubic, symmetric_conditions,
-                          symmetric_equilibrium, to_affine,
-                          two_firms_two_markets)
-from cournotgraph.stability import (MARGIN_EPS, VERDICTS, verdict_codes,
-                                    verdict_of)
-from helpers import (as_pairs, charpoly_by_determinant, matching_spec,
-                     network_spec_of_shape, network_spec_with_edges,
-                     random_canonical, random_network_spec,
-                     record_factored_sizes, to_affine_by_loop)
+                          canonical_affine, char_poly, closed_form_coeffs,
+                          eigen_margin, equilibrium, symmetric_conditions,
+                          symmetric_equilibrium, to_affine)
+from cournotgraph.stability import (MARGIN_EPS, VERDICTS, _hurwitz_checks,
+                                    verdict_codes, verdict_of)
+from helpers import (as_pairs, canonical_field, charpoly_by_determinant,
+                     matching_spec, network_spec_of_shape,
+                     network_spec_with_edges, random_canonical,
+                     random_network_spec, record_factored_sizes,
+                     to_affine_by_loop, two_firms_two_markets)
 
 STABLE = CanonicalParams(0.2, 0.5, 1.5, -0.3, 0.4)
 UNSTABLE = CanonicalParams(0.01, 0.1, 1.1, -0.3, 0.4)
@@ -172,14 +171,14 @@ class TestCharPoly:
 
 class TestRouthHurwitz:
     def test_triple_root_minus_one(self):
-        assert routh_hurwitz_cubic(3.0, 3.0, 1.0) is True
+        assert all(holds for _, holds in _hurwitz_checks(3.0, 3.0, 1.0)) is True
 
     def test_unstable_reference(self):
         # a1 a2 = 0.02662 < a3 = 0.0271
-        assert routh_hurwitz_cubic(1.21, 0.022, 0.0271) is False
+        assert all(holds for _, holds in _hurwitz_checks(1.21, 0.022, 0.0271)) is False
 
     def test_stable_reference(self):
-        assert routh_hurwitz_cubic(2.2, 1.05, 0.22) is True
+        assert all(holds for _, holds in _hurwitz_checks(2.2, 1.05, 0.22)) is True
 
 
 class TestEigenMargin:
@@ -205,7 +204,8 @@ class TestEigenMargin:
             if abs(margin) <= 1e-6:
                 continue
             checked += 1
-            assert routh_hurwitz_cubic(*char_poly(sys)) == (margin < 0)
+            checks = _hurwitz_checks(*char_poly(sys))
+            assert all(holds for _, holds in checks) == (margin < 0)
         assert checked > 900
 
 
@@ -340,14 +340,14 @@ class TestAnalyze:
     def test_unstable_reference(self):
         report = analyze(canonical_affine(UNSTABLE), UNSTABLE)
         assert report.verdict is Stability.UNSTABLE
-        assert routh_hurwitz_cubic(*report.char_coeffs) is False
+        assert all(holds for _, holds in _hurwitz_checks(*report.char_coeffs)) is False
         assert report.eigen_margin > 0
         assert report.closed_form[2] == pytest.approx(-0.0359, rel=1e-10)
 
     def test_stable_reference(self):
         report = analyze(canonical_affine(STABLE), STABLE)
         assert report.verdict is Stability.STABLE
-        assert routh_hurwitz_cubic(*report.char_coeffs) is True
+        assert all(holds for _, holds in _hurwitz_checks(*report.char_coeffs)) is True
         assert np.allclose(report.equilibrium, STABLE_EQUILIBRIUM, atol=1e-5)
 
     def test_identity_is_stable(self):
@@ -385,7 +385,8 @@ class TestAnalyze:
                 continue
             if abs(report.eigen_margin) <= 1e-6:
                 continue
-            assert routh_hurwitz_cubic(*report.char_coeffs) == \
+            checks = _hurwitz_checks(*report.char_coeffs)
+            assert all(holds for _, holds in checks) == \
                 (report.verdict is Stability.STABLE)
 
     def test_network_system_of_other_dimension(self):
