@@ -23,7 +23,7 @@ import numpy as np
 
 from . import stability
 from .dynamics import IntegrationBlowUp, integrate, step_count
-from .network import to_affine, variable_names
+from .network import to_affine
 from .reports import (SWEEP_PARAMS, pd_series_csv, render_equilibrium,
                       render_side_payment, render_stability_report, sweep,
                       sweep_csv, write_trajectory)
@@ -88,14 +88,12 @@ def _dynamical(scenario, command: str):
 def cmd_simulate(args) -> int:
     scenario = _load(args.scenario)
     system, q0, _ = _dynamical(scenario, "simulate")
-    header = variable_names(system.variable_order)
+    # Each buffer of kept rows is written as integrate hands it on, the
+    # first after the header that the system's order names.
+    orders = iter([system.variable_order])
 
     def emit(rows):
-        # Each buffer of kept rows is written as integrate hands it on,
-        # the first after the header.
-        nonlocal header
-        write_trajectory(rows, header, out)
-        header = None
+        write_trajectory(rows, next(orders, None), out)
 
     try:
         with _output(args.out) as out:
@@ -251,7 +249,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

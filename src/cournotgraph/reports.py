@@ -7,11 +7,12 @@ timestamps, so identical runs produce byte-identical files.
 Report lines format their few numbers one ``repr`` at a time
 (``csvtext.fmt``). A system's variables are written as ``name = value``
 lines by one writer, ``_assignments``, which ``render_equilibrium`` and
-the ``equilibrium:`` block of a stability report share; it names them
-by their edge order, or q1 .. qn for a system without one. The CSV
-writers write ASCII bytes to a file open for binary writing. CSV rows
-of floats -- trajectories, and sweeps with their verdict label column
--- are rendered by :func:`cournotgraph.csvtext.render_block` without
+the ``equilibrium:`` block of a stability report share. One helper,
+``_names``, names them for it and for a trajectory CSV's header, a
+slice at a time, by their edge order, or q1 .. qn for a system without
+one. The CSV writers write ASCII bytes to a file open for binary
+writing. CSV rows of floats -- trajectories, and sweeps with their
+verdict label column -- are rendered by :func:`cournotgraph.csvtext.render_block` without
 ``repr``, in flat blocks of ``dynamics.STREAM_VALUES`` values that may
 begin and end mid-row, each written to the output file as it is made;
 a trajectory's blocks are slices of the rows it is given (a
@@ -44,21 +45,26 @@ _SWEEP_CHUNK = 1 << 16        # grid points per canonical_margins call
 _SERIES_ROWS = 8192           # rows per block of a PD series
 
 
-def write_trajectory(table, names, out) -> None:
+def write_trajectory(table, order, out) -> None:
     """Write the CSV rows of ``table`` -- rows (t, q1, ..., qn), the
     ``table`` of a Trajectory or a block of them that ``integrate`` hands
     on as it marches -- to the binary file ``out``, after the header
-    ``t,<name1>,...`` unless ``names`` is None (a block that continues a
-    CSV). Thinning is ``integrate``'s.
+    ``t,<name1>,...`` unless ``order`` is None (a block that continues
+    a CSV). ``_names`` names the variables by their (n, 2) edge
+    ``order``, or q1 .. qn where it is empty. Thinning is
+    ``integrate``'s.
 
-    The rows, read flat, are rendered and written in blocks of
-    ``_BLOCK_VALUES`` values, slices of the rows themselves, rows of any
-    width filling whole blocks, so only one block's text is held.
+    The header is written a slice of names at a time. The rows, read
+    flat, are rendered and written in blocks of ``_BLOCK_VALUES``
+    values, slices of the rows themselves, rows of any width filling
+    whole blocks, so only one block's text is held.
     """
     width = table.shape[1]
     flat = table.reshape(-1)
-    if names is not None:
-        out.write(("t," + ",".join(names) + "\n").encode("ascii"))
+    if order is not None:
+        for lo, names in _names(order, width - 1):
+            out.write((("," if lo else "t,") + ",".join(names)).encode("ascii"))
+        out.write(b"\n")
     for lo in range(0, flat.size, _BLOCK_VALUES):
         out.write(render_block(flat[lo:lo + _BLOCK_VALUES], width,
                                lo % width))
@@ -98,19 +104,23 @@ def _coefficient_lines(heading: str, coeffs) -> list[str]:
         for label, holds in _hurwitz_checks(*coeffs))]
 
 
+def _names(order, count: int):
+    """(first index, names) of ``count`` variables, ``_BLOCK_VALUES``
+    at a time: named by the (n, 2) edge ``order``, or q1 .. qn where the
+    order is empty. The one naming route of the CSV header and the
+    ``name = value`` lines, so one slice's names are held at a time."""
+    for lo in range(0, count, _BLOCK_VALUES):
+        yield lo, (variable_names(order[lo:lo + _BLOCK_VALUES]) if len(order) else
+                   [f"q{k + 1}" for k in range(lo, min(lo + _BLOCK_VALUES, count))])
+
+
 def _assignments(values, order, indent: str = "") -> str:
-    """One ``name = value`` line per value, after ``indent``: named by
-    the edge ``order``, or q1 .. qn where the order is empty. The lines
-    are made ``_BLOCK_VALUES`` variables at a time, so one slice's names
-    and lines are held beside the finished slices' text."""
-    slices = []
-    for lo in range(0, len(values), _BLOCK_VALUES):
-        hi = min(lo + _BLOCK_VALUES, len(values))
-        names = (variable_names(order[lo:hi]) if len(order)
-                 else [f"q{k}" for k in range(lo + 1, hi + 1)])
-        slices.append("".join(f"{indent}{name} = {fmt(v)}\n"
-                              for name, v in zip(names, values[lo:hi])))
-    return "".join(slices)
+    """One ``name = value`` line per value, after ``indent``, named by
+    ``_names``. The lines are made a slice of names at a time, so one
+    slice's names and lines are held beside the finished slices' text."""
+    return "".join("".join(f"{indent}{name} = {fmt(v)}\n"
+                           for name, v in zip(names, values[lo:]))
+                   for lo, names in _names(order, len(values)))
 
 
 def render_stability_report(report: StabilityReport) -> str:

@@ -33,9 +33,11 @@ parsing, sizing and building all read.
 ``parse_scenario`` rejects unknown keys, duplicate keys and invariant
 violations with the offending line or field named. Number lists
 and pair lists (a network's ``edges``, a ``[pd]`` ``edges`` graph) are
-read into arrays by one ``int`` or ``float`` over all of their tokens,
-so they accept exactly what those accept; only a list that fails is
-read again token by token, to name its first bad token. Network and
+read into arrays by one reader, ``_numbers``: one ``int`` or ``float``
+over all of their tokens, so they accept exactly what those accept,
+split a slice of about ``_SLICE_CHARS`` characters at a time, so only
+one slice's token strings are held beside the array. Only a list that
+fails is read again token by token, to name its first bad token. Network and
 ``[pd]`` scenarios compare by value. A ``[network]`` spec is checked
 once: the problem list and the canonical edge order that q0 is counted
 against stay on the spec, and the commands' ``to_affine`` reads them
@@ -89,10 +91,10 @@ MAX_PLAYER_EDGES = 1_000_000
 # 0.11-0.14 s where they fit int64 (2-core host).
 PD_STEP_READS = 2_400
 MAX_PD_READS = 5_000_000_000
-# A number list is split into token strings a slice of about this many
-# characters at a time, so a long q0 holds one slice's tokens (some
-# 70 bytes each for a 21-character number) beside its array, not every
-# token at once.
+# A number or pair list is split into token strings a slice of about
+# this many characters at a time, so a long q0 or edges list holds one
+# slice's tokens (some 70 bytes each for a 21-character number) beside
+# its array, not every token at once.
 _SLICE_CHARS = 1 << 19
 
 
@@ -193,19 +195,25 @@ def _slices(value: str):
     yield value[lo:]
 
 
+def _numbers(pieces, read: Callable, dtype, count: int) -> np.ndarray | None:
+    """The ``count`` numbers of the comma lists ``pieces`` (``_slices``
+    of a list, so only one slice's token strings are held), read by
+    ``read`` into one ``dtype`` array that owns its data; None if a
+    token or a piece fails, or a number does not fit ``dtype``."""
+    with contextlib.suppress(ValueError, OverflowError):
+        return np.fromiter(chain.from_iterable(
+            map(read, piece.split(",")) for piece in pieces), dtype, count)
+    return None
+
+
 def _floats(value: str, line: int, key: str, count: int | None = None,
             what: str = "") -> np.ndarray:
     """The numbers of ``value`` as a read-only array; exactly ``count`` of
-    them if given (``what`` words that count in the error). One ``float``
-    reads every token into one array, splitting the list a slice at a
-    time (``_slices``), so only one slice's token strings are held; a
-    list that fails or holds a number that is not finite is read again
-    by ``_float``, token by token, which names the first bad one."""
-    values = None
-    with contextlib.suppress(ValueError):
-        values = np.fromiter(chain.from_iterable(
-            map(float, piece.split(",")) for piece in _slices(value)),
-            np.float64, value.count(",") + 1)
+    them if given (``what`` words that count in the error). ``_numbers``
+    reads them with ``float``; a list that fails or holds a number that
+    is not finite is read again by ``_float``, token by token, which
+    names the first bad one."""
+    values = _numbers(_slices(value), float, np.float64, value.count(",") + 1)
     if values is None or not np.isfinite(values).all():
         values = np.array([_float(t.strip(), line, key)
                            for t in value.split(",")])
@@ -231,24 +239,28 @@ def _pair(token: str, sep: str, line: int, key: str) -> tuple[int, int]:
     return _int(left.strip(), line, key), _int(right.strip(), line, key)
 
 
+def _ends(piece: str, sep: str) -> str:
+    """The comma list of the ends of ``piece``'s '<a><sep><b>' tokens;
+    ValueError if a token holds no ``sep``, or two."""
+    if set(map(str.count, piece.split(","), repeat(sep))) != {1}:
+        raise ValueError(f"not one '{sep}' a token")
+    return piece.replace(sep, ",")
+
+
 def _pairs(value: str, sep: str, line: int, key: str) -> np.ndarray:
     """The '<a><sep><b>' pairs of ``value`` as a read-only (n, 2) array.
-    Where every token holds one ``sep`` (as many as tokens, none
-    missing), one ``int`` reads every end into intp; otherwise, or if
-    that fails, ``_pair`` reads the list again token by token, which
-    names the first bad token, into an object array of ints, so an end
-    past intp keeps its value. One list of strings is held at a time:
-    the tokens are split for the check and dropped before the ends are."""
-    pairs = None
-    if (value.count(sep) == value.count(",") + 1
-            and all(map(str.__contains__, value.split(","), repeat(sep)))):
-        ends = value.replace(sep, ",").split(",")
-        with contextlib.suppress(ValueError, OverflowError):
-            pairs = np.fromiter(map(int, ends), np.intp, len(ends)).reshape(-1, 2)
-        del ends
+    ``_numbers`` reads every end of its ``_slices``, split by ``_ends``,
+    with ``int`` into intp; a list that fails is read again by
+    ``_pair``, token by token, which names the first bad token, into an
+    object array of ints, so an end past intp keeps its value. The
+    array's shape is set in place, so it still owns its data."""
+    pairs = _numbers(map(_ends, _slices(value), repeat(sep)), int, np.intp,
+                     2 * value.count(",") + 2)
     if pairs is None:
         pairs = np.array([_pair(t, sep, line, key) for t in value.split(",")],
                          dtype=object)
+    else:
+        pairs.shape = (-1, 2)
     pairs.setflags(write=False)
     return pairs
 

@@ -283,7 +283,10 @@ def _definite_below(st: EdgeIncidence, order: np.ndarray,
     v = np.zeros((st.size, m))  # V_near^T
     root = np.sqrt(st.speed[near])
     v[st.firm[near], np.arange(m)] = v[st.column[near], np.arange(m)] = root
-    y = np.linalg.solve(st.capacitance(weight), v)  # K_far^-1 V_near^T
+    # A beta_i below 1 / float max makes K_far's 1 / beta_i inf, whose
+    # row of K_far^-1 V_near^T is then 0, as it is to rounding.
+    with np.errstate(over="ignore"):
+        y = np.linalg.solve(st.capacitance(weight), v)  # K_far^-1 V_near^T
     t = root[:, None] * st.spread(y, near)          # V_near K_far^-1 V_near^T
     t.flat[::m + 1] += poles[:m] - lam
     try:

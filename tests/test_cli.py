@@ -34,10 +34,12 @@ def run(*argv) -> int:
 
 
 def csv_of(trajectory, names) -> str:
-    """What ``write_trajectory`` writes for ``trajectory``'s table."""
+    """The CSV of ``trajectory``: the header ``t,<names>`` joined whole,
+    then what ``write_trajectory`` writes for its table as a block that
+    continues a CSV."""
     out = io.BytesIO()
-    write_trajectory(trajectory.table, names, out)
-    return out.getvalue().decode("ascii")
+    write_trajectory(trajectory.table, None, out)
+    return "t," + ",".join(names) + "\n" + out.getvalue().decode("ascii")
 
 
 class TestParser:
@@ -73,7 +75,7 @@ class TestParser:
 class TestWriters:
     def test_trajectory_rows_and_thinning(self):
         traj = Trajectory(np.array([[0.0, 1.0], [0.1, 2.0], [0.2, 3.0]]))
-        text = csv_of(traj, ("q11",))
+        text = written(write_trajectory, traj.table, ((1, 1),))
         assert text.splitlines() == ["t,q11", "0.0,1.0", "0.1,2.0", "0.2,3.0"]
         # Thinning is integrate's; the writer writes every state it keeps.
         grow = lambda q: np.ones(1)
@@ -209,8 +211,9 @@ class TestWriters:
         traj = Trajectory(np.column_stack((np.arange(rows) * 0.01, states)))
         index = sorted(set(range(0, rows, thin)) | {rows - 1})
         kept = Trajectory(traj.table[index])
-        names = tuple(f"q{k}" for k in range(width))
-        assert csv_of(kept, names) == trajectory_csv_by_value(traj, names, thin)
+        names = tuple(f"q{k}" for k in range(1, width + 1))
+        assert (written(write_trajectory, kept.table, ())
+                == trajectory_csv_by_value(traj, names, thin))
 
     def test_trajectory_csv_peak_memory_below_per_value_rendering(self,
                                                                   tmp_path):
@@ -218,11 +221,11 @@ class TestWriters:
         rng = np.random.default_rng(5)
         traj = Trajectory(np.column_stack((np.arange(20001) * 0.01,
                                            rng.standard_normal((20001, 3)))))
-        names = ("q11", "q22", "q21")
+        names, order = ("q11", "q22", "q21"), ((1, 1), (2, 2), (2, 1))
         peaks = []
         with (tmp_path / "t.csv").open("wb") as out:
             for render in (lambda: trajectory_csv_by_value(traj, names, 1),
-                           lambda: write_trajectory(traj.table, names, out)):
+                           lambda: write_trajectory(traj.table, order, out)):
                 tracemalloc.start()
                 try:
                     render()

@@ -182,8 +182,8 @@ def test_trajectory_rows_around_a_block_match_per_value_rendering(variables):
             continue
         states = rng.uniform(-2.0, 2.0, (count, variables))
         traj = Trajectory(np.column_stack((np.arange(count) * 0.01, states)))
-        names = tuple(f"q{k}" for k in range(variables))
-        assert (written(write_trajectory, traj.table, names)
+        names = tuple(f"q{k}" for k in range(1, variables + 1))
+        assert (written(write_trajectory, traj.table, ())
                 == trajectory_csv_by_value(traj, names))
 
 
@@ -202,8 +202,8 @@ def test_odd_values_at_block_edges_and_row_ends(variables):
     for k, i in enumerate(edges + ends):
         flat[i] = ODD_VALUES[k % len(ODD_VALUES)]
     traj = Trajectory(table)
-    names = tuple(f"q{k}" for k in range(variables))
-    assert (written(write_trajectory, traj.table, names)
+    names = tuple(f"q{k}" for k in range(1, variables + 1))
+    assert (written(write_trajectory, traj.table, ())
             == trajectory_csv_by_value(traj, names))
 
 

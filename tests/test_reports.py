@@ -1,13 +1,19 @@
-"""The ``name = value`` lines of a system's variables. ``render_equilibrium``
-and the ``equilibrium:`` block of a stability report share one writer;
-both are checked against a per-value ``repr`` oracle."""
+"""The names of a system's variables: its ``name = value`` lines and its
+trajectory CSV's header. ``render_equilibrium`` and the ``equilibrium:``
+block of a stability report share one writer, which shares its naming
+route with ``write_trajectory``'s header; each is checked against a
+per-value ``repr`` or per-edge oracle."""
 
 from __future__ import annotations
+
+import io
+from types import SimpleNamespace
 
 import numpy as np
 
 from cournotgraph import AffineSystem, analyze, variable_names
-from cournotgraph.reports import render_equilibrium, render_stability_report
+from cournotgraph.reports import (_BLOCK_VALUES, render_equilibrium,
+                                  render_stability_report, write_trajectory)
 from cournotgraph.stability import Stability, StabilityReport
 from helpers import assignments_by_repr, names_by_edge
 
@@ -78,6 +84,31 @@ class TestAssignments:
                 tracemalloc.stop()
             assert peak <= 100 * n
             assert text == assignments_by_repr(values, order)
+
+    def test_csv_header_is_named_a_slice_at_a_time(self):
+        # Four slices of _BLOCK_VALUES names and a bit: the header is the
+        # full join, with an order and without, and writing it holds at
+        # most 64 bytes a name (about 49, and 31 for q1 .. qn); building
+        # the tuple of every name first held about 132 and 75.
+        import tracemalloc
+        n = 4 * _BLOCK_VALUES + 7
+        rng = np.random.default_rng(42)
+        for order in (_order(rng, n, 1100), np.empty((0, 2), int)):
+            names = (names_by_edge(order) if len(order)
+                     else tuple(f"q{k}" for k in range(1, n + 1)))
+            written = []
+            sink = SimpleNamespace(write=lambda data: written.append(len(data)))
+            tracemalloc.start()
+            try:
+                write_trajectory(np.empty((0, n + 1)), order, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out = io.BytesIO()
+            write_trajectory(np.empty((0, n + 1)), order, out)
+            assert out.getvalue() == ("t," + ",".join(names) + "\n").encode("ascii")
+            assert sum(written) == len(out.getvalue())
+            assert peak <= 64 * n, peak / n
 
     def test_variable_names_match_the_per_edge_names(self):
         rng = np.random.default_rng(7)

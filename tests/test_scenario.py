@@ -348,9 +348,10 @@ class TestListsAtScale:
         assert counts == [{"_int": 2}, {"_int": 2}]
 
     def test_a_pair_list_holds_one_list_of_strings_at_a_time(self):
-        # 6·10^4 pairs of ends up to 4 digits: the peak is the list of their
-        # 1.2·10^5 end strings (about 136 bytes a pair with the result); the
-        # token list kept beside it would add about 64 bytes a pair.
+        # 6·10^4 pairs of ends up to 4 digits, just over one slice of
+        # _SLICE_CHARS: the peak is that slice's list of 1.2·10^5 end
+        # strings with its text and the result (about 153 bytes a pair);
+        # the slice's token list kept beside them would add about 64.
         import tracemalloc
         n = 60_000
         value = ", ".join(f"{k % 997 + 1}:{k % 1093 + 1}" for k in range(n))
@@ -363,6 +364,39 @@ class TestListsAtScale:
             tracemalloc.stop()
         assert pairs.shape == (n, 2) and pairs.dtype == np.intp
         assert peak < 160 * n, peak / n
+
+    def test_a_pair_list_holds_one_slice_of_strings_at_a_time(self):
+        # 2.5·10^5 pairs span four slices and a bit: the peak is the array
+        # and one slice's strings, about 49 bytes a pair; holding every
+        # end string at once made it about 137.
+        import tracemalloc
+        n = 250_000
+        value = ", ".join(f"{k % 997 + 1}:{k % 1093 + 1}" for k in range(n))
+        assert value.count(",", 0, 4 * scenario._SLICE_CHARS) < n - 1
+        scenario._pairs("1:2, 3:4", ":", 1, "edges")
+        tracemalloc.start()
+        try:
+            pairs = scenario._pairs(value, ":", 1, "edges")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert as_pairs(pairs) == tuple((k % 997 + 1, k % 1093 + 1)
+                                        for k in range(n))
+        assert peak < 64 * n, peak / n
+
+    def test_parsed_edges_are_the_specs_own(self, monkeypatch):
+        # The reader hands its (n, 2) array over, and the spec holds it
+        # uncopied, by network._frozen's rule.
+        read, pairs = [], scenario._pairs
+
+        def recorded(*args):
+            read.append(pairs(*args))
+            return read[-1]
+        monkeypatch.setattr(scenario, "_pairs", recorded)
+        edges = parse_scenario(NETWORK_TEXT).spec.edges
+        assert read and edges is read[0]
+        assert edges.flags.owndata and not edges.flags.writeable
+        assert edges.dtype == np.intp and as_pairs(edges) == ((1, 1), (2, 1), (2, 2))
 
     def test_a_number_list_holds_one_slice_of_strings_at_a_time(self):
         # 10^5 numbers of about 21 characters: the peak is the array and
@@ -400,6 +434,33 @@ class TestListsAtScale:
             else:
                 assert scenario._floats(value, 4, "q0").tolist() == list(want)
 
+
+    @pytest.mark.parametrize("chars", [1, 2, 5, 64])
+    def test_a_pair_list_in_short_slices_reads_as_token_by_token(
+            self, monkeypatch, chars):
+        # A token with no separator, one with two, an end past intp and
+        # others that only the token reader refuses, each past the first
+        # slice of a list of 40 pairs: the pairs, and each error with its
+        # first bad token, are those of the per-token oracle.
+        from helpers import pairs_by_token
+        monkeypatch.setattr(scenario, "_SLICE_CHARS", chars)
+        head = ", ".join(f"{k}:{k % 7 + 1}" for k in range(1, 41))
+        for sep in (":", "-"):
+            good = head.replace(":", sep)
+            for value in (good, f"{good}, 7", f"{good}, 1{sep}2{sep}3",
+                          f"{good}, 1{sep}{2 ** 70}", f"{good}, 1{sep}x",
+                          f"{good},, 1{sep}2", f"{good},", f" 3 {sep} 4 ,{good}",
+                          f"{good}, 1{sep}2 3", f"9{sep}9", "", ","):
+                try:
+                    want = pairs_by_token(value, sep, 4, "edges")
+                except ScenarioError as exc:
+                    with pytest.raises(ScenarioError, match=re.escape(str(exc))):
+                        scenario._pairs(value, sep, 4, "edges")
+                else:
+                    got = scenario._pairs(value, sep, 4, "edges")
+                    assert as_pairs(got) == want
+                    assert got.dtype == (object if str(2 ** 70) in value
+                                         else np.intp)
 
 class TestReadme:
     """README's "Scenario files" section states the format as ``scenario``

@@ -557,6 +557,42 @@ class TestNetworkRoute:
             got = -stability._lowest_eigenvalue(to_affine(spec).structure)
             assert abs(got - margin) <= 1e-12 * abs(margin)
 
+    @pytest.mark.parametrize("beta", [1e-300, 1e-310, 5e-324])
+    def test_margin_at_vanishing_market_slopes(self, beta, monkeypatch):
+        # A complete 2 x 6 network (12 edges, k = 8) whose first market
+        # slope is tiny: its poles b_e beta_e leave the Rayleigh iteration
+        # no finite quotient, so the bisection runs over the whole
+        # bracket, and past 1 / float max the 1 / beta_1 of K_far is inf.
+        # The margin is the dense one, with no warning.
+        from cournotgraph import NetworkSpec, stability
+        spec = NetworkSpec(2, 6, tuple((i, j) for i in (1, 2) for j in range(1, 7)),
+                           (1.0, 1.0), (beta, 0.5),
+                           (0.2, 0.3, 0.4, 0.2, 0.3, 0.4), (1.0,) * 6)
+        hints, rayleigh_bound = [], stability._rayleigh_bound
+
+        def recorded(st, shift):
+            hints.append(rayleigh_bound(st, shift))
+            return hints[-1]
+        monkeypatch.setattr(stability, "_rayleigh_bound", recorded)
+        margin = -float(np.linalg.eigvalsh(_dense_h(spec))[0])
+        assert abs(eigen_margin(to_affine(spec)) - margin) <= 1e-14
+        assert hints == [(np.inf, np.inf)]
+
+    def test_no_rayleigh_hint_at_an_eigenvalue(self):
+        # At a shift that is an eigenvalue of H the Woodbury matrix K of
+        # (H - shift I)^-1 is singular: 1.25 for this complete 2 x 3
+        # network, whose K is exactly singular in floats. The hint is
+        # then none, and the margin below it still the dense one.
+        from cournotgraph import NetworkSpec, stability
+        spec = NetworkSpec(2, 3, tuple((i, j) for i in (1, 2) for j in range(1, 4)),
+                           (1.0, 1.0), (0.25, 0.25), (0.125,) * 3, (1.0,) * 3)
+        st = to_affine(spec).structure
+        assert st.k_side
+        spectrum = np.linalg.eigvalsh(_dense_h(spec))
+        assert np.min(np.abs(spectrum - 1.25)) <= 1e-15
+        assert stability._rayleigh_bound(st, 1.25) == (np.inf, np.inf)
+        assert abs(eigen_margin(to_affine(spec)) + spectrum[0]) <= 1e-12 * spectrum[0]
+
     def test_bisection_near_repeated_poles(self):
         # Round parameters repeat the values b_e beta_e, and some sit on
         # or next to the lowest eigenvalue of H; the count keeps the edges
