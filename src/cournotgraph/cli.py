@@ -1,6 +1,9 @@
 """Command line interface.
 
-Subcommands: simulate, equilibrium, stability, pd, sweep. Data goes to
+Subcommands: simulate, equilibrium, stability, pd, sweep. Each
+subcommand declares the scenario classes it runs on (``takes``);
+``main`` loads the scenario, refuses a wrong section once for every
+command, and hands the handler the parsed scenario. Data goes to
 ``--out`` files, created on their first write and written as ASCII
 bytes (reports go to stdout); progress notes go to stderr so data
 streams stay byte-reproducible. Exit codes: 0 success, 2 bad usage,
@@ -68,26 +71,34 @@ def _output(path: str):
         raise OutputError(f"cannot write output file: {exc}") from None
 
 
-def _load(path: str):
+# The section each scenario class is read from, as the refusals name it.
+_SECTIONS = {NetworkScenario: "[network]", CanonicalScenario: "[canonical]",
+             PDScenario: "[pd]"}
+
+
+def _load(path: str, command: str, takes: tuple[type, ...]):
+    """The scenario of the file ``path``, refused unless it is one of the
+    classes ``takes`` that ``command`` runs on."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
-    return parse_scenario(text)
+    scenario = parse_scenario(text)
+    if not isinstance(scenario, takes):
+        sections = " or ".join(_SECTIONS[kind] for kind in takes)
+        raise ScenarioError(f"{command} requires a {sections} scenario")
+    return scenario
 
 
-def _dynamical(scenario, command: str):
+def _dynamical(scenario):
     """(system, q0, r-or-None) for a network or canonical scenario."""
     if isinstance(scenario, CanonicalScenario):
         return canonical_affine(scenario.r), scenario.q0, scenario.r
-    if isinstance(scenario, NetworkScenario):
-        return to_affine(scenario.spec), scenario.q0, None
-    raise ScenarioError(f"{command} requires a [network] or [canonical] scenario")
+    return to_affine(scenario.spec), scenario.q0, None
 
 
-def cmd_simulate(args) -> int:
-    scenario = _load(args.scenario)
-    system, q0, _ = _dynamical(scenario, "simulate")
+def cmd_simulate(args, scenario) -> int:
+    system, q0, _ = _dynamical(scenario)
     # Each buffer of kept rows is written as integrate hands it on, the
     # first after the header that the system's order names.
     orders = iter([system.variable_order])
@@ -108,25 +119,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_equilibrium(args) -> int:
-    scenario = _load(args.scenario)
-    system, _, _ = _dynamical(scenario, "equilibrium")
+def cmd_equilibrium(args, scenario) -> int:
+    system, _, _ = _dynamical(scenario)
     sys.stdout.write(render_equilibrium(stability.equilibrium(system),
                                         system.variable_order))
     return EXIT_OK
 
 
-def cmd_stability(args) -> int:
-    scenario = _load(args.scenario)
-    system, _, r = _dynamical(scenario, "stability")
+def cmd_stability(args, scenario) -> int:
+    system, _, r = _dynamical(scenario)
     sys.stdout.write(render_stability_report(analyze(system, r)))
     return EXIT_OK
 
 
-def cmd_pd(args) -> int:
-    scenario = _load(args.scenario)
-    if not isinstance(scenario, PDScenario):
-        raise ScenarioError("pd requires a [pd] scenario")
+def cmd_pd(args, scenario) -> int:
     graph = scenario.build_graph()
     population = scenario.build_population(graph)
     fractions = run_spatial(population, scenario.payoff, scenario.steps)
@@ -143,10 +149,7 @@ def cmd_pd(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    scenario = _load(args.scenario)
-    if not isinstance(scenario, CanonicalScenario):
-        raise ScenarioError("sweep requires a [canonical] scenario")
+def cmd_sweep(args, scenario) -> int:
     result = sweep(scenario, args.param, args.start, args.stop, args.points)
     with _output(args.out) as out:
         sweep_csv(result, out)
@@ -186,42 +189,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "player graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_arg(p):
+    def command(name, help, func, *takes):
+        """The subparser of ``name``, whose ``--scenario`` must hold one
+        of the scenario classes ``takes`` that ``func`` runs on."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--scenario", required=True, metavar="FILE",
                        help="scenario file (see scenarios/ for examples)")
+        p.set_defaults(func=func, takes=takes)
+        return p
 
-    p = sub.add_parser("simulate", help="integrate flow dynamics to CSV")
-    scenario_arg(p)
+    dynamical = (NetworkScenario, CanonicalScenario)
+    p = command("simulate", "integrate flow dynamics to CSV", cmd_simulate,
+                *dynamical)
     p.add_argument("--t-end", type=_finite_float, default=200.0, dest="t_end")
     p.add_argument("--dt", type=_finite_float, default=0.01)
     p.add_argument("--method", choices=("rk4", "euler"), default="rk4")
     p.add_argument("--thin", type=_positive_int, default=10,
                    help="keep every k-th step (default 10)")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("equilibrium", help="print the equilibrium flows")
-    scenario_arg(p)
-    p.set_defaults(func=cmd_equilibrium)
-
-    p = sub.add_parser("stability", help="print the stability report")
-    scenario_arg(p)
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("pd", help="run imitation dynamics, write the "
-                                  "cooperation-fraction series")
-    scenario_arg(p)
+    command("equilibrium", "print the equilibrium flows", cmd_equilibrium,
+            *dynamical)
+    command("stability", "print the stability report", cmd_stability,
+            *dynamical)
+    p = command("pd", "run imitation dynamics, write the cooperation-fraction "
+                "series", cmd_pd, PDScenario)
     p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_pd)
-
-    p = sub.add_parser("sweep", help="verdict map over one r parameter")
-    scenario_arg(p)
+    p = command("sweep", "verdict map over one r parameter", cmd_sweep,
+                CanonicalScenario)
     p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--from", required=True, type=_finite_float, dest="start")
     p.add_argument("--to", required=True, type=_finite_float, dest="stop")
     p.add_argument("--points", required=True, type=int)
     p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_sweep)
     for p in sub.choices.values():
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
@@ -238,7 +237,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load(args.scenario, args.command, args.takes))
     except (ScenarioError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO

@@ -387,7 +387,7 @@ class _Torus:
         best = grid[1:-1, 1:-1] + top
         for view, gain in zip(self.views, self.gains):
             np.maximum(best, grid[view] + gain, out=best)
-        return (best & 1 == 1).ravel()
+        return best.ravel() & 1 == 1    # owns its data: handed over uncopied
 
 
 def torus_graph(width: int, height: int) -> PlayerGraph:

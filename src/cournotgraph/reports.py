@@ -12,16 +12,18 @@ the ``equilibrium:`` block of a stability report share. One helper,
 slice at a time, by their edge order, or q1 .. qn for a system without
 one. The CSV writers write ASCII bytes to a file open for binary
 writing. CSV rows of floats -- trajectories, and sweeps with their
-verdict label column -- are rendered by :func:`cournotgraph.csvtext.render_block` without
-``repr``, in flat blocks of ``dynamics.STREAM_VALUES`` values that may
-begin and end mid-row, each written to the output file as it is made;
+verdict label column -- are rendered by
+:func:`cournotgraph.csvtext.render_block`, the one writer of a CSV
+double's text, in flat blocks of ``dynamics.STREAM_VALUES`` values that
+may begin and end mid-row, each written to the output file as it is made;
 a trajectory's blocks are slices of the rows it is given (a
 Trajectory's table, or each buffer of rows that ``integrate``, sized by
 the same constant, hands ``simulate`` as it marches), read and never
 copied. A sweep is arrays (values, margins, verdict codes),
 evaluated in chunks of ``_SWEEP_CHUNK`` grid points, and each block of
-its CSV is built from them. A PD series is written a block of rows at
-a time.
+its CSV is built from them. A PD series is written a block of
+``STREAM_VALUES // 2`` rows at a time, as a sweep is ``STREAM_VALUES // 3``:
+one constant sizes every text block.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .csvtext import fmt, render_block
-from .dynamics import STREAM_VALUES as _BLOCK_VALUES  # values per CSV block
+from .dynamics import STREAM_VALUES
 from .network import _frozen, variable_names
 from .pdgame import PayoffMatrix, apply_side_payment, dominant_strategy, \
     min_side_payment
@@ -42,7 +44,6 @@ from .stability import (VERDICTS, CanonicalParams, StabilityReport,
 SWEEP_PARAMS = tuple(field.name for field in fields(CanonicalParams))
 MAX_SWEEP_POINTS = 1_000_000  # grid points of one sweep, checked before any work
 _SWEEP_CHUNK = 1 << 16        # grid points per canonical_margins call
-_SERIES_ROWS = 8192           # rows per block of a PD series
 
 
 def write_trajectory(table, order, out) -> None:
@@ -55,7 +56,7 @@ def write_trajectory(table, order, out) -> None:
     ``integrate``'s.
 
     The header is written a slice of names at a time. The rows, read
-    flat, are rendered and written in blocks of ``_BLOCK_VALUES``
+    flat, are rendered and written in blocks of ``STREAM_VALUES``
     values, slices of the rows themselves, rows of any width filling
     whole blocks, so only one block's text is held.
     """
@@ -65,25 +66,27 @@ def write_trajectory(table, order, out) -> None:
         for lo, names in _names(order, width - 1):
             out.write((("," if lo else "t,") + ",".join(names)).encode("ascii"))
         out.write(b"\n")
-    for lo in range(0, flat.size, _BLOCK_VALUES):
-        out.write(render_block(flat[lo:lo + _BLOCK_VALUES], width,
+    for lo in range(0, flat.size, STREAM_VALUES):
+        out.write(render_block(flat[lo:lo + STREAM_VALUES], width,
                                lo % width))
 
 
 def pd_series_csv(fractions, out) -> None:
     """Write the CSV of a cooperation-fraction series, header
     ``step,coop_fraction``, to the binary file ``out``, a block of
-    ``_SERIES_ROWS`` rows at a time. A fraction that is the same float
-    as the row before's (the tail after a fixed point) reuses its text."""
+    ``STREAM_VALUES // 2`` rows (two values each) at a time. A fraction
+    that is the same float as the row before's (the tail after a fixed
+    point) reuses its text."""
     out.write(b"step,coop_fraction\n")
     prev = text = None
-    for lo in range(0, len(fractions), _SERIES_ROWS):
-        rows = []
-        for k, f in enumerate(fractions[lo:lo + _SERIES_ROWS], lo):
+    rows = STREAM_VALUES // 2
+    for lo in range(0, len(fractions), rows):
+        lines = []
+        for k, f in enumerate(fractions[lo:lo + rows], lo):
             if f is not prev:
                 prev, text = f, fmt(f)
-            rows.append(f"{k},{text}\n")
-        out.write("".join(rows).encode("ascii"))
+            lines.append(f"{k},{text}\n")
+        out.write("".join(lines).encode("ascii"))
 
 
 def _coefficient_lines(heading: str, coeffs) -> list[str]:
@@ -105,13 +108,13 @@ def _coefficient_lines(heading: str, coeffs) -> list[str]:
 
 
 def _names(order, count: int):
-    """(first index, names) of ``count`` variables, ``_BLOCK_VALUES``
+    """(first index, names) of ``count`` variables, ``STREAM_VALUES``
     at a time: named by the (n, 2) edge ``order``, or q1 .. qn where the
     order is empty. The one naming route of the CSV header and the
     ``name = value`` lines, so one slice's names are held at a time."""
-    for lo in range(0, count, _BLOCK_VALUES):
-        yield lo, (variable_names(order[lo:lo + _BLOCK_VALUES]) if len(order) else
-                   [f"q{k + 1}" for k in range(lo, min(lo + _BLOCK_VALUES, count))])
+    for lo in range(0, count, STREAM_VALUES):
+        yield lo, (variable_names(order[lo:lo + STREAM_VALUES]) if len(order) else
+                   [f"q{k + 1}" for k in range(lo, min(lo + STREAM_VALUES, count))])
 
 
 def _assignments(values, order, indent: str = "") -> str:
@@ -201,7 +204,7 @@ def sweep_csv(result: Sweep, out) -> None:
     block built with a placeholder 1.0 in column 1, whose text is the
     row's verdict label."""
     out.write(b"value,verdict,eigen_margin\n")
-    rows = _BLOCK_VALUES // 3
+    rows = STREAM_VALUES // 3
     for lo in range(0, len(result.values), rows):
         values = result.values[lo:lo + rows]
         block = np.column_stack((values, np.ones(len(values)),

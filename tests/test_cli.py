@@ -399,6 +399,24 @@ class TestCommands:
                    "--out", tmp_path / "x.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("command, scenario, sections", [
+        ("simulate", PD, "[network] or [canonical]"),
+        ("equilibrium", PD, "[network] or [canonical]"),
+        ("stability", PD, "[network] or [canonical]"),
+        ("pd", STABLE, "[pd]"), ("pd", NETWORK, "[pd]"),
+        ("sweep", NETWORK, "[canonical]"), ("sweep", PD, "[canonical]")],
+        ids=lambda value: getattr(value, "stem", value))
+    def test_every_wrong_section_is_refused_alike(self, command, scenario,
+                                                  sections, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        extra = {"simulate": ("--out", out), "pd": ("--out", out),
+                 "sweep": ("--param", "r3", "--from", 0.1, "--to", 1.0,
+                           "--points", 2, "--out", out)}.get(command, ())
+        assert run(command, "--scenario", scenario, *extra) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {command} requires a {sections} scenario\n")
+        assert not out.exists()
+
     def test_repeated_simulate_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("simulate", "--scenario", STABLE, "--t-end", 5, "--out", a)
@@ -808,7 +826,7 @@ class TestStreamedSimulate:
         assert max(peaks) - min(peaks) <= 12_288, peaks
 
     # A run of (scenario, method, t_end, dt, thin) writes ``rows`` rows;
-    # simulate hands them to the CSV in buffers of R = _BLOCK_VALUES //
+    # simulate hands them to the CSV in buffers of R = STREAM_VALUES //
     # (1 + n) rows. Three routes: Phi_h in blocks of more than one state
     # (the shipped three-variable scenarios, R = 1024); Phi_h one state
     # at a time (rk4 on a 200-edge network, R = 20); the matrix-free
@@ -853,8 +871,8 @@ class TestStreamedSimulate:
         from cournotgraph import (IntegrationBlowUp, NetworkScenario,
                                   NetworkSpec, canonical_affine, to_affine,
                                   variable_names)
-        from cournotgraph.dynamics import _affine_pays, _block_length
-        from cournotgraph.reports import _BLOCK_VALUES
+        from cournotgraph.dynamics import (STREAM_VALUES, _affine_pays,
+                                           _block_length)
         from helpers import network_spec_with_edges, render_scenario
         name, method, t_end, dt, thin, rows = case
         if name.startswith("net"):
@@ -888,7 +906,7 @@ class TestStreamedSimulate:
         assert out.read_text(encoding="ascii") == csv_of(want, names)
         if rows is None:    # a blow-up within the first buffer
             rows = len(want.times)
-            assert rows < _BLOCK_VALUES // (1 + len(names))
+            assert rows < STREAM_VALUES // (1 + len(names))
         assert len(want.times) == rows
 
     @pytest.mark.parametrize("name, method, t_end", [
@@ -899,7 +917,7 @@ class TestStreamedSimulate:
         # table of 3.2 MB) and 1000 rk4 steps of a 361-edge network on
         # the matrix-free field (2.9 MB). Beside its scenario and system,
         # a run holds at most: the renderer of a block of B =
-        # _BLOCK_VALUES values, 153 bytes a value (see
+        # STREAM_VALUES values, 153 bytes a value (see
         # test_renderer_working_set_per_value_of_capacity); the
         # buffer of whole rows, at most B values; the march's scratch of
         # rows + 1 states, where a Psi block is one state no more rows
@@ -909,7 +927,7 @@ class TestStreamedSimulate:
         from cournotgraph.dynamics import (_BLOCK_ROWS, _affine_pays,
                                            _block_length)
         from cournotgraph.dynamics import _BLOCK_VALUES as MARCH_VALUES
-        from cournotgraph.reports import _BLOCK_VALUES as B
+        from cournotgraph.dynamics import STREAM_VALUES as B
         if name == "net361":
             path = tmp_path / "net.scenario"
             _network_scenario(path, 20, 30, seed=3)
@@ -1488,3 +1506,20 @@ class TestRuntimeDependencies:
         assert done.returncode == 0, done.stderr
         record = json.loads(done.stdout.splitlines()[-1])
         assert record == {"codes": [0] * 7, "foreign": []}
+
+    def test_the_package_import_loads_no_command_path(self):
+        # The bench's setup_s ends at ``import cournotgraph``: the library
+        # modules load there, and the CLI, its writers and argparse load
+        # with ``cournotgraph.cli``.
+        done = subprocess.run(
+            [sys.executable, "-c", "import json, sys, cournotgraph; "
+             "print(json.dumps(sorted(sys.modules)))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SCENARIO_DIR.parent / "src")})
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout)
+        assert [name for name in loaded if name.startswith("cournotgraph.")] == [
+            f"cournotgraph.{name}" for name in
+            ("cournot", "dynamics", "network", "pdgame", "scenario", "stability")]
+        assert {"numpy", "dataclasses"} <= set(loaded)
+        assert "argparse" not in loaded

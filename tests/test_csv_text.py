@@ -20,8 +20,8 @@ import pytest
 
 from cournotgraph import Trajectory, reports
 from cournotgraph.csvtext import render_block
-from cournotgraph.reports import (_BLOCK_VALUES, _SERIES_ROWS, Sweep,
-                                  pd_series_csv, sweep, sweep_csv,
+from cournotgraph.dynamics import STREAM_VALUES
+from cournotgraph.reports import (Sweep, pd_series_csv, sweep, sweep_csv,
                                   write_trajectory)
 from cournotgraph.scenario import parse_scenario
 from cournotgraph.stability import VERDICTS, canonical_margins, verdict_of
@@ -29,7 +29,8 @@ from helpers import (sweep_by_analyze, sweep_of, trajectory_csv_by_value,
                      written)
 
 TINY = 2.2250738585072014e-308          # the smallest normal double
-N = _BLOCK_VALUES
+N = STREAM_VALUES
+SERIES_ROWS = STREAM_VALUES // 2         # rows a block of a PD series
 STABLE = parse_scenario((Path(__file__).resolve().parent.parent / "scenarios"
                          / "canonical_stable.scenario").read_text("utf-8"))
 ODD_VALUES = [math.nan, math.inf, -math.inf, 5e-324, -5e-324,
@@ -53,7 +54,7 @@ def repr_flat(values, width: int, column: int) -> str:
 
 
 def render_flat(table: np.ndarray) -> str:
-    """``table`` rendered in flat blocks of ``_BLOCK_VALUES`` values, a
+    """``table`` rendered in flat blocks of ``STREAM_VALUES`` values, a
     block ending wherever it falls in a row."""
     flat, width = table.ravel(), table.shape[1]
     return b"".join(bytes(render_block(flat[lo:lo + N], width, lo % width))
@@ -267,23 +268,23 @@ def series_by_row(fractions) -> str:
         f"{k},{repr(f)}\n" for k, f in enumerate(fractions))
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, _SERIES_ROWS - 1, _SERIES_ROWS,
-                                    _SERIES_ROWS + 1, 2 * _SERIES_ROWS + 3])
+@pytest.mark.parametrize("length", [1, 2, 3, SERIES_ROWS - 1, SERIES_ROWS,
+                                    SERIES_ROWS + 1, 2 * SERIES_ROWS + 3])
 def test_pd_series_is_one_repr_per_row(length):
     fractions = np.random.default_rng(length).uniform(0, 1, length).tolist()
     fractions[0] = 0.0
     assert written(pd_series_csv, fractions) == series_by_row(fractions)
     # A fixed point from step 2 on repeats one fraction, as run_spatial
     # writes it: its rows reuse one text, across block ends too.
-    tail = fractions[:2] + [fractions[-1]] * (length + _SERIES_ROWS)
+    tail = fractions[:2] + [fractions[-1]] * (length + SERIES_ROWS)
     assert written(pd_series_csv, tail) == series_by_row(tail)
 
 
 def test_pd_series_tells_equal_fractions_of_other_text_apart():
     # 0.0 == -0.0, but their text differs: a row reuses the text of the
     # row before only if its fraction is the same float.
-    fractions = [0.0] * (_SERIES_ROWS + 5)
-    fractions[_SERIES_ROWS + 2] = -0.0
+    fractions = [0.0] * (SERIES_ROWS + 5)
+    fractions[SERIES_ROWS + 2] = -0.0
     fractions[3] = -0.0
     assert written(pd_series_csv, fractions) == series_by_row(fractions)
 

@@ -515,6 +515,25 @@ class TestStructuralKernels:
         assert tied == 191
         self.steps_agree(twin, m, state, 5, brute=True)
 
+    @pytest.mark.parametrize("graph", [
+        torus_graph(7, 5), cycle_graph(9), complete_graph(6),
+        player_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])],
+        ids=["torus", "cycle", "complete", "edges"])
+    def test_a_step_hands_its_state_over_uncopied(self, graph, monkeypatch):
+        # Every form's adopt returns a flat array that owns its data, so
+        # the next state holds it as it is by network._frozen's rule.
+        state = imitation_step(random_population(graph, 0.5, 4), CLASSIC)
+        frozen, copies = pdgame._frozen, []
+
+        def counted(values, dtype=np.float64):
+            held = frozen(values, dtype)
+            copies.append(held is not values)
+            return held
+        monkeypatch.setattr(pdgame, "_frozen", counted)
+        for _ in range(3):
+            state = imitation_step(state, CLASSIC)
+        assert copies == [False] * 3
+
     def test_run_spatial_series_match_tables(self):
         graph = torus_graph(30, 30)
         twin = table_twin(graph)

@@ -12,8 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from cournotgraph import AffineSystem, analyze, variable_names
-from cournotgraph.reports import (_BLOCK_VALUES, render_equilibrium,
-                                  render_stability_report, write_trajectory)
+from cournotgraph.dynamics import STREAM_VALUES
+from cournotgraph.reports import (render_equilibrium, render_stability_report,
+                                  write_trajectory)
 from cournotgraph.stability import Stability, StabilityReport
 from helpers import assignments_by_repr, names_by_edge
 
@@ -68,7 +69,7 @@ class TestAssignments:
                 values, order, "  ") + heading)
 
     def test_lines_are_made_a_slice_at_a_time(self):
-        # 10^5 variables span many slices of _BLOCK_VALUES: the text is the
+        # 10^5 variables span many slices of STREAM_VALUES: the text is the
         # oracle's, with an order and without, and making it holds at most
         # 100 bytes a variable (about 60, of which the text is about 30).
         import tracemalloc
@@ -86,12 +87,12 @@ class TestAssignments:
             assert text == assignments_by_repr(values, order)
 
     def test_csv_header_is_named_a_slice_at_a_time(self):
-        # Four slices of _BLOCK_VALUES names and a bit: the header is the
+        # Four slices of STREAM_VALUES names and a bit: the header is the
         # full join, with an order and without, and writing it holds at
         # most 64 bytes a name (about 49, and 31 for q1 .. qn); building
         # the tuple of every name first held about 132 and 75.
         import tracemalloc
-        n = 4 * _BLOCK_VALUES + 7
+        n = 4 * STREAM_VALUES + 7
         rng = np.random.default_rng(42)
         for order in (_order(rng, n, 1100), np.empty((0, 2), int)):
             names = (names_by_edge(order) if len(order)
